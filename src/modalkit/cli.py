@@ -20,20 +20,10 @@ from . import graph as graph_mod
 from . import leading as leading_mod
 from . import modes as modes_mod
 from .approximate import approximate
-from .errors import ModalkitError
+from .errors import ModalkitError, ParseError
 from .pitch import Chord, ChordQuality, parse_note, pc_name
 
 ROMAN = ("I", "II", "III", "IV", "V", "VI", "VII")
-
-QUALITY_ORDER = [
-    ChordQuality.DIM7,
-    ChordQuality.MAJ7_SHARP5,
-    ChordQuality.MINMAJ7,
-    ChordQuality.MAJ7,
-    ChordQuality.DOM7,
-    ChordQuality.MIN7,
-    ChordQuality.MIN7_FLAT5,
-]
 
 
 def _quality(token: str) -> ChordQuality:
@@ -138,7 +128,7 @@ def _cmd_graph(args, out) -> int:
 
 
 def _cmd_tcm(args, out) -> int:
-    qualities = QUALITY_ORDER if args.all else [args.quality]
+    qualities = list(ChordQuality) if args.all else [args.quality]
     rows = []
     for q in qualities:
         g = graph_mod.build_graph(q)
@@ -185,7 +175,12 @@ def _cmd_special(args, out) -> int:
 
 
 def _cmd_braid(args, out) -> int:
-    text = open(args.file, encoding="utf-8").read()
+    with open(args.file, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{args.file} is not UTF-8 text; bad byte", exc.start) from None
     progression = leading_mod.parse_progression(text)
     out.write(f"strands={leading_mod.STRANDS}\n")
     words = leading_mod.braids_of_progression(progression)

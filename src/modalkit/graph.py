@@ -9,10 +9,12 @@ Degrees 2, 4 and 6 carry one or two labels; each two-label degree creates a
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 from .errors import InternalError
-from .modes import ScaleType, all_standard_modes, harmonize, standard_modes
+from .modes import _standard_catalog
 from .pitch import ChordQuality, PitchClass, pc, pc_name
 
 # Label spelling per (degree, semitone offset), following the figure
@@ -97,34 +99,35 @@ def _label(degree: int, semitones: int, quality: ChordQuality) -> DegreeLabel:
 
 def standard_patterns(q: ChordQuality) -> dict[tuple[int, ...], str]:
     """Offset tuples (and names) of the standard modes whose base chord is q."""
-    patterns: dict[tuple[int, ...], str] = {}
-    for scale_type in ScaleType:
-        for degree in range(1, 8):
-            if harmonize(scale_type, degree) is q:
-                mode = standard_modes(scale_type, 0)[degree - 1]
-                patterns.setdefault(mode.offsets(), mode.name)
-    return patterns
+    return {m.offsets: m.name for m in _standard_catalog().values() if m.quality is q}
+
+
+@functools.cache
+def _theory() -> dict[ChordQuality, tuple[ModeGraph, tuple[AdmissiblePath, ...]]]:
+    """Every quality's graph and admissible paths, derived once, in table order."""
+    theory = {}
+    for q in ChordQuality:
+        g = _derive_graph(q)
+        theory[q] = (g, tuple(_derive_paths(g)))
+    return theory
 
 
 def build_graph(q: ChordQuality) -> ModeGraph:
     """The oriented graph of all degree choices the standard modes allow on q."""
-    choices: dict[int, set[int]] = {d: set() for d in range(1, 8)}
-    for offsets in standard_patterns(q):
-        for degree, semitones in enumerate(offsets, start=1):
-            choices[degree].add(semitones)
-    vertices: list[DegreeLabel] = []
-    per_degree: dict[int, list[DegreeLabel]] = {}
-    for degree in range(1, 8):
-        labels = [_label(degree, s, q) for s in sorted(choices[degree])]
-        per_degree[degree] = labels
-        vertices.extend(labels)
-    edges = [
-        (a, b)
-        for degree in range(1, 7)
-        for a in per_degree[degree]
-        for b in per_degree[degree + 1]
+    return _theory()[q][0]
+
+
+def _derive_graph(q: ChordQuality) -> ModeGraph:
+    # zip(*patterns) gives, per degree, the semitones the standard modes use there
+    per_degree = [
+        [_label(degree, s, q) for s in sorted(set(choices))]
+        for degree, choices in enumerate(zip(*standard_patterns(q)), start=1)
     ]
-    return ModeGraph(q, tuple(vertices), tuple(edges))
+    vertices = tuple(v for labels in per_degree for v in labels)
+    edges = tuple(
+        (a, b) for lower, upper in zip(per_degree, per_degree[1:]) for a in lower for b in upper
+    )
+    return ModeGraph(q, vertices, edges)
 
 
 def euler_characteristic(g: ModeGraph) -> int:
@@ -150,7 +153,7 @@ def maximal_tree(g: ModeGraph) -> tuple[tuple[DegreeLabel, DegreeLabel], ...]:
 
 def tcm(q: ChordQuality) -> int:
     """Topological complexity: rank of the fundamental group, 1 - chi."""
-    return 1 - euler_characteristic(build_graph(q))
+    return 1 - euler_characteristic(_theory()[q][0])
 
 
 # Canonical names for the twelve special modes, keyed by offset tuple.
@@ -176,31 +179,28 @@ def enumerate_admissible(g: ModeGraph) -> list[AdmissiblePath]:
     Deterministic order: lexicographic over the per-degree choices with the
     flatter alteration first.
     """
-    per_degree = g.labels_by_degree()
+    return list(_theory()[g.quality][1])
+
+
+def _derive_paths(g: ModeGraph) -> list[AdmissiblePath]:
     standard = standard_patterns(g.quality)
-    paths: list[AdmissiblePath] = [AdmissiblePath((), False)]
-    for degree in range(1, 8):
-        paths = [
-            AdmissiblePath(p.labels + (label,), False)
-            for p in paths
-            for label in per_degree[degree]
-        ]
     result = []
-    for p in paths:
-        offsets = p.offsets()
+    # product varies the last degree fastest: lexicographic over the degrees
+    for labels in itertools.product(*g.labels_by_degree().values()):
+        offsets = tuple(label.semitones for label in labels)
         if offsets in standard:
-            result.append(AdmissiblePath(p.labels, False, standard[offsets]))
+            result.append(AdmissiblePath(labels, False, standard[offsets]))
         else:
             name = SPECIAL_NAMES.get(offsets, "")
             if not name:
                 raise InternalError(f"unnamed special pattern {offsets}")
-            result.append(AdmissiblePath(p.labels, True, name))
+            result.append(AdmissiblePath(labels, True, name))
     return result
 
 
 def special_modes(q: ChordQuality) -> list[AdmissiblePath]:
     """Admissible paths that are not standard modes."""
-    return [p for p in enumerate_admissible(build_graph(q)) if p.is_special]
+    return [p for p in _theory()[q][1] if p.is_special]
 
 
 # Degree lists printed in the source classification for the special modes.
@@ -247,54 +247,21 @@ def emit_dot(g: ModeGraph, root: PitchClass | None = None) -> str:
 
 
 def mode_graphs() -> list[ModeGraph]:
-    """The seven graphs in the order of the complexity table."""
-    order = [
-        ChordQuality.DIM7,
-        ChordQuality.MAJ7_SHARP5,
-        ChordQuality.MINMAJ7,
-        ChordQuality.MAJ7,
-        ChordQuality.DOM7,
-        ChordQuality.MIN7,
-        ChordQuality.MIN7_FLAT5,
-    ]
-    return [build_graph(q) for q in order]
+    """The seven graphs in the order of the complexity table (ChordQuality order)."""
+    return [g for g, _paths in _theory().values()]
+
+
+@functools.cache
+def _paths_by_name() -> dict[str, tuple[ChordQuality, AdmissiblePath]]:
+    """The 33 admissible modes by name; no two of them share a name."""
+    return {p.name: (q, p) for q, (_g, paths) in _theory().items() for p in paths}
 
 
 def find_mode_by_name(name: str) -> tuple[ChordQuality, AdmissiblePath] | None:
-    """Look up any admissible mode (standard or special) by canonical name."""
-    for g in mode_graphs():
-        for p in enumerate_admissible(g):
-            if p.name == name:
-                return g.quality, p
-    return None
+    """Look up any admissible mode (standard or special) by name."""
+    return _paths_by_name().get(name)
 
 
 def path_notes(p: AdmissiblePath, root: PitchClass) -> tuple[PitchClass, ...]:
     return tuple(pc(root + s) for s in p.offsets())
 
-
-def all_admissible_count() -> int:
-    return sum(len(enumerate_admissible(g)) for g in mode_graphs())
-
-
-def braid_of_graph(
-    q: ChordQuality,
-    index_map: dict[int, int] | None = None,
-    strands: int = 4,
-) -> "BraidWord":
-    """Best-effort braid picture of a base-chord graph.
-
-    Interpretive reconstruction: each two-choice degree (a diamond in the
-    graph, one generator of the fundamental group) contributes one positive
-    generator, indexed by its degree through ``index_map`` (default
-    2, 4, 6 -> 1, 2, 3).
-    """
-    from .braid import BraidWord
-
-    if index_map is None:
-        index_map = {2: 1, 4: 2, 6: 3}
-    per_degree = build_graph(q).labels_by_degree()
-    letters = tuple(
-        (index_map[d], 1) for d in sorted(index_map) if len(per_degree[d]) > 1
-    )
-    return BraidWord(strands, letters)

@@ -4,9 +4,11 @@ A voice leading between two equal-size chords assigns each source voice a
 target voice so that higher voices never end up below lower ones
 (p_i > p_j implies q_i >= q_j).  On pitch classes written as integers in
 [0, 11] this forces the order-preserving assignment: sorted source paired
-with sorted target.  That assignment is also the unique displacement
-minimizer among crossing-free bijections, which the test suite checks
-against a brute-force oracle.
+with sorted target.  For distinct notes it is the only crossing-free
+bijection, which the test suite checks against a brute-force oracle.  It is
+not always the smallest total arc distance: a cyclic rotation of the pairing,
+which crosses in this linear order, often moves the voices less (Tymoczko
+2006, "The Geometry of Musical Chords").
 
 Braids live on 12 strands, one per pitch class; a voice moving from pitch
 class p to q occupies strand slot p+1 and walks to slot q+1 through
@@ -15,6 +17,7 @@ adjacent crossings.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .braid import BraidWord, concatenate
@@ -43,10 +46,6 @@ class VoiceLeading:
     def pairs(self) -> tuple[tuple[PitchClass, PitchClass], ...]:
         return tuple(zip(self.source, self.target))
 
-    def assignment(self) -> tuple[int, ...]:
-        """Index map source -> target (identity on the sorted representation)."""
-        return tuple(range(len(self.source)))
-
     def total_displacement(self) -> int:
         return sum(arc_distance(s, t) for s, t in self.pairs())
 
@@ -70,7 +69,7 @@ def voice_leading(
     b_root: PitchClass | None = None,
     pad: bool = True,
 ) -> VoiceLeading:
-    """The crossing-free, displacement-minimal leading from a to b.
+    """The crossing-free leading from a to b: sorted notes paired in order.
 
     Unequal sizes are reconciled by doubling the smaller chord's root
     (lowest pitch class when no root is declared); ``pad=False`` raises
@@ -165,14 +164,19 @@ def braid_of_progression(p: Progression) -> BraidWord:
     return word
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_progression(text: str) -> Progression:
     """One chord per line: a chord symbol, or ``name: pc,pc,...``.
 
-    Blank lines and ``#`` comments are ignored.
+    Blank lines are ignored, and so is a ``#`` comment: a ``#`` at the start
+    of a line or after whitespace, to the end of the line.  A ``#`` inside a
+    token is a sharp, as in ``F#o7``.
     """
     chords: list[tuple[str, PitchClass, Chord]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if ":" in line:
@@ -187,4 +191,6 @@ def parse_progression(text: str) -> Progression:
         else:
             root, chord = parse_chord_symbol(line)
             chords.append((line, root, chord))
+    if not chords:
+        raise ParseError("the progression has no chords", 0)
     return Progression(tuple(chords))

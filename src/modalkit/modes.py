@@ -7,6 +7,7 @@ three-note tension triad (degrees 2-4-6) sharing no pitch class.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,9 +40,9 @@ class ScaleType(Enum):
         raise KeyError(label)
 
 
-# Mode names per parent scale, indexed by degree (0-based).  The melodic
-# minor V mode is often written "mixolydian b13"; degree-6 naming is the
-# canonical form here and "b13" is accepted as an alias on input.
+# Mode names per parent scale, indexed by degree (0-based).  Some sources
+# spell the sixth degree b13 ("mixolydian b13"); only the b6 spelling is used
+# here, and no other name is accepted.
 MODE_NAMES: dict[ScaleType, tuple[str, ...]] = {
     ScaleType.MAJOR: (
         "ionian",
@@ -71,14 +72,6 @@ MODE_NAMES: dict[ScaleType, tuple[str, ...]] = {
         "ultralocrian",
     ),
 }
-
-_NAME_ALIASES = {"mixolydian b13": "mixolydian b6", "hypoionian b13": "hypoionian b6"}
-
-
-def canonical_mode_name(name: str) -> str:
-    name = " ".join(name.lower().split())
-    return _NAME_ALIASES.get(name, name)
-
 
 @dataclass(frozen=True)
 class ModalScale:
@@ -138,17 +131,36 @@ def standard_modes(s: ScaleType, root: PitchClass) -> list[ModalScale]:
     return result
 
 
+@dataclass(frozen=True)
+class StandardMode:
+    """A standard mode without a root: where it sits and what it is."""
+
+    scale: ScaleType
+    degree: int
+    name: str
+    offsets: tuple[int, ...]
+    quality: ChordQuality
+
+
+@functools.cache
+def _standard_catalog() -> dict[tuple[ScaleType, int], StandardMode]:
+    """The 21 standard modes keyed by (parent scale, degree 1..7), derived once."""
+    catalog = {}
+    for s in ScaleType:
+        for degree, mode in enumerate(standard_modes(s, 0), start=1):
+            offs = mode.offsets()
+            quality = ChordQuality.from_intervals(offs[0::2])
+            if quality is None:
+                raise InternalError(f"stacked intervals {offs[0::2]} match no quality")
+            catalog[s, degree] = StandardMode(s, degree, mode.name, offs, quality)
+    return catalog
+
+
 def harmonize(s: ScaleType, degree: int) -> ChordQuality:
     """Seventh-chord quality stacked on a scale degree (1..7)."""
     if not 1 <= degree <= 7:
         raise ValueError(f"degree must be in 1..7, got {degree}")
-    mode = standard_modes(s, 0)[degree - 1]
-    offs = mode.offsets()
-    intervals = (offs[0], offs[2], offs[4], offs[6])
-    quality = ChordQuality.from_intervals(intervals)
-    if quality is None:
-        raise InternalError(f"stacked intervals {intervals} match no quality")
-    return quality
+    return _standard_catalog()[s, degree].quality
 
 
 def decompose(m: ModalScale) -> Mode:
@@ -181,13 +193,8 @@ def recompose(base: Chord, tension: Chord, root: PitchClass) -> ModalScale:
             raise NotInterleavable(
                 f"degree {i + 1} ({note}) does not alternate base/tension"
             )
-    name = ""
-    for scale_type in ScaleType:
-        for i, step in enumerate(scale_type.step_pattern):
-            # parent scale whose degree i+1 sits on this root
-            candidate = standard_modes(scale_type, pc(root - step))[i]
-            if candidate.degrees == degrees:
-                name = candidate.name
+    offsets = tuple(pc(d - root) for d in degrees)
+    name = next((m.name for m in _standard_catalog().values() if m.offsets == offsets), "")
     return ModalScale(pc(root), degrees, name)
 
 

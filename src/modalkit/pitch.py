@@ -84,7 +84,11 @@ class Chord:
 
 
 class ChordQuality(Enum):
-    """The seven seventh-chord types arising from scale harmonization."""
+    """The seven seventh-chord types arising from scale harmonization.
+
+    Declared in the order of the complexity table, which ``tcm --all`` and
+    ``graph.mode_graphs`` follow.
+    """
 
     DIM7 = ("o7", (0, 3, 6, 9))
     MAJ7_SHARP5 = ("maj7#5", (0, 4, 8, 11))
@@ -162,18 +166,13 @@ def chord_intersection(a: Chord, b: Chord) -> Chord:
     return Chord(common)
 
 
-# Quality tokens of the chord-symbol grammar, plus tension extensions.
-# Extensions are semitone offsets added on top of a quality's four notes.
+# Quality tokens of the chord-symbol grammar: each quality's own symbol, plus
+# three tokens with tension extensions, which are semitone offsets added on top
+# of a quality's four notes.
 _SYMBOL_QUALITIES: dict[str, tuple[ChordQuality | None, tuple[int, ...]]] = {
-    "maj7#5": (ChordQuality.MAJ7_SHARP5, ()),
-    "-maj7": (ChordQuality.MINMAJ7, ()),
-    "maj7": (ChordQuality.MAJ7, ()),
-    "-7b5": (ChordQuality.MIN7_FLAT5, ()),
+    **{q.symbol: (q, ()) for q in ChordQuality},
     "-9": (ChordQuality.MIN7, (2,)),
-    "-7": (ChordQuality.MIN7, ()),
     "13b9": (ChordQuality.DOM7, (1, 9)),
-    "o7": (ChordQuality.DIM7, ()),
-    "7": (ChordQuality.DOM7, ()),
     "6/9": (None, (0, 4, 7, 9, 2)),
 }
 
@@ -188,12 +187,9 @@ def parse_chord_symbol(text: str) -> tuple[PitchClass, Chord]:
         raise ParseError(f"expected a root note in {text!r}", 0)
     root = parse_note(m.group(0))
     rest = text[m.end():]
-    for token, (quality, extensions) in _SYMBOL_QUALITIES.items():
-        if rest == token:
-            if quality is None:
-                notes = [pc(root + i) for i in extensions]
-            else:
-                notes = [pc(root + i) for i in quality.intervals]
-                notes += [pc(root + i) for i in extensions]
-            return root, Chord(notes)
-    raise ParseError(f"unknown chord quality {rest!r}", m.end())
+    entry = _SYMBOL_QUALITIES.get(rest)
+    if entry is None:
+        raise ParseError(f"unknown chord quality {rest!r}", m.end())
+    quality, extensions = entry
+    intervals = extensions if quality is None else quality.intervals + extensions
+    return root, Chord(pc(root + i) for i in intervals)

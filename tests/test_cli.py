@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import modalkit
 from modalkit.cli import run
 
 DATA = Path(__file__).parent / "data"
@@ -127,3 +131,27 @@ def test_domain_error_exit_code():
     code, _, err = capture(["braid", "--file", "/no/such/file"])
     assert code == 1
     assert "FileNotFoundError" in err
+
+
+@pytest.mark.parametrize(
+    "content, detail",
+    [
+        (b"", "no chords"),
+        (b"# nothing but a comment\n\n", "no chords"),
+        (b"Cmaj7\n\xff\xfeG7\n", "not UTF-8 text; bad byte (at position 6)"),
+    ],
+    ids=["empty", "comment-only", "not-utf8"],
+)
+def test_braid_bad_file_is_one_line_parse_error(tmp_path, content, detail):
+    path = tmp_path / "bad.prog"
+    path.write_bytes(content)
+    src = Path(modalkit.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "modalkit.cli", "braid", "--file", str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ParseError:")
+    assert detail in lines[0]
+    assert "Traceback" not in proc.stderr

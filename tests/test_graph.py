@@ -1,12 +1,17 @@
 """Base-chord graphs: topology, admissible enumeration, special modes."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import modalkit
 from modalkit.errors import InternalError
 from modalkit.graph import (
     SPECIAL_NAMES,
-    all_admissible_count,
-    braid_of_graph,
     build_graph,
     emit_dot,
     enumerate_admissible,
@@ -75,10 +80,41 @@ def test_admissible_counts_are_powers_of_two():
 
 
 def test_standard_plus_special_is_33():
-    assert all_admissible_count() == 33
+    total = sum(len(enumerate_admissible(g)) for g in mode_graphs())
+    assert total == 33
+    assert len({p.name for g in mode_graphs() for p in enumerate_admissible(g)}) == 33
     total_special = sum(len(special_modes(q)) for q in ChordQuality)
     assert total_special == 12
-    assert all_admissible_count() - total_special == 21
+    assert total - total_special == 21
+
+
+def test_mode_graphs_follow_quality_order():
+    assert [g.quality for g in mode_graphs()] == list(ChordQuality)
+
+
+def test_returned_lists_do_not_share_the_catalog():
+    g = build_graph(ChordQuality.DOM7)
+    enumerate_admissible(g).clear()
+    assert len(enumerate_admissible(g)) == 8
+    special_modes(ChordQuality.DOM7).pop()
+    assert len(special_modes(ChordQuality.DOM7)) == 4
+
+
+def test_importing_the_cli_derives_nothing():
+    # Every functools cache in every modalkit module, by name and current size.
+    code = (
+        "import json, sys, modalkit.cli\n"
+        "print(json.dumps({f'{m.__name__}.{k}': f.cache_info().currsize\n"
+        "       for m in list(sys.modules.values()) if m.__name__.startswith('modalkit')\n"
+        "       for k, f in vars(m).items() if hasattr(f, 'cache_info')}))\n"
+    )
+    src = Path(modalkit.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    sizes = json.loads(proc.stdout)
+    assert {"modalkit.modes._standard_catalog", "modalkit.graph._theory"} <= set(sizes)
+    assert set(sizes.values()) == {0}
 
 
 def test_special_counts_per_quality():
@@ -157,14 +193,6 @@ def test_emit_dot_shape():
     assert sum("->" in ln for ln in lines) == 6
     named = emit_dot(build_graph(ChordQuality.DIM7), root=0)
     assert '"Eb" -> "Fb";' in named
-
-
-def test_braid_of_graph_one_letter_per_diamond():
-    for q in ChordQuality:
-        word = braid_of_graph(q)
-        assert len(word) == tcm(q)
-        assert all(sign == 1 for _i, sign in word.letters)
-    assert braid_of_graph(ChordQuality.DOM7).letters == ((1, 1), (2, 1), (3, 1))
 
 
 def test_graph_edges_connect_consecutive_degrees():

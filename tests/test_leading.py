@@ -1,7 +1,7 @@
 """Voice leadings checked against a brute-force assignment oracle."""
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -19,11 +19,16 @@ from modalkit.leading import (
     voice_leading,
 )
 from modalkit.leading import _reduced_moves
-from modalkit.pitch import Chord
+from modalkit.pitch import _SYMBOL_QUALITIES, Chord, parse_chord_symbol
 
 
 def oracle_leadings(source, target):
     """All crossing-free assignments, brute forced over every bijection.
+
+    For distinct notes only the sorted pairing passes the crossing check, so
+    the oracle confirms that it is the one crossing-free assignment.  It does
+    not weigh assignments that cross, such as cyclic rotations, which can
+    move the voices less.
 
     Returns (best total displacement, set of pair-tuples achieving it).
     """
@@ -89,6 +94,14 @@ def test_against_brute_force_oracle():
         best, winners = oracle_leadings(source, target)
         assert v.total_displacement() == best
         assert tuple(sorted(v.pairs())) in winners
+
+
+def test_rotation_can_move_less_than_sorted_pairing():
+    v = voice_leading(Chord([0, 4, 7]), Chord([4, 7, 11]))
+    assert v.total_displacement() == 11
+    rotated = VoiceLeading((0, 4, 7), (11, 4, 7))
+    assert not rotated.is_crossing_free()
+    assert rotated.total_displacement() == 1
 
 
 def test_crossing_free_detection():
@@ -165,3 +178,23 @@ def test_parse_progression_errors():
         parse_progression("cluster: 13\n")
     with pytest.raises(ValueError):
         Progression(())
+
+
+def test_parse_progression_without_chords_is_a_parse_error():
+    for text in ("", "# only a comment\n\n  # another\n"):
+        with pytest.raises(ParseError):
+            parse_progression(text)
+
+
+def test_sharp_is_not_a_comment():
+    p = parse_progression("F#o7\nC#-7  # note\nDbmaj7#5\n#C7\n\t# C7\n")
+    assert [name for name, _root, _chord in p.chords] == ["F#o7", "C#-7", "Dbmaj7#5"]
+    assert p.chords[0][1:] == (6, Chord([6, 9, 0, 3]))
+    assert p.chords[1][1:] == (1, Chord([1, 4, 8, 11]))
+    assert p.chords[2][1:] == (1, Chord([1, 5, 9, 0]))
+
+
+def test_progression_line_parses_like_chord_symbol():
+    for letter, accidental, token in product("CDEFGAB", ("", "#", "b"), _SYMBOL_QUALITIES):
+        sym = letter + accidental + token
+        assert parse_progression(sym).chords[0][1:] == parse_chord_symbol(sym), sym

@@ -113,6 +113,14 @@ def test_parse_chord_symbol_basic():
     assert root == 11 and chord == Chord([11, 2, 5, 9])
     root, chord = parse_chord_symbol("Ebo7")
     assert root == 3 and chord == Chord([3, 6, 9, 0])
+    root, chord = parse_chord_symbol("Dbmaj7#5")
+    assert root == 1 and chord == Chord([1, 5, 9, 0])
+    root, chord = parse_chord_symbol("F#-maj7")
+    assert root == 6 and chord == Chord([6, 9, 1, 5])
+    root, chord = parse_chord_symbol("G7")
+    assert root == 7 and chord == Chord([7, 11, 2, 5])
+    root, chord = parse_chord_symbol("A-7")
+    assert root == 9 and chord == Chord([9, 0, 4, 7])
 
 
 def test_parse_chord_symbol_extensions():
