@@ -56,13 +56,12 @@ def concatenate(a: BraidWord, b: BraidWord) -> BraidWord:
 
 
 def invariants(w: BraidWord) -> BraidInvariants:
-    position = list(range(1, w.strands + 1))  # position[i] = image of start i+1
+    occupant = list(range(1, w.strands + 1))  # occupant[s-1] = start of the strand at slot s
     for index, _sign in w.letters:
-        for p in range(w.strands):
-            if position[p] == index:
-                position[p] = index + 1
-            elif position[p] == index + 1:
-                position[p] = index
+        occupant[index - 1], occupant[index] = occupant[index], occupant[index - 1]
+    position = [0] * w.strands
+    for slot, start in enumerate(occupant, start=1):
+        position[start - 1] = slot
     writhe = sum(sign for _i, sign in w.letters)
     return BraidInvariants(tuple(position), writhe)
 
@@ -126,6 +125,8 @@ def parse_word(text: str, strands: int | None = None) -> BraidWord:
     position = 0
     if tokens and (m := _HEADER.fullmatch(tokens[0])):
         declared = int(m.group(1))
+        if declared < 1:
+            raise ParseError(f"header declares {declared} strands, need at least 1")
         if strands is not None and declared != strands:
             raise ParseError(f"header declares {declared} strands, expected {strands}")
         strands = declared
@@ -138,10 +139,7 @@ def parse_word(text: str, strands: int | None = None) -> BraidWord:
         if not m:
             raise ParseError(f"bad braid token {token!r}", text.find(token, position))
         position = text.find(token, position) + len(token)
-        index = int(m.group(1))
-        if not 1 <= index <= strands - 1:
-            raise IndexOutOfRange(f"s{index} out of range for {strands} strands")
-        letters.append((index, -1 if m.group(2) else 1))
+        letters.append((int(m.group(1)), -1 if m.group(2) else 1))
     return BraidWord(strands, tuple(letters))
 
 
@@ -160,24 +158,9 @@ def render_ascii(w: BraidWord) -> str:
     show ``/`` in the middle row, negative ones ``\\``.
     """
     n = w.strands
-    width = 2 * n - 1
-
-    def bars(skip: tuple[int, ...] = ()) -> list[str]:
-        row = [" "] * width
-        for c in range(n):
-            if c + 1 not in skip:
-                row[2 * c] = "|"
-        return row
-
-    lines = ["".join(bars())]
-    for index, sign in w.letters:
-        top = bars(skip=(index, index + 1))
-        top[2 * (index - 1)] = "\\"
-        top[2 * index] = "/"
-        mid = bars(skip=(index, index + 1))
-        mid[2 * index - 1] = "/" if sign > 0 else "\\"
-        bottom = bars(skip=(index, index + 1))
-        bottom[2 * (index - 1)] = "/"
-        bottom[2 * index] = "\\"
-        lines.extend("".join(row) for row in (top, mid, bottom))
+    lines = [" ".join("|" * n)]
+    for i, sign in w.letters:
+        left, right = "| " * (i - 1), " |" * (n - i - 1)
+        middle = " / " if sign > 0 else " \\ "
+        lines += (left + "\\ /" + right, left + middle + right, left + "/ \\" + right)
     return "\n".join(lines) + "\n"

@@ -26,18 +26,16 @@ from .pitch import Chord, ChordQuality, parse_note, pc_name
 ROMAN = ("I", "II", "III", "IV", "V", "VI", "VII")
 
 
-def _quality(token: str) -> ChordQuality:
-    try:
-        return ChordQuality.from_symbol(token)
-    except KeyError:
-        raise argparse.ArgumentTypeError(f"unknown chord quality {token!r}")
+def _lookup(convert, what: str):
+    """An argparse type: ``convert``, with a failed lookup made a usage error."""
 
+    def adapter(token: str):
+        try:
+            return convert(token)
+        except (KeyError, ParseError):
+            raise argparse.ArgumentTypeError(f"unknown {what} {token!r}")
 
-def _scale(token: str) -> modes_mod.ScaleType:
-    try:
-        return modes_mod.ScaleType.from_label(token)
-    except KeyError:
-        raise argparse.ArgumentTypeError(f"unknown scale {token!r}")
+    return adapter
 
 
 def _pcs(token: str) -> list[int]:
@@ -215,18 +213,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Modal scales, base-chord graphs, braid words and voice leadings.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    quality = _lookup(ChordQuality.from_symbol, "chord quality")
+    scale = _lookup(modes_mod.ScaleType.from_label, "scale")
+    note = _lookup(parse_note, "note name")
 
     def add_format(p):
         p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
 
     p = sub.add_parser("modes", help="list the seven modes of a parent scale")
-    p.add_argument("--scale", type=_scale, required=True)
-    p.add_argument("--root", type=parse_note, required=True)
+    p.add_argument("--scale", type=scale, required=True)
+    p.add_argument("--root", type=note, required=True)
     add_format(p)
     p.set_defaults(func=_cmd_modes)
 
     p = sub.add_parser("harmonize", help="seventh-chord quality per scale degree")
-    p.add_argument("--scale", type=_scale, required=True)
+    p.add_argument("--scale", type=scale, required=True)
     p.add_argument("--degree", type=int, choices=range(1, 8))
     add_format(p)
     p.set_defaults(func=_cmd_harmonize)
@@ -237,25 +238,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("graph", help="show or export a base-chord graph")
-    p.add_argument("--quality", type=_quality, required=True)
-    p.add_argument("--root", type=parse_note)
+    p.add_argument("--quality", type=quality, required=True)
+    p.add_argument("--root", type=note)
     p.add_argument("--dot", action="store_true")
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("tcm", help="topological complexity per quality")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--quality", type=_quality)
+    group.add_argument("--quality", type=quality)
     group.add_argument("--all", action="store_true")
     add_format(p)
     p.set_defaults(func=_cmd_tcm)
 
     p = sub.add_parser("admissible", help="all admissible modes on a quality")
-    p.add_argument("--quality", type=_quality, required=True)
+    p.add_argument("--quality", type=quality, required=True)
     add_format(p)
     p.set_defaults(func=_cmd_admissible)
 
     p = sub.add_parser("special", help="special (non-standard) admissible modes")
-    p.add_argument("--quality", type=_quality, required=True)
+    p.add_argument("--quality", type=quality, required=True)
     p.add_argument("--paper-compat", action="store_true")
     add_format(p)
     p.set_defaults(func=_cmd_special)
@@ -267,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("approx", help="approximate a scale by admissible modes")
     p.add_argument("--target", type=_pcs, required=True)
-    p.add_argument("--quality", type=_quality, required=True)
-    p.add_argument("--root", type=parse_note, required=True)
+    p.add_argument("--quality", type=quality, required=True)
+    p.add_argument("--root", type=note, required=True)
     add_format(p)
     p.set_defaults(func=_cmd_approx)
 
@@ -285,10 +286,7 @@ def run(argv: list[str], out=None, err=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, out)
-    except ModalkitError as exc:
-        err.write(f"{type(exc).__name__}: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (ModalkitError, OSError) as exc:
         err.write(f"{type(exc).__name__}: {exc}\n")
         return 1
 

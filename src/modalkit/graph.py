@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InternalError
 from .modes import _standard_catalog
-from .pitch import ChordQuality, PitchClass, pc, pc_name
+from .pitch import NOTE_TO_PC, ChordQuality, PitchClass, pc, pc_name
 
 # Label spelling per (degree, semitone offset), following the figure
 # convention M=major, m=minor, P=perfect, a=augmented, d=diminished.
@@ -49,7 +49,7 @@ class DegreeLabel:
         letters = "CDEFGAB"
         root_letter = pc_name(root)[0]
         letter = letters[(letters.index(root_letter) + self.degree - 1) % 7]
-        natural = pc(_letter_pc(letter) - root)
+        natural = pc(NOTE_TO_PC[letter] - root)
         acc = self.semitones - natural
         if acc > 6:
             acc -= 12
@@ -59,10 +59,6 @@ class DegreeLabel:
 
     def __str__(self) -> str:
         return self.name
-
-
-def _letter_pc(letter: str) -> int:
-    return {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}[letter]
 
 
 @dataclass(frozen=True)

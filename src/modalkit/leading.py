@@ -18,9 +18,9 @@ adjacent crossings.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .braid import BraidWord, concatenate
+from .braid import BraidWord
 from .errors import ParseError, SizeMismatch
 from .pitch import Chord, PitchClass, parse_chord_symbol, pc
 
@@ -100,16 +100,15 @@ def _reduced_moves(v: VoiceLeading) -> list[tuple[int, int]]:
         d = move[1] - move[0]
         return (abs(d), 0 if d >= 0 else 1)
 
-    by_source: dict[int, tuple[int, int]] = {}
-    for s, t in v.pairs():
-        move = (s + 1, t + 1)
-        if move[0] not in by_source or badness(move) < badness(by_source[move[0]]):
-            by_source[move[0]] = move
-    by_target: dict[int, tuple[int, int]] = {}
-    for move in by_source.values():
-        if move[1] not in by_target or badness(move) < badness(by_target[move[1]]):
-            by_target[move[1]] = move
-    return sorted(by_target.values())
+    def keep_best(moves, side: int):
+        best: dict[int, tuple[int, int]] = {}
+        for move in moves:
+            kept = best.get(move[side])
+            if kept is None or badness(move) < badness(kept):
+                best[move[side]] = move
+        return best.values()
+
+    return sorted(keep_best(keep_best(((s + 1, t + 1) for s, t in v.pairs()), 0), 1))
 
 
 def braid_of_leading(v: VoiceLeading) -> BraidWord:
@@ -138,7 +137,7 @@ def braid_of_leading(v: VoiceLeading) -> BraidWord:
 class Progression:
     """A sequence of labelled chords."""
 
-    chords: tuple[tuple[str, PitchClass, Chord], ...] = field(default_factory=tuple)
+    chords: tuple[tuple[str, PitchClass, Chord], ...]
 
     def __post_init__(self):
         if not self.chords:
@@ -158,10 +157,8 @@ def braids_of_progression(p: Progression) -> list[BraidWord]:
 
 def braid_of_progression(p: Progression) -> BraidWord:
     """Concatenation of the per-transition words; identity for one chord."""
-    word = BraidWord.identity(STRANDS)
-    for part in braids_of_progression(p):
-        word = concatenate(word, part)
-    return word
+    words = braids_of_progression(p)
+    return BraidWord(STRANDS, tuple(letter for word in words for letter in word.letters))
 
 
 _COMMENT = re.compile(r"(?:^|\s)#")

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from modalkit.braid import (
+    BraidInvariants,
     BraidWord,
     concatenate,
     free_reduce,
@@ -33,6 +34,44 @@ def word_strategy(max_strands=5, max_len=12):
         )
 
     return st.integers(min_value=2, max_value=max_strands).flatmap(build)
+
+
+def reference_invariants(w):
+    """Strand-scan invariants: move every strand that sits at a crossed slot."""
+    position = list(range(1, w.strands + 1))
+    for index, _sign in w.letters:
+        for p in range(w.strands):
+            if position[p] == index:
+                position[p] = index + 1
+            elif position[p] == index + 1:
+                position[p] = index
+    return BraidInvariants(tuple(position), sum(sign for _i, sign in w.letters))
+
+
+def reference_render_ascii(w):
+    """Row-by-row rendering: a row of bars, then the crossing drawn over it."""
+    n = w.strands
+    width = 2 * n - 1
+
+    def bars(skip=()):
+        row = [" "] * width
+        for c in range(n):
+            if c + 1 not in skip:
+                row[2 * c] = "|"
+        return row
+
+    lines = ["".join(bars())]
+    for index, sign in w.letters:
+        top = bars(skip=(index, index + 1))
+        top[2 * (index - 1)] = "\\"
+        top[2 * index] = "/"
+        mid = bars(skip=(index, index + 1))
+        mid[2 * index - 1] = "/" if sign > 0 else "\\"
+        bottom = bars(skip=(index, index + 1))
+        bottom[2 * (index - 1)] = "/"
+        bottom[2 * index] = "\\"
+        lines.extend("".join(row) for row in (top, mid, bottom))
+    return "\n".join(lines) + "\n"
 
 
 def test_word_validation():
@@ -139,6 +178,8 @@ def test_parse_header():
         parse_word("strands=12 s1", strands=4)
     with pytest.raises(ParseError):
         parse_word("s1")  # no strand count anywhere
+    with pytest.raises(ParseError):
+        parse_word("strands=0")
 
 
 def test_parse_errors():
@@ -160,3 +201,13 @@ def test_render_ascii_shape():
     assert lines[0] == "| | |"
     assert all(len(ln) == 2 * w.strands - 1 for ln in lines)
     assert "/" in lines[2] and "\\" in lines[5]
+
+
+@given(word_strategy(max_strands=12, max_len=40))
+def test_invariants_match_strand_scan(w):
+    assert invariants(w) == reference_invariants(w)
+
+
+@given(word_strategy(max_strands=12, max_len=40))
+def test_render_ascii_matches_row_drawing(w):
+    assert render_ascii(w) == reference_render_ascii(w)

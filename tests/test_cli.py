@@ -22,6 +22,14 @@ def capture(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_subprocess(argv):
+    src = Path(modalkit.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "modalkit.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+
+
 @pytest.mark.parametrize(
     "argv, golden",
     [
@@ -124,6 +132,23 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["modes", "--scale", "major", "--root", "H"],
+        ["graph", "--quality", "7", "--root", "H"],
+        ["approx", "--target", "0,2,4", "--quality", "7", "--root", "H"],
+    ],
+    ids=["modes", "graph", "approx"],
+)
+def test_bad_root_is_a_usage_error(argv):
+    assert capture(argv)[0] == 2
+    proc = run_subprocess(argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].endswith("unknown note name 'H'")
+
+
 def test_domain_error_exit_code():
     code, _, err = capture(["decompose", "--notes", "0,1,2,3,4,5,6", "--root", "0"])
     assert code == 1
@@ -145,11 +170,7 @@ def test_domain_error_exit_code():
 def test_braid_bad_file_is_one_line_parse_error(tmp_path, content, detail):
     path = tmp_path / "bad.prog"
     path.write_bytes(content)
-    src = Path(modalkit.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "modalkit.cli", "braid", "--file", str(path)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
-    )
+    proc = run_subprocess(["braid", "--file", str(path)])
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ParseError:")

@@ -12,6 +12,7 @@ import modalkit
 from modalkit.errors import InternalError
 from modalkit.graph import (
     SPECIAL_NAMES,
+    DegreeLabel,
     build_graph,
     emit_dot,
     enumerate_admissible,
@@ -193,6 +194,24 @@ def test_emit_dot_shape():
     assert sum("->" in ln for ln in lines) == 6
     named = emit_dot(build_graph(ChordQuality.DIM7), root=0)
     assert '"Eb" -> "Fb";' in named
+
+
+@pytest.mark.parametrize(
+    "degree, semitones, root, spelled",
+    [
+        (1, 0, 0, "C"),
+        (2, 1, 0, "Db"),
+        (2, 3, 0, "D#"),
+        (4, 6, 0, "F#"),
+        (3, 4, 6, "A#"),
+        (7, 11, 6, "E#"),
+        (5, 6, 11, "F"),
+        (6, 8, 1, "Bbb"),
+        (7, 10, 2, "C"),
+    ],
+)
+def test_degree_label_note_names(degree, semitones, root, spelled):
+    assert DegreeLabel(degree, semitones).note_name(root) == spelled
 
 
 def test_graph_edges_connect_consecutive_degrees():
