@@ -12,7 +12,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import IndexOutOfRange, ParseError, PatternMismatch, StrandMismatch
+from .errors import (
+    IndexOutOfRange,
+    InvalidBraid,
+    ParseError,
+    PatternMismatch,
+    StrandMismatch,
+)
 
 Letter = tuple[int, int]  # (generator index, sign)
 
@@ -24,14 +30,14 @@ class BraidWord:
 
     def __post_init__(self):
         if self.strands < 1:
-            raise ValueError("need at least one strand")
+            raise InvalidBraid("need at least one strand")
         for index, sign in self.letters:
             if not 1 <= index <= self.strands - 1:
                 raise IndexOutOfRange(
                     f"generator s{index} needs {index + 1} strands, have {self.strands}"
                 )
             if sign not in (1, -1):
-                raise ValueError(f"sign must be +1 or -1, got {sign}")
+                raise InvalidBraid(f"sign must be +1 or -1, got {sign}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -107,7 +113,7 @@ def rewrite_step(w: BraidWord, rule: str, at: int) -> BraidWord:
             raise PatternMismatch(f"letters at {at} are not a braid-relation triple")
         letters[at:at + 3] = [(j, sj), (i, si), (j, sj)]
     else:
-        raise ValueError(f"unknown rule {rule!r}")
+        raise InvalidBraid(f"unknown rule {rule!r}")
     return BraidWord(w.strands, tuple(letters))
 
 

@@ -11,6 +11,7 @@ variable is honored by construction.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -21,31 +22,22 @@ from . import leading as leading_mod
 from . import modes as modes_mod
 from .approximate import approximate
 from .errors import ModalkitError, ParseError
-from .pitch import Chord, ChordQuality, parse_note, pc_name
+from .pitch import ChordQuality, parse_note, parse_pcs, pc_name
 
 ROMAN = ("I", "II", "III", "IV", "V", "VI", "VII")
 
 
-def _lookup(convert, what: str):
-    """An argparse type: ``convert``, with a failed lookup made a usage error."""
+def _lookup(convert, problem: str):
+    """An argparse type: ``convert``, with a failure made a usage error
+    that states the problem and names the token."""
 
     def adapter(token: str):
         try:
             return convert(token)
         except (KeyError, ParseError):
-            raise argparse.ArgumentTypeError(f"unknown {what} {token!r}")
+            raise argparse.ArgumentTypeError(f"{problem} {token!r}")
 
     return adapter
-
-
-def _pcs(token: str) -> list[int]:
-    try:
-        values = [int(t) for t in token.split(",") if t.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad pitch-class list {token!r}")
-    if not values or any(not 0 <= v <= 11 for v in values):
-        raise argparse.ArgumentTypeError("pitch classes must be integers in 0..11")
-    return values
 
 
 def _emit_table(rows: list[dict[str, str]], fmt: str, out) -> None:
@@ -213,9 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Modal scales, base-chord graphs, braid words and voice leadings.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    quality = _lookup(ChordQuality.from_symbol, "chord quality")
-    scale = _lookup(modes_mod.ScaleType.from_label, "scale")
-    note = _lookup(parse_note, "note name")
+    quality = _lookup(ChordQuality.from_symbol, "unknown chord quality")
+    scale = _lookup(modes_mod.ScaleType.from_label, "unknown scale")
+    note = _lookup(parse_note, "unknown note name")
+    pcs = _lookup(parse_pcs, "bad pitch-class list")
 
     def add_format(p):
         p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
@@ -233,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_harmonize)
 
     p = sub.add_parser("decompose", help="split a scale into base chord + tension triad")
-    p.add_argument("--notes", type=_pcs, required=True)
+    p.add_argument("--notes", type=pcs, required=True)
     p.add_argument("--root", type=int, choices=range(0, 12), required=True)
     p.set_defaults(func=_cmd_decompose)
 
@@ -267,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_braid)
 
     p = sub.add_parser("approx", help="approximate a scale by admissible modes")
-    p.add_argument("--target", type=_pcs, required=True)
+    p.add_argument("--target", type=pcs, required=True)
     p.add_argument("--quality", type=quality, required=True)
     p.add_argument("--root", type=note, required=True)
     add_format(p)
@@ -281,7 +274,8 @@ def run(argv: list[str], out=None, err=None) -> int:
     err = err or sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

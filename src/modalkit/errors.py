@@ -8,11 +8,15 @@ class ModalkitError(Exception):
 class ParseError(ModalkitError):
     """Input text does not match the expected grammar.
 
-    Carries ``position``, the character offset of the offending token.
+    Carries ``message`` and ``position``, the character offset of the
+    offending token in the whole text that was parsed.  One exception: a
+    progression file that is not UTF-8 has no text yet, so its error carries
+    the byte offset of the first bad byte.
     """
 
     def __init__(self, message: str, position: int = 0):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 
@@ -34,6 +38,11 @@ class StrandMismatch(ModalkitError):
 
 class PatternMismatch(ModalkitError):
     """A rewrite rule's pattern does not match at the requested position."""
+
+
+class InvalidBraid(ModalkitError, ValueError):
+    """A braid word or rewrite is asked for with fewer than one strand, a
+    letter sign other than +1/-1, or an unknown rule name."""
 
 
 class IndexOutOfRange(ModalkitError):

@@ -29,10 +29,6 @@ _LABEL_NAMES: dict[tuple[int, int], str] = {
     (7, 9): "dVII", (7, 10): "mVII", (7, 11): "MVII",
 }
 
-# The graph for maj7 spells its 3-semitone second degree aII (augmented
-# second), not mIII: the minor third is forbidden over a major-third chord.
-_AUGMENTED_SECOND_QUALITIES = {ChordQuality.MAJ7}
-
 
 @dataclass(frozen=True, order=True)
 class DegreeLabel:
@@ -87,15 +83,26 @@ class AdmissiblePath:
         return tuple(label.name for label in self.labels)
 
 
-def _label(degree: int, semitones: int, quality: ChordQuality) -> DegreeLabel:
-    if degree == 2 and semitones == 3 and quality not in _AUGMENTED_SECOND_QUALITIES:
-        raise InternalError("3-semitone second degree only occurs on maj7")
-    return DegreeLabel(degree, semitones)
-
-
 def standard_patterns(q: ChordQuality) -> dict[tuple[int, ...], str]:
     """Offset tuples (and names) of the standard modes whose base chord is q."""
     return {m.offsets: m.name for m in _standard_catalog().values() if m.quality is q}
+
+
+# Canonical names for the twelve special modes, keyed by offset tuple.
+SPECIAL_NAMES: dict[tuple[int, ...], str] = {
+    (0, 3, 4, 5, 7, 9, 11): "ionian #2",
+    (0, 1, 4, 5, 7, 9, 10): "mixolydian b2",
+    (0, 1, 4, 6, 7, 9, 10): "mixolydian b2 #4",
+    (0, 2, 4, 6, 7, 8, 10): "mixolydian #4 b6",
+    (0, 1, 4, 6, 7, 8, 10): "mixolydian b2 #4 b6",
+    (0, 2, 3, 6, 7, 8, 10): "eolian #4",
+    (0, 1, 3, 6, 7, 8, 10): "phrygian #4",
+    (0, 1, 3, 6, 7, 9, 10): "dorian b2 #4",
+    (0, 2, 3, 5, 6, 9, 10): "locrian #2 #6",
+    (0, 2, 3, 4, 6, 8, 10): "superlocrian #2",
+    (0, 1, 3, 4, 6, 9, 10): "superlocrian #6",
+    (0, 2, 3, 4, 6, 9, 10): "superlocrian #2 #6",
+}
 
 
 @functools.cache
@@ -103,27 +110,29 @@ def _theory() -> dict[ChordQuality, tuple[ModeGraph, tuple[AdmissiblePath, ...]]
     """Every quality's graph and admissible paths, derived once, in table order."""
     theory = {}
     for q in ChordQuality:
-        g = _derive_graph(q)
-        theory[q] = (g, tuple(_derive_paths(g)))
+        standard = standard_patterns(q)
+        # zip(*patterns) gives, per degree, the semitones the standard modes use there
+        per_degree = [
+            tuple(DegreeLabel(degree, s) for s in sorted(set(choices)))
+            for degree, choices in enumerate(zip(*standard), start=1)
+        ]
+        vertices = tuple(v for labels in per_degree for v in labels)
+        edges = tuple(
+            (a, b) for lower, upper in zip(per_degree, per_degree[1:]) for a in lower for b in upper
+        )
+        paths = []
+        # product varies the last degree fastest: lexicographic over the degrees
+        for labels in itertools.product(*per_degree):
+            offsets = tuple(label.semitones for label in labels)
+            name = standard.get(offsets) or SPECIAL_NAMES[offsets]
+            paths.append(AdmissiblePath(labels, offsets not in standard, name))
+        theory[q] = (ModeGraph(q, vertices, edges), tuple(paths))
     return theory
 
 
 def build_graph(q: ChordQuality) -> ModeGraph:
     """The oriented graph of all degree choices the standard modes allow on q."""
     return _theory()[q][0]
-
-
-def _derive_graph(q: ChordQuality) -> ModeGraph:
-    # zip(*patterns) gives, per degree, the semitones the standard modes use there
-    per_degree = [
-        [_label(degree, s, q) for s in sorted(set(choices))]
-        for degree, choices in enumerate(zip(*standard_patterns(q)), start=1)
-    ]
-    vertices = tuple(v for labels in per_degree for v in labels)
-    edges = tuple(
-        (a, b) for lower, upper in zip(per_degree, per_degree[1:]) for a in lower for b in upper
-    )
-    return ModeGraph(q, vertices, edges)
 
 
 def euler_characteristic(g: ModeGraph) -> int:
@@ -152,23 +161,6 @@ def tcm(q: ChordQuality) -> int:
     return 1 - euler_characteristic(_theory()[q][0])
 
 
-# Canonical names for the twelve special modes, keyed by offset tuple.
-SPECIAL_NAMES: dict[tuple[int, ...], str] = {
-    (0, 3, 4, 5, 7, 9, 11): "ionian #2",
-    (0, 1, 4, 5, 7, 9, 10): "mixolydian b2",
-    (0, 1, 4, 6, 7, 9, 10): "mixolydian b2 #4",
-    (0, 2, 4, 6, 7, 8, 10): "mixolydian #4 b6",
-    (0, 1, 4, 6, 7, 8, 10): "mixolydian b2 #4 b6",
-    (0, 2, 3, 6, 7, 8, 10): "eolian #4",
-    (0, 1, 3, 6, 7, 8, 10): "phrygian #4",
-    (0, 1, 3, 6, 7, 9, 10): "dorian b2 #4",
-    (0, 2, 3, 5, 6, 9, 10): "locrian #2 #6",
-    (0, 2, 3, 4, 6, 8, 10): "superlocrian #2",
-    (0, 1, 3, 4, 6, 9, 10): "superlocrian #6",
-    (0, 2, 3, 4, 6, 9, 10): "superlocrian #2 #6",
-}
-
-
 def enumerate_admissible(g: ModeGraph) -> list[AdmissiblePath]:
     """All root-to-seventh paths taking one label per degree.
 
@@ -176,22 +168,6 @@ def enumerate_admissible(g: ModeGraph) -> list[AdmissiblePath]:
     flatter alteration first.
     """
     return list(_theory()[g.quality][1])
-
-
-def _derive_paths(g: ModeGraph) -> list[AdmissiblePath]:
-    standard = standard_patterns(g.quality)
-    result = []
-    # product varies the last degree fastest: lexicographic over the degrees
-    for labels in itertools.product(*g.labels_by_degree().values()):
-        offsets = tuple(label.semitones for label in labels)
-        if offsets in standard:
-            result.append(AdmissiblePath(labels, False, standard[offsets]))
-        else:
-            name = SPECIAL_NAMES.get(offsets, "")
-            if not name:
-                raise InternalError(f"unnamed special pattern {offsets}")
-            result.append(AdmissiblePath(labels, True, name))
-    return result
 
 
 def special_modes(q: ChordQuality) -> list[AdmissiblePath]:

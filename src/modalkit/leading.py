@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .braid import BraidWord
 from .errors import ParseError, SizeMismatch
-from .pitch import Chord, PitchClass, parse_chord_symbol, pc
+from .pitch import Chord, PitchClass, parse_chord_symbol, parse_pcs, pc
 
 STRANDS = 12
 
@@ -169,25 +169,29 @@ def parse_progression(text: str) -> Progression:
 
     Blank lines are ignored, and so is a ``#`` comment: a ``#`` at the start
     of a line or after whitespace, to the end of the line.  A ``#`` inside a
-    token is a sharp, as in ``F#o7``.
+    token is a sharp, as in ``F#o7``.  A ParseError names its line, and its
+    position is the character offset into ``text``.
     """
     chords: list[tuple[str, PitchClass, Chord]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    offset = 0
+    for lineno, raw in enumerate(text.splitlines(keepends=True), start=1):
+        line_start, offset = offset, offset + len(raw)
         line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
-        if ":" in line:
-            name, _, body = line.partition(":")
-            try:
-                values = [int(tok) for tok in body.split(",") if tok.strip()]
-            except ValueError:
-                raise ParseError(f"bad pitch-class list on line {lineno}", lineno)
-            if not values or any(not 0 <= v <= 11 for v in values):
-                raise ParseError(f"pitch classes must be in 0..11 on line {lineno}", lineno)
-            chords.append((name.strip(), values[0], Chord(values)))
-        else:
-            root, chord = parse_chord_symbol(line)
-            chords.append((line, root, chord))
+        name, colon, body = line.partition(":")
+        try:
+            if colon:
+                values = parse_pcs(body)
+                chords.append((name.strip(), values[0], Chord(values)))
+            else:
+                root, chord = parse_chord_symbol(line)
+                chords.append((line, root, chord))
+        except ParseError as exc:
+            column = len(raw) - len(raw.lstrip()) + (len(name) + 1 if colon else 0)
+            raise ParseError(
+                f"{exc.message} on line {lineno}", line_start + column + exc.position
+            ) from None
     if not chords:
         raise ParseError("the progression has no chords", 0)
     return Progression(tuple(chords))

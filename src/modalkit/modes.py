@@ -24,13 +24,34 @@ from .pitch import (
 
 
 class ScaleType(Enum):
-    MAJOR = ("major", (0, 2, 4, 5, 7, 9, 11))
-    MELODIC_MINOR = ("melodic-minor", (0, 2, 3, 5, 7, 9, 11))
-    HARMONIC_MINOR = ("harmonic-minor", (0, 2, 3, 5, 7, 8, 11))
+    """A parent scale: its label, step pattern and mode names by degree.
 
-    def __init__(self, label: str, step_pattern: tuple[int, ...]):
+    Some sources spell the sixth degree b13 ("mixolydian b13"); only the b6
+    spelling is used here, and no other name is accepted.
+    """
+
+    MAJOR = (
+        "major",
+        (0, 2, 4, 5, 7, 9, 11),
+        ("ionian", "dorian", "phrygian", "lydian", "mixolydian", "eolian", "locrian"),
+    )
+    MELODIC_MINOR = (
+        "melodic-minor",
+        (0, 2, 3, 5, 7, 9, 11),
+        ("hypoionian", "dorian b2", "lydian augmented", "lydian dominant",
+         "mixolydian b6", "locrian #2", "superlocrian"),
+    )
+    HARMONIC_MINOR = (
+        "harmonic-minor",
+        (0, 2, 3, 5, 7, 8, 11),
+        ("hypoionian b6", "locrian #6", "ionian augmented", "dorian #4",
+         "phrygian dominant", "lydian #2", "ultralocrian"),
+    )
+
+    def __init__(self, label: str, step_pattern: tuple[int, ...], mode_names: tuple[str, ...]):
         self.label = label
         self.step_pattern = step_pattern
+        self.mode_names = mode_names
 
     @classmethod
     def from_label(cls, label: str) -> "ScaleType":
@@ -39,39 +60,6 @@ class ScaleType(Enum):
                 return s
         raise KeyError(label)
 
-
-# Mode names per parent scale, indexed by degree (0-based).  Some sources
-# spell the sixth degree b13 ("mixolydian b13"); only the b6 spelling is used
-# here, and no other name is accepted.
-MODE_NAMES: dict[ScaleType, tuple[str, ...]] = {
-    ScaleType.MAJOR: (
-        "ionian",
-        "dorian",
-        "phrygian",
-        "lydian",
-        "mixolydian",
-        "eolian",
-        "locrian",
-    ),
-    ScaleType.MELODIC_MINOR: (
-        "hypoionian",
-        "dorian b2",
-        "lydian augmented",
-        "lydian dominant",
-        "mixolydian b6",
-        "locrian #2",
-        "superlocrian",
-    ),
-    ScaleType.HARMONIC_MINOR: (
-        "hypoionian b6",
-        "locrian #6",
-        "ionian augmented",
-        "dorian #4",
-        "phrygian dominant",
-        "lydian #2",
-        "ultralocrian",
-    ),
-}
 
 @dataclass(frozen=True)
 class ModalScale:
@@ -127,7 +115,7 @@ def standard_modes(s: ScaleType, root: PitchClass) -> list[ModalScale]:
     result = []
     for i in range(7):
         degrees = tuple(parent[(i + j) % 7] for j in range(7))
-        result.append(ModalScale(degrees[0], degrees, MODE_NAMES[s][i]))
+        result.append(ModalScale(degrees[0], degrees, s.mode_names[i]))
     return result
 
 

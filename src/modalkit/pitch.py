@@ -45,6 +45,30 @@ def parse_note(text: str, position: int = 0) -> PitchClass:
     return pc(value)
 
 
+def parse_pcs(text: str) -> list[PitchClass]:
+    """Parse a comma-separated pitch-class list like ``0,4,7``.
+
+    Each item is an integer in 0..11; blank items are skipped, and at least
+    one item must remain.
+    """
+    values = []
+    position = 0
+    for item in text.split(","):
+        if item.strip():
+            start = position + len(item) - len(item.lstrip())
+            try:
+                value = int(item)
+            except ValueError:
+                raise ParseError(f"bad pitch class {item.strip()!r}", start) from None
+            if not 0 <= value <= 11:
+                raise ParseError(f"pitch class {value} is not in 0..11", start)
+            values.append(value)
+        position += len(item) + 1
+    if not values:
+        raise ParseError("empty pitch-class list", 0)
+    return values
+
+
 class Chord:
     """An unordered multiset of pitch classes.
 

@@ -17,6 +17,8 @@ from modalkit.braid import (
 )
 from modalkit.errors import (
     IndexOutOfRange,
+    InvalidBraid,
+    ModalkitError,
     ParseError,
     PatternMismatch,
     StrandMismatch,
@@ -82,6 +84,22 @@ def test_word_validation():
     with pytest.raises(ValueError):
         BraidWord(0)
     assert len(BraidWord.identity(4)) == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: BraidWord(0),
+        lambda: parse_word("s1", strands=0),
+        lambda: BraidWord(3, ((1, 2),)),
+        lambda: rewrite_step(BraidWord(3, ((1, 1),)), "nope", 0),
+    ],
+    ids=["no-strands", "parse-no-strands", "bad-sign", "unknown-rule"],
+)
+def test_invalid_braid_requests_are_domain_errors(call):
+    with pytest.raises(InvalidBraid) as info:
+        call()
+    assert isinstance(info.value, ModalkitError) and isinstance(info.value, ValueError)
 
 
 def test_invariants_single_crossing():

@@ -22,12 +22,14 @@ def capture(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_subprocess(argv):
+def cli_command(argv):
     src = Path(modalkit.__file__).resolve().parents[1]
-    return subprocess.run(
-        [sys.executable, "-m", "modalkit.cli", *argv],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
-    )
+    return [sys.executable, "-m", "modalkit.cli", *argv], dict(os.environ, PYTHONPATH=str(src))
+
+
+def run_subprocess(argv):
+    command, env = cli_command(argv)
+    return subprocess.run(command, capture_output=True, text=True, env=env)
 
 
 @pytest.mark.parametrize(
@@ -126,8 +128,9 @@ def test_approx_verb():
 
 
 def test_usage_error_exit_code():
-    code, _, _ = capture(["modes", "--scale", "bogus", "--root", "C"])
+    code, out, err = capture(["modes", "--scale", "bogus", "--root", "C"])
     assert code == 2
+    assert out == "" and err.rstrip("\n").endswith("unknown scale 'bogus'")
     code, _, _ = capture([])
     assert code == 2
 
@@ -176,3 +179,29 @@ def test_braid_bad_file_is_one_line_parse_error(tmp_path, content, detail):
     assert len(lines) == 1 and lines[0].startswith("ParseError:")
     assert detail in lines[0]
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["decompose", "--root", "0"], "--notes"), (["approx", "--quality", "7", "--root", "B"], "--target")],
+    ids=["decompose", "approx"],
+)
+@pytest.mark.parametrize("token", ["", " , ", "x", "0,x", "12", "-1", "0,-1"])
+def test_bad_pitch_class_list_is_a_usage_error(argv, flag, token):
+    code, out, err = capture([*argv, f"{flag}={token}"])
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].endswith(f"argument {flag}: bad pitch-class list {token!r}")
+
+
+def test_closed_stdout_ends_in_one_line(tmp_path):
+    path = tmp_path / "long.prog"
+    path.write_text("\n".join(["Cmaj7", "A-7", "D-9", "G13b9", "F#o7"] * 400) + "\n")
+    command, env = cli_command(["braid", "--file", str(path), "--ascii"])
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert first == b"strands=12\n"
+    assert proc.returncode in (0, 1)
+    assert len(err.splitlines()) <= 1
+    assert "Traceback" not in err

@@ -1,5 +1,6 @@
 """Base-chord graphs: topology, admissible enumeration, special modes."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -9,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import modalkit
-from modalkit.errors import InternalError
 from modalkit.graph import (
     SPECIAL_NAMES,
     DegreeLabel,
@@ -170,6 +170,22 @@ def test_specials_are_disjoint_from_standard_patterns():
     standard = {offs for q in ChordQuality for offs in standard_patterns(q)}
     for offs in SPECIAL_NAMES:
         assert offs not in standard
+
+
+def test_every_special_offset_tuple_is_named():
+    # the diamond choices per degree, minus the standard modes, independently of the graphs
+    specials = set()
+    for q in ChordQuality:
+        standard = standard_patterns(q)
+        choices = [sorted(set(column)) for column in zip(*standard)]
+        specials |= set(itertools.product(*choices)) - set(standard)
+    assert specials == set(SPECIAL_NAMES)
+
+
+def test_three_semitone_second_only_on_maj7():
+    # it is spelled aII: a minor third is forbidden over a major-third chord
+    having = {g.quality for g in mode_graphs() if DegreeLabel(2, 3) in g.vertices}
+    assert having == {ChordQuality.MAJ7}
 
 
 def test_maj7_second_degree_spelled_augmented():

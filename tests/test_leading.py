@@ -180,6 +180,25 @@ def test_parse_progression_errors():
         Progression(())
 
 
+@pytest.mark.parametrize(
+    "text, message, position, token",
+    [
+        ("Cmaj7\nG7\nCxx\n", "unknown chord quality 'xx' on line 3", 10, "xx"),
+        ("Cmaj7\n\n  # c\n  Hm7  # c\n", "expected a root note in 'Hm7' on line 4", 15, "Hm7"),
+        ("G7\r\ncluster:\n", "empty pitch-class list on line 2", 12, "\n"),
+        ("G7\n cl: 0, x\n", "bad pitch class 'x' on line 2", 11, "x"),
+        ("G7\ncl: 4,12\n", "pitch class 12 is not in 0..11 on line 2", 9, "12"),
+        ("G7\n\ncl: 0,-1\n", "pitch class -1 is not in 0..11 on line 3", 10, "-1"),
+    ],
+)
+def test_parse_progression_error_names_line_and_offset(text, message, position, token):
+    # position is the character offset of the offending token into the whole text
+    with pytest.raises(ParseError) as info:
+        parse_progression(text)
+    assert (info.value.message, info.value.position) == (message, position)
+    assert text[position:].startswith(token)
+
+
 def test_parse_progression_without_chords_is_a_parse_error():
     for text in ("", "# only a comment\n\n  # another\n"):
         with pytest.raises(ParseError):

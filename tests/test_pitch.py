@@ -13,6 +13,7 @@ from modalkit.pitch import (
     chord_intersection,
     parse_chord_symbol,
     parse_note,
+    parse_pcs,
     pc,
     pc_name,
     transpose,
@@ -137,3 +138,24 @@ def test_parse_chord_symbol_rejects_junk():
         parse_chord_symbol("Xmaj7")
     with pytest.raises(ParseError):
         parse_chord_symbol("Cmaj9")
+
+
+def test_parse_pcs():
+    assert parse_pcs("0,4,7") == [0, 4, 7]
+    assert parse_pcs(" 11, 0 ,,") == [11, 0]
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("", "empty pitch-class list", 0),
+        (" , ", "empty pitch-class list", 0),
+        ("0, x", "bad pitch class 'x'", 3),
+        ("4,12", "pitch class 12 is not in 0..11", 2),
+        ("0,7,-1", "pitch class -1 is not in 0..11", 4),
+    ],
+)
+def test_parse_pcs_errors(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_pcs(text)
+    assert (info.value.message, info.value.position) == (message, position)
