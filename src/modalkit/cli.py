@@ -96,7 +96,8 @@ def _cmd_decompose(args, out) -> int:
         f"  {' '.join(str(n) for n in mode.base.notes)}\n"
     )
     out.write(
-        f"tension: {triad.symbol()}  {' '.join(str(n) for n in mode.tension.notes)}\n"
+        f"tension: {triad.symbol() if triad else '(no triad)'}"
+        f"  {' '.join(str(n) for n in mode.tension.notes)}\n"
     )
     return 0
 
@@ -225,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=_cmd_harmonize)
 
-    p = sub.add_parser("decompose", help="split a scale into base chord + tension triad")
+    p = sub.add_parser("decompose", help="split a scale into base chord + tension chord")
     p.add_argument("--notes", type=pcs, required=True)
     p.add_argument("--root", type=int, choices=range(0, 12), required=True)
     p.set_defaults(func=_cmd_decompose)

@@ -25,11 +25,11 @@ class InternalError(ModalkitError):
 
 
 class NotAMode(ModalkitError):
-    """A seven-note scale does not decompose into base chord + tension triad."""
+    """A seven-note scale whose degrees 1-3-5-7 stack to no seventh chord."""
 
 
 class NotInterleavable(ModalkitError):
-    """Base chord and tension triad do not interleave into a modal scale."""
+    """Base chord and tension chord do not interleave into a modal scale."""
 
 
 class StrandMismatch(ModalkitError):
@@ -45,8 +45,9 @@ class InvalidBraid(ModalkitError, ValueError):
     letter sign other than +1/-1, or an unknown rule name."""
 
 
-class IndexOutOfRange(ModalkitError):
-    """A braid generator index lies outside [1, strands - 1]."""
+class IndexOutOfRange(ModalkitError, ValueError):
+    """An index lies outside its range: a braid generator outside
+    [1, strands - 1], or a scale degree outside 1..7."""
 
 
 class SizeMismatch(ModalkitError):

@@ -167,15 +167,17 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 def parse_progression(text: str) -> Progression:
     """One chord per line: a chord symbol, or ``name: pc,pc,...``.
 
-    Blank lines are ignored, and so is a ``#`` comment: a ``#`` at the start
-    of a line or after whitespace, to the end of the line.  A ``#`` inside a
-    token is a sharp, as in ``F#o7``.  A ParseError names its line, and its
-    position is the character offset into ``text``.
+    Only a newline ends a line; a trailing carriage return is stripped like
+    other surrounding whitespace.  Blank lines are ignored, and so is a
+    ``#`` comment: a ``#`` at the start of a line or after whitespace, to the
+    end of the line.  A ``#`` inside a token is a sharp, as in ``F#o7``.  A
+    ParseError names its line, and its position is the character offset
+    into ``text``.
     """
     chords: list[tuple[str, PitchClass, Chord]] = []
     offset = 0
-    for lineno, raw in enumerate(text.splitlines(keepends=True), start=1):
-        line_start, offset = offset, offset + len(raw)
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line_start, offset = offset, offset + len(raw) + 1
         line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue

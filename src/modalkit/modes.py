@@ -2,7 +2,9 @@
 
 A mode is viewed two ways at once: as an ordered seven-degree scale, and as
 the superimposition of a four-note base chord (degrees 1-3-5-7) with a
-three-note tension triad (degrees 2-4-6) sharing no pitch class.
+three-note tension chord (degrees 2-4-6) sharing no pitch class.  The
+tension chord is a triad on degree 2 for the 21 standard modes and for 2 of
+the 12 special modes.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import functools
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InternalError, NotAMode, NotInterleavable
+from .errors import IndexOutOfRange, NotAMode, NotInterleavable
 from .pitch import (
     Chord,
     ChordQuality,
@@ -82,31 +84,28 @@ class ModalScale:
 
 @dataclass(frozen=True)
 class Mode:
-    """A (base chord, tension triad) pair and the scale they interleave into."""
+    """A scale split into a base chord (degrees 1-3-5-7) stacking to a
+    seventh chord and a tension chord (degrees 2-4-6), not always a triad."""
 
     base: Chord
     tension: Chord
     scale: ModalScale
 
+    def __post_init__(self):
+        degrees = self.scale.degrees
+        if self.base != Chord(degrees[0::2]) or self.tension != Chord(degrees[1::2]):
+            raise NotAMode(f"base and tension are not degrees 1,3,5,7 and 2,4,6 of {degrees}")
+        if self.base_quality() is None:
+            raise NotAMode(f"degrees 1,3,5,7 of {degrees} fit no seventh chord")
+
     def base_quality(self) -> ChordQuality:
-        intervals = tuple(pc(n - self.scale.root) for n in _ordered_from(self.base, self.scale.root))
-        quality = ChordQuality.from_intervals(intervals)
-        if quality is None:
-            raise InternalError(f"base chord {self.base} matches no quality")
-        return quality
+        return ChordQuality.from_intervals(self.scale.offsets()[0::2])
 
-    def tension_triad(self) -> Triad:
-        second = self.scale.degrees[1]
-        intervals = tuple(pc(n - second) for n in _ordered_from(self.tension, second))
-        quality = TriadQuality.from_intervals(intervals)
-        if quality is None:
-            raise InternalError(f"tension triad {self.tension} matches no quality")
-        return Triad(second, quality)
-
-
-def _ordered_from(c: Chord, root: PitchClass) -> list[PitchClass]:
-    """Notes of a chord ordered ascending starting from the given root."""
-    return sorted(c.notes, key=lambda n: pc(n - root))
+    def tension_triad(self) -> Triad | None:
+        """The triad that degrees 2-4-6 form on degree 2, or None if none."""
+        offs = self.scale.offsets()
+        quality = TriadQuality.from_intervals(tuple(o - offs[1] for o in offs[1::2]))
+        return Triad(self.scale.degrees[1], quality) if quality else None
 
 
 def standard_modes(s: ScaleType, root: PitchClass) -> list[ModalScale]:
@@ -121,10 +120,8 @@ def standard_modes(s: ScaleType, root: PitchClass) -> list[ModalScale]:
 
 @dataclass(frozen=True)
 class StandardMode:
-    """A standard mode without a root: where it sits and what it is."""
+    """A standard mode without a root: its name, offsets and base quality."""
 
-    scale: ScaleType
-    degree: int
     name: str
     offsets: tuple[int, ...]
     quality: ChordQuality
@@ -136,51 +133,34 @@ def _standard_catalog() -> dict[tuple[ScaleType, int], StandardMode]:
     catalog = {}
     for s in ScaleType:
         for degree, mode in enumerate(standard_modes(s, 0), start=1):
-            offs = mode.offsets()
-            quality = ChordQuality.from_intervals(offs[0::2])
-            if quality is None:
-                raise InternalError(f"stacked intervals {offs[0::2]} match no quality")
-            catalog[s, degree] = StandardMode(s, degree, mode.name, offs, quality)
+            quality = decompose(mode).base_quality()
+            catalog[s, degree] = StandardMode(mode.name, mode.offsets(), quality)
     return catalog
 
 
 def harmonize(s: ScaleType, degree: int) -> ChordQuality:
     """Seventh-chord quality stacked on a scale degree (1..7)."""
     if not 1 <= degree <= 7:
-        raise ValueError(f"degree must be in 1..7, got {degree}")
+        raise IndexOutOfRange(f"degree must be in 1..7, got {degree}")
     return _standard_catalog()[s, degree].quality
 
 
 def decompose(m: ModalScale) -> Mode:
-    """Split a modal scale into base chord (1,3,5,7) and tension triad (2,4,6)."""
-    base = Chord(m.degrees[i] for i in (0, 2, 4, 6))
-    tension = Chord(m.degrees[i] for i in (1, 3, 5))
-    if chord_intersection(base, tension).cardinality:
-        raise NotAMode(f"base and tension share notes in {m.degrees}")
-    offs = m.offsets()
-    if ChordQuality.from_intervals((offs[0], offs[2], offs[4], offs[6])) is None:
-        raise NotAMode(f"degrees 1,3,5,7 of {m.degrees} fit no seventh chord")
-    return Mode(base, tension, m)
+    """Split a modal scale into base chord (1,3,5,7) and tension chord (2,4,6)."""
+    return Mode(Chord(m.degrees[0::2]), Chord(m.degrees[1::2]), m)
 
 
 def recompose(base: Chord, tension: Chord, root: PitchClass) -> ModalScale:
-    """Interleave a base chord and tension triad into a modal scale."""
+    """Interleave a base chord and tension chord into a modal scale."""
     if base.cardinality != 4 or tension.cardinality != 3:
         raise NotInterleavable("need a 4-note base and a 3-note tension")
     if chord_intersection(base, tension).cardinality:
         raise NotInterleavable("base and tension must be disjoint")
     if root not in base:
         raise NotInterleavable("root must belong to the base chord")
-    merged = sorted(set(base.notes) | set(tension.notes), key=lambda n: pc(n - root))
-    if len(merged) != 7:
-        raise NotInterleavable("base and tension repeat a pitch class")
-    degrees = tuple(merged)
-    for i, note in enumerate(degrees):
-        expected = base if i % 2 == 0 else tension
-        if note not in expected:
-            raise NotInterleavable(
-                f"degree {i + 1} ({note}) does not alternate base/tension"
-            )
+    degrees = tuple(sorted(set(base.notes) | set(tension.notes), key=lambda n: pc(n - root)))
+    if len(degrees) != 7 or Chord(degrees[0::2]) != base:
+        raise NotInterleavable(f"base and tension do not alternate in {degrees}")
     offsets = tuple(pc(d - root) for d in degrees)
     name = next((m.name for m in _standard_catalog().values() if m.offsets == offsets), "")
     return ModalScale(pc(root), degrees, name)

@@ -77,6 +77,20 @@ def test_decompose_verb():
     assert "tension: G" in out
 
 
+def test_decompose_special_mode_without_tension_triad():
+    # mixolydian b2 #4 on B, the mode that approx ranks first for the octatonic
+    code, out, err = capture(["decompose", "--notes", "11,0,3,5,6,8,9", "--root", "11"])
+    assert (code, err) == (0, "")
+    assert out == (
+        "scale:   11 0 3 5 6 8 9\n"
+        "base:    B7  3 6 9 11\n"
+        "tension: (no triad)  0 5 8\n"
+    )
+    code, out, _ = capture(["approx", "--target", "11,0,2,3,5,6,8,9", "--quality", "7", "--root", "B"])
+    assert code == 0
+    assert out.splitlines()[0].split()[:5] == ["1", "mixolydian", "b2", "#4", "special"]
+
+
 def test_graph_summary_lists_tau():
     code, out, _ = capture(["graph", "--quality", "7"])
     assert code == 0

@@ -199,6 +199,25 @@ def test_parse_progression_error_names_line_and_offset(text, message, position, 
     assert text[position:].startswith(token)
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("Cmaj7\x0cG7\nCxx\n", 1),
+        ("Cmaj7  # a\x0cb\nG7\nCxx\n", 3),
+        ("Cmaj7\x85\nCxx\n", 2),
+        ("Cmaj7\u2028\nG7\nCxx\n", 3),
+        ("Cmaj7\r\nG7\r\nCxx\r\n", 3),
+    ],
+    ids=["form-feed", "form-feed-in-comment", "next-line", "line-separator", "crlf"],
+)
+def test_parse_progression_counts_newlines_only(text, lineno):
+    # the line `wc -l` reports: one plus the newlines before the error
+    with pytest.raises(ParseError) as info:
+        parse_progression(text)
+    assert info.value.message.endswith(f" on line {lineno}")
+    assert text[: info.value.position].count("\n") + 1 == lineno
+
+
 def test_parse_progression_without_chords_is_a_parse_error():
     for text in ("", "# only a comment\n\n  # another\n"):
         with pytest.raises(ParseError):

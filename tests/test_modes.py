@@ -1,10 +1,16 @@
-"""Standard modes, harmonization, and decompose/recompose on all 21 modes."""
+"""Standard modes, harmonization, and decompose/recompose on all 21 modes,
+every admissible mode and every seven-note scale."""
+
+import itertools
+import math
 
 import pytest
 
-from modalkit.errors import NotAMode, NotInterleavable
+from modalkit.errors import ModalkitError, NotAMode, NotInterleavable
+from modalkit.graph import enumerate_admissible, mode_graphs, path_notes
 from modalkit.modes import (
     ModalScale,
+    Mode,
     ScaleType,
     all_standard_modes,
     decompose,
@@ -12,7 +18,7 @@ from modalkit.modes import (
     recompose,
     standard_modes,
 )
-from modalkit.pitch import Chord, ChordQuality, TriadQuality, chord_intersection
+from modalkit.pitch import Chord, ChordQuality, Triad, TriadQuality, chord_intersection
 
 # Frozen catalog: (scale, mode name, offsets, base quality symbol,
 # tension root offset, tension triad quality).  Derived independently by
@@ -78,6 +84,8 @@ def test_harmonize_rejects_bad_degree():
         harmonize(ScaleType.MAJOR, 0)
     with pytest.raises(ValueError):
         harmonize(ScaleType.MAJOR, 8)
+    with pytest.raises(ModalkitError):
+        harmonize(ScaleType.MAJOR, 9)
 
 
 def test_quality_census_over_21_modes():
@@ -139,8 +147,10 @@ def test_recompose_rejects_bad_input():
         recompose(base, Chord([0, 5, 9]), 0)  # shares the root
     with pytest.raises(NotInterleavable):
         recompose(base, Chord([2, 5, 9]), 3)  # root outside base
-    with pytest.raises(NotInterleavable):
+    with pytest.raises(NotInterleavable, match=r"\(0, 1, 2, 3, 4, 7, 11\)"):
         recompose(base, Chord([1, 2, 3]), 0)  # no base/tension alternation
+    with pytest.raises(NotInterleavable):
+        recompose(base, Chord([1, 1, 2]), 0)  # a repeated tension note
 
 
 def test_recompose_names_standard_results():
@@ -158,3 +168,76 @@ def test_catalog_agrees_with_decompose_on_every_root():
                 mode = decompose(scale)
                 assert recompose(mode.base, mode.tension, scale.root) == scale
                 assert harmonize(s, degree) is mode.base_quality()
+
+
+def test_mode_checks_its_split():
+    scale = standard_modes(ScaleType.MAJOR, 0)[0]
+    base, tension = Chord([0, 4, 7, 11]), Chord([2, 5, 9])
+    assert Mode(base, tension, scale) == decompose(scale)
+    with pytest.raises(NotAMode):
+        Mode(tension, base, scale)
+    with pytest.raises(NotAMode):
+        Mode(Chord([0, 4, 7, 10]), tension, scale)
+
+
+def _oracle_offsets() -> set[tuple[int, ...]]:
+    """Offsets of every seven-note scale whose degrees 1-3-5-7 stack to a
+    seventh chord: one degree strictly inside each of the three gaps."""
+    result = set()
+    for q in ChordQuality:
+        _, third, fifth, seventh = q.intervals
+        for two, four, six in itertools.product(
+            range(1, third), range(third + 1, fifth), range(fifth + 1, seventh)
+        ):
+            result.add((0, two, third, four, fifth, six, seventh))
+    return result
+
+
+def test_decompose_every_seven_note_scale_on_every_root():
+    oracle = _oracle_offsets()
+    decomposed = 0
+    for notes in itertools.combinations(range(12), 7):
+        for root in notes:
+            scale = ModalScale(root, tuple(sorted(notes, key=lambda n: (n - root) % 12)))
+            if scale.offsets() not in oracle:
+                with pytest.raises(NotAMode):
+                    decompose(scale)
+                continue
+            mode = decompose(scale)
+            decomposed += 1
+            assert mode.base == Chord(scale.degrees[0::2])
+            assert mode.tension == Chord(scale.degrees[1::2])
+            assert mode.base_quality().intervals == scale.offsets()[0::2]
+            triad = mode.tension_triad()
+            if triad is not None:
+                assert (triad.root, triad.chord()) == (scale.degrees[1], mode.tension)
+            assert recompose(mode.base, mode.tension, root).degrees == scale.degrees
+    per_root = sum(
+        math.prod(b - a - 1 for a, b in zip(q.intervals, q.intervals[1:])) for q in ChordQuality
+    )
+    assert decomposed == 12 * per_root == 1176
+
+
+def test_every_admissible_mode_decomposes_on_every_root():
+    paths = [(g.quality, p) for g in mode_graphs() for p in enumerate_admissible(g)]
+    assert len(paths) == 33
+    for root in range(12):
+        for quality, path in paths:
+            scale = ModalScale(root, path_notes(path, root))
+            mode = decompose(scale)
+            assert mode.base_quality() is quality, path.name
+            back = recompose(mode.base, mode.tension, root)
+            assert back.degrees == scale.degrees
+            assert back.name == ("" if path.is_special else path.name)
+
+
+def test_tension_triads_of_standard_and_special_modes():
+    for scale in all_standard_modes(0):
+        assert isinstance(decompose(scale).tension_triad(), Triad), scale.name
+    with_triads = {
+        p.name: triad.symbol()
+        for g in mode_graphs()
+        for p in enumerate_admissible(g)
+        if p.is_special and (triad := decompose(ModalScale(0, path_notes(p, 0))).tension_triad())
+    }
+    assert with_triads == {"mixolydian b2": "Db#5", "locrian #2 #6": "D-"}
