@@ -49,12 +49,10 @@ from .pitch import (
     PitchClass,
     Triad,
     TriadQuality,
-    chord_intersection,
     parse_chord_symbol,
     parse_note,
     pc,
     pc_name,
-    transpose,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

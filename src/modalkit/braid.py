@@ -42,10 +42,6 @@ class BraidWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    @classmethod
-    def identity(cls, strands: int) -> "BraidWord":
-        return cls(strands, ())
-
 
 @dataclass(frozen=True)
 class BraidInvariants:
@@ -118,29 +114,13 @@ def rewrite_step(w: BraidWord, rule: str, at: int) -> BraidWord:
 
 
 _TOKEN = re.compile(r"s(\d+)(\^-1)?")
-_HEADER = re.compile(r"strands=(\d+)")
 
 
-def parse_word(text: str, strands: int | None = None) -> BraidWord:
-    """Parse whitespace-separated tokens ``s<k>`` / ``s<k>^-1``.
-
-    An optional leading ``strands=<n>`` header declares the strand count;
-    it must agree with the ``strands`` argument when both are given.
-    """
-    tokens = text.split()
+def parse_word(text: str, strands: int) -> BraidWord:
+    """Parse whitespace-separated tokens ``s<k>`` / ``s<k>^-1`` on ``strands`` strands."""
     position = 0
-    if tokens and (m := _HEADER.fullmatch(tokens[0])):
-        declared = int(m.group(1))
-        if declared < 1:
-            raise ParseError(f"header declares {declared} strands, need at least 1")
-        if strands is not None and declared != strands:
-            raise ParseError(f"header declares {declared} strands, expected {strands}")
-        strands = declared
-        tokens = tokens[1:]
-    if strands is None:
-        raise ParseError("no strand count given")
     letters: list[Letter] = []
-    for token in tokens:
+    for token in text.split():
         m = _TOKEN.fullmatch(token)
         if not m:
             raise ParseError(f"bad braid token {token!r}", text.find(token, position))
@@ -149,11 +129,8 @@ def parse_word(text: str, strands: int | None = None) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
-def serialize_word(w: BraidWord, header: bool = False) -> str:
-    body = " ".join(f"s{i}" if s > 0 else f"s{i}^-1" for i, s in w.letters)
-    if header:
-        return f"strands={w.strands}" + (f" {body}" if body else "")
-    return body
+def serialize_word(w: BraidWord) -> str:
+    return " ".join(f"s{i}" if s > 0 else f"s{i}^-1" for i, s in w.letters)
 
 
 def render_ascii(w: BraidWord) -> str:

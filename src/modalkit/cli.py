@@ -171,7 +171,8 @@ def _cmd_braid(args, out) -> int:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{args.file} is not UTF-8 text; bad byte", exc.start) from None
+        position = len(data[:exc.start].decode("utf-8"))
+        raise ParseError(f"{args.file} is not UTF-8 text; bad byte", position) from None
     progression = leading_mod.parse_progression(text)
     out.write(f"strands={leading_mod.STRANDS}\n")
     words = leading_mod.braids_of_progression(progression)

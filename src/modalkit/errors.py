@@ -9,9 +9,7 @@ class ParseError(ModalkitError):
     """Input text does not match the expected grammar.
 
     Carries ``message`` and ``position``, the character offset of the
-    offending token in the whole text that was parsed.  One exception: a
-    progression file that is not UTF-8 has no text yet, so its error carries
-    the byte offset of the first bad byte.
+    offending token in the whole text that was parsed.
     """
 
     def __init__(self, message: str, position: int = 0):
@@ -20,16 +18,10 @@ class ParseError(ModalkitError):
         self.position = position
 
 
-class InternalError(ModalkitError):
-    """An internal consistency check failed; indicates a bug."""
-
-
 class NotAMode(ModalkitError):
-    """A seven-note scale whose degrees 1-3-5-7 stack to no seventh chord."""
-
-
-class NotInterleavable(ModalkitError):
-    """Base chord and tension chord do not interleave into a modal scale."""
+    """Notes that do not split into a mode: a seven-note scale whose degrees
+    1-3-5-7 stack to no seventh chord, or, from ``recompose``, a base and a
+    tension chord that are not degrees 1-3-5-7 and 2-4-6 of one scale."""
 
 
 class StrandMismatch(ModalkitError):
@@ -51,4 +43,4 @@ class IndexOutOfRange(ModalkitError, ValueError):
 
 
 class SizeMismatch(ModalkitError):
-    """Chords of different sizes cannot be voice-led without padding."""
+    """A voice leading's source and target have different numbers of voices."""

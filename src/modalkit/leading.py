@@ -58,32 +58,24 @@ class VoiceLeading:
                     return False
         return True
 
-    def reverse(self) -> "VoiceLeading":
-        return VoiceLeading(self.target, self.source)
-
 
 def voice_leading(
     a: Chord,
     b: Chord,
     a_root: PitchClass | None = None,
     b_root: PitchClass | None = None,
-    pad: bool = True,
 ) -> VoiceLeading:
     """The crossing-free leading from a to b: sorted notes paired in order.
 
     Unequal sizes are reconciled by doubling the smaller chord's root
-    (lowest pitch class when no root is declared); ``pad=False`` raises
-    SizeMismatch instead.
+    (lowest pitch class when no root is declared).
     """
     source = list(a.notes)
     target = list(b.notes)
-    if len(source) != len(target):
-        if not pad:
-            raise SizeMismatch(f"{len(source)} notes vs {len(target)}")
-        while len(source) < len(target):
-            source.append(a_root if a_root is not None else min(source))
-        while len(target) < len(source):
-            target.append(b_root if b_root is not None else min(target))
+    while len(source) < len(target):
+        source.append(a_root if a_root is not None else min(source))
+    while len(target) < len(source):
+        target.append(b_root if b_root is not None else min(target))
     return VoiceLeading(tuple(sorted(source)), tuple(sorted(target)))
 
 
@@ -135,13 +127,13 @@ def braid_of_leading(v: VoiceLeading) -> BraidWord:
 
 @dataclass(frozen=True)
 class Progression:
-    """A sequence of labelled chords."""
+    """A sequence of one or more labelled chords."""
 
     chords: tuple[tuple[str, PitchClass, Chord], ...]
 
     def __post_init__(self):
         if not self.chords:
-            raise ValueError("a progression needs at least one chord")
+            raise ParseError("the progression has no chords", 0)
 
     def leadings(self) -> list[VoiceLeading]:
         result = []
@@ -194,6 +186,4 @@ def parse_progression(text: str) -> Progression:
             raise ParseError(
                 f"{exc.message} on line {lineno}", line_start + column + exc.position
             ) from None
-    if not chords:
-        raise ParseError("the progression has no chords", 0)
     return Progression(tuple(chords))

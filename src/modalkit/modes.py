@@ -13,16 +13,8 @@ import functools
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import IndexOutOfRange, NotAMode, NotInterleavable
-from .pitch import (
-    Chord,
-    ChordQuality,
-    PitchClass,
-    Triad,
-    TriadQuality,
-    chord_intersection,
-    pc,
-)
+from .errors import IndexOutOfRange, NotAMode
+from .pitch import Chord, ChordQuality, PitchClass, Triad, TriadQuality, pc
 
 
 class ScaleType(Enum):
@@ -151,19 +143,15 @@ def decompose(m: ModalScale) -> Mode:
 
 
 def recompose(base: Chord, tension: Chord, root: PitchClass) -> ModalScale:
-    """Interleave a base chord and tension chord into a modal scale."""
-    if base.cardinality != 4 or tension.cardinality != 3:
-        raise NotInterleavable("need a 4-note base and a 3-note tension")
-    if chord_intersection(base, tension).cardinality:
-        raise NotInterleavable("base and tension must be disjoint")
-    if root not in base:
-        raise NotInterleavable("root must belong to the base chord")
+    """Interleave a base chord and tension chord into a modal scale.
+
+    The inverse of ``decompose``: raises NotAMode unless the notes, sorted
+    upward from the root, split back into exactly ``base`` and ``tension``.
+    """
     degrees = tuple(sorted(set(base.notes) | set(tension.notes), key=lambda n: pc(n - root)))
-    if len(degrees) != 7 or Chord(degrees[0::2]) != base:
-        raise NotInterleavable(f"base and tension do not alternate in {degrees}")
     offsets = tuple(pc(d - root) for d in degrees)
     name = next((m.name for m in _standard_catalog().values() if m.offsets == offsets), "")
-    return ModalScale(pc(root), degrees, name)
+    return Mode(base, tension, ModalScale(pc(root), degrees, name)).scale
 
 
 def all_standard_modes(root: PitchClass = 0) -> list[ModalScale]:

@@ -32,11 +32,11 @@ def pc_name(value: PitchClass) -> str:
     return PC_NAMES[pc(value)]
 
 
-def parse_note(text: str, position: int = 0) -> PitchClass:
+def parse_note(text: str) -> PitchClass:
     """Parse a note name like ``C``, ``F#`` or ``Bb`` into a pitch class."""
     m = re.fullmatch(r"([A-G])([#b]?)", text)
     if not m:
-        raise ParseError(f"unknown note name {text!r}", position)
+        raise ParseError(f"unknown note name {text!r}")
     value = NOTE_TO_PC[m.group(1)]
     if m.group(2) == "#":
         value += 1
@@ -81,10 +81,6 @@ class Chord:
     def __init__(self, notes: Iterable[int]):
         self.notes: tuple[PitchClass, ...] = tuple(sorted(pc(n) for n in notes))
 
-    @property
-    def cardinality(self) -> int:
-        return len(self.notes)
-
     def __len__(self) -> int:
         return len(self.notes)
 
@@ -102,9 +98,6 @@ class Chord:
 
     def __repr__(self) -> str:
         return f"Chord({list(self.notes)})"
-
-    def display(self) -> str:
-        return " ".join(pc_name(n) for n in self.notes)
 
 
 class ChordQuality(Enum):
@@ -140,9 +133,6 @@ class ChordQuality(Enum):
                 return q
         return None
 
-    def on_root(self, root: int) -> Chord:
-        return Chord(pc(root + i) for i in self.intervals)
-
 
 class TriadQuality(Enum):
     MAJOR = ("", (0, 4, 7))
@@ -172,22 +162,6 @@ class Triad:
 
     def symbol(self) -> str:
         return f"{pc_name(self.root)}{self.quality.symbol}"
-
-
-def transpose(c: Chord, k: int) -> Chord:
-    """Shift every note of a chord by k semitones, mod 12."""
-    return Chord(pc(n + k) for n in c)
-
-
-def chord_intersection(a: Chord, b: Chord) -> Chord:
-    """Multiset intersection: the largest chord contained in both inputs."""
-    remaining = list(b.notes)
-    common = []
-    for n in a:
-        if n in remaining:
-            remaining.remove(n)
-            common.append(n)
-    return Chord(common)
 
 
 # Quality tokens of the chord-symbol grammar: each quality's own symbol, plus

@@ -83,7 +83,7 @@ def test_word_validation():
         BraidWord(3, ((1, 2),))
     with pytest.raises(ValueError):
         BraidWord(0)
-    assert len(BraidWord.identity(4)) == 0
+    assert len(BraidWord(4)) == 0
 
 
 @pytest.mark.parametrize(
@@ -141,7 +141,7 @@ def test_concatenate_requires_same_strands():
 @given(word_strategy(max_len=6))
 def test_word_times_inverse_reduces_to_identity(w):
     inverse = BraidWord(w.strands, tuple((i, -s) for i, s in reversed(w.letters)))
-    assert free_reduce(concatenate(w, inverse)) == BraidWord.identity(w.strands)
+    assert free_reduce(concatenate(w, inverse)) == BraidWord(w.strands)
 
 
 @given(word_strategy())
@@ -151,7 +151,7 @@ def test_free_reduce_preserves_invariants(w):
 
 def test_free_reduce_cascades():
     w = BraidWord(3, ((1, 1), (2, 1), (2, -1), (1, -1)))
-    assert free_reduce(w) == BraidWord.identity(3)
+    assert free_reduce(w) == BraidWord(3)
 
 
 def test_rewrite_free_cancel():
@@ -185,19 +185,6 @@ def test_parse_and_serialize_round_trip():
     w = parse_word(text, strands=4)
     assert w.letters == ((3, 1), (1, -1), (2, 1))
     assert serialize_word(w) == text
-    assert serialize_word(w, header=True) == "strands=4 " + text
-    assert serialize_word(BraidWord.identity(4), header=True) == "strands=4"
-
-
-def test_parse_header():
-    w = parse_word("strands=12 s11 s1")
-    assert w.strands == 12
-    with pytest.raises(ParseError):
-        parse_word("strands=12 s1", strands=4)
-    with pytest.raises(ParseError):
-        parse_word("s1")  # no strand count anywhere
-    with pytest.raises(ParseError):
-        parse_word("strands=0")
 
 
 def test_parse_errors():

@@ -181,8 +181,10 @@ def test_domain_error_exit_code():
         (b"", "no chords"),
         (b"# nothing but a comment\n\n", "no chords"),
         (b"Cmaj7\n\xff\xfeG7\n", "not UTF-8 text; bad byte (at position 6)"),
+        # the position counts characters, so the two-byte e-acute counts once
+        (b"Cmaj7\n\xc3\xa9\n\xff\n", "not UTF-8 text; bad byte (at position 8)"),
     ],
-    ids=["empty", "comment-only", "not-utf8"],
+    ids=["empty", "comment-only", "not-utf8", "not-utf8-after-multibyte"],
 )
 def test_braid_bad_file_is_one_line_parse_error(tmp_path, content, detail):
     path = tmp_path / "bad.prog"

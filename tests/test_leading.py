@@ -5,7 +5,7 @@ from itertools import permutations, product
 
 import pytest
 
-from modalkit.braid import invariants
+from modalkit.braid import BraidWord, invariants
 from modalkit.errors import ParseError, SizeMismatch
 from modalkit.leading import (
     STRANDS,
@@ -59,8 +59,6 @@ def test_arc_distance():
 def test_voice_leading_requires_equal_sizes():
     with pytest.raises(SizeMismatch):
         VoiceLeading((0, 1), (0,))
-    with pytest.raises(SizeMismatch):
-        voice_leading(Chord([0, 4, 7]), Chord([0, 7]), pad=False)
 
 
 def test_padding_doubles_the_root():
@@ -76,11 +74,6 @@ def test_cmaj7_to_gmaj7_pairs():
     assert v.pairs() == ((0, 2), (4, 6), (7, 7), (11, 11))
     assert v.is_crossing_free()
     assert v.total_displacement() == 4
-
-
-def test_reverse_swaps_endpoints():
-    v = voice_leading(Chord([0, 4, 7]), Chord([2, 5, 9]))
-    assert v.reverse().pairs() == tuple((t, s) for s, t in v.pairs())
 
 
 def test_against_brute_force_oracle():
@@ -160,7 +153,7 @@ def test_progression_braids():
 
 def test_single_chord_progression_is_identity():
     p = parse_progression("Cmaj7\n")
-    assert braid_of_progression(p) == braid_of_progression(p).identity(STRANDS)
+    assert braid_of_progression(p) == BraidWord(STRANDS)
 
 
 def test_parse_progression_formats():
@@ -176,7 +169,7 @@ def test_parse_progression_errors():
         parse_progression("cluster: 0,x\n")
     with pytest.raises(ParseError):
         parse_progression("cluster: 13\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match=r"^the progression has no chords \(at position 0\)$"):
         Progression(())
 
 
