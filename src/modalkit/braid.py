@@ -51,10 +51,12 @@ class BraidInvariants:
     writhe: int
 
 
-def concatenate(a: BraidWord, b: BraidWord) -> BraidWord:
-    if a.strands != b.strands:
-        raise StrandMismatch(f"{a.strands} strands vs {b.strands}")
-    return BraidWord(a.strands, a.letters + b.letters)
+def concatenate(first: BraidWord, *rest: BraidWord) -> BraidWord:
+    """The words read one after another; all must have the same strand count."""
+    for w in rest:
+        if w.strands != first.strands:
+            raise StrandMismatch(f"{first.strands} strands vs {w.strands}")
+    return BraidWord(first.strands, tuple(letter for w in (first, *rest) for letter in w.letters))
 
 
 def invariants(w: BraidWord) -> BraidInvariants:
@@ -79,45 +81,44 @@ def free_reduce(w: BraidWord) -> BraidWord:
     return BraidWord(w.strands, tuple(stack))
 
 
+# Each rule's window: how many letters it reads from ``at`` on, and their name.
+_WINDOWS = {"free_cancel": (2, "pair"), "p1_swap": (2, "pair"), "p2_slide": (3, "triple")}
+
+
 def rewrite_step(w: BraidWord, rule: str, at: int) -> BraidWord:
     """Apply one relation at a position: free_cancel, p1_swap or p2_slide.
 
     free_cancel removes an adjacent inverse pair; p1_swap commutes two
     generators with |i - j| > 1; p2_slide turns s_i s_{i+1} s_i into
-    s_{i+1} s_i s_{i+1} (or back), with a uniform sign.
+    s_{i+1} s_i s_{i+1} (or back), with a uniform sign.  A window of letters
+    from ``at`` on that leaves the word, or does not fit the rule, is a PatternMismatch.
     """
-    letters = list(w.letters)
+    if rule not in _WINDOWS:
+        raise InvalidBraid(f"unknown rule {rule!r}")
+    width, window = _WINDOWS[rule]
+    if not 0 <= at <= len(w) - width:
+        raise PatternMismatch(f"no letter {window} at {at}")
+    (i, si), (j, sj), *third = w.letters[at:at + width]
     if rule == "free_cancel":
-        if at + 1 >= len(letters):
-            raise PatternMismatch(f"no letter pair at {at}")
-        (i, si), (j, sj) = letters[at], letters[at + 1]
         if i != j or si != -sj:
             raise PatternMismatch(f"letters at {at} are not an inverse pair")
-        del letters[at:at + 2]
+        replacement = ()
     elif rule == "p1_swap":
-        if at + 1 >= len(letters):
-            raise PatternMismatch(f"no letter pair at {at}")
-        (i, si), (j, sj) = letters[at], letters[at + 1]
         if abs(i - j) <= 1:
             raise PatternMismatch(f"generators s{i}, s{j} do not commute")
-        letters[at], letters[at + 1] = (j, sj), (i, si)
-    elif rule == "p2_slide":
-        if at + 2 >= len(letters):
-            raise PatternMismatch(f"no letter triple at {at}")
-        (i, si), (j, sj), (k, sk) = letters[at:at + 3]
-        if not (si == sj == sk and i == k and abs(i - j) == 1):
-            raise PatternMismatch(f"letters at {at} are not a braid-relation triple")
-        letters[at:at + 3] = [(j, sj), (i, si), (j, sj)]
+        replacement = ((j, sj), (i, si))
     else:
-        raise InvalidBraid(f"unknown rule {rule!r}")
-    return BraidWord(w.strands, tuple(letters))
+        if not (third == [(i, si)] and sj == si and abs(i - j) == 1):
+            raise PatternMismatch(f"letters at {at} are not a braid-relation triple")
+        replacement = ((j, sj), (i, si), (j, sj))
+    return BraidWord(w.strands, w.letters[:at] + replacement + w.letters[at + width:])
 
 
-_TOKEN = re.compile(r"s(\d+)(\^-1)?")
+_TOKEN = re.compile(r"s([0-9]+)(\^-1)?")
 
 
 def parse_word(text: str, strands: int) -> BraidWord:
-    """Parse whitespace-separated tokens ``s<k>`` / ``s<k>^-1`` on ``strands`` strands."""
+    """Parse whitespace-separated tokens ``s<k>`` / ``s<k>^-1``, ``k`` in ASCII digits."""
     position = 0
     letters: list[Letter] = []
     for token in text.split():

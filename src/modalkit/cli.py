@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Every verb is a thin adapter over the library; output is byte-deterministic
+Every verb is a thin adapter over the library: a generator that yields its
+output text, which ``run`` writes to stdout.  Output is byte-deterministic
 for a fixed input.  Exit codes: 0 success, 2 usage error, 1 domain error
 (the error class name goes to stderr).
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import sys
 
@@ -40,24 +42,24 @@ def _lookup(convert, problem: str):
     return adapter
 
 
-def _emit_table(rows: list[dict[str, str]], fmt: str, out) -> None:
+def _table(rows: list[dict[str, str]], fmt: str) -> str:
+    """The rows as plain columns, CSV or JSON; an empty table is no text."""
     if not rows:
-        return
+        return ""
     keys = list(rows[0])
     if fmt == "json":
-        json.dump(rows, out, indent=2)
-        out.write("\n")
-    elif fmt == "csv":
-        writer = csv.DictWriter(out, fieldnames=keys, lineterminator="\n")
+        return json.dumps(rows, indent=2) + "\n"
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=keys, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-    else:
-        widths = {k: max(len(k), *(len(r[k]) for r in rows)) for k in keys}
-        for row in rows:
-            out.write("  ".join(row[k].ljust(widths[k]) for k in keys).rstrip() + "\n")
+        return buffer.getvalue()
+    widths = {k: max(len(k), *(len(r[k]) for r in rows)) for k in keys}
+    return "".join("  ".join(row[k].ljust(widths[k]) for k in keys).rstrip() + "\n" for row in rows)
 
 
-def _cmd_modes(args, out) -> int:
+def _cmd_modes(args):
     rows = []
     for i, mode in enumerate(modes_mod.standard_modes(args.scale, args.root)):
         rows.append(
@@ -68,11 +70,10 @@ def _cmd_modes(args, out) -> int:
                 "notes": " ".join(pc_name(d) for d in mode.degrees),
             }
         )
-    _emit_table(rows, args.format, out)
-    return 0
+    yield _table(rows, args.format)
 
 
-def _cmd_harmonize(args, out) -> int:
+def _cmd_harmonize(args):
     degrees = [args.degree] if args.degree else list(range(1, 8))
     rows = [
         {
@@ -81,44 +82,41 @@ def _cmd_harmonize(args, out) -> int:
         }
         for d in degrees
     ]
-    _emit_table(rows, args.format, out)
-    return 0
+    yield _table(rows, args.format)
 
 
-def _cmd_decompose(args, out) -> int:
+def _cmd_decompose(args):
     degrees = sorted(set(args.notes), key=lambda n: (n - args.root) % 12)
     scale = modes_mod.ModalScale(args.root, tuple(degrees))
     mode = modes_mod.decompose(scale)
     triad = mode.tension_triad()
-    out.write(f"scale:   {' '.join(str(d) for d in scale.degrees)}\n")
-    out.write(
+    yield f"scale:   {' '.join(str(d) for d in scale.degrees)}\n"
+    yield (
         f"base:    {pc_name(args.root)}{mode.base_quality().symbol}"
         f"  {' '.join(str(n) for n in mode.base.notes)}\n"
     )
-    out.write(
+    yield (
         f"tension: {triad.symbol() if triad else '(no triad)'}"
         f"  {' '.join(str(n) for n in mode.tension.notes)}\n"
     )
-    return 0
 
 
-def _cmd_graph(args, out) -> int:
+def _cmd_graph(args):
     g = graph_mod.build_graph(args.quality)
     if args.dot:
-        out.write(graph_mod.emit_dot(g, args.root))
+        yield graph_mod.emit_dot(g, args.root)
     else:
-        per_degree = g.labels_by_degree()
+        # the vertices come ordered by degree, then by semitone
         for degree in range(1, 8):
-            names = " ".join(v.name for v in per_degree[degree])
-            out.write(f"{ROMAN[degree - 1]}: {names}\n")
-        out.write(
+            names = " ".join(v.name for v in g.vertices if v.degree == degree)
+            yield f"{ROMAN[degree - 1]}: {names}\n"
+        yield (
             f"vertices={len(g.vertices)} edges={len(g.edges)} "
             f"chi={graph_mod.euler_characteristic(g)} tau={graph_mod.tcm(args.quality)}\n"
         )
-    return 0
 
 
-def _cmd_tcm(args, out) -> int:
+def _cmd_tcm(args):
     qualities = list(ChordQuality) if args.all else [args.quality]
     rows = []
     for q in qualities:
@@ -131,8 +129,7 @@ def _cmd_tcm(args, out) -> int:
                 "admissible": str(len(graph_mod.enumerate_admissible(g))),
             }
         )
-    _emit_table(rows, args.format, out)
-    return 0
+    yield _table(rows, args.format)
 
 
 def _path_rows(paths) -> list[dict[str, str]]:
@@ -146,26 +143,24 @@ def _path_rows(paths) -> list[dict[str, str]]:
     ]
 
 
-def _cmd_admissible(args, out) -> int:
+def _cmd_admissible(args):
     paths = graph_mod.enumerate_admissible(graph_mod.build_graph(args.quality))
-    _emit_table(_path_rows(paths), args.format, out)
-    return 0
+    yield _table(_path_rows(paths), args.format)
 
 
-def _cmd_special(args, out) -> int:
+def _cmd_special(args):
     paths = graph_mod.special_modes(args.quality)
-    _emit_table(_path_rows(paths), args.format, out)
+    yield _table(_path_rows(paths), args.format)
     if args.paper_compat:
         published = graph_mod.PUBLISHED_SPECIALS.get(args.quality, ())
         computed = {p.label_names() for p in paths}
-        out.write("\npublished degree lists:\n")
+        yield "\npublished degree lists:\n"
         for name, labels in published:
             marker = "agrees" if labels in computed else "DIFFERS from computation"
-            out.write(f"  {name}: {' '.join(labels)}  [{marker}]\n")
-    return 0
+            yield f"  {name}: {' '.join(labels)}  [{marker}]\n"
 
 
-def _cmd_braid(args, out) -> int:
+def _cmd_braid(args):
     with open(args.file, "rb") as f:
         data = f.read()
     try:
@@ -173,18 +168,17 @@ def _cmd_braid(args, out) -> int:
     except UnicodeDecodeError as exc:
         position = len(data[:exc.start].decode("utf-8"))
         raise ParseError(f"{args.file} is not UTF-8 text; bad byte", position) from None
+    # parsed whole before the first yield, so a ParseError prints nothing on stdout
     progression = leading_mod.parse_progression(text)
-    out.write(f"strands={leading_mod.STRANDS}\n")
+    yield f"strands={leading_mod.STRANDS}\n"
     words = leading_mod.braids_of_progression(progression)
-    labels = [label for label, _root, _chord in progression.chords]
-    for (a, b), word in zip(zip(labels, labels[1:]), words):
-        out.write(f"{a} -> {b}: {braid_mod.serialize_word(word)}\n")
+    for (a, _, _), (b, _, _), word in zip(progression.chords, progression.chords[1:], words):
+        yield f"{a} -> {b}: {braid_mod.serialize_word(word)}\n"
         if args.ascii:
-            out.write(braid_mod.render_ascii(word))
-    return 0
+            yield braid_mod.render_ascii(word)
 
 
-def _cmd_approx(args, out) -> int:
+def _cmd_approx(args):
     ranked = approximate(set(args.target), args.quality, args.root)
     rows = [
         {
@@ -197,8 +191,7 @@ def _cmd_approx(args, out) -> int:
         }
         for i, a in enumerate(ranked)
     ]
-    _emit_table(rows, args.format, out)
-    return 0
+    yield _table(rows, args.format)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,10 +274,11 @@ def run(argv: list[str], out=None, err=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, out)
+        out.writelines(args.func(args))
     except (ModalkitError, OSError) as exc:
         err.write(f"{type(exc).__name__}: {exc}\n")
         return 1
+    return 0
 
 
 def main() -> None:

@@ -62,12 +62,6 @@ class ModeGraph:
     vertices: tuple[DegreeLabel, ...]
     edges: tuple[tuple[DegreeLabel, DegreeLabel], ...]
 
-    def labels_by_degree(self) -> dict[int, tuple[DegreeLabel, ...]]:
-        result: dict[int, list[DegreeLabel]] = {d: [] for d in range(1, 8)}
-        for v in self.vertices:
-            result[v.degree].append(v)
-        return {d: tuple(sorted(vs)) for d, vs in result.items()}
-
 
 @dataclass(frozen=True)
 class AdmissiblePath:
@@ -213,11 +207,6 @@ def emit_dot(g: ModeGraph, root: PitchClass | None = None) -> str:
         lines.append(f'  "{node(a)}" -> "{node(b)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def mode_graphs() -> list[ModeGraph]:
-    """The seven graphs in the order of the complexity table (ChordQuality order)."""
-    return [g for g, _paths in _theory().values()]
 
 
 @functools.cache

@@ -17,10 +17,11 @@ adjacent crossings.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
-from .braid import BraidWord
+from .braid import BraidWord, concatenate
 from .errors import ParseError, SizeMismatch
 from .pitch import Chord, PitchClass, parse_chord_symbol, parse_pcs, pc
 
@@ -50,13 +51,8 @@ class VoiceLeading:
         return sum(arc_distance(s, t) for s, t in self.pairs())
 
     def is_crossing_free(self) -> bool:
-        for i, (si, ti) in enumerate(self.pairs()):
-            for sj, tj in self.pairs()[i + 1:]:
-                if si > sj and ti < tj:
-                    return False
-                if sj > si and tj < ti:
-                    return False
-        return True
+        pairs = itertools.combinations(self.pairs(), 2)
+        return not any((si - sj) * (ti - tj) < 0 for (si, ti), (sj, tj) in pairs)
 
 
 def voice_leading(
@@ -149,8 +145,7 @@ def braids_of_progression(p: Progression) -> list[BraidWord]:
 
 def braid_of_progression(p: Progression) -> BraidWord:
     """Concatenation of the per-transition words; identity for one chord."""
-    words = braids_of_progression(p)
-    return BraidWord(STRANDS, tuple(letter for word in words for letter in word.letters))
+    return concatenate(BraidWord(STRANDS), *braids_of_progression(p))
 
 
 _COMMENT = re.compile(r"(?:^|\s)#")

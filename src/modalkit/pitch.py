@@ -48,18 +48,20 @@ def parse_note(text: str) -> PitchClass:
 def parse_pcs(text: str) -> list[PitchClass]:
     """Parse a comma-separated pitch-class list like ``0,4,7``.
 
-    Each item is an integer in 0..11; blank items are skipped, and at least
-    one item must remain.
+    Each item is an integer in 0..11, written in ASCII digits with an
+    optional leading minus (``int`` alone would also read ``1_1``, ``+4``
+    and non-ASCII digits); blank items are skipped, and at least one item
+    must remain.
     """
     values = []
     position = 0
     for item in text.split(","):
-        if item.strip():
+        token = item.strip()
+        if token:
             start = position + len(item) - len(item.lstrip())
-            try:
-                value = int(item)
-            except ValueError:
-                raise ParseError(f"bad pitch class {item.strip()!r}", start) from None
+            if not (token.isascii() and token.removeprefix("-").isdigit()):
+                raise ParseError(f"bad pitch class {token!r}", start)
+            value = int(token)
             if not 0 <= value <= 11:
                 raise ParseError(f"pitch class {value} is not in 0..11", start)
             values.append(value)
@@ -87,9 +89,6 @@ class Chord:
     def __iter__(self):
         return iter(self.notes)
 
-    def __contains__(self, value: int) -> bool:
-        return pc(value) in self.notes
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Chord) and self.notes == other.notes
 
@@ -103,8 +102,8 @@ class Chord:
 class ChordQuality(Enum):
     """The seven seventh-chord types arising from scale harmonization.
 
-    Declared in the order of the complexity table, which ``tcm --all`` and
-    ``graph.mode_graphs`` follow.
+    Declared in the order of the complexity table, which ``tcm --all``
+    follows.
     """
 
     DIM7 = ("o7", (0, 3, 6, 9))
@@ -164,14 +163,13 @@ class Triad:
         return f"{pc_name(self.root)}{self.quality.symbol}"
 
 
-# Quality tokens of the chord-symbol grammar: each quality's own symbol, plus
-# three tokens with tension extensions, which are semitone offsets added on top
-# of a quality's four notes.
-_SYMBOL_QUALITIES: dict[str, tuple[ChordQuality | None, tuple[int, ...]]] = {
-    **{q.symbol: (q, ()) for q in ChordQuality},
-    "-9": (ChordQuality.MIN7, (2,)),
-    "13b9": (ChordQuality.DOM7, (1, 9)),
-    "6/9": (None, (0, 4, 7, 9, 2)),
+# Quality tokens of the chord-symbol grammar and their intervals above the
+# root: each quality's own symbol, plus three tokens with tensions on top.
+_SYMBOL_INTERVALS: dict[str, tuple[int, ...]] = {
+    **{q.symbol: q.intervals for q in ChordQuality},
+    "-9": ChordQuality.MIN7.intervals + (2,),
+    "13b9": ChordQuality.DOM7.intervals + (1, 9),
+    "6/9": (0, 4, 7, 9, 2),
 }
 
 
@@ -185,9 +183,7 @@ def parse_chord_symbol(text: str) -> tuple[PitchClass, Chord]:
         raise ParseError(f"expected a root note in {text!r}", 0)
     root = parse_note(m.group(0))
     rest = text[m.end():]
-    entry = _SYMBOL_QUALITIES.get(rest)
-    if entry is None:
+    intervals = _SYMBOL_INTERVALS.get(rest)
+    if intervals is None:
         raise ParseError(f"unknown chord quality {rest!r}", m.end())
-    quality, extensions = entry
-    intervals = extensions if quality is None else quality.intervals + extensions
     return root, Chord(pc(root + i) for i in intervals)

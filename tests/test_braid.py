@@ -136,6 +136,15 @@ def test_permutation_is_bijection(w):
 def test_concatenate_requires_same_strands():
     with pytest.raises(StrandMismatch):
         concatenate(BraidWord(3), BraidWord(4))
+    with pytest.raises(StrandMismatch):
+        concatenate(BraidWord(3), BraidWord(3, ((1, 1),)), BraidWord(4))
+
+
+@given(word_strategy(), st.lists(st.integers(min_value=0, max_value=12), max_size=3))
+def test_concatenate_joins_any_cut_of_a_word(w, cuts):
+    bounds = [0, *sorted(min(c, len(w)) for c in cuts), len(w)]
+    pieces = [BraidWord(w.strands, w.letters[a:b]) for a, b in zip(bounds, bounds[1:])]
+    assert concatenate(*pieces) == w
 
 
 @given(word_strategy(max_len=6))
@@ -180,6 +189,34 @@ def test_rewrite_p2_slide_both_directions():
         rewrite_step(w, "nonsense", 0)
 
 
+# each word matches its rule if read across its two ends
+@pytest.mark.parametrize(
+    "rule, word",
+    [
+        ("free_cancel", BraidWord(3, ((1, 1), (1, -1)))),
+        ("p1_swap", BraidWord(4, ((1, 1), (2, 1), (3, 1)))),
+        ("p2_slide", BraidWord(3, ((1, 1), (2, 1), (1, 1)))),
+    ],
+)
+@pytest.mark.parametrize("where", ["minus-one", "before-start", "at-end"])
+def test_rewrite_outside_the_word_is_a_pattern_mismatch(rule, word, where):
+    at = {"minus-one": -1, "before-start": -(len(word) + 1), "at-end": len(word)}[where]
+    with pytest.raises(PatternMismatch, match=f"no letter (pair|triple) at {at}$"):
+        rewrite_step(word, rule, at)
+
+
+@given(word_strategy(max_len=8))
+def test_rewrite_keeps_invariants_inside_its_window_only(w):
+    for rule, width in (("free_cancel", 2), ("p1_swap", 2), ("p2_slide", 3)):
+        for at in range(-len(w) - 2, len(w) + 2):
+            try:
+                rewritten = rewrite_step(w, rule, at)
+            except PatternMismatch:
+                continue
+            assert 0 <= at <= len(w) - width
+            assert invariants(rewritten) == invariants(w)
+
+
 def test_parse_and_serialize_round_trip():
     text = "s3 s1^-1 s2"
     w = parse_word(text, strands=4)
@@ -190,6 +227,8 @@ def test_parse_and_serialize_round_trip():
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse_word("s1 x2", strands=3)
+    with pytest.raises(ParseError):
+        parse_word("s\u0663", strands=12)  # an Arabic-Indic three
     with pytest.raises(IndexOutOfRange):
         parse_word("s9", strands=4)
 

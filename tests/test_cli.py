@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs, formats and exit codes."""
 
+import csv
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 
 import modalkit
 from modalkit.cli import run
+from modalkit.pitch import ChordQuality
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -62,6 +64,32 @@ def test_tcm_csv_format():
     assert lines[0] == "quality,chi,tau,admissible"
     assert lines[1] == "o7,1,0,1"
     assert lines[-1] == "-7b5,-2,3,8"
+
+
+TABLES = [
+    ["modes", "--scale", "major", "--root", "C"],
+    ["harmonize", "--scale", "major"],
+    ["tcm", "--all"],
+    *([verb, f"--quality={q.symbol}"] for verb in ("admissible", "special") for q in ChordQuality),
+    *(["approx", "--target", "11,0,2,3,5,6,8,9", f"--quality={q.symbol}", "--root", "B"]
+      for q in ChordQuality),
+]
+
+
+@pytest.mark.parametrize("argv", TABLES, ids=" ".join)
+def test_table_formats_agree(argv):
+    printed = {}
+    for fmt in ("plain", "csv", "json"):
+        code, out, err = capture([*argv, "--format", fmt])
+        assert (code, err) == (0, "")
+        printed[fmt] = out
+    if not printed["plain"]:
+        # an empty table, such as the specials of o7, prints nothing in any format
+        assert printed == {"plain": "", "csv": "", "json": ""}
+        return
+    rows = json.loads(printed["json"])
+    assert rows == list(csv.DictReader(io.StringIO(printed["csv"])))
+    assert len(printed["plain"].splitlines()) == len(rows)
 
 
 def test_harmonize_single_degree():
@@ -202,7 +230,7 @@ def test_braid_bad_file_is_one_line_parse_error(tmp_path, content, detail):
     [(["decompose", "--root", "0"], "--notes"), (["approx", "--quality", "7", "--root", "B"], "--target")],
     ids=["decompose", "approx"],
 )
-@pytest.mark.parametrize("token", ["", " , ", "x", "0,x", "12", "-1", "0,-1"])
+@pytest.mark.parametrize("token", ["", " , ", "x", "0,x", "12", "-1", "0,-1", "0,1_1"])
 def test_bad_pitch_class_list_is_a_usage_error(argv, flag, token):
     code, out, err = capture([*argv, f"{flag}={token}"])
     assert code == 2 and out == ""

@@ -19,7 +19,6 @@ from modalkit.graph import (
     euler_characteristic,
     find_mode_by_name,
     maximal_tree,
-    mode_graphs,
     path_notes,
     special_modes,
     standard_patterns,
@@ -64,7 +63,7 @@ def test_tau_is_one_minus_chi():
 
 
 def test_maximal_tree_spans():
-    for g in mode_graphs():
+    for g in map(build_graph, ChordQuality):
         tree = maximal_tree(g)
         assert len(tree) == len(g.vertices) - 1
         covered = {v for e in tree for v in e}
@@ -81,16 +80,13 @@ def test_admissible_counts_are_powers_of_two():
 
 
 def test_standard_plus_special_is_33():
-    total = sum(len(enumerate_admissible(g)) for g in mode_graphs())
+    paths = [p for g in map(build_graph, ChordQuality) for p in enumerate_admissible(g)]
+    total = len(paths)
     assert total == 33
-    assert len({p.name for g in mode_graphs() for p in enumerate_admissible(g)}) == 33
+    assert len({p.name for p in paths}) == 33
     total_special = sum(len(special_modes(q)) for q in ChordQuality)
     assert total_special == 12
     assert total - total_special == 21
-
-
-def test_mode_graphs_follow_quality_order():
-    assert [g.quality for g in mode_graphs()] == list(ChordQuality)
 
 
 def test_returned_lists_do_not_share_the_catalog():
@@ -184,7 +180,7 @@ def test_every_special_offset_tuple_is_named():
 
 def test_three_semitone_second_only_on_maj7():
     # it is spelled aII: a minor third is forbidden over a major-third chord
-    having = {g.quality for g in mode_graphs() if DegreeLabel(2, 3) in g.vertices}
+    having = {g.quality for g in map(build_graph, ChordQuality) if DegreeLabel(2, 3) in g.vertices}
     assert having == {ChordQuality.MAJ7}
 
 
@@ -231,6 +227,6 @@ def test_degree_label_note_names(degree, semitones, root, spelled):
 
 
 def test_graph_edges_connect_consecutive_degrees():
-    for g in mode_graphs():
+    for g in map(build_graph, ChordQuality):
         for a, b in g.edges:
             assert b.degree == a.degree + 1

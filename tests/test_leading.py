@@ -19,7 +19,7 @@ from modalkit.leading import (
     voice_leading,
 )
 from modalkit.leading import _reduced_moves
-from modalkit.pitch import _SYMBOL_QUALITIES, Chord, parse_chord_symbol
+from modalkit.pitch import _SYMBOL_INTERVALS, Chord, parse_chord_symbol
 
 
 def oracle_leadings(source, target):
@@ -182,6 +182,7 @@ def test_parse_progression_errors():
         ("G7\n cl: 0, x\n", "bad pitch class 'x' on line 2", 11, "x"),
         ("G7\ncl: 4,12\n", "pitch class 12 is not in 0..11 on line 2", 9, "12"),
         ("G7\n\ncl: 0,-1\n", "pitch class -1 is not in 0..11 on line 3", 10, "-1"),
+        ("x: 1_1\n", "bad pitch class '1_1' on line 1", 3, "1_1"),
     ],
 )
 def test_parse_progression_error_names_line_and_offset(text, message, position, token):
@@ -226,6 +227,6 @@ def test_sharp_is_not_a_comment():
 
 
 def test_progression_line_parses_like_chord_symbol():
-    for letter, accidental, token in product("CDEFGAB", ("", "#", "b"), _SYMBOL_QUALITIES):
+    for letter, accidental, token in product("CDEFGAB", ("", "#", "b"), _SYMBOL_INTERVALS):
         sym = letter + accidental + token
         assert parse_progression(sym).chords[0][1:] == parse_chord_symbol(sym), sym

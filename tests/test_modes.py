@@ -7,7 +7,7 @@ import math
 import pytest
 
 from modalkit.errors import ModalkitError, NotAMode
-from modalkit.graph import enumerate_admissible, mode_graphs, path_notes
+from modalkit.graph import build_graph, enumerate_admissible, path_notes
 from modalkit.modes import (
     ModalScale,
     Mode,
@@ -240,7 +240,9 @@ def test_decompose_every_seven_note_scale_on_every_root():
 
 
 def test_every_admissible_mode_decomposes_on_every_root():
-    paths = [(g.quality, p) for g in mode_graphs() for p in enumerate_admissible(g)]
+    paths = [
+        (g.quality, p) for g in map(build_graph, ChordQuality) for p in enumerate_admissible(g)
+    ]
     assert len(paths) == 33
     for root in range(12):
         for quality, path in paths:
@@ -257,7 +259,7 @@ def test_tension_triads_of_standard_and_special_modes():
         assert isinstance(decompose(scale).tension_triad(), Triad), scale.name
     with_triads = {
         p.name: triad.symbol()
-        for g in mode_graphs()
+        for g in map(build_graph, ChordQuality)
         for p in enumerate_admissible(g)
         if p.is_special and (triad := decompose(ModalScale(0, path_notes(p, 0))).tension_triad())
     }

@@ -124,6 +124,10 @@ def test_parse_pcs():
         ("0, x", "bad pitch class 'x'", 3),
         ("4,12", "pitch class 12 is not in 0..11", 2),
         ("0,7,-1", "pitch class -1 is not in 0..11", 4),
+        # only ASCII digits with an optional minus, though int() reads all three
+        ("0,1_1", "bad pitch class '1_1'", 2),
+        ("+4", "bad pitch class '+4'", 0),
+        ("\u0663", "bad pitch class '\u0663'", 0),
     ],
 )
 def test_parse_pcs_errors(text, message, position):
