@@ -2,9 +2,9 @@
 
 A word is a sequence of signed generators s_i (1 <= i < n); s_i crosses the
 strands at positions i and i+1.  Words act on positions left to right: the
-first letter is the crossing nearest the start of the braid.  Equality of
-braids is only ever tested through necessary conditions (permutation and
-writhe) plus syntactic equality after free reduction.
+first letter is the crossing nearest the start of the braid.  The library
+computes necessary conditions for braid equality (permutation and writhe);
+the test suite proves equality exactly with Artin's action on a free group.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from . import leading as leading_mod
 from . import modes as modes_mod
 from .approximate import approximate
 from .errors import ModalkitError, ParseError
-from .pitch import ChordQuality, parse_note, parse_pcs, pc_name
+from .pitch import ChordQuality, _integer, parse_note, parse_pcs, pc_name
 
 ROMAN = ("I", "II", "III", "IV", "V", "VI", "VII")
 
@@ -60,16 +60,15 @@ def _table(rows: list[dict[str, str]], fmt: str) -> str:
 
 
 def _cmd_modes(args):
-    rows = []
-    for i, mode in enumerate(modes_mod.standard_modes(args.scale, args.root)):
-        rows.append(
-            {
-                "degree": ROMAN[i],
-                "name": mode.name,
-                "pitch_classes": " ".join(str(d) for d in mode.degrees),
-                "notes": " ".join(pc_name(d) for d in mode.degrees),
-            }
-        )
+    rows = [
+        {
+            "degree": ROMAN[i],
+            "name": mode.name,
+            "pitch_classes": " ".join(str(d) for d in mode.degrees),
+            "notes": " ".join(pc_name(d) for d in mode.degrees),
+        }
+        for i, mode in enumerate(modes_mod.standard_modes(args.scale, args.root))
+    ]
     yield _table(rows, args.format)
 
 
@@ -171,7 +170,7 @@ def _cmd_braid(args):
     # parsed whole before the first yield, so a ParseError prints nothing on stdout
     progression = leading_mod.parse_progression(text)
     yield f"strands={leading_mod.STRANDS}\n"
-    words = leading_mod.braids_of_progression(progression)
+    words = map(leading_mod.braid_of_leading, progression.leadings())
     for (a, _, _), (b, _, _), word in zip(progression.chords, progression.chords[1:], words):
         yield f"{a} -> {b}: {braid_mod.serialize_word(word)}\n"
         if args.ascii:
@@ -204,6 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     scale = _lookup(modes_mod.ScaleType.from_label, "unknown scale")
     note = _lookup(parse_note, "unknown note name")
     pcs = _lookup(parse_pcs, "bad pitch-class list")
+    integer = _lookup(_integer, "bad integer")
 
     def add_format(p):
         p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
@@ -216,13 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("harmonize", help="seventh-chord quality per scale degree")
     p.add_argument("--scale", type=scale, required=True)
-    p.add_argument("--degree", type=int, choices=range(1, 8))
+    p.add_argument("--degree", type=integer, choices=range(1, 8))
     add_format(p)
     p.set_defaults(func=_cmd_harmonize)
 
     p = sub.add_parser("decompose", help="split a scale into base chord + tension chord")
     p.add_argument("--notes", type=pcs, required=True)
-    p.add_argument("--root", type=int, choices=range(0, 12), required=True)
+    p.add_argument("--root", type=integer, choices=range(0, 12), required=True)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("graph", help="show or export a base-chord graph")
@@ -274,7 +274,14 @@ def run(argv: list[str], out=None, err=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        out.writelines(args.func(args))
+        # one write per pipe buffer (64 KB): a reader sharing the CPU wakes per write
+        block = io.StringIO()
+        for text in args.func(args):
+            block.write(text)
+            if block.tell() >= 1 << 16:
+                out.write(block.getvalue())
+                block = io.StringIO()
+        out.write(block.getvalue())
     except (ModalkitError, OSError) as exc:
         err.write(f"{type(exc).__name__}: {exc}\n")
         return 1

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .braid import BraidWord, concatenate
@@ -105,10 +106,10 @@ def braid_of_leading(v: VoiceLeading) -> BraidWord:
     Each moving voice walks from slot a to slot b through adjacent
     crossings: ascending voices emit s_a .. s_{b-1}, descending voices
     s_{a-1}^-1 .. s_b^-1.  Descending voices are emitted first in
-    ascending slot order, then ascending voices in descending slot order;
-    with an order-preserving move set this ordering never walks a run
-    through a slot another voice still occupies, so every chord strand
-    lands exactly on its target slot.
+    ascending slot order, then ascending voices in descending slot order,
+    so every chord strand lands exactly on its target slot.  That order
+    picks one word, not the braid: emitting the ascending voices first
+    gives the same braid, which the test suite proves.
     """
     letters: list[tuple[int, int]] = []
     moves = _reduced_moves(v)
@@ -131,11 +132,10 @@ class Progression:
         if not self.chords:
             raise ParseError("the progression has no chords", 0)
 
-    def leadings(self) -> list[VoiceLeading]:
-        result = []
-        for (_, ra, a), (_, rb, b) in zip(self.chords, self.chords[1:]):
-            result.append(voice_leading(a, b, a_root=ra, b_root=rb))
-        return result
+    def leadings(self) -> Iterator[VoiceLeading]:
+        """Each chord transition's leading, built only as the caller asks for it."""
+        for (_, ra, a), (_, rb, b) in itertools.pairwise(self.chords):
+            yield voice_leading(a, b, a_root=ra, b_root=rb)
 
 
 def braids_of_progression(p: Progression) -> list[BraidWord]:

@@ -156,7 +156,4 @@ def recompose(base: Chord, tension: Chord, root: PitchClass) -> ModalScale:
 
 def all_standard_modes(root: PitchClass = 0) -> list[ModalScale]:
     """All 21 standard modes over the three parent scales on one root."""
-    result = []
-    for scale_type in ScaleType:
-        result.extend(standard_modes(scale_type, root))
-    return result
+    return [mode for scale_type in ScaleType for mode in standard_modes(scale_type, root)]

@@ -45,13 +45,18 @@ def parse_note(text: str) -> PitchClass:
     return pc(value)
 
 
+def _integer(token: str, what: str = "integer", start: int = 0) -> int:
+    """An ASCII-digit integer with an optional minus (``int`` also reads ``1_1``, ``+4``)."""
+    if not (token.isascii() and token.strip().removeprefix("-").isdigit()):
+        raise ParseError(f"bad {what} {token!r}", start)
+    return int(token)
+
+
 def parse_pcs(text: str) -> list[PitchClass]:
     """Parse a comma-separated pitch-class list like ``0,4,7``.
 
-    Each item is an integer in 0..11, written in ASCII digits with an
-    optional leading minus (``int`` alone would also read ``1_1``, ``+4``
-    and non-ASCII digits); blank items are skipped, and at least one item
-    must remain.
+    Each item is an integer in 0..11 (see ``_integer``); blank items are
+    skipped, and at least one item must remain.
     """
     values = []
     position = 0
@@ -59,9 +64,7 @@ def parse_pcs(text: str) -> list[PitchClass]:
         token = item.strip()
         if token:
             start = position + len(item) - len(item.lstrip())
-            if not (token.isascii() and token.removeprefix("-").isdigit()):
-                raise ParseError(f"bad pitch class {token!r}", start)
-            value = int(token)
+            value = _integer(token, "pitch class", start)
             if not 0 <= value <= 11:
                 raise ParseError(f"pitch class {value} is not in 0..11", start)
             values.append(value)
@@ -99,7 +102,22 @@ class Chord:
         return f"Chord({list(self.notes)})"
 
 
-class ChordQuality(Enum):
+class _Quality:
+    """A chord shape as an Enum member: its symbol and its intervals above the root."""
+
+    def __init__(self, symbol: str, intervals: tuple[int, ...]):
+        self.symbol = symbol
+        self.intervals = intervals
+
+    @classmethod
+    def from_intervals(cls, intervals: tuple[int, ...]):
+        for q in cls:
+            if q.intervals == tuple(intervals):
+                return q
+        return None
+
+
+class ChordQuality(_Quality, Enum):
     """The seven seventh-chord types arising from scale harmonization.
 
     Declared in the order of the complexity table, which ``tcm --all``
@@ -114,10 +132,6 @@ class ChordQuality(Enum):
     MIN7 = ("-7", (0, 3, 7, 10))
     MIN7_FLAT5 = ("-7b5", (0, 3, 6, 10))
 
-    def __init__(self, symbol: str, intervals: tuple[int, int, int, int]):
-        self.symbol = symbol
-        self.intervals = intervals
-
     @classmethod
     def from_symbol(cls, symbol: str) -> "ChordQuality":
         for q in cls:
@@ -125,30 +139,12 @@ class ChordQuality(Enum):
                 return q
         raise KeyError(symbol)
 
-    @classmethod
-    def from_intervals(cls, intervals: tuple[int, ...]) -> "ChordQuality | None":
-        for q in cls:
-            if q.intervals == tuple(intervals):
-                return q
-        return None
 
-
-class TriadQuality(Enum):
+class TriadQuality(_Quality, Enum):
     MAJOR = ("", (0, 4, 7))
     MINOR = ("-", (0, 3, 7))
     DIMINISHED = ("-b5", (0, 3, 6))
     AUGMENTED = ("#5", (0, 4, 8))
-
-    def __init__(self, symbol: str, intervals: tuple[int, int, int]):
-        self.symbol = symbol
-        self.intervals = intervals
-
-    @classmethod
-    def from_intervals(cls, intervals: tuple[int, ...]) -> "TriadQuality | None":
-        for q in cls:
-            if q.intervals == tuple(intervals):
-                return q
-        return None
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -175,6 +176,14 @@ def test_usage_error_exit_code():
     assert out == "" and err.rstrip("\n").endswith("unknown scale 'bogus'")
     code, _, _ = capture([])
     assert code == 2
+    for argv, flag in (
+        (["decompose", "--notes", "0,2,4,5,7,9,11"], "--root"),
+        (["harmonize", "--scale", "major"], "--degree"),
+    ):
+        for token in ("1_0", "+3", "\u0663"):
+            code, out, err = capture([*argv, f"{flag}={token}"])
+            assert code == 2 and out == ""
+            assert err.splitlines()[-1].endswith(f"argument {flag}: bad integer {token!r}")
 
 
 @pytest.mark.parametrize(
@@ -249,3 +258,28 @@ def test_closed_stdout_ends_in_one_line(tmp_path):
     assert proc.returncode in (0, 1)
     assert len(err.splitlines()) <= 1
     assert "Traceback" not in err
+
+
+class _Discard:
+    """A stdout that keeps nothing it is given."""
+
+    def write(self, text):
+        pass
+
+
+def test_braid_memory_per_chord_is_small(tmp_path):
+    # tracemalloc counts allocations, not time, so the figure is deterministic.
+    # The parsed chords cost about 250 bytes each; holding every transition's
+    # leading and word as well costs about 1 KB per chord.
+    def peak(chords):
+        path = tmp_path / f"{chords}.prog"
+        path.write_text("\n".join(["Cmaj7", "A-7", "D-9", "G13b9", "F#o7"] * (chords // 5)) + "\n")
+        tracemalloc.start()
+        try:
+            assert run(["braid", "--file", str(path)], out=_Discard()) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(5)  # first-call caches are not a per-chord cost
+    assert (peak(20_000) - peak(5_000)) / 15_000 < 500
