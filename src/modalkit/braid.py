@@ -122,11 +122,16 @@ def parse_word(text: str, strands: int) -> BraidWord:
     position = 0
     letters: list[Letter] = []
     for token in text.split():
+        start = text.find(token, position)
+        position = start + len(token)
         m = _TOKEN.fullmatch(token)
-        if not m:
-            raise ParseError(f"bad braid token {token!r}", text.find(token, position))
-        position = text.find(token, position) + len(token)
-        letters.append((int(m.group(1)), -1 if m.group(2) else 1))
+        try:
+            index = int(m.group(1)) if m else None
+        except ValueError:  # more digits than int() converts, see sys.set_int_max_str_digits
+            index = None
+        if index is None:
+            raise ParseError(f"bad braid token {token!r}", start)
+        letters.append((index, -1 if m.group(2) else 1))
     return BraidWord(strands, tuple(letters))
 
 

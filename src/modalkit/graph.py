@@ -39,8 +39,9 @@ class DegreeLabel:
         return _LABEL_NAMES[(self.degree, self.semitones)]
 
     def note_name(self, root: PitchClass) -> str:
-        """Spell this degree over a root: letter from the degree, accidental
-        from the offset against the major scale."""
+        """Spell this degree over a root: the letter ``degree - 1`` steps above
+        the root's letter, with one sharp or flat per semitone from that
+        letter's natural pitch class above the root (``I`` over Bb is ``Bb``)."""
         letters = "CDEFGAB"
         root_letter = pc_name(root)[0]
         letter = letters[(letters.index(root_letter) + self.degree - 1) % 7]
@@ -61,6 +62,7 @@ class ModeGraph:
     quality: ChordQuality
     vertices: tuple[DegreeLabel, ...]
     edges: tuple[tuple[DegreeLabel, DegreeLabel], ...]
+    paths: tuple[AdmissiblePath, ...]  # root-to-seventh, in enumerate_admissible order
 
 
 @dataclass(frozen=True)
@@ -99,8 +101,8 @@ SPECIAL_NAMES: dict[tuple[int, ...], str] = {
 
 
 @functools.cache
-def _theory() -> dict[ChordQuality, tuple[ModeGraph, tuple[AdmissiblePath, ...]]]:
-    """Every quality's graph and admissible paths, derived once, in table order."""
+def _theory() -> dict[ChordQuality, ModeGraph]:
+    """Every quality's graph with its admissible paths, derived once, in table order."""
     theory = {}
     for q in ChordQuality:
         standard = standard_patterns(q)
@@ -119,13 +121,13 @@ def _theory() -> dict[ChordQuality, tuple[ModeGraph, tuple[AdmissiblePath, ...]]
             offsets = tuple(label.semitones for label in labels)
             name = standard.get(offsets) or SPECIAL_NAMES[offsets]
             paths.append(AdmissiblePath(labels, offsets not in standard, name))
-        theory[q] = (ModeGraph(q, vertices, edges), tuple(paths))
+        theory[q] = ModeGraph(q, vertices, edges, tuple(paths))
     return theory
 
 
 def build_graph(q: ChordQuality) -> ModeGraph:
     """The oriented graph of all degree choices the standard modes allow on q."""
-    return _theory()[q][0]
+    return _theory()[q]
 
 
 def euler_characteristic(g: ModeGraph) -> int:
@@ -149,21 +151,21 @@ def maximal_tree(g: ModeGraph) -> tuple[tuple[DegreeLabel, DegreeLabel], ...]:
 
 def tcm(q: ChordQuality) -> int:
     """Topological complexity: rank of the fundamental group, 1 - chi."""
-    return 1 - euler_characteristic(_theory()[q][0])
+    return 1 - euler_characteristic(_theory()[q])
 
 
 def enumerate_admissible(g: ModeGraph) -> list[AdmissiblePath]:
-    """All root-to-seventh paths taking one label per degree.
+    """All of g's root-to-seventh paths, each taking one label per degree.
 
     Deterministic order: lexicographic over the per-degree choices with the
     flatter alteration first.
     """
-    return list(_theory()[g.quality][1])
+    return list(g.paths)
 
 
 def special_modes(q: ChordQuality) -> list[AdmissiblePath]:
     """Admissible paths that are not standard modes."""
-    return [p for p in _theory()[q][1] if p.is_special]
+    return [p for p in _theory()[q].paths if p.is_special]
 
 
 # Degree lists printed in the source classification for the special modes.
@@ -212,7 +214,7 @@ def emit_dot(g: ModeGraph, root: PitchClass | None = None) -> str:
 @functools.cache
 def _paths_by_name() -> dict[str, tuple[ChordQuality, AdmissiblePath]]:
     """The 33 admissible modes by name; no two of them share a name."""
-    return {p.name: (q, p) for q, (_g, paths) in _theory().items() for p in paths}
+    return {p.name: (q, p) for q, g in _theory().items() for p in g.paths}
 
 
 def find_mode_by_name(name: str) -> tuple[ChordQuality, AdmissiblePath] | None:

@@ -102,12 +102,8 @@ class Mode:
 
 def standard_modes(s: ScaleType, root: PitchClass) -> list[ModalScale]:
     """The seven modes of a parent scale: one rotation per scale degree."""
-    parent = [pc(root + i) for i in s.step_pattern]
-    result = []
-    for i in range(7):
-        degrees = tuple(parent[(i + j) % 7] for j in range(7))
-        result.append(ModalScale(degrees[0], degrees, s.mode_names[i]))
-    return result
+    parent = tuple(pc(root + i) for i in s.step_pattern)
+    return [ModalScale(parent[i], parent[i:] + parent[:i], n) for i, n in enumerate(s.mode_names)]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ display convenience and never affect equality.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -32,24 +31,28 @@ def pc_name(value: PitchClass) -> str:
     return PC_NAMES[pc(value)]
 
 
+# The 21 note spellings, each letter plain, sharp and flat: the one note grammar.
+_SPELLINGS: dict[str, PitchClass] = {
+    letter + sign: pc(value + shift) for letter, value in NOTE_TO_PC.items()
+    for sign, shift in (("", 0), ("#", 1), ("b", -1))
+}
+
+
 def parse_note(text: str) -> PitchClass:
     """Parse a note name like ``C``, ``F#`` or ``Bb`` into a pitch class."""
-    m = re.fullmatch(r"([A-G])([#b]?)", text)
-    if not m:
+    if text not in _SPELLINGS:
         raise ParseError(f"unknown note name {text!r}")
-    value = NOTE_TO_PC[m.group(1)]
-    if m.group(2) == "#":
-        value += 1
-    elif m.group(2) == "b":
-        value -= 1
-    return pc(value)
+    return _SPELLINGS[text]
 
 
 def _integer(token: str, what: str = "integer", start: int = 0) -> int:
     """An ASCII-digit integer with an optional minus (``int`` also reads ``1_1``, ``+4``)."""
-    if not (token.isascii() and token.strip().removeprefix("-").isdigit()):
-        raise ParseError(f"bad {what} {token!r}", start)
-    return int(token)
+    if token.isascii() and token.strip().removeprefix("-").isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts, see sys.set_int_max_str_digits
+            pass
+    raise ParseError(f"bad {what} {token!r}", start)
 
 
 def parse_pcs(text: str) -> list[PitchClass]:
@@ -77,8 +80,9 @@ def parse_pcs(text: str) -> list[PitchClass]:
 class Chord:
     """An unordered multiset of pitch classes.
 
-    Stored as a sorted tuple so that equality and hashing are order-free.
-    Duplicate pitch classes are legal (they arise from voice padding).
+    Stored sorted and reduced mod 12, so equality and hashing are order-free.
+    Duplicates are legal: a pitch-class list with a repeated value, such as
+    the progression line ``x: 0,0,4``, gives ``Chord([0, 0, 4])``.
     """
 
     __slots__ = ("notes",)
@@ -153,7 +157,7 @@ class Triad:
     quality: TriadQuality
 
     def chord(self) -> Chord:
-        return Chord(pc(self.root + i) for i in self.quality.intervals)
+        return Chord(self.root + i for i in self.quality.intervals)
 
     def symbol(self) -> str:
         return f"{pc_name(self.root)}{self.quality.symbol}"
@@ -174,12 +178,12 @@ def parse_chord_symbol(text: str) -> tuple[PitchClass, Chord]:
 
     Returns (root pitch class, full pitch-class chord).
     """
-    m = re.match(r"([A-G])([#b]?)", text)
-    if not m:
+    root = text[:2] if text[:2] in _SPELLINGS else text[:1]
+    if root not in _SPELLINGS:
         raise ParseError(f"expected a root note in {text!r}", 0)
-    root = parse_note(m.group(0))
-    rest = text[m.end():]
+    rest = text[len(root):]
     intervals = _SYMBOL_INTERVALS.get(rest)
     if intervals is None:
-        raise ParseError(f"unknown chord quality {rest!r}", m.end())
-    return root, Chord(pc(root + i) for i in intervals)
+        raise ParseError(f"unknown chord quality {rest!r}", len(root))
+    value = _SPELLINGS[root]
+    return value, Chord(value + i for i in intervals)

@@ -229,6 +229,11 @@ def test_parse_errors():
         parse_word("s1 x2", strands=3)
     with pytest.raises(ParseError):
         parse_word("s\u0663", strands=12)  # an Arabic-Indic three
+    # more digits than int() converts: the whole token, at its position
+    token = "s" + "0" * 5000
+    with pytest.raises(ParseError) as info:
+        parse_word(f"s1 {token}", strands=12)
+    assert (info.value.message, info.value.position) == (f"bad braid token {token!r}", 3)
     with pytest.raises(IndexOutOfRange):
         parse_word("s9", strands=4)
 

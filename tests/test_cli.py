@@ -4,12 +4,16 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import modalkit
 from modalkit.cli import run
@@ -17,6 +21,9 @@ from modalkit.pitch import ChordQuality
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+
+# More digits than int() converts by default (4,300).
+HUGE = "0" * 5000
 
 
 def capture(argv):
@@ -180,7 +187,7 @@ def test_usage_error_exit_code():
         (["decompose", "--notes", "0,2,4,5,7,9,11"], "--root"),
         (["harmonize", "--scale", "major"], "--degree"),
     ):
-        for token in ("1_0", "+3", "\u0663"):
+        for token in ("1_0", "+3", "\u0663", HUGE):
             code, out, err = capture([*argv, f"{flag}={token}"])
             assert code == 2 and out == ""
             assert err.splitlines()[-1].endswith(f"argument {flag}: bad integer {token!r}")
@@ -239,7 +246,10 @@ def test_braid_bad_file_is_one_line_parse_error(tmp_path, content, detail):
     [(["decompose", "--root", "0"], "--notes"), (["approx", "--quality", "7", "--root", "B"], "--target")],
     ids=["decompose", "approx"],
 )
-@pytest.mark.parametrize("token", ["", " , ", "x", "0,x", "12", "-1", "0,-1", "0,1_1"])
+@pytest.mark.parametrize(
+    "token",
+    ["", " , ", "x", "0,x", "12", "-1", "0,-1", "0,1_1", pytest.param(HUGE, id="5000-digits")],
+)
 def test_bad_pitch_class_list_is_a_usage_error(argv, flag, token):
     code, out, err = capture([*argv, f"{flag}={token}"])
     assert code == 2 and out == ""
@@ -283,3 +293,112 @@ def test_braid_memory_per_chord_is_small(tmp_path):
 
     peak(5)  # first-call caches are not a per-chord cost
     assert (peak(20_000) - peak(5_000)) / 15_000 < 500
+
+
+# The error contract under fuzzing.  No drawn token holds a NUL: execve cannot
+# pass one in argv, and open() rejects one in a path with a ValueError of its own.
+
+FILE, MISSING = "<file>", "<missing>"
+# Valid and invalid values: notes, qualities, scales, integers, pitch-class lists, formats.
+NOTES = (["C", "F#", "Bb", "E#", "Cb"], ["H", "\u266f", "C\u266f", "c"])
+QUALITIES = ([q.symbol for q in ChordQuality], ["maj9", "\u00f87"])
+SCALES = (["major", "melodic-minor", "harmonic-minor"], ["dorian", "Major"])
+DEGREES = (["1", "4", "7"], ["0", "8", "-1", "1_0", "+3", "\u0663"])
+ROOTS = (["0", "5", "11"], ["12", "-1", "1_0", "+3", "\u0663"])
+PCS = (["0,4,7", "0,2,4,5,7,9,11", "11,0,2,3,5,6,8,9", "0,1,2,3,4,5,6", "0,0,4"], ["0,x", " , ", "12"])
+FORMATS = (["plain", "csv", "json"], ["xml"])
+# Each verb's options and the values each is tried with; None marks a switch.
+OPTIONS = {
+    "modes": {"--scale": SCALES, "--root": NOTES, "--format": FORMATS},
+    "harmonize": {"--scale": SCALES, "--degree": DEGREES, "--format": FORMATS},
+    "decompose": {"--notes": PCS, "--root": ROOTS},
+    "graph": {"--quality": QUALITIES, "--root": NOTES, "--dot": None},
+    "tcm": {"--quality": QUALITIES, "--all": None, "--format": FORMATS},
+    "admissible": {"--quality": QUALITIES, "--format": FORMATS},
+    "special": {"--quality": QUALITIES, "--paper-compat": None, "--format": FORMATS},
+    # --file only ever names the file that the test writes, or one that is missing
+    "braid": {"--file": ([FILE, MISSING], None), "--ascii": None},
+    "approx": {"--target": PCS, "--quality": QUALITIES, "--root": NOTES, "--format": FORMATS},
+}
+DIGIT_RUNS = st.integers(4290, 4310).map(lambda n: "1" * n)
+ODD_VALUES = st.one_of(
+    st.sampled_from(["", " ", "\t", "\n"]),
+    DIGIT_RUNS,
+    # junk without "-" or "/", so that it never abbreviates --file or names a path
+    st.text(st.characters(blacklist_characters="\x00-/"), max_size=4),
+)
+FLAGS = sorted({flag for options in OPTIONS.values() for flag in options} - {"--file"} | {"-h"})
+STRAY = st.one_of(st.sampled_from(FLAGS + NOTES[0] + ROOTS[0]), ODD_VALUES)
+
+
+def option(flag, values, odd):
+    """One option as argv tokens: a switch, ``flag value`` or ``flag=value``.
+
+    When odd, the option may be absent and its value invalid or junk; the
+    value of --file never is.
+    """
+    if values is None:
+        return st.sampled_from([[], [flag]])
+    good, bad = values
+    value = st.sampled_from(good)
+    if odd and flag != "--file":
+        value = st.one_of(value, st.sampled_from(bad), ODD_VALUES)
+    forms = [value.map(lambda v: [flag, v]), value.map(lambda v: [f"{flag}={v}"])]
+    return st.one_of(st.just([]), *forms) if odd else st.one_of(*forms)
+
+
+def verb_argv(verb, options, odd):
+    parts = [option(f, v, odd) for f, v in options.items()]
+    if odd:
+        parts.append(st.lists(STRAY, max_size=1))
+    return st.tuples(*parts).map(lambda parts: [verb, *(token for part in parts for token in part)])
+
+
+# Each verb comes once with valid values only, so that exit 0 and exit 1 are
+# reached, and once with absent options, invalid or junk values and a stray token.
+ARGV = st.one_of(
+    *(verb_argv(verb, options, odd=False) for verb, options in OPTIONS.items()),
+    *(verb_argv(verb, options, odd=True) for verb, options in [*OPTIONS.items(), ("junk", {})]),
+)
+GOOD_LINES = st.sampled_from(["Cmaj7", "F#o7", "G13b9", "Cb-7", "x: 0,4,7", "x: 0,0,4", "# c", ""])
+BAD_LINES = st.one_of(st.sampled_from(["Hm7", "C", "x: 0,"]), DIGIT_RUNS.map("x: 0,{}".format))
+CONTENT = st.one_of(
+    st.binary(max_size=64),
+    st.lists(GOOD_LINES, max_size=6).map("\n".join).map(str.encode),
+    st.lists(st.one_of(GOOD_LINES, BAD_LINES), max_size=6).map("\n".join).map(str.encode),
+)
+
+
+@given(ARGV, CONTENT)
+@example(["braid", "--file", FILE], f"x: 0,{HUGE}".encode())
+@example(["decompose", "--notes", "0,2,4,5,7,9,11", "--root", HUGE], b"")
+@example(["harmonize", "--scale", "major", f"--degree={HUGE}"], b"")
+@example(["approx", "--target", f"0,{HUGE}", "--quality", "7", "--root", "B"], b"")
+def test_every_argv_ends_in_exit_0_1_or_2(argv, content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "song.prog")
+        path.write_bytes(content)
+        missing = str(Path(tmp, "missing.prog"))
+        code, _, err = capture([t.replace(FILE, str(path)).replace(MISSING, missing) for t in argv])
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    elif code == 1:
+        assert re.fullmatch(r"[A-Z]\w*: [^\n]+\n", err)
+    else:
+        assert re.search(r"^modalkit( \w+)?: error: ", err, re.MULTILINE) and err.endswith("\n")
+        assert "adapter" not in err  # the usage error names no internal function
+
+
+def test_huge_integers_print_no_traceback(tmp_path):
+    path = tmp_path / "huge.prog"
+    path.write_text(f"x: 0,{HUGE}\n")
+    for argv, code, last in (
+        (["braid", "--file", str(path)], 1,
+         f"ParseError: bad pitch class {HUGE!r} on line 1 (at position 5)"),
+        (["decompose", "--notes", "0,2,4,5,7,9,11", "--root", HUGE], 2,
+         f"argument --root: bad integer {HUGE!r}"),
+    ):
+        proc = run_subprocess(argv)
+        assert proc.returncode == code and "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].endswith(last)

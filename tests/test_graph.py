@@ -12,7 +12,9 @@ import pytest
 import modalkit
 from modalkit.graph import (
     SPECIAL_NAMES,
+    AdmissiblePath,
     DegreeLabel,
+    ModeGraph,
     build_graph,
     emit_dot,
     enumerate_admissible,
@@ -77,6 +79,25 @@ def test_admissible_counts_are_powers_of_two():
         paths = enumerate_admissible(build_graph(q))
         assert len(paths) == 2 ** tcm(q)
         assert len({p.offsets() for p in paths}) == len(paths)
+
+
+def test_diamonds_count_the_generators():
+    # the module docstring: degrees 1, 3, 5 and 7 carry one label, degrees 2, 4
+    # and 6 one or two, and each two-label degree adds one generator
+    taus = []
+    for q in ChordQuality:
+        labels = {d: sum(v.degree == d for v in build_graph(q).vertices) for d in range(1, 8)}
+        assert all(labels[d] == 1 for d in (1, 3, 5, 7))
+        assert all(labels[d] in (1, 2) for d in (2, 4, 6))
+        assert tcm(q) == sum(labels[d] == 2 for d in (2, 4, 6))
+        taus.append(tcm(q))
+    assert taus == [0, 1, 1, 2, 3, 3, 3]
+
+
+def test_enumerate_admissible_reads_its_graph():
+    path = AdmissiblePath((DegreeLabel(1, 0),), is_special=False, name="one label")
+    g = ModeGraph(ChordQuality.MAJ7, (DegreeLabel(1, 0),), (), (path,))
+    assert enumerate_admissible(g) == [path]
 
 
 def test_standard_plus_special_is_33():
@@ -220,6 +241,8 @@ def test_emit_dot_shape():
         (5, 6, 11, "F"),
         (6, 8, 1, "Bbb"),
         (7, 10, 2, "C"),
+        # one flat: B lies a semitone above the root Bb, though I is Bb major's own
+        (1, 0, 10, "Bb"),
     ],
 )
 def test_degree_label_note_names(degree, semitones, root, spelled):

@@ -21,6 +21,9 @@ from modalkit.leading import (
 from modalkit.leading import _reduced_moves
 from modalkit.pitch import _SYMBOL_INTERVALS, Chord, parse_chord_symbol
 
+# More digits than int() converts by default (4,300).
+HUGE = "0" * 5000
+
 
 def oracle_leadings(source, target):
     """All crossing-free assignments, brute forced over every bijection.
@@ -162,6 +165,8 @@ def test_parse_progression_formats():
     name, root, chord = p.chords[1]
     assert (name, root) == ("cluster", 0)
     assert chord == Chord([0, 1, 2])
+    # a repeated pitch class stays a duplicate in the chord
+    assert parse_progression("x: 0,0,4\n").chords[0][2] == Chord([0, 0, 4])
 
 
 def test_parse_progression_errors():
@@ -183,6 +188,9 @@ def test_parse_progression_errors():
         ("G7\ncl: 4,12\n", "pitch class 12 is not in 0..11 on line 2", 9, "12"),
         ("G7\n\ncl: 0,-1\n", "pitch class -1 is not in 0..11 on line 3", 10, "-1"),
         ("x: 1_1\n", "bad pitch class '1_1' on line 1", 3, "1_1"),
+        pytest.param(
+            f"x: 0,{HUGE}\n", f"bad pitch class {HUGE!r} on line 1", 5, HUGE, id="5000-digits"
+        ),
     ],
 )
 def test_parse_progression_error_names_line_and_offset(text, message, position, token):

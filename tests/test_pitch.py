@@ -1,11 +1,15 @@
 """Pitch classes, chords as multisets, qualities and chord-symbol parsing."""
 
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from modalkit.errors import ParseError
 from modalkit.pitch import (
+    _SYMBOL_INTERVALS,
+    NOTE_TO_PC,
     Chord,
     ChordQuality,
     Triad,
@@ -18,6 +22,60 @@ from modalkit.pitch import (
 )
 
 pcs = st.integers(min_value=-50, max_value=50)
+
+# More digits than int() converts by default (4,300).
+HUGE = "0" * 5000
+
+
+def reference_parse_note(text):
+    """The regex note parser that the table of 21 spellings replaced."""
+    m = re.fullmatch(r"([A-G])([#b]?)", text)
+    if not m:
+        raise ParseError(f"unknown note name {text!r}")
+    value = NOTE_TO_PC[m.group(1)]
+    if m.group(2) == "#":
+        value += 1
+    elif m.group(2) == "b":
+        value -= 1
+    return pc(value)
+
+
+def reference_parse_chord_symbol(text):
+    """The regex chord-symbol parser that the table of 21 spellings replaced."""
+    m = re.match(r"([A-G])([#b]?)", text)
+    if not m:
+        raise ParseError(f"expected a root note in {text!r}", 0)
+    root = reference_parse_note(m.group(0))
+    rest = text[m.end():]
+    intervals = _SYMBOL_INTERVALS.get(rest)
+    if intervals is None:
+        raise ParseError(f"unknown chord quality {rest!r}", m.end())
+    return root, Chord(pc(root + i) for i in intervals)
+
+
+def outcome(parse, text):
+    """What parse does with text: ("value", result) or ("error", message, position)."""
+    try:
+        return "value", parse(text)
+    except ParseError as exc:
+        return "error", exc.message, exc.position
+
+
+# Letters in and out of A-G, both accidentals and a Unicode sharp, digits, the
+# quality tokens and a non-ASCII letter.
+NOTE_TEXT = st.lists(
+    st.sampled_from([*"ABCDEFGHabcdefg#b\u266f0123456789-/\u00e9", *_SYMBOL_INTERVALS]),
+    max_size=6,
+).map("".join)
+
+
+@given(NOTE_TEXT)
+@example("")
+@example("Cb")
+@example("Db#maj7")
+def test_note_parsers_match_the_regex_reference(text):
+    assert outcome(parse_note, text) == outcome(reference_parse_note, text)
+    assert outcome(parse_chord_symbol, text) == outcome(reference_parse_chord_symbol, text)
 
 
 @given(pcs)
@@ -109,6 +167,16 @@ def test_parse_chord_symbol_rejects_junk():
         parse_chord_symbol("Xmaj7")
     with pytest.raises(ParseError):
         parse_chord_symbol("Cmaj9")
+    # the root is two characters only when they spell a note, so "C" ends at 1
+    for text, message, position in (
+        ("", "expected a root note in ''", 0),
+        ("H7", "expected a root note in 'H7'", 0),
+        ("C", "unknown chord quality ''", 1),
+        ("Cb", "unknown chord quality ''", 2),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_chord_symbol(text)
+        assert (info.value.message, info.value.position) == (message, position)
 
 
 def test_parse_pcs():
@@ -128,6 +196,8 @@ def test_parse_pcs():
         ("0,1_1", "bad pitch class '1_1'", 2),
         ("+4", "bad pitch class '+4'", 0),
         ("\u0663", "bad pitch class '\u0663'", 0),
+        # more digits than int() converts is a bad token, not a ValueError
+        pytest.param("0," + HUGE, f"bad pitch class {HUGE!r}", 2, id="5000-digits"),
     ],
 )
 def test_parse_pcs_errors(text, message, position):
