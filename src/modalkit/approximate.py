@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import AdmissiblePath, build_graph, enumerate_admissible, path_notes
-from .pitch import ChordQuality, PitchClass, pc
+from .pitch import ChordQuality, PitchClass, _Value, pc
 
 
 def hs_ws_scale(root: PitchClass) -> frozenset[PitchClass]:
@@ -13,15 +11,26 @@ def hs_ws_scale(root: PitchClass) -> frozenset[PitchClass]:
     return frozenset(pc(root + k) for k in (0, 1, 3, 4, 6, 7, 9, 10))
 
 
-@dataclass(frozen=True)
-class ScaleApproximation:
-    target: frozenset[PitchClass]
-    candidate: AdmissiblePath
-    root: PitchClass
-    notes: frozenset[PitchClass]
-    shared: int
-    dropped: frozenset[PitchClass]
-    added: frozenset[PitchClass]
+class ScaleApproximation(_Value):
+    __slots__ = ("target", "candidate", "root", "notes", "shared", "dropped", "added")
+
+    def __init__(
+        self,
+        target: frozenset[PitchClass],
+        candidate: AdmissiblePath,
+        root: PitchClass,
+        notes: frozenset[PitchClass],
+        shared: int,
+        dropped: frozenset[PitchClass],
+        added: frozenset[PitchClass],
+    ):
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "candidate", candidate)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "notes", notes)
+        object.__setattr__(self, "shared", shared)
+        object.__setattr__(self, "dropped", dropped)
+        object.__setattr__(self, "added", added)
 
 
 def approximate(

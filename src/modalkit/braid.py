@@ -10,7 +10,6 @@ the test suite proves equality exactly with Artin's action on a free group.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import (
     IndexOutOfRange,
@@ -19,16 +18,21 @@ from .errors import (
     PatternMismatch,
     StrandMismatch,
 )
+from .pitch import _Value
 
 Letter = tuple[int, int]  # (generator index, sign)
 
 
-@dataclass(frozen=True)
-class BraidWord:
-    strands: int
-    letters: tuple[Letter, ...] = ()
+class BraidWord(_Value):
+    __slots__ = ("strands", "letters")
+
+    def __init__(self, strands: int, letters: tuple[Letter, ...] = ()):
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", letters)
+        self.__post_init__()
 
     def __post_init__(self):
+        """The one validation of a word; bench/spans.py wraps it to count the letters."""
         if self.strands < 1:
             raise InvalidBraid("need at least one strand")
         for index, sign in self.letters:
@@ -43,12 +47,15 @@ class BraidWord:
         return len(self.letters)
 
 
-@dataclass(frozen=True)
-class BraidInvariants:
-    """Necessary conditions for braid equality."""
+class BraidInvariants(_Value):
+    """Necessary conditions for braid equality: the permutation, 1-based
+    (start position p ends at ``permutation[p-1]``), and the writhe."""
 
-    permutation: tuple[int, ...]  # 1-based: start position p ends at permutation[p-1]
-    writhe: int
+    __slots__ = ("permutation", "writhe")
+
+    def __init__(self, permutation: tuple[int, ...], writhe: int):
+        object.__setattr__(self, "permutation", permutation)
+        object.__setattr__(self, "writhe", writhe)
 
 
 def concatenate(first: BraidWord, *rest: BraidWord) -> BraidWord:

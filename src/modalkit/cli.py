@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
-import json
 import sys
 
 from . import braid as braid_mod
@@ -47,9 +45,14 @@ def _table(rows: list[dict[str, str]], fmt: str) -> str:
     if not rows:
         return ""
     keys = list(rows[0])
+    # json and csv are imported only here, so the other verbs start faster
     if fmt == "json":
+        import json
+
         return json.dumps(rows, indent=2) + "\n"
     if fmt == "csv":
+        import csv
+
         buffer = io.StringIO()
         writer = csv.DictWriter(buffer, fieldnames=keys, lineterminator="\n")
         writer.writeheader()
@@ -270,7 +273,11 @@ def run(argv: list[str], out=None, err=None) -> int:
     parser = build_parser()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = parser.parse_args(argv)
+            args, extra = parser.parse_known_args(argv)
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(map(repr, extra))}")
+            if args.verb == "graph" and args.root is not None and not args.dot:
+                parser.error("--root needs --dot")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

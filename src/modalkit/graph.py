@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .modes import _standard_catalog
-from .pitch import NOTE_TO_PC, ChordQuality, PitchClass, pc, pc_name
+from .pitch import NOTE_TO_PC, ChordQuality, PitchClass, _Value, pc, pc_name
 
 # Label spelling per (degree, semitone offset), following the figure
 # convention M=major, m=minor, P=perfect, a=augmented, d=diminished.
@@ -29,10 +28,36 @@ _LABEL_NAMES: dict[tuple[int, int], str] = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class DegreeLabel:
-    degree: int
-    semitones: int
+class DegreeLabel(_Value):
+    """A graph vertex: a scale degree and its semitones above the root.
+
+    Labels order by (degree, semitones).  Comparison and hashing are written
+    out: the inherited ones read the fields in a loop, about ten times slower.
+    """
+
+    __slots__ = ("degree", "semitones")
+
+    def __init__(self, degree: int, semitones: int):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "semitones", semitones)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is DegreeLabel:
+            return self.degree == other.degree and self.semitones == other.semitones
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.semitones))
+
+    def __lt__(self, other: DegreeLabel) -> bool:
+        if other.__class__ is DegreeLabel:
+            return (self.degree, self.semitones) < (other.degree, other.semitones)
+        return NotImplemented
+
+    def __le__(self, other: DegreeLabel) -> bool:
+        if other.__class__ is DegreeLabel:
+            return (self.degree, self.semitones) <= (other.degree, other.semitones)
+        return NotImplemented
 
     @property
     def name(self) -> str:
@@ -57,19 +82,29 @@ class DegreeLabel:
         return self.name
 
 
-@dataclass(frozen=True)
-class ModeGraph:
-    quality: ChordQuality
-    vertices: tuple[DegreeLabel, ...]
-    edges: tuple[tuple[DegreeLabel, DegreeLabel], ...]
-    paths: tuple[AdmissiblePath, ...]  # root-to-seventh, in enumerate_admissible order
+class ModeGraph(_Value):
+    __slots__ = ("quality", "vertices", "edges", "paths")
+
+    def __init__(
+        self,
+        quality: ChordQuality,
+        vertices: tuple[DegreeLabel, ...],
+        edges: tuple[tuple[DegreeLabel, DegreeLabel], ...],
+        paths: tuple[AdmissiblePath, ...],  # root-to-seventh, in enumerate_admissible order
+    ):
+        object.__setattr__(self, "quality", quality)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "paths", paths)
 
 
-@dataclass(frozen=True)
-class AdmissiblePath:
-    labels: tuple[DegreeLabel, ...]
-    is_special: bool
-    name: str = ""
+class AdmissiblePath(_Value):
+    __slots__ = ("labels", "is_special", "name")
+
+    def __init__(self, labels: tuple[DegreeLabel, ...], is_special: bool, name: str = ""):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "is_special", is_special)
+        object.__setattr__(self, "name", name)
 
     def offsets(self) -> tuple[int, ...]:
         return tuple(label.semitones for label in self.labels)

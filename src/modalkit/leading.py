@@ -20,11 +20,10 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .braid import BraidWord, concatenate
 from .errors import ParseError, SizeMismatch
-from .pitch import Chord, PitchClass, parse_chord_symbol, parse_pcs, pc
+from .pitch import Chord, PitchClass, _Value, parse_chord_symbol, parse_pcs, pc
 
 STRANDS = 12
 
@@ -34,16 +33,16 @@ def arc_distance(a: int, b: int) -> int:
     return min(pc(a - b), pc(b - a))
 
 
-@dataclass(frozen=True)
-class VoiceLeading:
+class VoiceLeading(_Value):
     """Order-preserving voice assignment between two sorted note lists."""
 
-    source: tuple[PitchClass, ...]
-    target: tuple[PitchClass, ...]
+    __slots__ = ("source", "target")
 
-    def __post_init__(self):
-        if len(self.source) != len(self.target):
-            raise SizeMismatch(f"{len(self.source)} voices vs {len(self.target)}")
+    def __init__(self, source: tuple[PitchClass, ...], target: tuple[PitchClass, ...]):
+        if len(source) != len(target):
+            raise SizeMismatch(f"{len(source)} voices vs {len(target)}")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
 
     def pairs(self) -> tuple[tuple[PitchClass, PitchClass], ...]:
         return tuple(zip(self.source, self.target))
@@ -122,15 +121,15 @@ def braid_of_leading(v: VoiceLeading) -> BraidWord:
     return BraidWord(STRANDS, tuple(letters))
 
 
-@dataclass(frozen=True)
-class Progression:
+class Progression(_Value):
     """A sequence of one or more labelled chords."""
 
-    chords: tuple[tuple[str, PitchClass, Chord], ...]
+    __slots__ = ("chords",)
 
-    def __post_init__(self):
-        if not self.chords:
+    def __init__(self, chords: tuple[tuple[str, PitchClass, Chord], ...]):
+        if not chords:
             raise ParseError("the progression has no chords", 0)
+        object.__setattr__(self, "chords", chords)
 
     def leadings(self) -> Iterator[VoiceLeading]:
         """Each chord transition's leading, built only as the caller asks for it."""

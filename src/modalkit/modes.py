@@ -10,11 +10,10 @@ the 12 special modes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import IndexOutOfRange, NotAMode
-from .pitch import Chord, ChordQuality, PitchClass, Triad, TriadQuality, pc
+from .pitch import Chord, ChordQuality, PitchClass, Triad, TriadQuality, _Value, pc
 
 
 class ScaleType(Enum):
@@ -55,37 +54,37 @@ class ScaleType(Enum):
         raise KeyError(label)
 
 
-@dataclass(frozen=True)
-class ModalScale:
+class ModalScale(_Value):
     """An ordered seven-degree scale: root first, then ascending degrees."""
 
-    root: PitchClass
-    degrees: tuple[PitchClass, ...]
-    name: str = ""
+    __slots__ = ("root", "degrees", "name")
 
-    def __post_init__(self):
-        if len(self.degrees) != 7 or len(set(self.degrees)) != 7:
-            raise NotAMode(f"need 7 distinct pitch classes, got {self.degrees}")
-        if self.degrees[0] != self.root:
+    def __init__(self, root: PitchClass, degrees: tuple[PitchClass, ...], name: str = ""):
+        if len(degrees) != 7 or len(set(degrees)) != 7:
+            raise NotAMode(f"need 7 distinct pitch classes, got {degrees}")
+        if degrees[0] != root:
             raise NotAMode("first degree must be the root")
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "name", name)
 
     def offsets(self) -> tuple[int, ...]:
         """Semitone offsets of each degree above the root."""
         return tuple(pc(d - self.root) for d in self.degrees)
 
 
-@dataclass(frozen=True)
-class Mode:
+class Mode(_Value):
     """A scale split into a base chord (degrees 1-3-5-7) stacking to a
     seventh chord and a tension chord (degrees 2-4-6), not always a triad."""
 
-    base: Chord
-    tension: Chord
-    scale: ModalScale
+    __slots__ = ("base", "tension", "scale")
 
-    def __post_init__(self):
-        degrees = self.scale.degrees
-        if self.base != Chord(degrees[0::2]) or self.tension != Chord(degrees[1::2]):
+    def __init__(self, base: Chord, tension: Chord, scale: ModalScale):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "tension", tension)
+        object.__setattr__(self, "scale", scale)
+        degrees = scale.degrees
+        if base != Chord(degrees[0::2]) or tension != Chord(degrees[1::2]):
             raise NotAMode(f"base and tension are not degrees 1,3,5,7 and 2,4,6 of {degrees}")
         if self.base_quality() is None:
             raise NotAMode(f"degrees 1,3,5,7 of {degrees} fit no seventh chord")
@@ -106,13 +105,15 @@ def standard_modes(s: ScaleType, root: PitchClass) -> list[ModalScale]:
     return [ModalScale(parent[i], parent[i:] + parent[:i], n) for i, n in enumerate(s.mode_names)]
 
 
-@dataclass(frozen=True)
-class StandardMode:
+class StandardMode(_Value):
     """A standard mode without a root: its name, offsets and base quality."""
 
-    name: str
-    offsets: tuple[int, ...]
-    quality: ChordQuality
+    __slots__ = ("name", "offsets", "quality")
+
+    def __init__(self, name: str, offsets: tuple[int, ...], quality: ChordQuality):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "quality", quality)
 
 
 @functools.cache

@@ -8,7 +8,6 @@ display convenience and never affect equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -75,6 +74,43 @@ def parse_pcs(text: str) -> list[PitchClass]:
     if not values:
         raise ParseError("empty pitch-class list", 0)
     return values
+
+
+class _Value:
+    """An immutable record: its fields are its ``__slots__``, set once by ``__init__``.
+
+    Like a frozen dataclass, it equals an instance of its own type with equal
+    fields, hashes by them and shows as ``Name(field=value, ...)``.  Each
+    subclass's ``__init__`` takes the fields in ``__slots__`` order and sets
+    them with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild the record through __init__, which checks it again
+        return type(self), self._values()
 
 
 class Chord:
@@ -151,10 +187,12 @@ class TriadQuality(_Quality, Enum):
     AUGMENTED = ("#5", (0, 4, 8))
 
 
-@dataclass(frozen=True)
-class Triad:
-    root: PitchClass
-    quality: TriadQuality
+class Triad(_Value):
+    __slots__ = ("root", "quality")
+
+    def __init__(self, root: PitchClass, quality: TriadQuality):
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "quality", quality)
 
     def chord(self) -> Chord:
         return Chord(self.root + i for i in self.quality.intervals)

@@ -133,6 +133,39 @@ def test_graph_summary_lists_tau():
     assert "vertices=10 edges=12 chi=-2 tau=3" in out
 
 
+def test_graph_root_needs_dot():
+    code, out, err = capture(["graph", "--quality", "7", "--root", "F#"])
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "modalkit: error: --root needs --dot"
+    code, out, _ = capture(["graph", "--root", "F#", "--quality", "7", "--dot"])
+    assert code == 0 and '"F#" -> ' in out
+
+
+def test_unrecognized_arguments_are_quoted():
+    code, out, err = capture(["tcm", "--all", "a\nb", "--bogus"])
+    assert code == 2 and out == ""
+    assert err.endswith("\nmodalkit: error: unrecognized arguments: 'a\\nb' '--bogus'\n")
+
+
+# Run in a fresh interpreter: the modules named here that this process has
+# already loaded must not be among those that importing modalkit.cli adds.
+# .github/workflows/tests.yml runs the same check on the installed package.
+STARTUP_CHECK = (
+    "import sys; before = set(sys.modules); import modalkit.cli; "
+    "print(*sorted(set(sys.modules) - before))"
+)
+
+
+def test_cli_start_up_imports_only_what_every_verb_needs():
+    command, env = cli_command([])
+    loaded = subprocess.run([sys.executable, "-c", STARTUP_CHECK], capture_output=True,
+                            text=True, env=env, check=True).stdout.split()
+    assert not {"dataclasses", "inspect", "json", "csv"} & set(loaded)
+    # bench/workloads.py:library() reads every layer from sys.modules after `import modalkit`
+    layers = ("pitch", "modes", "graph", "approximate", "leading", "braid", "errors", "cli")
+    assert {f"modalkit.{layer}" for layer in layers} <= set(loaded)
+
+
 def test_admissible_counts():
     code, out, _ = capture(["admissible", "--quality", "maj7"])
     assert code == 0
@@ -374,6 +407,8 @@ CONTENT = st.one_of(
 @example(["decompose", "--notes", "0,2,4,5,7,9,11", "--root", HUGE], b"")
 @example(["harmonize", "--scale", "major", f"--degree={HUGE}"], b"")
 @example(["approx", "--target", f"0,{HUGE}", "--quality", "7", "--root", "B"], b"")
+@example(["tcm", "--all", "a\nb"], b"")
+@example(["graph", "--quality", "7", "--root", "F#"], b"")
 def test_every_argv_ends_in_exit_0_1_or_2(argv, content):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "song.prog")
@@ -386,7 +421,8 @@ def test_every_argv_ends_in_exit_0_1_or_2(argv, content):
     elif code == 1:
         assert re.fullmatch(r"[A-Z]\w*: [^\n]+\n", err)
     else:
-        assert re.search(r"^modalkit( \w+)?: error: ", err, re.MULTILINE) and err.endswith("\n")
+        # the usage, then the error on one last line
+        assert re.search(r"(\A|\n)modalkit( \w+)?: error: [^\n]+\n\Z", err)
         assert "adapter" not in err  # the usage error names no internal function
 
 

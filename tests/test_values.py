@@ -1,0 +1,159 @@
+"""The 12 value types behave as frozen dataclasses: field equality and hashing,
+``Name(field=value, ...)`` reprs, no assignment, keyword construction with
+defaults, copies and pickles, and ``DegreeLabel`` ordering."""
+
+import copy
+import itertools
+import pickle
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from modalkit import (
+    AdmissiblePath,
+    BraidInvariants,
+    BraidWord,
+    Chord,
+    ChordQuality,
+    DegreeLabel,
+    ModalScale,
+    Mode,
+    ModeGraph,
+    Progression,
+    ScaleApproximation,
+    Triad,
+    TriadQuality,
+    VoiceLeading,
+    approximate,
+    build_graph,
+    hs_ws_scale,
+)
+from modalkit.modes import StandardMode
+
+IONIAN = (0, 2, 4, 5, 7, 9, 11)
+DORIAN_ON_D = (2, 4, 5, 7, 9, 11, 0)
+MAJ7, DOM7 = build_graph(ChordQuality.MAJ7), build_graph(ChordQuality.DOM7)
+RANKED = approximate(hs_ws_scale(11), ChordQuality.DOM7, 11)
+
+
+def graph_fields(g):
+    return dict(quality=g.quality, vertices=g.vertices, edges=g.edges, paths=g.paths)
+
+
+def path_fields(p):
+    return dict(labels=p.labels, is_special=p.is_special, name=p.name)
+
+
+def approximation_fields(a):
+    return dict(target=a.target, candidate=a.candidate, root=a.root, notes=a.notes,
+                shared=a.shared, dropped=a.dropped, added=a.added)
+
+
+# Two field sets per type, in the order of the type's fields; they differ in some field.
+SAMPLES = {
+    Triad: (dict(root=2, quality=TriadQuality.MINOR), dict(root=2, quality=TriadQuality.MAJOR)),
+    ModalScale: (dict(root=0, degrees=IONIAN, name="ionian"), dict(root=0, degrees=IONIAN, name="")),
+    Mode: (
+        dict(base=Chord([0, 4, 7, 11]), tension=Chord([2, 5, 9]), scale=ModalScale(0, IONIAN)),
+        dict(base=Chord([2, 5, 9, 0]), tension=Chord([4, 7, 11]), scale=ModalScale(2, DORIAN_ON_D)),
+    ),
+    StandardMode: (
+        dict(name="ionian", offsets=IONIAN, quality=ChordQuality.MAJ7),
+        dict(name="ionian", offsets=IONIAN, quality=ChordQuality.DOM7),
+    ),
+    DegreeLabel: (dict(degree=2, semitones=3), dict(degree=2, semitones=1)),
+    ModeGraph: (graph_fields(MAJ7), graph_fields(DOM7)),
+    AdmissiblePath: (path_fields(MAJ7.paths[0]), path_fields(MAJ7.paths[1])),
+    ScaleApproximation: (approximation_fields(RANKED[0]), approximation_fields(RANKED[1])),
+    BraidWord: (dict(strands=3, letters=((1, 1), (2, -1))), dict(strands=4, letters=((1, 1), (2, -1)))),
+    BraidInvariants: (dict(permutation=(2, 1, 3), writhe=1), dict(permutation=(2, 1, 3), writhe=-1)),
+    VoiceLeading: (dict(source=(0, 4, 7), target=(2, 5, 9)), dict(source=(0, 4, 7), target=(0, 4, 7))),
+    Progression: (
+        dict(chords=(("C", 0, Chord([0, 4, 7])),)),
+        dict(chords=(("C", 0, Chord([0, 4, 7])), ("D-", 2, Chord([2, 5, 9])))),
+    ),
+}
+TYPES = list(SAMPLES)
+
+
+def test_every_value_type_is_sampled():
+    assert len(TYPES) == 12
+    for cls in TYPES:
+        assert not hasattr(cls(**SAMPLES[cls][0]), "__dict__")
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda cls: cls.__name__)
+def test_equal_fields_make_equal_values(cls):
+    first, second = SAMPLES[cls]
+    a, b, c = cls(**first), cls(**first), cls(**second)
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != c and not a == c
+    assert cls(*first.values()) == a
+    assert len({a, b, c}) == 2
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda cls: cls.__name__)
+def test_values_of_other_types_and_tuples_differ(cls):
+    fields = SAMPLES[cls][0]
+    value = cls(**fields)
+    assert value != tuple(fields.values()) and tuple(fields.values()) != value
+    if len(fields) == 1:
+        assert value != next(iter(fields.values()))
+    for other in TYPES:
+        if other is not cls:
+            assert value != other(**SAMPLES[other][0])
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda cls: cls.__name__)
+def test_fields_cannot_be_set_or_deleted(cls):
+    fields = SAMPLES[cls][0]
+    value = cls(**fields)
+    for name, new in zip(fields, SAMPLES[cls][1].values()):
+        with pytest.raises(AttributeError):
+            setattr(value, name, new)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert value == cls(**fields)
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda cls: cls.__name__)
+def test_repr_names_every_field(cls):
+    fields = SAMPLES[cls][0]
+    shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(cls(**fields)) == f"{cls.__name__}({shown})"
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda cls: cls.__name__)
+def test_copies_and_pickles_are_equal(cls):
+    value = cls(**SAMPLES[cls][0])
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is cls and twin == value
+
+
+def test_defaults_and_keywords():
+    assert BraidWord(12) == BraidWord(strands=12, letters=()) and BraidWord(12).letters == ()
+    assert ModalScale(0, IONIAN).name == ""
+    assert ModalScale(0, IONIAN, name="ionian") == ModalScale(root=0, degrees=IONIAN, name="ionian")
+    path = MAJ7.paths[0]
+    assert AdmissiblePath(path.labels, is_special=False).name == ""
+    assert ScaleApproximation(**approximation_fields(RANKED[0])) == RANKED[0]
+
+
+LABELS = st.builds(DegreeLabel, st.integers(1, 7), st.integers(0, 11))
+
+
+@given(st.lists(LABELS, max_size=12))
+def test_degree_labels_sort_by_degree_then_semitones(labels):
+    key = lambda label: (label.degree, label.semitones)  # noqa: E731
+    assert sorted(labels) == sorted(labels, key=key)
+    for a, b in itertools.product(labels, repeat=2):
+        assert (a < b, a <= b, a > b, a >= b) == (key(a) < key(b), key(a) <= key(b),
+                                                  key(a) > key(b), key(a) >= key(b))
+
+
+def test_degree_labels_do_not_order_against_tuples():
+    with pytest.raises(TypeError):
+        DegreeLabel(1, 0) < (1, 0)  # noqa: B015
