@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .graph import AdmissiblePath, build_graph, enumerate_admissible, path_notes
+from .graph import build_graph, enumerate_admissible, path_notes
 from .pitch import ChordQuality, PitchClass, _Value, pc
 
 
@@ -13,24 +13,6 @@ def hs_ws_scale(root: PitchClass) -> frozenset[PitchClass]:
 
 class ScaleApproximation(_Value):
     __slots__ = ("target", "candidate", "root", "notes", "shared", "dropped", "added")
-
-    def __init__(
-        self,
-        target: frozenset[PitchClass],
-        candidate: AdmissiblePath,
-        root: PitchClass,
-        notes: frozenset[PitchClass],
-        shared: int,
-        dropped: frozenset[PitchClass],
-        added: frozenset[PitchClass],
-    ):
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "candidate", candidate)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "notes", notes)
-        object.__setattr__(self, "shared", shared)
-        object.__setattr__(self, "dropped", dropped)
-        object.__setattr__(self, "added", added)
 
 
 def approximate(

@@ -23,13 +23,8 @@ from .pitch import _Value
 Letter = tuple[int, int]  # (generator index, sign)
 
 
-class BraidWord(_Value):
+class BraidWord(_Value, letters=()):
     __slots__ = ("strands", "letters")
-
-    def __init__(self, strands: int, letters: tuple[Letter, ...] = ()):
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "letters", letters)
-        self.__post_init__()
 
     def __post_init__(self):
         """The one validation of a word; bench/spans.py wraps it to count the letters."""
@@ -52,10 +47,6 @@ class BraidInvariants(_Value):
     (start position p ends at ``permutation[p-1]``), and the writhe."""
 
     __slots__ = ("permutation", "writhe")
-
-    def __init__(self, permutation: tuple[int, ...], writhe: int):
-        object.__setattr__(self, "permutation", permutation)
-        object.__setattr__(self, "writhe", writhe)
 
 
 def concatenate(first: BraidWord, *rest: BraidWord) -> BraidWord:

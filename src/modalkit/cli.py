@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import sys
 
@@ -197,11 +198,13 @@ def _cmd_approx(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # no option is read from a prefix of its name, such as --form for --format
+    parser_class = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = parser_class(
         prog="modalkit",
         description="Modal scales, base-chord graphs, braid words and voice leadings.",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
+    sub = parser.add_subparsers(dest="verb", required=True, parser_class=parser_class)
     quality = _lookup(ChordQuality.from_symbol, "unknown chord quality")
     scale = _lookup(modes_mod.ScaleType.from_label, "unknown scale")
     note = _lookup(parse_note, "unknown note name")

@@ -28,35 +28,15 @@ _LABEL_NAMES: dict[tuple[int, int], str] = {
 }
 
 
+@functools.total_ordering
 class DegreeLabel(_Value):
-    """A graph vertex: a scale degree and its semitones above the root.
-
-    Labels order by (degree, semitones).  Comparison and hashing are written
-    out: the inherited ones read the fields in a loop, about ten times slower.
-    """
+    """A graph vertex: a scale degree and its semitones above the root, ordered by both."""
 
     __slots__ = ("degree", "semitones")
 
-    def __init__(self, degree: int, semitones: int):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "semitones", semitones)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is DegreeLabel:
-            return self.degree == other.degree and self.semitones == other.semitones
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.semitones))
-
     def __lt__(self, other: DegreeLabel) -> bool:
         if other.__class__ is DegreeLabel:
-            return (self.degree, self.semitones) < (other.degree, other.semitones)
-        return NotImplemented
-
-    def __le__(self, other: DegreeLabel) -> bool:
-        if other.__class__ is DegreeLabel:
-            return (self.degree, self.semitones) <= (other.degree, other.semitones)
+            return self._fields(self) < self._fields(other)
         return NotImplemented
 
     @property
@@ -83,28 +63,13 @@ class DegreeLabel(_Value):
 
 
 class ModeGraph(_Value):
+    """A base-chord graph with its root-to-seventh ``paths`` in ``enumerate_admissible`` order."""
+
     __slots__ = ("quality", "vertices", "edges", "paths")
 
-    def __init__(
-        self,
-        quality: ChordQuality,
-        vertices: tuple[DegreeLabel, ...],
-        edges: tuple[tuple[DegreeLabel, DegreeLabel], ...],
-        paths: tuple[AdmissiblePath, ...],  # root-to-seventh, in enumerate_admissible order
-    ):
-        object.__setattr__(self, "quality", quality)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "paths", paths)
 
-
-class AdmissiblePath(_Value):
+class AdmissiblePath(_Value, name=""):
     __slots__ = ("labels", "is_special", "name")
-
-    def __init__(self, labels: tuple[DegreeLabel, ...], is_special: bool, name: str = ""):
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "is_special", is_special)
-        object.__setattr__(self, "name", name)
 
     def offsets(self) -> tuple[int, ...]:
         return tuple(label.semitones for label in self.labels)

@@ -38,11 +38,9 @@ class VoiceLeading(_Value):
 
     __slots__ = ("source", "target")
 
-    def __init__(self, source: tuple[PitchClass, ...], target: tuple[PitchClass, ...]):
-        if len(source) != len(target):
-            raise SizeMismatch(f"{len(source)} voices vs {len(target)}")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
+    def __post_init__(self):
+        if len(self.source) != len(self.target):
+            raise SizeMismatch(f"{len(self.source)} voices vs {len(self.target)}")
 
     def pairs(self) -> tuple[tuple[PitchClass, PitchClass], ...]:
         return tuple(zip(self.source, self.target))
@@ -126,10 +124,9 @@ class Progression(_Value):
 
     __slots__ = ("chords",)
 
-    def __init__(self, chords: tuple[tuple[str, PitchClass, Chord], ...]):
-        if not chords:
+    def __post_init__(self):
+        if not self.chords:
             raise ParseError("the progression has no chords", 0)
-        object.__setattr__(self, "chords", chords)
 
     def leadings(self) -> Iterator[VoiceLeading]:
         """Each chord transition's leading, built only as the caller asks for it."""

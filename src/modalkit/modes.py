@@ -54,19 +54,16 @@ class ScaleType(Enum):
         raise KeyError(label)
 
 
-class ModalScale(_Value):
+class ModalScale(_Value, name=""):
     """An ordered seven-degree scale: root first, then ascending degrees."""
 
     __slots__ = ("root", "degrees", "name")
 
-    def __init__(self, root: PitchClass, degrees: tuple[PitchClass, ...], name: str = ""):
-        if len(degrees) != 7 or len(set(degrees)) != 7:
-            raise NotAMode(f"need 7 distinct pitch classes, got {degrees}")
-        if degrees[0] != root:
+    def __post_init__(self):
+        if len(self.degrees) != 7 or len(set(self.degrees)) != 7:
+            raise NotAMode(f"need 7 distinct pitch classes, got {self.degrees}")
+        if self.degrees[0] != self.root:
             raise NotAMode("first degree must be the root")
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "name", name)
 
     def offsets(self) -> tuple[int, ...]:
         """Semitone offsets of each degree above the root."""
@@ -79,12 +76,9 @@ class Mode(_Value):
 
     __slots__ = ("base", "tension", "scale")
 
-    def __init__(self, base: Chord, tension: Chord, scale: ModalScale):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "tension", tension)
-        object.__setattr__(self, "scale", scale)
-        degrees = scale.degrees
-        if base != Chord(degrees[0::2]) or tension != Chord(degrees[1::2]):
+    def __post_init__(self):
+        degrees = self.scale.degrees
+        if self.base != Chord(degrees[0::2]) or self.tension != Chord(degrees[1::2]):
             raise NotAMode(f"base and tension are not degrees 1,3,5,7 and 2,4,6 of {degrees}")
         if self.base_quality() is None:
             raise NotAMode(f"degrees 1,3,5,7 of {degrees} fit no seventh chord")
@@ -109,11 +103,6 @@ class StandardMode(_Value):
     """A standard mode without a root: its name, offsets and base quality."""
 
     __slots__ = ("name", "offsets", "quality")
-
-    def __init__(self, name: str, offsets: tuple[int, ...], quality: ChordQuality):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "quality", quality)
 
 
 @functools.cache

@@ -8,6 +8,7 @@ display convenience and never affect equality.
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 from typing import Iterable
 
@@ -77,26 +78,40 @@ def parse_pcs(text: str) -> list[PitchClass]:
 
 
 class _Value:
-    """An immutable record: its fields are its ``__slots__``, set once by ``__init__``.
+    """An immutable record: its fields are its ``__slots__``.
 
-    Like a frozen dataclass, it equals an instance of its own type with equal
-    fields, hashes by them and shows as ``Name(field=value, ...)``.  Each
-    subclass's ``__init__`` takes the fields in ``__slots__`` order and sets
-    them with ``object.__setattr__``.
+    A subclass names each field once, in ``__slots__``, and gets an
+    ``__init__`` generated as dataclasses does it: the fields in that order,
+    by position or keyword, with defaults given as class keywords, as in
+    ``class BraidWord(_Value, letters=())``.  A subclass that checks its
+    fields defines ``__post_init__``, which ``__init__`` calls once they are
+    set.  Like a frozen dataclass, a record equals an instance of its own
+    type with equal fields, hashes by them and shows as ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init_subclass__(cls, **defaults):
+        super().__init_subclass__()
+        fields = cls.__slots__
+        if not defaults.keys() <= set(fields):
+            raise TypeError(f"{cls.__name__} defaults {sorted(defaults)} name no field of {fields}")
+        params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in fields)
+        lines = [f"def __init__(self{params}):", *(f"    _set(self, {n!r}, {n})" for n in fields)]
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")  # looked up per call, so a patch counts
+        namespace = {"_set": object.__setattr__, "_defaults": defaults}
+        exec("\n".join(lines), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls._fields = operator.attrgetter(*fields)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._fields(self) == self._fields(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._fields(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -110,7 +125,7 @@ class _Value:
 
     def __reduce__(self):
         # copy and pickle rebuild the record through __init__, which checks it again
-        return type(self), self._values()
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 class Chord:
@@ -189,10 +204,6 @@ class TriadQuality(_Quality, Enum):
 
 class Triad(_Value):
     __slots__ = ("root", "quality")
-
-    def __init__(self, root: PitchClass, quality: TriadQuality):
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "quality", quality)
 
     def chord(self) -> Chord:
         return Chord(self.root + i for i in self.quality.intervals)

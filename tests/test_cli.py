@@ -147,6 +147,24 @@ def test_unrecognized_arguments_are_quoted():
     assert err.endswith("\nmodalkit: error: unrecognized arguments: 'a\\nb' '--bogus'\n")
 
 
+PREFIXES = [
+    (["tcm", "--al"], "modalkit tcm: error: one of the arguments --quality --all is required"),
+    (["tcm", "--all", "--form", "json"], "modalkit: error: unrecognized arguments: '--form' 'json'"),
+    (["special", "--quality", "7", "--paper"], "modalkit: error: unrecognized arguments: '--paper'"),
+    (["modes", "--scale", "major", "--ro", "C"],
+     "modalkit modes: error: the following arguments are required: --root"),
+    (["tcm", "--=a\nb"], "modalkit tcm: error: one of the arguments --quality --all is required"),
+]
+
+
+@pytest.mark.parametrize("argv, last", PREFIXES, ids=[repr(" ".join(argv)) for argv, _ in PREFIXES])
+def test_option_prefixes_are_usage_errors(argv, last):
+    # an option is read only by its whole name, so no prefix is expanded to one
+    code, out, err = capture(argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == last
+
+
 # Run in a fresh interpreter: the modules named here that this process has
 # already loaded must not be among those that importing modalkit.cli adds.
 # .github/workflows/tests.yml runs the same check on the installed package.
@@ -160,7 +178,7 @@ def test_cli_start_up_imports_only_what_every_verb_needs():
     command, env = cli_command([])
     loaded = subprocess.run([sys.executable, "-c", STARTUP_CHECK], capture_output=True,
                             text=True, env=env, check=True).stdout.split()
-    assert not {"dataclasses", "inspect", "json", "csv"} & set(loaded)
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize", "json", "csv"} & set(loaded)
     # bench/workloads.py:library() reads every layer from sys.modules after `import modalkit`
     layers = ("pitch", "modes", "graph", "approximate", "leading", "braid", "errors", "cli")
     assert {f"modalkit.{layer}" for layer in layers} <= set(loaded)
@@ -357,8 +375,10 @@ DIGIT_RUNS = st.integers(4290, 4310).map(lambda n: "1" * n)
 ODD_VALUES = st.one_of(
     st.sampled_from(["", " ", "\t", "\n"]),
     DIGIT_RUNS,
-    # junk without "-" or "/", so that it never abbreviates --file or names a path
-    st.text(st.characters(blacklist_characters="\x00-/"), max_size=4),
+    # junk without "/", so that it never names a path
+    st.text(st.characters(blacklist_characters="\x00/"), max_size=4),
+    # option-like junk, such as '--=a\nb'
+    st.text(st.sampled_from("-=a\n"), max_size=5),
 )
 FLAGS = sorted({flag for options in OPTIONS.values() for flag in options} - {"--file"} | {"-h"})
 STRAY = st.one_of(st.sampled_from(FLAGS + NOTES[0] + ROOTS[0]), ODD_VALUES)
@@ -409,6 +429,7 @@ CONTENT = st.one_of(
 @example(["approx", "--target", f"0,{HUGE}", "--quality", "7", "--root", "B"], b"")
 @example(["tcm", "--all", "a\nb"], b"")
 @example(["graph", "--quality", "7", "--root", "F#"], b"")
+@example(["tcm", "--=a\nb"], b"")
 def test_every_argv_ends_in_exit_0_1_or_2(argv, content):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "song.prog")

@@ -1,8 +1,10 @@
 """The 12 value types behave as frozen dataclasses: field equality and hashing,
 ``Name(field=value, ...)`` reprs, no assignment, keyword construction with
-defaults, copies and pickles, and ``DegreeLabel`` ordering."""
+defaults, copies and pickles, and ``DegreeLabel`` ordering.  Each takes its
+``__slots__`` as parameters, and each field check runs once per build."""
 
 import copy
+import inspect
 import itertools
 import pickle
 
@@ -27,9 +29,15 @@ from modalkit import (
     VoiceLeading,
     approximate,
     build_graph,
+    concatenate,
+    free_reduce,
     hs_ws_scale,
+    parse_word,
+    rewrite_step,
 )
+from modalkit.errors import IndexOutOfRange, InvalidBraid, NotAMode, ParseError, SizeMismatch
 from modalkit.modes import StandardMode
+from modalkit.pitch import _Value
 
 IONIAN = (0, 2, 4, 5, 7, 9, 11)
 DORIAN_ON_D = (2, 4, 5, 7, 9, 11, 0)
@@ -157,3 +165,88 @@ def test_degree_labels_sort_by_degree_then_semitones(labels):
 def test_degree_labels_do_not_order_against_tuples():
     with pytest.raises(TypeError):
         DegreeLabel(1, 0) < (1, 0)  # noqa: B015
+
+
+# The only fields with a default.
+DEFAULTS = {BraidWord: {"letters": ()}, ModalScale: {"name": ""}, AdmissiblePath: {"name": ""}}
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda cls: cls.__name__)
+def test_signature_is_the_slots_in_order(cls):
+    parameters = inspect.signature(cls).parameters
+    assert list(parameters) == list(cls.__slots__) == list(SAMPLES[cls][0])
+    assert {p.kind for p in parameters.values()} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    defaults = {name: p.default for name, p in parameters.items() if p.default is not p.empty}
+    assert defaults == DEFAULTS.get(cls, {})
+
+
+def test_a_default_names_a_field():
+    with pytest.raises(TypeError, match=r"defaults \['nmae'\] name no field of \('name',\)"):
+        type("Named", (_Value,), {"__slots__": ("name",)}, nmae="")
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda cls: cls.__name__)
+def test_missing_or_unknown_fields_are_type_errors(cls):
+    fields = SAMPLES[cls][0]
+    with pytest.raises(TypeError):
+        cls(**fields, extra=1)
+    for name in fields.keys() - DEFAULTS.get(cls, {}).keys():
+        with pytest.raises(TypeError):
+            cls(**{k: v for k, v in fields.items() if k != name})
+
+
+@pytest.mark.parametrize(
+    "cls, fields, error, message",
+    [
+        (ModalScale, dict(root=0, degrees=IONIAN[:6]), NotAMode, "need 7 distinct pitch classes"),
+        (ModalScale, dict(root=0, degrees=(0, 2, 4, 5, 7, 9, 0)), NotAMode, "need 7 distinct"),
+        (ModalScale, dict(root=2, degrees=IONIAN), NotAMode, "first degree must be the root"),
+        (Mode, dict(base=Chord([0, 4, 7, 11]), tension=Chord([2, 5, 9]),
+                    scale=ModalScale(2, DORIAN_ON_D)), NotAMode, "base and tension are not"),
+        (Mode, dict(base=Chord([0, 2, 4, 6]), tension=Chord([1, 3, 5]),
+                    scale=ModalScale(0, tuple(range(7)))), NotAMode, "fit no seventh chord"),
+        (VoiceLeading, dict(source=(0, 4, 7), target=(2, 5)), SizeMismatch, "3 voices vs 2"),
+        (Progression, dict(chords=()), ParseError, "the progression has no chords"),
+        (BraidWord, dict(strands=0), InvalidBraid, "need at least one strand"),
+        (BraidWord, dict(strands=3, letters=((1, 1), (3, 1))), IndexOutOfRange, "s3 needs 4 strands"),
+        (BraidWord, dict(strands=3, letters=((1, 0),)), InvalidBraid, "sign must be"),
+    ],
+    ids=lambda value: value.__name__ if isinstance(value, type) else None,
+)
+def test_checks_reject_bad_fields(cls, fields, error, message):
+    with pytest.raises(error, match=message):
+        cls(**fields)
+
+
+CHECKED = [ModalScale, Mode, VoiceLeading, Progression, BraidWord]
+
+
+def counting_check(cls, monkeypatch):
+    """Patch cls.__post_init__, as bench/spans.py does, to record each value it checks."""
+    checked, check = [], cls.__post_init__
+    monkeypatch.setattr(cls, "__post_init__", lambda value: checked.append(value) or check(value))
+    return checked
+
+
+@pytest.mark.parametrize("cls", CHECKED, ids=lambda cls: cls.__name__)
+def test_copies_and_pickles_are_checked_again(cls, monkeypatch):
+    assert {c for c in TYPES if "__post_init__" in vars(c)} == set(CHECKED)
+    value = cls(**SAMPLES[cls][0])
+    checked = counting_check(cls, monkeypatch)
+    for make in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        twin = make(value)
+        assert checked.pop() is twin and not checked
+
+
+def test_patched_braid_check_runs_once_per_build(monkeypatch):
+    checked = counting_check(BraidWord, monkeypatch)
+    word = BraidWord(3, ((1, 1), (1, -1), (2, 1)))
+    builds = [
+        word,
+        BraidWord(strands=3),
+        concatenate(word, word, word),
+        free_reduce(word),
+        rewrite_step(word, "free_cancel", 0),
+        parse_word("s1 s2^-1", 3),
+    ]
+    assert list(map(id, checked)) == list(map(id, builds))
