@@ -133,8 +133,29 @@ def parse_word(text: str, strands: int) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
+# One token per letter (generator index, sign), and per strand count one
+# three-row drawing per letter: each filled when a word first uses the letter,
+# so they hold at most the letters of the strand counts in use.
+_TOKENS: dict[Letter, str] = {}
+_BLOCKS: dict[int, dict[Letter, str]] = {}
+
+
+def _token(letter: Letter) -> str:
+    i, sign = letter
+    token = _TOKENS[letter] = f"s{i}" if sign > 0 else f"s{i}^-1"
+    return token
+
+
 def serialize_word(w: BraidWord) -> str:
-    return " ".join(f"s{i}" if s > 0 else f"s{i}^-1" for i, s in w.letters)
+    return " ".join([_TOKENS.get(letter) or _token(letter) for letter in w.letters])
+
+
+def _block(blocks: dict[Letter, str], n: int, letter: Letter) -> str:
+    i, sign = letter
+    left, right = "| " * (i - 1), " |" * (n - i - 1)
+    middle = " / " if sign > 0 else " \\ "
+    block = blocks[letter] = f"{left}\\ /{right}\n{left}{middle}{right}\n{left}/ \\{right}\n"
+    return block
 
 
 def render_ascii(w: BraidWord) -> str:
@@ -145,9 +166,6 @@ def render_ascii(w: BraidWord) -> str:
     show ``/`` in the middle row, negative ones ``\\``.
     """
     n = w.strands
-    lines = [" ".join("|" * n)]
-    for i, sign in w.letters:
-        left, right = "| " * (i - 1), " |" * (n - i - 1)
-        middle = " / " if sign > 0 else " \\ "
-        lines += (left + "\\ /" + right, left + middle + right, left + "/ \\" + right)
-    return "\n".join(lines) + "\n"
+    blocks = _BLOCKS.setdefault(n, {})
+    drawn = [blocks.get(letter) or _block(blocks, n, letter) for letter in w.letters]
+    return " ".join("|" * n) + "\n" + "".join(drawn)

@@ -21,8 +21,8 @@ import itertools
 import re
 from collections.abc import Iterator
 
-from .braid import BraidWord, concatenate
-from .errors import ParseError, SizeMismatch
+from .braid import BraidWord, Letter, concatenate
+from .errors import IndexOutOfRange, ParseError, SizeMismatch
 from .pitch import Chord, PitchClass, _Value, parse_chord_symbol, parse_pcs, pc
 
 STRANDS = 12
@@ -34,13 +34,20 @@ def arc_distance(a: int, b: int) -> int:
 
 
 class VoiceLeading(_Value):
-    """Order-preserving voice assignment between two sorted note lists."""
+    """Order-preserving voice assignment between two sorted note lists.
+
+    Both lists hold the same number of voices, and every note is a pitch
+    class in 0..11, so each voice has a strand slot on 12 strands.
+    """
 
     __slots__ = ("source", "target")
 
     def __post_init__(self):
         if len(self.source) != len(self.target):
             raise SizeMismatch(f"{len(self.source)} voices vs {len(self.target)}")
+        for note in (*self.source, *self.target):
+            if not 0 <= note <= 11:
+                raise IndexOutOfRange(f"pitch class {note} is not in 0..11")
 
     def pairs(self) -> tuple[tuple[PitchClass, PitchClass], ...]:
         return tuple(zip(self.source, self.target))
@@ -74,27 +81,52 @@ def voice_leading(
 
 
 def _reduced_moves(v: VoiceLeading) -> list[tuple[int, int]]:
-    """Distinct (source slot, target slot) moves realizable by strands.
+    """Distinct (source slot, target slot) moves realizable by strands, sorted.
 
     Padding can duplicate a pitch class on either side; a physical strand
     can only make one move, so duplicate sources and duplicate targets
     each keep the single move with the smallest displacement (ties go to
-    ascending motion).  The result is strictly increasing in both slots.
+    ascending motion).  On a crossing-free leading, such as every one that
+    ``voice_leading`` builds, equal slots sit next to each other once the
+    moves are sorted, so one pass per side keeps each run's best move, and
+    the result is strictly increasing in both slots.  A side whose notes
+    repeat no pitch class needs no pass.
     """
+    moves = sorted([(s + 1, t + 1) for s, t in zip(v.source, v.target)])
+    if len(set(v.source)) < len(v.source):
+        moves = _best_of_runs(moves, 0)
+    if len(set(v.target)) < len(v.target):
+        moves = _best_of_runs(moves, 1)
+    return moves
 
-    def badness(move: tuple[int, int]) -> tuple[int, int]:
-        d = move[1] - move[0]
-        return (abs(d), 0 if d >= 0 else 1)
 
-    def keep_best(moves, side: int):
-        best: dict[int, tuple[int, int]] = {}
-        for move in moves:
-            kept = best.get(move[side])
-            if kept is None or badness(move) < badness(kept):
-                best[move[side]] = move
-        return best.values()
+def _best_of_runs(moves: list[tuple[int, int]], side: int) -> list[tuple[int, int]]:
+    """The first move of least (|d|, d < 0) from each run sharing a slot on ``side``."""
+    kept = [moves[0]]
+    for move in moves[1:]:
+        last = kept[-1]
+        if move[side] != last[side]:
+            kept.append(move)
+        else:
+            d, e = move[1] - move[0], last[1] - last[0]
+            if (abs(d), d < 0) < (abs(e), e < 0):
+                kept[-1] = move
+    return kept
 
-    return sorted(keep_best(keep_best(((s + 1, t + 1) for s, t in v.pairs()), 0), 1))
+
+# The letters that walk one voice from slot a to slot b, per move (a, b):
+# at most 12 x 12 entries, each filled when a move first needs it.
+_WALKS: dict[tuple[int, int], tuple[Letter, ...]] = {}
+
+
+def _walk(move: tuple[int, int]) -> tuple[Letter, ...]:
+    a, b = move
+    if b < a:
+        walk = tuple((i, -1) for i in range(a - 1, b - 1, -1))
+    else:
+        walk = tuple((i, 1) for i in range(a, b))
+    _WALKS[move] = walk
+    return walk
 
 
 def braid_of_leading(v: VoiceLeading) -> BraidWord:
@@ -108,14 +140,14 @@ def braid_of_leading(v: VoiceLeading) -> BraidWord:
     picks one word, not the braid: emitting the ascending voices first
     gives the same braid, which the test suite proves.
     """
-    letters: list[tuple[int, int]] = []
+    letters: list[Letter] = []
     moves = _reduced_moves(v)
-    descending = [m for m in moves if m[1] < m[0]]
-    ascending = [m for m in moves if m[1] > m[0]]
-    for a, b in descending:
-        letters.extend((i, -1) for i in range(a - 1, b - 1, -1))
-    for a, b in reversed(ascending):
-        letters.extend((i, 1) for i in range(a, b))
+    for move in moves:
+        if move[1] < move[0]:
+            letters += _WALKS.get(move) or _walk(move)
+    for move in reversed(moves):
+        if move[1] > move[0]:
+            letters += _WALKS.get(move) or _walk(move)
     return BraidWord(STRANDS, tuple(letters))
 
 
@@ -146,6 +178,15 @@ def braid_of_progression(p: Progression) -> BraidWord:
 
 _COMMENT = re.compile(r"(?:^|\s)#")
 
+# Each valid chord symbol parsed so far, shared by every line that spells it:
+# at most the 21 note spellings times the symbol grammar's quality tokens.
+_SYMBOLS: dict[str, tuple[PitchClass, Chord]] = {}
+
+
+def _parse_symbol(line: str) -> tuple[PitchClass, Chord]:
+    parsed = _SYMBOLS[line] = parse_chord_symbol(line)  # raises on a bad symbol, so it stays out
+    return parsed
+
 
 def parse_progression(text: str) -> Progression:
     """One chord per line: a chord symbol, or ``name: pc,pc,...``.
@@ -170,8 +211,8 @@ def parse_progression(text: str) -> Progression:
                 values = parse_pcs(body)
                 chords.append((name.strip(), values[0], Chord(values)))
             else:
-                root, chord = parse_chord_symbol(line)
-                chords.append((line, root, chord))
+                parsed = _SYMBOLS.get(line) or _parse_symbol(line)
+                chords.append((line, *parsed))
         except ParseError as exc:
             column = len(raw) - len(raw.lstrip()) + (len(name) + 1 if colon else 0)
             raise ParseError(

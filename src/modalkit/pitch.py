@@ -133,13 +133,21 @@ class Chord:
 
     Stored sorted and reduced mod 12, so equality and hashing are order-free.
     Duplicates are legal: a pitch-class list with a repeated value, such as
-    the progression line ``x: 0,0,4``, gives ``Chord([0, 0, 4])``.
+    the progression line ``x: 0,0,4``, gives ``Chord([0, 0, 4])``.  Like a
+    ``_Value`` it is immutable, so one parsed chord can serve many callers.
     """
 
     __slots__ = ("notes",)
+    notes: tuple[PitchClass, ...]
 
     def __init__(self, notes: Iterable[int]):
-        self.notes: tuple[PitchClass, ...] = tuple(sorted(pc(n) for n in notes))
+        object.__setattr__(self, "notes", tuple(sorted(pc(n) for n in notes)))
+
+    __setattr__ = _Value.__setattr__
+    __delattr__ = _Value.__delattr__
+
+    def __reduce__(self):
+        return Chord, (self.notes,)
 
     def __len__(self) -> int:
         return len(self.notes)

@@ -1,7 +1,7 @@
 """Braid words: parsing, invariants, rewriting, rendering."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from modalkit.braid import (
@@ -257,6 +257,17 @@ def test_invariants_match_strand_scan(w):
     assert invariants(w) == reference_invariants(w)
 
 
-@given(word_strategy(max_strands=12, max_len=40))
+@given(word_strategy(max_strands=30, max_len=40))
 def test_render_ascii_matches_row_drawing(w):
     assert render_ascii(w) == reference_render_ascii(w)
+
+
+def reference_serialize_word(w):
+    """One f-string per letter."""
+    return " ".join(f"s{i}" if s > 0 else f"s{i}^-1" for i, s in w.letters)
+
+
+@given(word_strategy(max_strands=30, max_len=40))
+@example(BraidWord(1))
+def test_serialize_word_matches_one_string_per_letter(w):
+    assert serialize_word(w) == reference_serialize_word(w)

@@ -49,6 +49,8 @@ def run_subprocess(argv):
         (["tcm", "--all"], "tcm_all.txt"),
         (["special", "--quality", "7"], "special_dom7.txt"),
         (["graph", "--quality", "o7", "--dot"], "graph_dim7.dot"),
+        (["braid", "--file", str(DATA / "peru.prog")], "braid_peru.txt"),
+        (["braid", "--file", str(DATA / "peru.prog"), "--ascii"], "braid_peru_ascii.txt"),
     ],
 )
 def test_golden_outputs(argv, golden):

@@ -4,9 +4,12 @@ import random
 from itertools import permutations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from modalkit import leading
 from modalkit.braid import BraidWord, invariants
-from modalkit.errors import ParseError, SizeMismatch
+from modalkit.errors import IndexOutOfRange, ParseError, SizeMismatch
 from modalkit.leading import (
     STRANDS,
     Progression,
@@ -19,7 +22,7 @@ from modalkit.leading import (
     voice_leading,
 )
 from modalkit.leading import _reduced_moves
-from modalkit.pitch import _SYMBOL_INTERVALS, Chord, parse_chord_symbol
+from modalkit.pitch import _SPELLINGS, _SYMBOL_INTERVALS, Chord, parse_chord_symbol
 
 # More digits than int() converts by default (4,300).
 HUGE = "0" * 5000
@@ -113,6 +116,55 @@ def test_reduced_moves_deduplicate_padding():
     slots = list(zip(*moves))
     assert list(slots[0]) == sorted(set(slots[0]))
     assert list(slots[1]) == sorted(set(slots[1]))
+
+
+def reference_reduced_moves(v):
+    """The two-pass form: per side a dict keeps each slot's best move, then a sort."""
+
+    def badness(move):
+        d = move[1] - move[0]
+        return (abs(d), 0 if d >= 0 else 1)
+
+    def keep_best(moves, side):
+        best = {}
+        for move in moves:
+            kept = best.get(move[side])
+            if kept is None or badness(move) < badness(kept):
+                best[move[side]] = move
+        return best.values()
+
+    return sorted(keep_best(keep_best(((s + 1, t + 1) for s, t in v.pairs()), 0), 1))
+
+
+notes = st.lists(st.integers(0, 11), min_size=1, max_size=7)
+
+
+@st.composite
+def leadings(draw):
+    """Leadings as voice_leading builds them: chords that may repeat pitch
+    classes, of equal size or padded with a declared or the lowest root."""
+    roots = st.none() | st.integers(0, 11)
+    a, b, a_root, b_root = draw(notes), draw(notes), draw(roots), draw(roots)
+    return voice_leading(Chord(a), Chord(b), a_root=a_root, b_root=b_root)
+
+
+@settings(max_examples=300)
+@given(leadings(), st.randoms(use_true_random=False))
+@example(VoiceLeading((0, 0, 1, 2), (1, 3, 5, 5)), random.Random(0))  # a target repeats after the source pass
+@example(VoiceLeading((2, 2, 2), (0, 4, 4)), random.Random(0))
+def test_reduced_moves_match_the_two_pass_form(v, rng):
+    assert _reduced_moves(v) == reference_reduced_moves(v)
+    # the same crossing-free leading, its voices listed in another order
+    pairs = list(v.pairs())
+    rng.shuffle(pairs)
+    shuffled = VoiceLeading(*map(tuple, zip(*pairs)))
+    assert _reduced_moves(shuffled) == reference_reduced_moves(v)
+
+
+@pytest.mark.parametrize("root", [13, -1])
+def test_leading_notes_are_pitch_classes(root):
+    with pytest.raises(IndexOutOfRange, match=rf"^pitch class {root} is not in 0\.\.11$"):
+        voice_leading(Chord([0, 4, 7]), Chord([0, 4, 7, 11]), a_root=root)
 
 
 def test_braid_of_leading_word_and_permutation():
@@ -238,3 +290,24 @@ def test_progression_line_parses_like_chord_symbol():
     for letter, accidental, token in product("CDEFGAB", ("", "#", "b"), _SYMBOL_INTERVALS):
         sym = letter + accidental + token
         assert parse_progression(sym).chords[0][1:] == parse_chord_symbol(sym), sym
+
+
+def test_only_valid_chord_symbols_are_kept():
+    before = dict(leading._SYMBOLS)
+    for junk in ("Hm7", "Cxx", "C7 7"):
+        with pytest.raises(ParseError):
+            parse_progression(junk)
+    parse_progression("cl: 0,4,7\nC7: 0,4\nCmaj7: 0,4,7,11\n")
+    assert leading._SYMBOLS == before
+    symbols = [root + token for root in _SPELLINGS for token in _SYMBOL_INTERVALS]
+    p = parse_progression("\n".join(symbols * 2))
+    assert set(leading._SYMBOLS) == set(symbols) and len(symbols) == 21 * 10
+    # a symbol's second line shares the first one's chord
+    half = len(symbols)
+    assert all(p.chords[i][2] is p.chords[i + half][2] for i in range(half))
+
+
+def test_walks_are_kept_per_move():
+    for s, t in product(range(12), repeat=2):
+        braid_of_leading(VoiceLeading((s,), (t,)))
+    assert set(leading._WALKS) == {(a, b) for a, b in product(range(1, 13), repeat=2) if a != b}

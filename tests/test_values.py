@@ -210,12 +210,30 @@ def test_missing_or_unknown_fields_are_type_errors(cls):
         (BraidWord, dict(strands=0), InvalidBraid, "need at least one strand"),
         (BraidWord, dict(strands=3, letters=((1, 1), (3, 1))), IndexOutOfRange, "s3 needs 4 strands"),
         (BraidWord, dict(strands=3, letters=((1, 0),)), InvalidBraid, "sign must be"),
+        (VoiceLeading, dict(source=(0, 4, 13), target=(2, 5, 9)), IndexOutOfRange,
+         "pitch class 13 is not in 0..11"),
+        (VoiceLeading, dict(source=(0, 4, 7), target=(-1, 5, 9)), IndexOutOfRange,
+         "pitch class -1 is not in 0..11"),
     ],
     ids=lambda value: value.__name__ if isinstance(value, type) else None,
 )
 def test_checks_reject_bad_fields(cls, fields, error, message):
     with pytest.raises(error, match=message):
         cls(**fields)
+
+
+def test_chords_cannot_be_changed():
+    # parse_progression hands one Chord to every line that spells its symbol
+    chord = Chord([7, 0, 4])
+    with pytest.raises(AttributeError):
+        chord.notes = (1,)
+    with pytest.raises(AttributeError):
+        del chord.notes
+    with pytest.raises(AttributeError):
+        chord.extra = 1
+    assert chord.notes == (0, 4, 7)
+    for twin in (copy.copy(chord), copy.deepcopy(chord), pickle.loads(pickle.dumps(chord))):
+        assert twin == chord and twin.notes == (0, 4, 7)
 
 
 CHECKED = [ModalScale, Mode, VoiceLeading, Progression, BraidWord]
