@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
-from .graph import build_graph, enumerate_admissible, path_notes
+import functools
+
+from .graph import AdmissiblePath, build_graph, path_notes
 from .pitch import ChordQuality, PitchClass, _Value, pc
 
 
 def hs_ws_scale(root: PitchClass) -> frozenset[PitchClass]:
     """The half-step/whole-step octatonic scale on a root."""
     return frozenset(pc(root + k) for k in (0, 1, 3, 4, 6, 7, 9, 10))
+
+
+@functools.cache
+def _candidates(q: ChordQuality, root: PitchClass) -> tuple[tuple[AdmissiblePath, frozenset], ...]:
+    """Each admissible path on (q, root pitch class) with its notes: at most 7 x 12 entries."""
+    return tuple((path, frozenset(path_notes(path, root))) for path in build_graph(q).paths)
 
 
 class ScaleApproximation(_Value):
@@ -26,8 +34,7 @@ def approximate(
     """
     target = frozenset(pc(n) for n in target)
     ranked = []
-    for path in enumerate_admissible(build_graph(q)):
-        notes = frozenset(path_notes(path, root))
+    for path, notes in _candidates(q, pc(root)):
         shared = len(target & notes)
         ranked.append(
             ScaleApproximation(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .modes import _standard_catalog
+from .modes import _names_by_offsets
 from .pitch import NOTE_TO_PC, ChordQuality, PitchClass, _Value, pc, pc_name
 
 # Label spelling per (degree, semitone offset), following the figure
@@ -80,7 +80,7 @@ class AdmissiblePath(_Value, name=""):
 
 def standard_patterns(q: ChordQuality) -> dict[tuple[int, ...], str]:
     """Offset tuples (and names) of the standard modes whose base chord is q."""
-    return {m.offsets: m.name for m in _standard_catalog().values() if m.quality is q}
+    return {offs: name for offs, name in _names_by_offsets().items() if offs[0::2] == q.intervals}
 
 
 # Canonical names for the twelve special modes, keyed by offset tuple.
@@ -198,7 +198,18 @@ PUBLISHED_SPECIALS: dict[ChordQuality, tuple[tuple[str, tuple[str, ...]], ...]] 
 
 def emit_dot(g: ModeGraph, root: PitchClass | None = None) -> str:
     """Render the graph as a DOT digraph; note names when a root is given."""
+    if _theory().get(g.quality) is g:
+        return _theory_dot(g.quality, None if root is None else pc(root))
+    return _render_dot(g, root)
 
+
+@functools.cache
+def _theory_dot(q: ChordQuality, root: PitchClass | None) -> str:
+    """``emit_dot`` of a theory graph per (quality, root pitch class or None): at most 7 x 13."""
+    return _render_dot(_theory()[q], root)
+
+
+def _render_dot(g: ModeGraph, root: PitchClass | None) -> str:
     def node(v: DegreeLabel) -> str:
         return v.name if root is None else v.note_name(root)
 

@@ -37,7 +37,11 @@ class VoiceLeading(_Value):
     """Order-preserving voice assignment between two sorted note lists.
 
     Both lists hold the same number of voices, and every note is a pitch
-    class in 0..11, so each voice has a strand slot on 12 strands.
+    class in 0..11, so each voice has a strand slot on 12 strands.  The
+    pairing is not checked to be crossing-free: ``voice_leading`` builds
+    only crossing-free leadings, but this constructor also takes a crossing
+    one such as ``VoiceLeading((0, 4), (5, 2))``, whose braid word from
+    ``braid_of_leading`` does not land its voices (see ``is_crossing_free``).
     """
 
     __slots__ = ("source", "target")
@@ -139,6 +143,11 @@ def braid_of_leading(v: VoiceLeading) -> BraidWord:
     so every chord strand lands exactly on its target slot.  That order
     picks one word, not the braid: emitting the ascending voices first
     gives the same braid, which the test suite proves.
+
+    The word realizes only a crossing-free leading.  A crossing one is not
+    rejected, and its word may send a voice elsewhere: for
+    ``VoiceLeading((0, 4), (5, 2))`` the word ``s4^-1 s3^-1 s1 s2 s3 s4 s5``
+    sends slot 5 to slot 2, not 3.
     """
     letters: list[Letter] = []
     moves = _reduced_moves(v)

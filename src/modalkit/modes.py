@@ -13,7 +13,7 @@ import functools
 from enum import Enum
 
 from .errors import IndexOutOfRange, NotAMode
-from .pitch import Chord, ChordQuality, PitchClass, Triad, TriadQuality, _Value, pc
+from .pitch import Chord, ChordQuality, PitchClass, Triad, TriadQuality, _members_by, _Value, pc
 
 
 class ScaleType(Enum):
@@ -48,10 +48,7 @@ class ScaleType(Enum):
 
     @classmethod
     def from_label(cls, label: str) -> "ScaleType":
-        for s in cls:
-            if s.label == label:
-                return s
-        raise KeyError(label)
+        return _members_by(cls, "label")[label]
 
 
 class ModalScale(_Value, name=""):
@@ -95,8 +92,16 @@ class Mode(_Value):
 
 def standard_modes(s: ScaleType, root: PitchClass) -> list[ModalScale]:
     """The seven modes of a parent scale: one rotation per scale degree."""
+    return list(_standard_modes(s, pc(root)))
+
+
+@functools.cache
+def _standard_modes(s: ScaleType, root: PitchClass) -> tuple[ModalScale, ...]:
+    """``standard_modes`` per (parent scale, root pitch class): at most 3 x 12 entries."""
     parent = tuple(pc(root + i) for i in s.step_pattern)
-    return [ModalScale(parent[i], parent[i:] + parent[:i], n) for i, n in enumerate(s.mode_names)]
+    return tuple(
+        ModalScale(parent[i], parent[i:] + parent[:i], n) for i, n in enumerate(s.mode_names)
+    )
 
 
 class StandardMode(_Value):
@@ -114,6 +119,12 @@ def _standard_catalog() -> dict[tuple[ScaleType, int], StandardMode]:
             quality = decompose(mode).base_quality()
             catalog[s, degree] = StandardMode(mode.name, mode.offsets(), quality)
     return catalog
+
+
+@functools.cache
+def _names_by_offsets() -> dict[tuple[int, ...], str]:
+    """The 21 standard mode names keyed by their offsets, which no two of them share."""
+    return {m.offsets: m.name for m in _standard_catalog().values()}
 
 
 def harmonize(s: ScaleType, degree: int) -> ChordQuality:
@@ -136,7 +147,7 @@ def recompose(base: Chord, tension: Chord, root: PitchClass) -> ModalScale:
     """
     degrees = tuple(sorted(set(base.notes) | set(tension.notes), key=lambda n: pc(n - root)))
     offsets = tuple(pc(d - root) for d in degrees)
-    name = next((m.name for m in _standard_catalog().values() if m.offsets == offsets), "")
+    name = _names_by_offsets().get(offsets, "")
     return Mode(base, tension, ModalScale(pc(root), degrees, name)).scale
 
 

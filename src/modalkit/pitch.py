@@ -8,6 +8,7 @@ display convenience and never affect equality.
 
 from __future__ import annotations
 
+import functools
 import operator
 from enum import Enum
 from typing import Iterable
@@ -165,6 +166,12 @@ class Chord:
         return f"Chord({list(self.notes)})"
 
 
+@functools.cache
+def _members_by(enum: type[Enum], field: str) -> dict:
+    """The members of an Enum keyed by one of their fields, which no two share; derived once."""
+    return {getattr(member, field): member for member in enum}
+
+
 class _Quality:
     """A chord shape as an Enum member: its symbol and its intervals above the root."""
 
@@ -174,10 +181,7 @@ class _Quality:
 
     @classmethod
     def from_intervals(cls, intervals: tuple[int, ...]):
-        for q in cls:
-            if q.intervals == tuple(intervals):
-                return q
-        return None
+        return _members_by(cls, "intervals").get(tuple(intervals))
 
 
 class ChordQuality(_Quality, Enum):
@@ -197,10 +201,7 @@ class ChordQuality(_Quality, Enum):
 
     @classmethod
     def from_symbol(cls, symbol: str) -> "ChordQuality":
-        for q in cls:
-            if q.symbol == symbol:
-                return q
-        raise KeyError(symbol)
+        return _members_by(cls, "symbol")[symbol]
 
 
 class TriadQuality(_Quality, Enum):

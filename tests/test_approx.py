@@ -1,7 +1,10 @@
 """Octatonic approximation by admissible modes."""
 
-from modalkit.approximate import approximate, hs_ws_scale
-from modalkit.pitch import ChordQuality
+import random
+
+from modalkit.approximate import ScaleApproximation, _candidates, approximate, hs_ws_scale
+from modalkit.graph import build_graph, enumerate_admissible, path_notes
+from modalkit.pitch import ChordQuality, pc
 
 
 def test_hs_ws_scale_shape():
@@ -45,3 +48,35 @@ def test_base_chord_always_fully_inside_candidate():
     for a in approximate(target, ChordQuality.DOM7, root):
         base = {(root + i) % 12 for i in ChordQuality.DOM7.intervals}
         assert base <= set(a.notes)
+
+
+def reference_approximate(target, q, root):
+    """approximate as it derived each candidate's notes on every call."""
+    target = frozenset(pc(n) for n in target)
+    ranked = []
+    for path in enumerate_admissible(build_graph(q)):
+        notes = frozenset(path_notes(path, root))
+        ranked.append(ScaleApproximation(target, path, pc(root), notes, len(target & notes),
+                                         target - notes, notes - target))
+    ranked.sort(key=lambda a: (-a.shared, len(a.added), a.candidate.name))
+    return ranked
+
+
+def test_candidates_match_path_notes():
+    for q in ChordQuality:
+        paths = enumerate_admissible(build_graph(q))
+        for root in range(12):
+            expected = tuple((p, frozenset(path_notes(p, root))) for p in paths)
+            assert _candidates(q, root) == expected
+    assert _candidates.cache_info().currsize <= 7 * 12
+
+
+def test_approximate_matches_the_per_call_derivation():
+    rng = random.Random(1306)
+    for q in ChordQuality:
+        for root in range(-12, 24):
+            target = set(rng.sample(range(-24, 36), rng.randint(0, 12)))
+            ranked = approximate(target, q, root)
+            assert ranked == reference_approximate(target, q, root)
+            assert ranked == approximate(target, q, root + 12)
+    assert _candidates.cache_info().currsize <= 7 * 12

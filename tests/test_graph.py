@@ -26,7 +26,8 @@ from modalkit.graph import (
     standard_patterns,
     tcm,
 )
-from modalkit.modes import all_standard_modes
+from modalkit.graph import _render_dot, _theory_dot
+from modalkit.modes import _standard_catalog, all_standard_modes
 from modalkit.pitch import ChordQuality
 
 # Frozen topology: quality -> (vertices, edges, chi, tau).
@@ -131,7 +132,15 @@ def test_importing_the_cli_derives_nothing():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     sizes = json.loads(proc.stdout)
-    assert {"modalkit.modes._standard_catalog", "modalkit.graph._theory"} <= set(sizes)
+    assert {
+        "modalkit.pitch._members_by",
+        "modalkit.modes._standard_catalog",
+        "modalkit.modes._standard_modes",
+        "modalkit.modes._names_by_offsets",
+        "modalkit.graph._theory",
+        "modalkit.graph._theory_dot",
+        "modalkit.approximate._candidates",
+    } <= set(sizes)
     assert set(sizes.values()) == {0}
 
 
@@ -227,6 +236,33 @@ def test_emit_dot_shape():
     assert sum("->" in ln for ln in lines) == 6
     named = emit_dot(build_graph(ChordQuality.DIM7), root=0)
     assert '"Eb" -> "Fb";' in named
+
+
+def test_emit_dot_table_matches_the_render():
+    for q in ChordQuality:
+        g = build_graph(q)
+        assert emit_dot(g) == _render_dot(g, None)
+        for root in range(-12, 24):
+            assert emit_dot(g, root) == _render_dot(g, root) == emit_dot(g, root + 12)
+    assert _theory_dot.cache_info().currsize <= 7 * 13
+
+
+def test_graphs_built_by_hand_are_rendered_from_their_own_fields():
+    g = build_graph(ChordQuality.DOM7)
+    copy = ModeGraph(g.quality, g.vertices, g.edges, g.paths)
+    assert copy == g and copy is not g
+    assert emit_dot(copy, 2) == emit_dot(g, 2)
+    other = ModeGraph(g.quality, g.vertices[:3], g.edges[:2], g.paths)
+    for root in (None, 0, 7):
+        assert emit_dot(other, root) == _render_dot(other, root) != emit_dot(g, root)
+    assert emit_dot(other).count(";") == 1 + 3 + 2
+
+
+def test_standard_patterns_match_a_scan_of_the_catalog():
+    for q in ChordQuality:
+        expected = {m.offsets: m.name for m in _standard_catalog().values() if m.quality is q}
+        assert list(standard_patterns(q).items()) == list(expected.items())
+    assert sum(len(standard_patterns(q)) for q in ChordQuality) == 21
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modalkit import leading
-from modalkit.braid import BraidWord, invariants
+from modalkit.braid import BraidWord, invariants, serialize_word
 from modalkit.errors import IndexOutOfRange, ParseError, SizeMismatch
 from modalkit.leading import (
     STRANDS,
@@ -186,6 +186,17 @@ def test_braid_moves_every_voice_to_its_slot():
         perm = invariants(braid_of_leading(v)).permutation
         for a, b in _reduced_moves(v):
             assert perm[a - 1] == b
+
+
+def test_crossing_leading_word_does_not_land_its_voices():
+    # braid_of_leading realizes only crossing-free leadings, as its docstring says
+    v = VoiceLeading((0, 4), (5, 2))
+    assert not v.is_crossing_free()
+    assert _reduced_moves(v) == [(1, 6), (5, 3)]
+    w = braid_of_leading(v)
+    assert serialize_word(w) == "s4^-1 s3^-1 s1 s2 s3 s4 s5"
+    perm = invariants(w).permutation
+    assert perm[0] == 6 and perm[4] == 2  # slot 5 ends on 2, not on its target 3
 
 
 def test_identity_leading_gives_empty_word():

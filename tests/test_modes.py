@@ -18,7 +18,7 @@ from modalkit.modes import (
     recompose,
     standard_modes,
 )
-from modalkit.pitch import Chord, ChordQuality, Triad, TriadQuality
+from modalkit.pitch import Chord, ChordQuality, Triad, TriadQuality, pc
 
 # Frozen catalog: (scale, mode name, offsets, base quality symbol,
 # tension root offset, tension triad quality).  Derived independently by
@@ -65,6 +65,38 @@ def test_standard_modes_transpose_with_root():
         for base, shifted in zip(standard_modes(s, 0), standard_modes(s, 5)):
             assert shifted.degrees == tuple((d + 5) % 12 for d in base.degrees)
             assert shifted.root == (base.root + 5) % 12
+
+
+def reference_standard_modes(s, root):
+    """The rotation that standard_modes derived on every call before it kept a table."""
+    parent = tuple(pc(root + i) for i in s.step_pattern)
+    return [ModalScale(parent[i], parent[i:] + parent[:i], n) for i, n in enumerate(s.mode_names)]
+
+
+def test_standard_modes_table_matches_the_rotation():
+    for s in ScaleType:
+        for root in range(-12, 24):
+            modes = standard_modes(s, root)
+            assert type(modes) is list
+            assert modes == reference_standard_modes(s, root)
+            assert standard_modes(s, root + 12) == modes
+
+
+def test_returned_mode_lists_do_not_share_the_table():
+    standard_modes(ScaleType.MAJOR, 2).clear()
+    modes = standard_modes(ScaleType.MAJOR, 2)
+    modes[0] = None
+    modes.append(None)
+    assert standard_modes(ScaleType.MAJOR, 14) == reference_standard_modes(ScaleType.MAJOR, 2)
+
+
+def test_scale_labels_match_a_scan_of_the_members():
+    for s in ScaleType:
+        assert ScaleType.from_label(s.label) is s
+    for label in ("", "minor", "Major", "melodic minor", "major "):
+        with pytest.raises(KeyError) as info:
+            ScaleType.from_label(label)
+        assert info.value.args == (label,)
 
 
 def test_all_standard_modes_count():

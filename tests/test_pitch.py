@@ -128,6 +128,24 @@ def test_quality_symbol_round_trip():
         assert ChordQuality.from_intervals(q.intervals) is q
     assert ChordQuality.from_intervals((0, 1, 2, 3)) is None
 
+    def scan(enum, field, key):
+        # the member loop that each lookup ran before it became a table
+        return next((m for m in enum if getattr(m, field) == key), None)
+
+    for enum in (ChordQuality, TriadQuality):
+        keys = [m.intervals for m in enum] + [(0, 1, 2, 3), (0, 4, 7), (), (0, 4, 7, 10, 2)]
+        for key in keys:
+            assert enum.from_intervals(key) is scan(enum, "intervals", key)
+            assert enum.from_intervals(list(key)) is scan(enum, "intervals", key)
+    for key in [q.symbol for q in ChordQuality] + ["", "maj", "-9", "M7", "7 "]:
+        expected = scan(ChordQuality, "symbol", key)
+        if expected is None:
+            with pytest.raises(KeyError) as info:
+                ChordQuality.from_symbol(key)
+            assert info.value.args == (key,)
+        else:
+            assert ChordQuality.from_symbol(key) is expected
+
 
 def test_triad():
     t = Triad(2, TriadQuality.MINOR)
