@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 
 from .graph import AdmissiblePath, build_graph, path_notes
-from .pitch import ChordQuality, PitchClass, _Value, pc
+from .pitch import ChordQuality, PitchClass, _root_pc, _Value, pc
 
 
 def hs_ws_scale(root: PitchClass) -> frozenset[PitchClass]:
@@ -32,15 +32,16 @@ def approximate(
 
     Shared count descending, then fewer added tensions, then name.
     """
+    root = _root_pc(root)
     target = frozenset(pc(n) for n in target)
     ranked = []
-    for path, notes in _candidates(q, pc(root)):
+    for path, notes in _candidates(q, root):
         shared = len(target & notes)
         ranked.append(
             ScaleApproximation(
                 target=target,
                 candidate=path,
-                root=pc(root),
+                root=root,
                 notes=notes,
                 shared=shared,
                 dropped=target - notes,

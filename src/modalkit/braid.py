@@ -117,26 +117,42 @@ _TOKEN = re.compile(r"s([0-9]+)(\^-1)?")
 
 def parse_word(text: str, strands: int) -> BraidWord:
     """Parse whitespace-separated tokens ``s<k>`` / ``s<k>^-1``, ``k`` in ASCII digits."""
-    position = 0
-    letters: list[Letter] = []
-    for token in text.split():
-        start = text.find(token, position)
-        position = start + len(token)
-        m = _TOKEN.fullmatch(token)
-        try:
-            index = int(m.group(1)) if m else None
-        except ValueError:  # more digits than int() converts, see sys.set_int_max_str_digits
-            index = None
-        if index is None:
-            raise ParseError(f"bad braid token {token!r}", start)
-        letters.append((index, -1 if m.group(2) else 1))
+    tokens = text.split()
+    try:
+        letters = [_LETTERS[token] for token in tokens]
+    except KeyError:  # a token not read before, or no token at all: read each by _TOKEN
+        letters = [_LETTERS.get(token) or _letter(text, tokens, k, strands)
+                   for k, token in enumerate(tokens)]
     return BraidWord(strands, tuple(letters))
 
 
-# One token per letter (generator index, sign), and per strand count one
-# three-row drawing per letter: each filled when a word first uses the letter,
-# so they hold at most the letters of the strand counts in use.
+def _letter(text: str, tokens: list[str], k: int, strands: int) -> Letter:
+    """The letter of ``tokens[k]``, which ``_LETTERS`` does not hold, read by ``_TOKEN``."""
+    token = tokens[k]
+    m = _TOKEN.fullmatch(token)
+    try:
+        index = int(m.group(1)) if m else None
+    except ValueError:  # more digits than int() converts, see sys.set_int_max_str_digits
+        index = None
+    if index is None:
+        end = 0
+        for earlier in tokens[:k + 1]:  # the offset of the k-th token, found left to right
+            start = text.find(earlier, end)
+            end = start + len(earlier)
+        raise ParseError(f"bad braid token {token!r}", start)
+    letter = (index, -1 if m.group(2) else 1)
+    if 1 <= index < strands and m.group(1)[0] != "0":  # as serialize_word spells it
+        _LETTERS[token] = letter
+    return letter
+
+
+# One token per letter (generator index, sign), its inverse, and per strand
+# count one three-row drawing per letter: each filled when a word first uses
+# the letter, so they hold at most the letters of the strand counts in use.
+# A token read back enters _LETTERS only as serialize_word spells it, and only
+# with a letter valid on its word's strand count.
 _TOKENS: dict[Letter, str] = {}
+_LETTERS: dict[str, Letter] = {}
 _BLOCKS: dict[int, dict[Letter, str]] = {}
 
 

@@ -39,7 +39,8 @@ class InvalidBraid(ModalkitError, ValueError):
 
 class IndexOutOfRange(ModalkitError, ValueError):
     """An index lies outside its range: a braid generator outside
-    [1, strands - 1], or a scale degree outside 1..7."""
+    [1, strands - 1], a scale degree outside 1..7, or a root that is not an
+    integer where a root keys a table of the theory."""
 
 
 class SizeMismatch(ModalkitError):

@@ -13,7 +13,7 @@ import functools
 import itertools
 
 from .modes import _names_by_offsets
-from .pitch import NOTE_TO_PC, ChordQuality, PitchClass, _Value, pc, pc_name
+from .pitch import NOTE_TO_PC, ChordQuality, PitchClass, _root_pc, _Value, pc, pc_name
 
 # Label spelling per (degree, semitone offset), following the figure
 # convention M=major, m=minor, P=perfect, a=augmented, d=diminished.
@@ -198,8 +198,10 @@ PUBLISHED_SPECIALS: dict[ChordQuality, tuple[tuple[str, tuple[str, ...]], ...]] 
 
 def emit_dot(g: ModeGraph, root: PitchClass | None = None) -> str:
     """Render the graph as a DOT digraph; note names when a root is given."""
+    if root is not None:
+        root = _root_pc(root)
     if _theory().get(g.quality) is g:
-        return _theory_dot(g.quality, None if root is None else pc(root))
+        return _theory_dot(g.quality, root)
     return _render_dot(g, root)
 
 

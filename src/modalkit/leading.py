@@ -21,11 +21,12 @@ import itertools
 import re
 from collections.abc import Iterator
 
-from .braid import BraidWord, Letter, concatenate
+from .braid import BraidWord, Letter
 from .errors import IndexOutOfRange, ParseError, SizeMismatch
 from .pitch import Chord, PitchClass, _Value, parse_chord_symbol, parse_pcs, pc
 
 STRANDS = 12
+_PITCH_CLASSES = frozenset(range(12))
 
 
 def arc_distance(a: int, b: int) -> int:
@@ -49,9 +50,11 @@ class VoiceLeading(_Value):
     def __post_init__(self):
         if len(self.source) != len(self.target):
             raise SizeMismatch(f"{len(self.source)} voices vs {len(self.target)}")
-        for note in (*self.source, *self.target):
-            if not 0 <= note <= 11:
-                raise IndexOutOfRange(f"pitch class {note} is not in 0..11")
+        notes = (*self.source, *self.target)
+        if not _PITCH_CLASSES.issuperset(notes):  # then name the first note out of range
+            for note in notes:
+                if not 0 <= note <= 11:
+                    raise IndexOutOfRange(f"pitch class {note} is not in 0..11")
 
     def pairs(self) -> tuple[tuple[PitchClass, PitchClass], ...]:
         return tuple(zip(self.source, self.target))
@@ -75,13 +78,18 @@ def voice_leading(
     Unequal sizes are reconciled by doubling the smaller chord's root
     (lowest pitch class when no root is declared).
     """
-    source = list(a.notes)
-    target = list(b.notes)
-    while len(source) < len(target):
-        source.append(a_root if a_root is not None else min(source))
-    while len(target) < len(source):
-        target.append(b_root if b_root is not None else min(target))
-    return VoiceLeading(tuple(sorted(source)), tuple(sorted(target)))
+    source, target = a.notes, b.notes  # a Chord keeps its notes sorted
+    if len(source) < len(target):
+        source = _padded(source, len(target), a_root)
+    elif len(target) < len(source):
+        target = _padded(target, len(source), b_root)
+    return VoiceLeading(source, target)
+
+
+def _padded(notes: tuple[PitchClass, ...], size: int, root: PitchClass | None):
+    """Sorted notes with the root (the lowest note when None) doubled up to ``size``."""
+    pad = min(notes) if root is None else root
+    return tuple(sorted(notes + (pad,) * (size - len(notes))))
 
 
 def _reduced_moves(v: VoiceLeading) -> list[tuple[int, int]]:
@@ -149,7 +157,11 @@ def braid_of_leading(v: VoiceLeading) -> BraidWord:
     ``VoiceLeading((0, 4), (5, 2))`` the word ``s4^-1 s3^-1 s1 s2 s3 s4 s5``
     sends slot 5 to slot 2, not 3.
     """
-    letters: list[Letter] = []
+    return BraidWord(STRANDS, tuple(_add_letters([], v)))
+
+
+def _add_letters(letters: list[Letter], v: VoiceLeading) -> list[Letter]:
+    """Append the letters of ``braid_of_leading(v)`` to ``letters``, unchecked."""
     moves = _reduced_moves(v)
     for move in moves:
         if move[1] < move[0]:
@@ -157,7 +169,7 @@ def braid_of_leading(v: VoiceLeading) -> BraidWord:
     for move in reversed(moves):
         if move[1] > move[0]:
             letters += _WALKS.get(move) or _walk(move)
-    return BraidWord(STRANDS, tuple(letters))
+    return letters
 
 
 class Progression(_Value):
@@ -181,8 +193,11 @@ def braids_of_progression(p: Progression) -> list[BraidWord]:
 
 
 def braid_of_progression(p: Progression) -> BraidWord:
-    """Concatenation of the per-transition words; identity for one chord."""
-    return concatenate(BraidWord(STRANDS), *braids_of_progression(p))
+    """Concatenation of the per-transition words, checked once; identity for one chord."""
+    letters: list[Letter] = []
+    for v in p.leadings():
+        _add_letters(letters, v)
+    return BraidWord(STRANDS, tuple(letters))
 
 
 _COMMENT = re.compile(r"(?:^|\s)#")
@@ -211,7 +226,7 @@ def parse_progression(text: str) -> Progression:
     offset = 0
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line_start, offset = offset, offset + len(raw) + 1
-        line = _COMMENT.split(raw, 1)[0].strip()
+        line = (_COMMENT.split(raw, 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
         name, colon, body = line.partition(":")

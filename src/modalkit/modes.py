@@ -13,7 +13,9 @@ import functools
 from enum import Enum
 
 from .errors import IndexOutOfRange, NotAMode
-from .pitch import Chord, ChordQuality, PitchClass, Triad, TriadQuality, _members_by, _Value, pc
+from .pitch import (
+    Chord, ChordQuality, PitchClass, Triad, TriadQuality, _members_by, _root_pc, _Value, pc,
+)
 
 
 class ScaleType(Enum):
@@ -92,7 +94,7 @@ class Mode(_Value):
 
 def standard_modes(s: ScaleType, root: PitchClass) -> list[ModalScale]:
     """The seven modes of a parent scale: one rotation per scale degree."""
-    return list(_standard_modes(s, pc(root)))
+    return list(_standard_modes(s, _root_pc(root)))
 
 
 @functools.cache

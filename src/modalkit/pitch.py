@@ -13,7 +13,7 @@ import operator
 from enum import Enum
 from typing import Iterable
 
-from .errors import ParseError
+from .errors import IndexOutOfRange, ParseError
 
 PitchClass = int
 
@@ -26,6 +26,14 @@ PC_NAMES = ("C", "Db", "D", "Eb", "E", "F", "F#", "G", "Ab", "A", "Bb", "B")
 def pc(value: int) -> PitchClass:
     """Reduce an integer to its pitch class in [0, 11]."""
     return value % 12
+
+
+def _root_pc(root: int) -> PitchClass:
+    """The pitch class of a root that keys a table; a root that is no integer is refused."""
+    try:
+        return pc(operator.index(root))
+    except TypeError:
+        raise IndexOutOfRange(f"root {root!r} is not an integer") from None
 
 
 def pc_name(value: PitchClass) -> str:
@@ -56,6 +64,9 @@ def _integer(token: str, what: str = "integer", start: int = 0) -> int:
     raise ParseError(f"bad {what} {token!r}", start)
 
 
+_PC_TOKENS = {str(n): n for n in range(12)}  # "0".."11", as most lists spell them
+
+
 def parse_pcs(text: str) -> list[PitchClass]:
     """Parse a comma-separated pitch-class list like ``0,4,7``.
 
@@ -66,7 +77,9 @@ def parse_pcs(text: str) -> list[PitchClass]:
     position = 0
     for item in text.split(","):
         token = item.strip()
-        if token:
+        if token in _PC_TOKENS:
+            values.append(_PC_TOKENS[token])
+        elif token:
             start = position + len(item) - len(item.lstrip())
             value = _integer(token, "pitch class", start)
             if not 0 <= value <= 11:

@@ -1,9 +1,12 @@
 """Braid words: parsing, invariants, rewriting, rendering."""
 
+import re
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from modalkit import braid
 from modalkit.braid import (
     BraidInvariants,
     BraidWord,
@@ -236,6 +239,76 @@ def test_parse_errors():
     assert (info.value.message, info.value.position) == (f"bad braid token {token!r}", 3)
     with pytest.raises(IndexOutOfRange):
         parse_word("s9", strands=4)
+
+
+def reference_parse_word(text, strands):
+    """One regex match per token, each token found left to right in the text."""
+    position, letters = 0, []
+    for token in text.split():
+        start = text.find(token, position)
+        position = start + len(token)
+        m = re.fullmatch(r"s([0-9]+)(\^-1)?", token)
+        if not m or len(m.group(1)) > 4000:
+            raise ParseError(f"bad braid token {token!r}", start)
+        letters.append((int(m.group(1)), -1 if m.group(2) else 1))
+    return BraidWord(strands, tuple(letters))
+
+
+def parse_outcome(parse, text, strands):
+    try:
+        return parse(text, strands)
+    except ParseError as exc:
+        return "ParseError", exc.message, exc.position
+    except ModalkitError as exc:
+        return type(exc).__name__, str(exc)
+
+
+tokens = st.sampled_from(
+    ["s1", "s2^-1", "s3", "s11", "s11^-1", "s01", "s01^-1", "s0", "s12", "s99999",
+     "s1x", "x", "1", "s", "s1^-2", "s1^-1^-1", "s\u0663", "s" + "0" * 5000]
+)
+separators = st.sampled_from([" ", "  ", "\t", "\n", " \r\n "])
+
+
+@given(st.lists(st.tuples(separators, tokens), max_size=12), st.integers(1, 13), st.booleans())
+@example([(" ", "s1"), (" ", "s1x"), (" ", "s1"), (" ", "s1x")], 12, True)  # a bad token repeats
+@example([(" ", "s12"), (" ", "2")], 13, True)  # a bad token inside an earlier one
+@example([(" ", "s11"), (" ", "s1^-1"), (" ", "1")], 12, False)
+def test_parse_word_matches_the_regex_walk(pieces, strands, warm):
+    text = "".join(sep + token for sep, token in pieces)
+    if warm:  # the same tokens met once before, so each valid one is looked up
+        parse_outcome(parse_word, text, strands)
+    expected = parse_outcome(reference_parse_word, text, strands)
+    assert parse_outcome(parse_word, text, strands) == expected
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("s1 s1x s1 s1x", 3), ("s12 2", 4), ("s1^-1 1 s1 1", 6), ("s3 s3 3", 6)],
+)
+def test_bad_token_position_walks_the_earlier_tokens(text, position):
+    for _ in range(2):  # with the valid tokens unknown, then known
+        with pytest.raises(ParseError) as info:
+            parse_word(text, strands=13)
+        assert info.value.position == position
+
+
+def test_token_table_holds_only_canonical_valid_tokens(monkeypatch):
+    monkeypatch.setattr(braid, "_LETTERS", {})
+    # spellings that serialize_word never writes parse as before but are not kept
+    assert parse_word("s01 s01^-1 s001", 12).letters == ((1, 1), (1, -1), (1, 1))
+    assert braid._LETTERS == {}
+    for text, strands in [("s99999", 12), ("s9", 4), ("s1 s3^-1", 3), ("s1", 0)]:
+        with pytest.raises(ModalkitError):
+            parse_word(text, strands)
+    assert braid._LETTERS == {"s1": (1, 1)}  # from the 3-strand word, where s1 is valid
+    parse_word("s3 s2^-1 s11^-1", 12)
+    assert braid._LETTERS == {"s1": (1, 1), "s3": (3, 1), "s2^-1": (2, -1), "s11^-1": (11, -1)}
+    # a kept token met on fewer strands is still checked by the word
+    with pytest.raises(IndexOutOfRange):
+        parse_word("s11^-1", 4)
+    for token, letter in braid._LETTERS.items():
+        assert serialize_word(BraidWord(letter[0] + 1, (letter,))) == token
 
 
 @given(word_strategy())

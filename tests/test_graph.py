@@ -126,12 +126,20 @@ def test_importing_the_cli_derives_nothing():
         "print(json.dumps({f'{m.__name__}.{k}': f.cache_info().currsize\n"
         "       for m in list(sys.modules.values()) if m.__name__.startswith('modalkit')\n"
         "       for k, f in vars(m).items() if hasattr(f, 'cache_info')}))\n"
+        "from modalkit import braid, leading\n"
+        "print(json.dumps({name: len(table) for name, table in [('_TOKENS', braid._TOKENS),\n"
+        "       ('_LETTERS', braid._LETTERS), ('_BLOCKS', braid._BLOCKS),\n"
+        "       ('_WALKS', leading._WALKS), ('_SYMBOLS', leading._SYMBOLS)]}))\n"
     )
     src = Path(modalkit.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    sizes = json.loads(proc.stdout)
+    caches, tables = proc.stdout.splitlines()
+    sizes = json.loads(caches)
+    # the braid pipeline's dict tables, filled on first use, are empty too
+    names = ["_TOKENS", "_LETTERS", "_BLOCKS", "_WALKS", "_SYMBOLS"]
+    assert json.loads(tables) == dict.fromkeys(names, 0)
     assert {
         "modalkit.pitch._members_by",
         "modalkit.modes._standard_catalog",

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modalkit import leading
-from modalkit.braid import BraidWord, invariants, serialize_word
+from modalkit.braid import BraidWord, concatenate, invariants, serialize_word
 from modalkit.errors import IndexOutOfRange, ParseError, SizeMismatch
 from modalkit.leading import (
     STRANDS,
@@ -80,6 +80,58 @@ def test_cmaj7_to_gmaj7_pairs():
     assert v.pairs() == ((0, 2), (4, 6), (7, 7), (11, 11))
     assert v.is_crossing_free()
     assert v.total_displacement() == 4
+
+
+def reference_voice_leading(a, b, a_root=None, b_root=None):
+    """Both note lists copied, padded one note at a time and sorted."""
+    source, target = list(a.notes), list(b.notes)
+    while len(source) < len(target):
+        source.append(a_root if a_root is not None else min(source))
+    while len(target) < len(source):
+        target.append(b_root if b_root is not None else min(target))
+    return VoiceLeading(tuple(sorted(source)), tuple(sorted(target)))
+
+
+def outcome(build, *args, **kwargs):
+    """What a call returns, or its error class and message."""
+    try:
+        return build(*args, **kwargs)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+chord_notes = st.lists(st.integers(-24, 36), max_size=7)
+padding_roots = st.none() | st.integers(-2, 13)
+
+
+@settings(max_examples=300)
+@given(chord_notes, chord_notes, padding_roots, padding_roots)
+@example([], [0], None, None)  # nothing to double: min() of no notes, as before
+def test_voice_leading_matches_the_copy_and_sort_form(a, b, a_root, b_root):
+    # a Chord's notes are sorted already, so only a padded side is sorted again
+    args = (Chord(a), Chord(b), a_root, b_root)
+    assert outcome(voice_leading, *args) == outcome(reference_voice_leading, *args)
+
+
+def reference_range_check(source, target):
+    for note in (*source, *target):
+        if not 0 <= note <= 11:
+            return IndexOutOfRange, f"pitch class {note} is not in 0..11"
+    return None
+
+
+@given(st.lists(st.integers(-3, 14) | st.sampled_from([0.5, 11.0, float("nan")]), max_size=8))
+@example([5, float("nan")])  # NaN compares false both ways; it is still named
+@example([0, 12, -1, 3])  # the first note out of range is named, source before target
+def test_leading_range_check_names_the_first_note_out_of_range(notes):
+    half = len(notes) // 2
+    source, target = tuple(notes[:half]), tuple(notes[half:2 * half])
+    got = outcome(VoiceLeading, source, target)
+    expected = reference_range_check(source, target)
+    if expected:
+        assert got == expected
+    else:
+        assert isinstance(got, VoiceLeading)
 
 
 def test_against_brute_force_oracle():
@@ -215,6 +267,32 @@ def test_progression_braids():
     perm = invariants(whole).permutation
     occupied = {1, 5, 8, 12}
     assert {perm[s - 1] for s in occupied} == occupied
+
+
+symbol_lines = st.sampled_from(["Cmaj7", "G7", "D-7", "F#o7", "Bb-7b5", "Ebmaj7#5", "C#-9", "A13b9"])
+pcs_lines = st.lists(st.integers(0, 11), min_size=1, max_size=6).map(
+    lambda values: "x: " + ",".join(map(str, values)))  # repeats and unequal sizes pad
+
+
+@settings(max_examples=200)
+@given(st.lists(symbol_lines | pcs_lines, min_size=1, max_size=40))
+@example(["Cmaj7"])
+@example(["x: 0,0,4", "G7", "y: 2,2"])
+def test_braid_of_progression_is_the_concatenation(lines):
+    p = parse_progression("\n".join(lines))
+    words = braids_of_progression(p)
+    joined = braid_of_progression(p)
+    assert joined == concatenate(BraidWord(STRANDS), *words)
+    if len(lines) == 1:
+        assert joined == BraidWord(STRANDS)
+
+
+def test_braid_of_progression_checks_each_letter_once(monkeypatch):
+    checked, check = [], BraidWord.__post_init__
+    monkeypatch.setattr(BraidWord, "__post_init__", lambda w: checked.append(w) or check(w))
+    p = parse_progression("Cmaj7\nx: 0,0,4\nG7\nF#o7\nCmaj7\n")
+    joined = braid_of_progression(p)
+    assert [id(w) for w in checked] == [id(joined)] and len(joined) > 0
 
 
 def test_single_chord_progression_is_identity():

@@ -6,12 +6,14 @@ import math
 
 import pytest
 
-from modalkit.errors import ModalkitError, NotAMode
-from modalkit.graph import build_graph, enumerate_admissible, path_notes
+from modalkit.approximate import _candidates, approximate
+from modalkit.errors import IndexOutOfRange, ModalkitError, NotAMode
+from modalkit.graph import _theory_dot, build_graph, emit_dot, enumerate_admissible, path_notes
 from modalkit.modes import (
     ModalScale,
     Mode,
     ScaleType,
+    _standard_modes,
     all_standard_modes,
     decompose,
     harmonize,
@@ -88,6 +90,34 @@ def test_returned_mode_lists_do_not_share_the_table():
     modes[0] = None
     modes.append(None)
     assert standard_modes(ScaleType.MAJOR, 14) == reference_standard_modes(ScaleType.MAJOR, 2)
+
+
+TABLES = (_standard_modes, _candidates, _theory_dot)
+
+
+@pytest.mark.parametrize("root", [0.5, 7.0, "7", -1.5], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda root: standard_modes(ScaleType.MAJOR, root),
+        lambda root: all_standard_modes(root),
+        lambda root: approximate({0, 4, 7}, ChordQuality.DOM7, root),
+        lambda root: emit_dot(build_graph(ChordQuality.DIM7), root),
+    ],
+    ids=["standard_modes", "all_standard_modes", "approximate", "emit_dot"],
+)
+def test_a_root_that_keys_a_table_is_an_integer(call, root):
+    sizes = [table.cache_info().currsize for table in TABLES]
+    with pytest.raises(IndexOutOfRange) as info:
+        call(root)
+    assert str(info.value) == f"root {root!r} is not an integer"
+    assert [table.cache_info().currsize for table in TABLES] == sizes
+
+
+def test_integer_like_roots_key_the_tables_as_their_pitch_class():
+    assert standard_modes(ScaleType.MAJOR, True) == standard_modes(ScaleType.MAJOR, 1)
+    assert standard_modes(ScaleType.MAJOR, -11) == standard_modes(ScaleType.MAJOR, 1)
+    assert emit_dot(build_graph(ChordQuality.DIM7), 14) == emit_dot(build_graph(ChordQuality.DIM7), 2)
 
 
 def test_scale_labels_match_a_scan_of_the_members():

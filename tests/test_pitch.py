@@ -222,3 +222,37 @@ def test_parse_pcs_errors(text, message, position):
     with pytest.raises(ParseError) as info:
         parse_pcs(text)
     assert (info.value.message, info.value.position) == (message, position)
+
+
+def reference_parse_pcs(text):
+    """Every non-blank item read as a checked integer, at its offset in the text."""
+    values, position = [], 0
+    for item in text.split(","):
+        token = item.strip()
+        if token:
+            start = position + len(item) - len(item.lstrip())
+            if not (token.isascii() and token.removeprefix("-").isdigit()) or len(token) > 4000:
+                raise ParseError(f"bad pitch class {token!r}", start)
+            if not 0 <= int(token) <= 11:
+                raise ParseError(f"pitch class {int(token)} is not in 0..11", start)
+            values.append(int(token))
+        position += len(item) + 1
+    if not values:
+        raise ParseError("empty pitch-class list", 0)
+    return values
+
+
+pc_items = st.sampled_from(
+    ["0", "4", "11", "007", " 4 ", "-0", "12", "-1", "1_1", "+4", "x", "", " ", "\t7", HUGE]
+)
+
+
+@given(st.lists(pc_items, max_size=6).map(",".join))
+@example("007")
+@example(" 4 ")
+@example("-0")
+@example("12")
+@example("1_1")
+def test_parse_pcs_matches_the_checked_integer_reading(text):
+    # "0".."11" are looked up; every other token is read as an integer, as before
+    assert outcome(parse_pcs, text) == outcome(reference_parse_pcs, text)
