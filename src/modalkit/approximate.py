@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import functools
-
 from .graph import AdmissiblePath, build_graph, path_notes
-from .pitch import ChordQuality, PitchClass, _root_pc, _Value, pc
+from .pitch import ChordQuality, PitchClass, _root_pc, _Table, _Value, pc
 
 
 def hs_ws_scale(root: PitchClass) -> frozenset[PitchClass]:
@@ -13,10 +11,15 @@ def hs_ws_scale(root: PitchClass) -> frozenset[PitchClass]:
     return frozenset(pc(root + k) for k in (0, 1, 3, 4, 6, 7, 9, 10))
 
 
-@functools.cache
-def _candidates(q: ChordQuality, root: PitchClass) -> tuple[tuple[AdmissiblePath, frozenset], ...]:
-    """Each admissible path on (q, root pitch class) with its notes: at most 7 x 12 entries."""
+def _candidates(
+    key: tuple[ChordQuality, PitchClass],
+) -> tuple[tuple[AdmissiblePath, frozenset], ...]:
+    q, root = key
     return tuple((path, frozenset(path_notes(path, root))) for path in build_graph(q).paths)
+
+
+# Each admissible path on (quality, root pitch class) with its notes.
+_CANDIDATES = _Table(_candidates)
 
 
 class ScaleApproximation(_Value):
@@ -35,7 +38,7 @@ def approximate(
     root = _root_pc(root)
     target = frozenset(pc(n) for n in target)
     ranked = []
-    for path, notes in _candidates(q, root):
+    for path, notes in _CANDIDATES[q, root]:
         shared = len(target & notes)
         ranked.append(
             ScaleApproximation(

@@ -18,7 +18,7 @@ from .errors import (
     PatternMismatch,
     StrandMismatch,
 )
-from .pitch import _Value
+from .pitch import _Table, _Value
 
 Letter = tuple[int, int]  # (generator index, sign)
 
@@ -120,14 +120,13 @@ def parse_word(text: str, strands: int) -> BraidWord:
     tokens = text.split()
     try:
         letters = [_LETTERS[token] for token in tokens]
-    except KeyError:  # a token not read before, or no token at all: read each by _TOKEN
-        letters = [_LETTERS.get(token) or _letter(text, tokens, k, strands)
-                   for k, token in enumerate(tokens)]
+    except KeyError:  # a token not read before: read each by _TOKEN
+        letters = [_letter(text, tokens, k, strands) for k in range(len(tokens))]
     return BraidWord(strands, tuple(letters))
 
 
 def _letter(text: str, tokens: list[str], k: int, strands: int) -> Letter:
-    """The letter of ``tokens[k]``, which ``_LETTERS`` does not hold, read by ``_TOKEN``."""
+    """The letter of ``tokens[k]``, read by ``_TOKEN``."""
     token = tokens[k]
     m = _TOKEN.fullmatch(token)
     try:
@@ -146,32 +145,30 @@ def _letter(text: str, tokens: list[str], k: int, strands: int) -> Letter:
     return letter
 
 
-# One token per letter (generator index, sign), its inverse, and per strand
-# count one three-row drawing per letter: each filled when a word first uses
-# the letter, so they hold at most the letters of the strand counts in use.
-# A token read back enters _LETTERS only as serialize_word spells it, and only
-# with a letter valid on its word's strand count.
-_TOKENS: dict[Letter, str] = {}
-_LETTERS: dict[str, Letter] = {}
-_BLOCKS: dict[int, dict[Letter, str]] = {}
-
-
 def _token(letter: Letter) -> str:
     i, sign = letter
-    token = _TOKENS[letter] = f"s{i}" if sign > 0 else f"s{i}^-1"
-    return token
+    return f"s{i}" if sign > 0 else f"s{i}^-1"
+
+
+def _block(key: tuple[int, Letter]) -> str:
+    n, (i, sign) = key
+    left, right = "| " * (i - 1), " |" * (n - i - 1)
+    middle = " / " if sign > 0 else " \\ "
+    return f"{left}\\ /{right}\n{left}{middle}{right}\n{left}/ \\{right}\n"
+
+
+# One token per letter (generator index, sign), its inverse, and one three-row
+# drawing per (strand count, letter), so they hold at most the letters of the
+# strand counts in use.  A token read back enters _LETTERS, which parse_word
+# fills itself, only as serialize_word spells it, and only with a letter valid
+# on its word's strand count.
+_TOKENS = _Table(_token)
+_LETTERS: dict[str, Letter] = {}
+_BLOCKS = _Table(_block)
 
 
 def serialize_word(w: BraidWord) -> str:
-    return " ".join([_TOKENS.get(letter) or _token(letter) for letter in w.letters])
-
-
-def _block(blocks: dict[Letter, str], n: int, letter: Letter) -> str:
-    i, sign = letter
-    left, right = "| " * (i - 1), " |" * (n - i - 1)
-    middle = " / " if sign > 0 else " \\ "
-    block = blocks[letter] = f"{left}\\ /{right}\n{left}{middle}{right}\n{left}/ \\{right}\n"
-    return block
+    return " ".join([_TOKENS[letter] for letter in w.letters])
 
 
 def render_ascii(w: BraidWord) -> str:
@@ -182,6 +179,5 @@ def render_ascii(w: BraidWord) -> str:
     show ``/`` in the middle row, negative ones ``\\``.
     """
     n = w.strands
-    blocks = _BLOCKS.setdefault(n, {})
-    drawn = [blocks.get(letter) or _block(blocks, n, letter) for letter in w.letters]
+    drawn = [_BLOCKS[n, letter] for letter in w.letters]
     return " ".join("|" * n) + "\n" + "".join(drawn)

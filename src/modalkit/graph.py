@@ -13,7 +13,7 @@ import functools
 import itertools
 
 from .modes import _names_by_offsets
-from .pitch import NOTE_TO_PC, ChordQuality, PitchClass, _root_pc, _Value, pc, pc_name
+from .pitch import NOTE_TO_PC, ChordQuality, PitchClass, _root_pc, _Table, _Value, pc, pc_name
 
 # Label spelling per (degree, semitone offset), following the figure
 # convention M=major, m=minor, P=perfect, a=augmented, d=diminished.
@@ -100,34 +100,33 @@ SPECIAL_NAMES: dict[tuple[int, ...], str] = {
 }
 
 
-@functools.cache
-def _theory() -> dict[ChordQuality, ModeGraph]:
-    """Every quality's graph with its admissible paths, derived once, in table order."""
-    theory = {}
-    for q in ChordQuality:
-        standard = standard_patterns(q)
-        # zip(*patterns) gives, per degree, the semitones the standard modes use there
-        per_degree = [
-            tuple(DegreeLabel(degree, s) for s in sorted(set(choices)))
-            for degree, choices in enumerate(zip(*standard), start=1)
-        ]
-        vertices = tuple(v for labels in per_degree for v in labels)
-        edges = tuple(
-            (a, b) for lower, upper in zip(per_degree, per_degree[1:]) for a in lower for b in upper
-        )
-        paths = []
-        # product varies the last degree fastest: lexicographic over the degrees
-        for labels in itertools.product(*per_degree):
-            offsets = tuple(label.semitones for label in labels)
-            name = standard.get(offsets) or SPECIAL_NAMES[offsets]
-            paths.append(AdmissiblePath(labels, offsets not in standard, name))
-        theory[q] = ModeGraph(q, vertices, edges, tuple(paths))
-    return theory
+def _graph(q: ChordQuality) -> ModeGraph:
+    """q's graph with its admissible paths."""
+    standard = standard_patterns(q)
+    # zip(*patterns) gives, per degree, the semitones the standard modes use there
+    per_degree = [
+        tuple(DegreeLabel(degree, s) for s in sorted(set(choices)))
+        for degree, choices in enumerate(zip(*standard), start=1)
+    ]
+    vertices = tuple(v for labels in per_degree for v in labels)
+    edges = tuple(
+        (a, b) for lower, upper in zip(per_degree, per_degree[1:]) for a in lower for b in upper
+    )
+    paths = []
+    # product varies the last degree fastest: lexicographic over the degrees
+    for labels in itertools.product(*per_degree):
+        offsets = tuple(label.semitones for label in labels)
+        name = standard.get(offsets) or SPECIAL_NAMES[offsets]
+        paths.append(AdmissiblePath(labels, offsets not in standard, name))
+    return ModeGraph(q, vertices, edges, tuple(paths))
+
+
+_GRAPHS = _Table(_graph)
 
 
 def build_graph(q: ChordQuality) -> ModeGraph:
     """The oriented graph of all degree choices the standard modes allow on q."""
-    return _theory()[q]
+    return _GRAPHS[q]
 
 
 def euler_characteristic(g: ModeGraph) -> int:
@@ -151,7 +150,7 @@ def maximal_tree(g: ModeGraph) -> tuple[tuple[DegreeLabel, DegreeLabel], ...]:
 
 def tcm(q: ChordQuality) -> int:
     """Topological complexity: rank of the fundamental group, 1 - chi."""
-    return 1 - euler_characteristic(_theory()[q])
+    return 1 - euler_characteristic(_GRAPHS[q])
 
 
 def enumerate_admissible(g: ModeGraph) -> list[AdmissiblePath]:
@@ -165,7 +164,7 @@ def enumerate_admissible(g: ModeGraph) -> list[AdmissiblePath]:
 
 def special_modes(q: ChordQuality) -> list[AdmissiblePath]:
     """Admissible paths that are not standard modes."""
-    return [p for p in _theory()[q].paths if p.is_special]
+    return [p for p in _GRAPHS[q].paths if p.is_special]
 
 
 # Degree lists printed in the source classification for the special modes.
@@ -200,15 +199,9 @@ def emit_dot(g: ModeGraph, root: PitchClass | None = None) -> str:
     """Render the graph as a DOT digraph; note names when a root is given."""
     if root is not None:
         root = _root_pc(root)
-    if _theory().get(g.quality) is g:
-        return _theory_dot(g.quality, root)
+    if _GRAPHS.get(g.quality) is g:
+        return _THEORY_DOT[g.quality, root]
     return _render_dot(g, root)
-
-
-@functools.cache
-def _theory_dot(q: ChordQuality, root: PitchClass | None) -> str:
-    """``emit_dot`` of a theory graph per (quality, root pitch class or None): at most 7 x 13."""
-    return _render_dot(_theory()[q], root)
 
 
 def _render_dot(g: ModeGraph, root: PitchClass | None) -> str:
@@ -224,10 +217,14 @@ def _render_dot(g: ModeGraph, root: PitchClass | None) -> str:
     return "\n".join(lines) + "\n"
 
 
+# ``emit_dot`` of a theory graph per (quality, root pitch class or None).
+_THEORY_DOT = _Table(lambda key: _render_dot(_GRAPHS[key[0]], key[1]))
+
+
 @functools.cache
 def _paths_by_name() -> dict[str, tuple[ChordQuality, AdmissiblePath]]:
     """The 33 admissible modes by name; no two of them share a name."""
-    return {p.name: (q, p) for q, g in _theory().items() for p in g.paths}
+    return {p.name: (q, p) for q in ChordQuality for p in _GRAPHS[q].paths}
 
 
 def find_mode_by_name(name: str) -> tuple[ChordQuality, AdmissiblePath] | None:

@@ -23,7 +23,7 @@ from collections.abc import Iterator
 
 from .braid import BraidWord, Letter
 from .errors import IndexOutOfRange, ParseError, SizeMismatch
-from .pitch import Chord, PitchClass, _Value, parse_chord_symbol, parse_pcs, pc
+from .pitch import Chord, PitchClass, _Table, _Value, parse_chord_symbol, parse_pcs, pc
 
 STRANDS = 12
 _PITCH_CLASSES = frozenset(range(12))
@@ -51,10 +51,9 @@ class VoiceLeading(_Value):
         if len(self.source) != len(self.target):
             raise SizeMismatch(f"{len(self.source)} voices vs {len(self.target)}")
         notes = (*self.source, *self.target)
-        if not _PITCH_CLASSES.issuperset(notes):  # then name the first note out of range
-            for note in notes:
-                if not 0 <= note <= 11:
-                    raise IndexOutOfRange(f"pitch class {note} is not in 0..11")
+        if not _PITCH_CLASSES.issuperset(notes):
+            note = next(note for note in notes if note not in _PITCH_CLASSES)
+            raise IndexOutOfRange(f"pitch class {note!r} is not in 0..11")
 
     def pairs(self) -> tuple[tuple[PitchClass, PitchClass], ...]:
         return tuple(zip(self.source, self.target))
@@ -126,19 +125,15 @@ def _best_of_runs(moves: list[tuple[int, int]], side: int) -> list[tuple[int, in
     return kept
 
 
-# The letters that walk one voice from slot a to slot b, per move (a, b):
-# at most 12 x 12 entries, each filled when a move first needs it.
-_WALKS: dict[tuple[int, int], tuple[Letter, ...]] = {}
-
-
 def _walk(move: tuple[int, int]) -> tuple[Letter, ...]:
-    a, b = move
+    a, b = map(int, move)  # a slot such as 6.0 equals an integer and walks as it
     if b < a:
-        walk = tuple((i, -1) for i in range(a - 1, b - 1, -1))
-    else:
-        walk = tuple((i, 1) for i in range(a, b))
-    _WALKS[move] = walk
-    return walk
+        return tuple((i, -1) for i in range(a - 1, b - 1, -1))
+    return tuple((i, 1) for i in range(a, b))
+
+
+# The letters that walk one voice from slot a to slot b, per move (a, b).
+_WALKS = _Table(_walk)
 
 
 def braid_of_leading(v: VoiceLeading) -> BraidWord:
@@ -165,10 +160,10 @@ def _add_letters(letters: list[Letter], v: VoiceLeading) -> list[Letter]:
     moves = _reduced_moves(v)
     for move in moves:
         if move[1] < move[0]:
-            letters += _WALKS.get(move) or _walk(move)
+            letters += _WALKS[move]
     for move in reversed(moves):
         if move[1] > move[0]:
-            letters += _WALKS.get(move) or _walk(move)
+            letters += _WALKS[move]
     return letters
 
 
@@ -202,14 +197,10 @@ def braid_of_progression(p: Progression) -> BraidWord:
 
 _COMMENT = re.compile(r"(?:^|\s)#")
 
-# Each valid chord symbol parsed so far, shared by every line that spells it:
-# at most the 21 note spellings times the symbol grammar's quality tokens.
-_SYMBOLS: dict[str, tuple[PitchClass, Chord]] = {}
-
-
-def _parse_symbol(line: str) -> tuple[PitchClass, Chord]:
-    parsed = _SYMBOLS[line] = parse_chord_symbol(line)  # raises on a bad symbol, so it stays out
-    return parsed
+# Each valid chord symbol, shared by every line that spells it; a bad symbol
+# raises, so it stays out.  The lambda looks parse_chord_symbol up on each miss,
+# so a wrapper installed on this module, as bench/spans.py does, sees every miss.
+_SYMBOLS = _Table(lambda line: parse_chord_symbol(line))
 
 
 def parse_progression(text: str) -> Progression:
@@ -235,8 +226,7 @@ def parse_progression(text: str) -> Progression:
                 values = parse_pcs(body)
                 chords.append((name.strip(), values[0], Chord(values)))
             else:
-                parsed = _SYMBOLS.get(line) or _parse_symbol(line)
-                chords.append((line, *parsed))
+                chords.append((line, *_SYMBOLS[line]))
         except ParseError as exc:
             column = len(raw) - len(raw.lstrip()) + (len(name) + 1 if colon else 0)
             raise ParseError(

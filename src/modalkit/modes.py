@@ -14,7 +14,7 @@ from enum import Enum
 
 from .errors import IndexOutOfRange, NotAMode
 from .pitch import (
-    Chord, ChordQuality, PitchClass, Triad, TriadQuality, _members_by, _root_pc, _Value, pc,
+    Chord, ChordQuality, PitchClass, Triad, TriadQuality, _MEMBERS_BY, _root_pc, _Table, _Value, pc,
 )
 
 
@@ -50,7 +50,7 @@ class ScaleType(Enum):
 
     @classmethod
     def from_label(cls, label: str) -> "ScaleType":
-        return _members_by(cls, "label")[label]
+        return _MEMBERS_BY[cls, "label"][label]
 
 
 class ModalScale(_Value, name=""):
@@ -94,46 +94,36 @@ class Mode(_Value):
 
 def standard_modes(s: ScaleType, root: PitchClass) -> list[ModalScale]:
     """The seven modes of a parent scale: one rotation per scale degree."""
-    return list(_standard_modes(s, _root_pc(root)))
+    return list(_STANDARD_MODES[s, _root_pc(root)])
 
 
-@functools.cache
-def _standard_modes(s: ScaleType, root: PitchClass) -> tuple[ModalScale, ...]:
-    """``standard_modes`` per (parent scale, root pitch class): at most 3 x 12 entries."""
+def _rotations(key: tuple[ScaleType, PitchClass]) -> tuple[ModalScale, ...]:
+    s, root = key
     parent = tuple(pc(root + i) for i in s.step_pattern)
     return tuple(
         ModalScale(parent[i], parent[i:] + parent[:i], n) for i, n in enumerate(s.mode_names)
     )
 
 
-class StandardMode(_Value):
-    """A standard mode without a root: its name, offsets and base quality."""
-
-    __slots__ = ("name", "offsets", "quality")
-
-
-@functools.cache
-def _standard_catalog() -> dict[tuple[ScaleType, int], StandardMode]:
-    """The 21 standard modes keyed by (parent scale, degree 1..7), derived once."""
-    catalog = {}
-    for s in ScaleType:
-        for degree, mode in enumerate(standard_modes(s, 0), start=1):
-            quality = decompose(mode).base_quality()
-            catalog[s, degree] = StandardMode(mode.name, mode.offsets(), quality)
-    return catalog
+# ``standard_modes`` per (parent scale, root pitch class), and per parent scale
+# the base quality by degree 1..7: the 21 standard modes are _STANDARD_MODES[s, 0].
+_STANDARD_MODES = _Table(_rotations)
+_QUALITIES = _Table(lambda s: {
+    degree: decompose(m).base_quality() for degree, m in enumerate(_STANDARD_MODES[s, 0], start=1)
+})
 
 
 @functools.cache
 def _names_by_offsets() -> dict[tuple[int, ...], str]:
     """The 21 standard mode names keyed by their offsets, which no two of them share."""
-    return {m.offsets: m.name for m in _standard_catalog().values()}
+    return {m.offsets(): m.name for s in ScaleType for m in _STANDARD_MODES[s, 0]}
 
 
 def harmonize(s: ScaleType, degree: int) -> ChordQuality:
     """Seventh-chord quality stacked on a scale degree (1..7)."""
     if not 1 <= degree <= 7:
         raise IndexOutOfRange(f"degree must be in 1..7, got {degree}")
-    return _standard_catalog()[s, degree].quality
+    return _QUALITIES[s][degree]
 
 
 def decompose(m: ModalScale) -> Mode:

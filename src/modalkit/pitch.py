@@ -8,7 +8,6 @@ display convenience and never affect equality.
 
 from __future__ import annotations
 
-import functools
 import operator
 from enum import Enum
 from typing import Iterable
@@ -179,10 +178,27 @@ class Chord:
         return f"Chord({list(self.notes)})"
 
 
-@functools.cache
-def _members_by(enum: type[Enum], field: str) -> dict:
-    """The members of an Enum keyed by one of their fields, which no two share; derived once."""
-    return {getattr(member, field): member for member in enum}
+class _Table(dict):
+    """A finite table that derives each value on its first lookup.
+
+    ``table[key]`` calls ``derive(key)`` for a key it does not hold, stores
+    the value and returns it; a key whose derivation raises stays out.
+    ``.get`` and ``in`` never derive, so they only ask what is held.
+    """
+
+    __slots__ = ("_derive",)
+
+    def __init__(self, derive):
+        super().__init__()
+        self._derive = derive
+
+    def __missing__(self, key):
+        value = self[key] = self._derive(key)
+        return value
+
+
+# The members of an Enum keyed by one of their fields, which no two share: per (enum, field).
+_MEMBERS_BY = _Table(lambda key: {getattr(member, key[1]): member for member in key[0]})
 
 
 class _Quality:
@@ -194,7 +210,7 @@ class _Quality:
 
     @classmethod
     def from_intervals(cls, intervals: tuple[int, ...]):
-        return _members_by(cls, "intervals").get(tuple(intervals))
+        return _MEMBERS_BY[cls, "intervals"].get(tuple(intervals))
 
 
 class ChordQuality(_Quality, Enum):
@@ -214,7 +230,7 @@ class ChordQuality(_Quality, Enum):
 
     @classmethod
     def from_symbol(cls, symbol: str) -> "ChordQuality":
-        return _members_by(cls, "symbol")[symbol]
+        return _MEMBERS_BY[cls, "symbol"][symbol]
 
 
 class TriadQuality(_Quality, Enum):

@@ -2,7 +2,7 @@
 
 import random
 
-from modalkit.approximate import ScaleApproximation, _candidates, approximate, hs_ws_scale
+from modalkit.approximate import ScaleApproximation, _CANDIDATES, approximate, hs_ws_scale
 from modalkit.graph import build_graph, enumerate_admissible, path_notes
 from modalkit.pitch import ChordQuality, pc
 
@@ -67,8 +67,7 @@ def test_candidates_match_path_notes():
         paths = enumerate_admissible(build_graph(q))
         for root in range(12):
             expected = tuple((p, frozenset(path_notes(p, root))) for p in paths)
-            assert _candidates(q, root) == expected
-    assert _candidates.cache_info().currsize <= 7 * 12
+            assert _CANDIDATES[q, root] == expected
 
 
 def test_approximate_matches_the_per_call_derivation():
@@ -79,4 +78,3 @@ def test_approximate_matches_the_per_call_derivation():
             ranked = approximate(target, q, root)
             assert ranked == reference_approximate(target, q, root)
             assert ranked == approximate(target, q, root + 12)
-    assert _candidates.cache_info().currsize <= 7 * 12

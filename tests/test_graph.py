@@ -26,8 +26,8 @@ from modalkit.graph import (
     standard_patterns,
     tcm,
 )
-from modalkit.graph import _render_dot, _theory_dot
-from modalkit.modes import _standard_catalog, all_standard_modes
+from modalkit.graph import _render_dot
+from modalkit.modes import _QUALITIES, _STANDARD_MODES, ScaleType, all_standard_modes
 from modalkit.pitch import ChordQuality
 
 # Frozen topology: quality -> (vertices, edges, chi, tau).
@@ -119,37 +119,101 @@ def test_returned_lists_do_not_share_the_catalog():
     assert len(special_modes(ChordQuality.DOM7)) == 4
 
 
-def test_importing_the_cli_derives_nothing():
-    # Every functools cache in every modalkit module, by name and current size.
-    code = (
-        "import json, sys, modalkit.cli\n"
-        "print(json.dumps({f'{m.__name__}.{k}': f.cache_info().currsize\n"
-        "       for m in list(sys.modules.values()) if m.__name__.startswith('modalkit')\n"
-        "       for k, f in vars(m).items() if hasattr(f, 'cache_info')}))\n"
-        "from modalkit import braid, leading\n"
-        "print(json.dumps({name: len(table) for name, table in [('_TOKENS', braid._TOKENS),\n"
-        "       ('_LETTERS', braid._LETTERS), ('_BLOCKS', braid._BLOCKS),\n"
-        "       ('_WALKS', leading._WALKS), ('_SYMBOLS', leading._SYMBOLS)]}))\n"
-    )
+# Every table of the finite theory by qualified name: the keyed tables, each a
+# pitch._Table filled per key on first lookup, with the size each reaches once
+# its whole key space is looked up (the README's bounds), and the two whole maps
+# on functools.cache.
+BOUNDS = {
+    "modalkit.pitch._MEMBERS_BY": 4,  # (enum, field)
+    "modalkit.modes._STANDARD_MODES": 3 * 12,  # (scale, root pitch class)
+    "modalkit.modes._QUALITIES": 3,  # scale
+    "modalkit.graph._GRAPHS": 7,  # quality
+    "modalkit.graph._THEORY_DOT": 7 * 13,  # (quality, root pitch class or None)
+    "modalkit.approximate._CANDIDATES": 7 * 12,  # (quality, root pitch class)
+    "modalkit.leading._WALKS": 12 * 11,  # (slot, another slot)
+    "modalkit.leading._SYMBOLS": 21 * 10,  # note spelling + quality token
+    "modalkit.braid._TOKENS": 2 * 11,  # letter on 12 strands
+    "modalkit.braid._BLOCKS": 2 * 11 + 2 * 2,  # (strands, letter) on 12 and 3 strands
+}
+WHOLE_MAPS = {"modalkit.modes._names_by_offsets", "modalkit.graph._paths_by_name"}
+
+# Prints [kind, size] per attribute of a modalkit module that holds a table:
+# "table" for a _Table, "cache" for a functools cache, and "dict" for a plain
+# dict that is empty, one that a reader fills (every constant dict is full).
+SIZES = """
+import json, sys
+from modalkit.pitch import _Table
+found = {}
+for module in [m for name, m in sys.modules.items() if name.startswith("modalkit")]:
+    for attr, value in vars(module).items():
+        name = f"{module.__name__}.{attr}"
+        if isinstance(value, _Table):
+            found[name] = ["table", len(value)]
+        elif hasattr(value, "cache_info"):
+            found[name] = ["cache", value.cache_info().currsize]
+        elif type(value) is dict and not value and not attr.startswith("__"):
+            found[name] = ["dict", 0]
+print(json.dumps(found))
+"""
+
+
+def table_sizes(code):
+    """SIZES after running code in a fresh interpreter."""
     src = Path(modalkit.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code + SIZES],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    caches, tables = proc.stdout.splitlines()
-    sizes = json.loads(caches)
-    # the braid pipeline's dict tables, filled on first use, are empty too
-    names = ["_TOKENS", "_LETTERS", "_BLOCKS", "_WALKS", "_SYMBOLS"]
-    assert json.loads(tables) == dict.fromkeys(names, 0)
-    assert {
-        "modalkit.pitch._members_by",
-        "modalkit.modes._standard_catalog",
-        "modalkit.modes._standard_modes",
-        "modalkit.modes._names_by_offsets",
-        "modalkit.graph._theory",
-        "modalkit.graph._theory_dot",
-        "modalkit.approximate._candidates",
-    } <= set(sizes)
-    assert set(sizes.values()) == {0}
+    return json.loads(proc.stdout)
+
+
+def test_importing_the_cli_derives_nothing():
+    found = table_sizes("import modalkit.cli\n")
+    kinds = {kind: {name for name, (k, _size) in found.items() if k == kind}
+             for kind in ("table", "cache", "dict")}
+    # found by type, so a table renamed or added is still checked
+    assert set(BOUNDS) <= kinds["table"]
+    assert WHOLE_MAPS <= kinds["cache"]
+    assert kinds["dict"] == {"modalkit.braid._LETTERS"}
+    assert {size for _kind, size in found.values()} == {0}
+
+
+# Looks up every key of each table's finite key space, roots -12..23 included.
+EXHAUST = """
+from itertools import product
+from modalkit import *
+from modalkit.graph import find_mode_by_name
+from modalkit.pitch import _SPELLINGS, _SYMBOL_INTERVALS
+for q in ChordQuality:
+    ChordQuality.from_symbol(q.symbol), ChordQuality.from_intervals(q.intervals)
+TriadQuality.from_intervals((0, 4, 7)), ScaleType.from_label("major")
+for s in ScaleType:
+    for root in range(-12, 24):
+        standard_modes(s, root)
+    for degree in range(1, 8):
+        harmonize(s, degree)
+for q in ChordQuality:
+    g = build_graph(q)
+    emit_dot(g)
+    for root in range(-12, 24):
+        emit_dot(g, root), approximate({0}, q, root)
+find_mode_by_name("ionian")
+parse_progression("\\n".join(root + token for root in _SPELLINGS for token in _SYMBOL_INTERVALS))
+for s, t in product(range(12), repeat=2):
+    braid_of_leading(VoiceLeading((s,), (t,)))
+for n in (12, 3):
+    word = BraidWord(n, tuple((i, sign) for i in range(1, n) for sign in (1, -1)))
+    render_ascii(word), parse_word(serialize_word(word), n)
+assert len(braid._LETTERS) == 2 * 11
+"""
+
+
+def test_tables_fill_to_the_readme_bounds():
+    found = table_sizes(EXHAUST)
+    assert {name: found[name] for name in BOUNDS} == {
+        name: ["table", size] for name, size in BOUNDS.items()
+    }
+    assert {name: found[name] for name in WHOLE_MAPS} == dict.fromkeys(WHOLE_MAPS, ["cache", 1])
 
 
 def test_special_counts_per_quality():
@@ -252,7 +316,6 @@ def test_emit_dot_table_matches_the_render():
         assert emit_dot(g) == _render_dot(g, None)
         for root in range(-12, 24):
             assert emit_dot(g, root) == _render_dot(g, root) == emit_dot(g, root + 12)
-    assert _theory_dot.cache_info().currsize <= 7 * 13
 
 
 def test_graphs_built_by_hand_are_rendered_from_their_own_fields():
@@ -268,7 +331,9 @@ def test_graphs_built_by_hand_are_rendered_from_their_own_fields():
 
 def test_standard_patterns_match_a_scan_of_the_catalog():
     for q in ChordQuality:
-        expected = {m.offsets: m.name for m in _standard_catalog().values() if m.quality is q}
+        expected = {m.offsets(): m.name for s in ScaleType
+                    for degree, m in enumerate(_STANDARD_MODES[s, 0], start=1)
+                    if _QUALITIES[s][degree] is q}
         assert list(standard_patterns(q).items()) == list(expected.items())
     assert sum(len(standard_patterns(q)) for q in ChordQuality) == 21
 

@@ -22,7 +22,7 @@ from modalkit.leading import (
     voice_leading,
 )
 from modalkit.leading import _reduced_moves
-from modalkit.pitch import _SPELLINGS, _SYMBOL_INTERVALS, Chord, parse_chord_symbol
+from modalkit.pitch import _SPELLINGS, _SYMBOL_INTERVALS, Chord, _Table, parse_chord_symbol
 
 # More digits than int() converts by default (4,300).
 HUGE = "0" * 5000
@@ -114,15 +114,20 @@ def test_voice_leading_matches_the_copy_and_sort_form(a, b, a_root, b_root):
 
 
 def reference_range_check(source, target):
+    """The first note equal to no pitch class 0..11, named by its repr."""
     for note in (*source, *target):
-        if not 0 <= note <= 11:
-            return IndexOutOfRange, f"pitch class {note} is not in 0..11"
+        if not any(note == p for p in range(12)):
+            return IndexOutOfRange, f"pitch class {note!r} is not in 0..11"
     return None
 
 
-@given(st.lists(st.integers(-3, 14) | st.sampled_from([0.5, 11.0, float("nan")]), max_size=8))
+NOT_INTEGERS = [0.5, 5.0, 11.0, True, "5", float("nan")]
+
+
+@given(st.lists(st.integers(-3, 14) | st.sampled_from(NOT_INTEGERS), max_size=8))
 @example([5, float("nan")])  # NaN compares false both ways; it is still named
 @example([0, 12, -1, 3])  # the first note out of range is named, source before target
+@example([5.5, 1])  # in 0..11, yet no pitch class
 def test_leading_range_check_names_the_first_note_out_of_range(notes):
     half = len(notes) // 2
     source, target = tuple(notes[:half]), tuple(notes[half:2 * half])
@@ -132,6 +137,19 @@ def test_leading_range_check_names_the_first_note_out_of_range(notes):
         assert got == expected
     else:
         assert isinstance(got, VoiceLeading)
+
+
+def test_a_note_equal_to_a_pitch_class_walks_as_it(monkeypatch):
+    with pytest.raises(IndexOutOfRange, match=r"^pitch class 0\.5 is not in 0\.\.11$"):
+        voice_leading(Chord([0.5, 4]), Chord([1, 5]))
+    # the doubled root 2.0 makes the move (3.0, 5), which walks like (3, 5)
+    a, b = Chord([2, 9]), Chord([0, 4, 7])
+    expected = braid_of_leading(voice_leading(a, b, a_root=2))
+    for first, then in ((2.0, 2), (2, 2.0)):
+        monkeypatch.setattr(leading, "_WALKS", _Table(leading._walk))  # cold
+        for root in (first, then):  # then warm
+            word = braid_of_leading(voice_leading(a, b, a_root=root))
+            assert word == expected and all(type(i) is int for i, _sign in word.letters)
 
 
 def test_against_brute_force_oracle():

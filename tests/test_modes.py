@@ -6,14 +6,14 @@ import math
 
 import pytest
 
-from modalkit.approximate import _candidates, approximate
+from modalkit.approximate import _CANDIDATES, approximate
 from modalkit.errors import IndexOutOfRange, ModalkitError, NotAMode
-from modalkit.graph import _theory_dot, build_graph, emit_dot, enumerate_admissible, path_notes
+from modalkit.graph import _THEORY_DOT, build_graph, emit_dot, enumerate_admissible, path_notes
 from modalkit.modes import (
     ModalScale,
     Mode,
     ScaleType,
-    _standard_modes,
+    _STANDARD_MODES,
     all_standard_modes,
     decompose,
     harmonize,
@@ -92,7 +92,7 @@ def test_returned_mode_lists_do_not_share_the_table():
     assert standard_modes(ScaleType.MAJOR, 14) == reference_standard_modes(ScaleType.MAJOR, 2)
 
 
-TABLES = (_standard_modes, _candidates, _theory_dot)
+TABLES = (_STANDARD_MODES, _CANDIDATES, _THEORY_DOT)
 
 
 @pytest.mark.parametrize("root", [0.5, 7.0, "7", -1.5], ids=repr)
@@ -107,11 +107,11 @@ TABLES = (_standard_modes, _candidates, _theory_dot)
     ids=["standard_modes", "all_standard_modes", "approximate", "emit_dot"],
 )
 def test_a_root_that_keys_a_table_is_an_integer(call, root):
-    sizes = [table.cache_info().currsize for table in TABLES]
+    sizes = [len(table) for table in TABLES]
     with pytest.raises(IndexOutOfRange) as info:
         call(root)
     assert str(info.value) == f"root {root!r} is not an integer"
-    assert [table.cache_info().currsize for table in TABLES] == sizes
+    assert [len(table) for table in TABLES] == sizes
 
 
 def test_integer_like_roots_key_the_tables_as_their_pitch_class():

@@ -1,4 +1,4 @@
-"""The 12 value types behave as frozen dataclasses: field equality and hashing,
+"""The 11 value types behave as frozen dataclasses: field equality and hashing,
 ``Name(field=value, ...)`` reprs, no assignment, keyword construction with
 defaults, copies and pickles, and ``DegreeLabel`` ordering.  Each takes its
 ``__slots__`` as parameters, and each field check runs once per build."""
@@ -36,7 +36,6 @@ from modalkit import (
     rewrite_step,
 )
 from modalkit.errors import IndexOutOfRange, InvalidBraid, NotAMode, ParseError, SizeMismatch
-from modalkit.modes import StandardMode
 from modalkit.pitch import _Value
 
 IONIAN = (0, 2, 4, 5, 7, 9, 11)
@@ -66,10 +65,6 @@ SAMPLES = {
         dict(base=Chord([0, 4, 7, 11]), tension=Chord([2, 5, 9]), scale=ModalScale(0, IONIAN)),
         dict(base=Chord([2, 5, 9, 0]), tension=Chord([4, 7, 11]), scale=ModalScale(2, DORIAN_ON_D)),
     ),
-    StandardMode: (
-        dict(name="ionian", offsets=IONIAN, quality=ChordQuality.MAJ7),
-        dict(name="ionian", offsets=IONIAN, quality=ChordQuality.DOM7),
-    ),
     DegreeLabel: (dict(degree=2, semitones=3), dict(degree=2, semitones=1)),
     ModeGraph: (graph_fields(MAJ7), graph_fields(DOM7)),
     AdmissiblePath: (path_fields(MAJ7.paths[0]), path_fields(MAJ7.paths[1])),
@@ -86,7 +81,7 @@ TYPES = list(SAMPLES)
 
 
 def test_every_value_type_is_sampled():
-    assert len(TYPES) == 12
+    assert len(TYPES) == 11
     for cls in TYPES:
         assert not hasattr(cls(**SAMPLES[cls][0]), "__dict__")
 
