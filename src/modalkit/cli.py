@@ -174,7 +174,7 @@ def _cmd_braid(args):
     # parsed whole before the first yield, so a ParseError prints nothing on stdout
     progression = leading_mod.parse_progression(text)
     yield f"strands={leading_mod.STRANDS}\n"
-    words = map(leading_mod.braid_of_leading, progression.leadings())
+    words = leading_mod._words(progression)
     for (a, _, _), (b, _, _), word in zip(progression.chords, progression.chords[1:], words):
         yield f"{a} -> {b}: {braid_mod.serialize_word(word)}\n"
         if args.ascii:

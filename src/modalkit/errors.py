@@ -39,9 +39,17 @@ class InvalidBraid(ModalkitError, ValueError):
 
 class IndexOutOfRange(ModalkitError, ValueError):
     """An index lies outside its range: a braid generator outside
-    [1, strands - 1], a scale degree outside 1..7, or a root that is not an
-    integer where a root keys a table of the theory."""
+    [1, strands - 1], a scale degree outside 1..7 or not an integer, a chord
+    note that is not an integer, a voice or a progression root that is no
+    pitch class in 0..11, or a root that is not an integer where a root keys
+    a table of the theory."""
 
 
 class SizeMismatch(ModalkitError):
     """A voice leading's source and target have different numbers of voices."""
+
+
+class CrossingLeading(ModalkitError):
+    """``braid_of_leading`` was given a leading whose pairing crosses (a
+    higher voice ends below a lower one); its voices' walks would not land
+    every voice on its target, so it has no word here."""

@@ -12,7 +12,11 @@ which crosses in this linear order, often moves the voices less (Tymoczko
 
 Braids live on 12 strands, one per pitch class; a voice moving from pitch
 class p to q occupies strand slot p+1 and walks to slot q+1 through
-adjacent crossings.
+adjacent crossings.  One core, ``_letters``, turns two sorted sides of one
+size into a transition's letters.  The progression words pair the chords'
+sorted notes straight into it, the smaller chord padded with its root, and
+``braid_of_leading`` sorts its leading's sides once it has refused a
+crossing pairing.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ import re
 from collections.abc import Iterator
 
 from .braid import BraidWord, Letter
-from .errors import IndexOutOfRange, ParseError, SizeMismatch
+from .errors import CrossingLeading, IndexOutOfRange, ParseError, SizeMismatch
 from .pitch import Chord, PitchClass, _Table, _Value, parse_chord_symbol, parse_pcs, pc
 
 STRANDS = 12
 _PITCH_CLASSES = frozenset(range(12))
+_ROOTS = _PITCH_CLASSES | {None}  # a progression root; None pads with the lowest note
 
 
 def arc_distance(a: int, b: int) -> int:
@@ -35,14 +40,13 @@ def arc_distance(a: int, b: int) -> int:
 
 
 class VoiceLeading(_Value):
-    """Order-preserving voice assignment between two sorted note lists.
+    """A voice assignment between two note lists, paired in order.
 
     Both lists hold the same number of voices, and every note is a pitch
     class in 0..11, so each voice has a strand slot on 12 strands.  The
-    pairing is not checked to be crossing-free: ``voice_leading`` builds
-    only crossing-free leadings, but this constructor also takes a crossing
-    one such as ``VoiceLeading((0, 4), (5, 2))``, whose braid word from
-    ``braid_of_leading`` does not land its voices (see ``is_crossing_free``).
+    pairing may cross: ``voice_leading`` builds only crossing-free leadings,
+    but this constructor also takes one such as ``VoiceLeading((0, 4), (5, 2))``,
+    which ``braid_of_leading`` refuses (see ``is_crossing_free``).
     """
 
     __slots__ = ("source", "target")
@@ -77,36 +81,34 @@ def voice_leading(
     Unequal sizes are reconciled by doubling the smaller chord's root
     (lowest pitch class when no root is declared).
     """
-    source, target = a.notes, b.notes  # a Chord keeps its notes sorted
-    if len(source) < len(target):
-        source = _padded(source, len(target), a_root)
-    elif len(target) < len(source):
-        target = _padded(target, len(source), b_root)
-    return VoiceLeading(source, target)
+    return VoiceLeading(_padded(a_root, a, len(b.notes)), _padded(b_root, b, len(a.notes)))
 
 
-def _padded(notes: tuple[PitchClass, ...], size: int, root: PitchClass | None):
-    """Sorted notes with the root (the lowest note when None) doubled up to ``size``."""
+def _padded(root: PitchClass | None, chord: Chord, size: int) -> tuple[PitchClass, ...]:
+    """The chord's sorted notes, its root (its lowest note when None) doubled up to ``size``."""
+    notes = chord.notes  # a Chord keeps its notes sorted
+    if len(notes) >= size:
+        return notes
     pad = min(notes) if root is None else root
     return tuple(sorted(notes + (pad,) * (size - len(notes))))
 
 
-def _reduced_moves(v: VoiceLeading) -> list[tuple[int, int]]:
-    """Distinct (source slot, target slot) moves realizable by strands, sorted.
+def _reduced_moves(source, target) -> list[tuple[int, int]]:
+    """Distinct (source slot, target slot) moves realizable by strands, in order.
 
-    Padding can duplicate a pitch class on either side; a physical strand
-    can only make one move, so duplicate sources and duplicate targets
-    each keep the single move with the smallest displacement (ties go to
-    ascending motion).  On a crossing-free leading, such as every one that
-    ``voice_leading`` builds, equal slots sit next to each other once the
-    moves are sorted, so one pass per side keeps each run's best move, and
-    the result is strictly increasing in both slots.  A side whose notes
-    repeat no pitch class needs no pass.
+    Both sides are sorted and of one size, so zipping them gives the moves
+    already sorted.  Padding can duplicate a pitch class on either side; a
+    physical strand can only make one move, so duplicate sources and
+    duplicate targets each keep the single move with the smallest
+    displacement (ties go to ascending motion).  Equal slots sit next to
+    each other, so one pass per side keeps each run's best move, and the
+    result is strictly increasing in both slots.  A side whose notes repeat
+    no pitch class needs no pass.
     """
-    moves = sorted([(s + 1, t + 1) for s, t in zip(v.source, v.target)])
-    if len(set(v.source)) < len(v.source):
+    moves = [(s + 1, t + 1) for s, t in zip(source, target)]
+    if len(set(source)) < len(source):
         moves = _best_of_runs(moves, 0)
-    if len(set(v.target)) < len(v.target):
+    if len(set(target)) < len(target):
         moves = _best_of_runs(moves, 1)
     return moves
 
@@ -136,28 +138,14 @@ def _walk(move: tuple[int, int]) -> tuple[Letter, ...]:
 _WALKS = _Table(_walk)
 
 
-def braid_of_leading(v: VoiceLeading) -> BraidWord:
-    """Emit the braid word realizing a voice leading on 12 strands.
+def _letters(letters: list[Letter], source, target) -> list[Letter]:
+    """Append the letters that walk sorted ``source`` onto sorted ``target``, unchecked.
 
-    Each moving voice walks from slot a to slot b through adjacent
-    crossings: ascending voices emit s_a .. s_{b-1}, descending voices
-    s_{a-1}^-1 .. s_b^-1.  Descending voices are emitted first in
-    ascending slot order, then ascending voices in descending slot order,
-    so every chord strand lands exactly on its target slot.  That order
-    picks one word, not the braid: emitting the ascending voices first
-    gives the same braid, which the test suite proves.
-
-    The word realizes only a crossing-free leading.  A crossing one is not
-    rejected, and its word may send a voice elsewhere: for
-    ``VoiceLeading((0, 4), (5, 2))`` the word ``s4^-1 s3^-1 s1 s2 s3 s4 s5``
-    sends slot 5 to slot 2, not 3.
+    The one core from two sorted sides of one size to a transition's word:
+    descending voices walk first, in ascending slot order, then ascending
+    voices in descending slot order.
     """
-    return BraidWord(STRANDS, tuple(_add_letters([], v)))
-
-
-def _add_letters(letters: list[Letter], v: VoiceLeading) -> list[Letter]:
-    """Append the letters of ``braid_of_leading(v)`` to ``letters``, unchecked."""
-    moves = _reduced_moves(v)
+    moves = _reduced_moves(source, target)
     for move in moves:
         if move[1] < move[0]:
             letters += _WALKS[move]
@@ -167,14 +155,41 @@ def _add_letters(letters: list[Letter], v: VoiceLeading) -> list[Letter]:
     return letters
 
 
+def braid_of_leading(v: VoiceLeading) -> BraidWord:
+    """Emit the braid word realizing a crossing-free voice leading on 12 strands.
+
+    Each moving voice walks from slot a to slot b through adjacent
+    crossings: ascending voices emit s_a .. s_{b-1}, descending voices
+    s_{a-1}^-1 .. s_b^-1.  Descending voices are emitted first in
+    ascending slot order, then ascending voices in descending slot order,
+    so every chord strand lands exactly on its target slot.  That order
+    picks one word, not the braid: emitting the ascending voices first
+    gives the same braid, which the test suite proves.
+
+    A crossing leading, such as ``VoiceLeading((0, 4), (5, 2))``, is a
+    CrossingLeading.  A crossing-free one may list its voices in any order.
+    """
+    source, target = sorted(v.source), sorted(v.target)
+    # both sides sorted as given is crossing-free; otherwise test each pair
+    if (source != list(v.source) or target != list(v.target)) and not v.is_crossing_free():
+        raise CrossingLeading(f"the pairing {v.pairs()} crosses")
+    return BraidWord(STRANDS, tuple(_letters([], source, target)))
+
+
 class Progression(_Value):
-    """A sequence of one or more labelled chords."""
+    """A sequence of one or more labelled chords: (label, root, Chord) each.
+
+    A root is None or a pitch class in 0..11; None pads with the lowest note.
+    """
 
     __slots__ = ("chords",)
 
     def __post_init__(self):
         if not self.chords:
             raise ParseError("the progression has no chords", 0)
+        if not _ROOTS.issuperset([root for _, root, _ in self.chords]):
+            root = next(root for _, root, _ in self.chords if root not in _ROOTS)
+            raise IndexOutOfRange(f"pitch class {root!r} is not in 0..11")
 
     def leadings(self) -> Iterator[VoiceLeading]:
         """Each chord transition's leading, built only as the caller asks for it."""
@@ -182,16 +197,28 @@ class Progression(_Value):
             yield voice_leading(a, b, a_root=ra, b_root=rb)
 
 
+def _sides(p: Progression) -> Iterator[tuple[tuple[PitchClass, ...], tuple[PitchClass, ...]]]:
+    """Each transition's two sorted sides, the smaller chord padded with its root."""
+    for (_, ra, a), (_, rb, b) in itertools.pairwise(p.chords):
+        yield _padded(ra, a, len(b.notes)), _padded(rb, b, len(a.notes))
+
+
+def _words(p: Progression) -> Iterator[BraidWord]:
+    """Each transition's word, built only as the caller asks for it."""
+    for source, target in _sides(p):
+        yield BraidWord(STRANDS, tuple(_letters([], source, target)))
+
+
 def braids_of_progression(p: Progression) -> list[BraidWord]:
     """One braid word per chord transition."""
-    return [braid_of_leading(v) for v in p.leadings()]
+    return list(_words(p))
 
 
 def braid_of_progression(p: Progression) -> BraidWord:
     """Concatenation of the per-transition words, checked once; identity for one chord."""
     letters: list[Letter] = []
-    for v in p.leadings():
-        _add_letters(letters, v)
+    for source, target in _sides(p):
+        _letters(letters, source, target)
     return BraidWord(STRANDS, tuple(letters))
 
 

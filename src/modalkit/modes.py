@@ -10,6 +10,7 @@ the 12 special modes.
 from __future__ import annotations
 
 import functools
+import operator
 from enum import Enum
 
 from .errors import IndexOutOfRange, NotAMode
@@ -120,7 +121,11 @@ def _names_by_offsets() -> dict[tuple[int, ...], str]:
 
 
 def harmonize(s: ScaleType, degree: int) -> ChordQuality:
-    """Seventh-chord quality stacked on a scale degree (1..7)."""
+    """Seventh-chord quality stacked on a scale degree: an integer in 1..7."""
+    try:
+        degree = operator.index(degree)
+    except TypeError:
+        raise IndexOutOfRange(f"degree {degree!r} is not an integer") from None
     if not 1 <= degree <= 7:
         raise IndexOutOfRange(f"degree must be in 1..7, got {degree}")
     return _QUALITIES[s][degree]

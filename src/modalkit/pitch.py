@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import operator
 from enum import Enum
-from typing import Iterable
 
 from .errors import IndexOutOfRange, ParseError
 
@@ -141,38 +140,33 @@ class _Value:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
-class Chord:
+class Chord(_Value):
     """An unordered multiset of pitch classes.
 
     Stored sorted and reduced mod 12, so equality and hashing are order-free.
     Duplicates are legal: a pitch-class list with a repeated value, such as
-    the progression line ``x: 0,0,4``, gives ``Chord([0, 0, 4])``.  Like a
-    ``_Value`` it is immutable, so one parsed chord can serve many callers.
+    the progression line ``x: 0,0,4``, gives ``Chord([0, 0, 4])``.  Every
+    note must be an integer, as ``operator.index`` reads one; any other note,
+    such as 0.5 or ``'5'``, is an IndexOutOfRange.
     """
 
     __slots__ = ("notes",)
-    notes: tuple[PitchClass, ...]
 
-    def __init__(self, notes: Iterable[int]):
-        object.__setattr__(self, "notes", tuple(sorted(pc(n) for n in notes)))
-
-    __setattr__ = _Value.__setattr__
-    __delattr__ = _Value.__delattr__
-
-    def __reduce__(self):
-        return Chord, (self.notes,)
+    def __post_init__(self):
+        notes = []
+        for note in self.notes:
+            try:
+                notes.append(operator.index(note) % 12)
+            except TypeError:
+                raise IndexOutOfRange(f"note {note!r} is not an integer") from None
+        notes.sort()
+        object.__setattr__(self, "notes", tuple(notes))
 
     def __len__(self) -> int:
         return len(self.notes)
 
     def __iter__(self):
         return iter(self.notes)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Chord) and self.notes == other.notes
-
-    def __hash__(self) -> int:
-        return hash(self.notes)
 
     def __repr__(self) -> str:
         return f"Chord({list(self.notes)})"

@@ -223,7 +223,7 @@ def test_09_progression_fixtures():
         perm = invariants(word).permutation
         targets = {t + 1 for t in v.target}
         moved = set()
-        for a, b in _reduced_moves(v):
+        for a, b in _reduced_moves(v.source, v.target):
             assert perm[a - 1] == b
             moved.add(b)
         assert moved <= targets

@@ -99,7 +99,7 @@ def test_braid_verb_words_join_to_the_progression_braid():
 
 def ascending_first(v) -> BraidWord:
     """``braid_of_leading`` with its two groups of voices emitted the other way round."""
-    moves = _reduced_moves(v)
+    moves = _reduced_moves(v.source, v.target)
     letters = []
     for a, b in reversed([m for m in moves if m[1] > m[0]]):
         letters.extend((i, 1) for i in range(a, b))

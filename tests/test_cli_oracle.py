@@ -4,12 +4,17 @@
 its ``cli_stdout`` gives the exact stdout of every verb but ``braid``.  The
 theory is finite, so every input of those verbs runs here, with roots spelled
 on flats and on sharps.  ``approx`` alone has too many (4,096 targets per
-quality and root), so hypothesis draws its targets.
+quality and root), so hypothesis draws its targets.  ``braid`` reads files of
+any length, so seeded songs from ``bench/inputs.py`` and hand-made files run
+here, and ``check_braid_stdout`` checks each word it prints.
 """
 
 import importlib.util
 import io
+import json
+import os
 import random
+import subprocess
 import sys
 from itertools import product
 from pathlib import Path
@@ -18,6 +23,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import modalkit
 from modalkit.cli import run
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -130,3 +136,97 @@ def test_approx_answers_are_the_oracles(target, quality, spelling, fmt):
     cmd = command("approx", dict(target=target, quality=quality, root=root, format=fmt),
                   "--target", ",".join(map(str, target)), f"--quality={quality}", "--root", note)
     assert list(mismatches([cmd])) == []
+
+
+def symbol(label):
+    """A chord-symbol line's chord as the oracle takes it: (label, root, notes)."""
+    spelled = {note: pc for notes in (inputs.FLAT_ROOTS, inputs.SHARP_ROOTS)
+               for pc, note in enumerate(notes)}
+    name = label[:2] if label[:2] in spelled else label[:1]
+    root = spelled[name]
+    return label, root, tuple((root + i) % 12 for i in inputs.SHARP_TOKENS[label[len(name):]])
+
+
+def listed(label, *notes):
+    """A ``name: pc,...`` line's chord: its root is the first pitch class written."""
+    return label, notes[0], notes
+
+
+# Hand-made files: (text, chords as the oracle takes them).
+HAND_MADE = {
+    "repeated-pitch-classes": (
+        "a: 0,0,4\nb: 7,7,7\nc: 2,2,11,11\nd: 5,5\ne: 0,4,4,7\n",
+        [listed("a", 0, 0, 4), listed("b", 7, 7, 7), listed("c", 2, 2, 11, 11),
+         listed("d", 5, 5), listed("e", 0, 4, 4, 7)],
+    ),
+    "padding-both-ways": (
+        "x: 4,7\nCmaj7\ny: 9,2\nB13b9\nz: 11\nC6/9\nw: 6,1,10\n",
+        [listed("x", 4, 7), symbol("Cmaj7"), listed("y", 9, 2), symbol("B13b9"),
+         listed("z", 11), symbol("C6/9"), listed("w", 6, 1, 10)],
+    ),
+    "one-chord": ("Cmaj7\n", [symbol("Cmaj7")]),
+    "crlf-comments-blanks-sharps": (
+        "# a song\r\n\r\nF#o7\r\n  C#-7  # tonic\r\n\r\nq: 11,3 # two\r\n\t# C7\r\n"
+        "Dbmaj7#5\r\nA#-9",
+        [symbol("F#o7"), symbol("C#-7"), listed("q", 11, 3), symbol("Dbmaj7#5"), symbol("A#-9")],
+    ),
+}
+SEEDED = {f"song-{n}-{'sharp' if sharp else 'flat'}": inputs.song(random.Random(n), n, sharp)
+          for n, sharp in ((2, False), (17, True), (40, False), (64, True))}
+BRAID_FILES = {**{key: (s.text, s.chords) for key, s in SEEDED.items()}, **HAND_MADE}
+
+
+@pytest.mark.parametrize("ascii_", [False, True], ids=["plain", "ascii"])
+@pytest.mark.parametrize("key", list(BRAID_FILES))
+def test_braid_answers_are_the_oracles(key, ascii_, tmp_path):
+    text, chords = BRAID_FILES[key]
+    path = tmp_path / "song.prog"
+    path.write_bytes(text.encode())
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["braid", "--file", str(path), *(["--ascii"] if ascii_ else [])], out=out, err=err)
+    assert (code, err.getvalue()) == (0, "")
+    oracle.check_braid_stdout(out.getvalue(), chords, ascii_)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"", b"# only a comment\n\n", b"Cmaj7\nCxx\n", b"x: 0,12\n", b"G7\r\nx:\r\n",
+     b"Cmaj7\n\xff\n", b"Hm7"],
+    ids=["empty", "comments-only", "bad-quality", "out-of-range", "crlf-empty-list",
+         "not-utf8", "bad-root"],
+)
+def test_malformed_braid_files_print_one_parse_error(data, tmp_path):
+    path = tmp_path / "song.prog"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["braid", "--file", str(path)], out=out, err=err) == 1
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("ParseError: ") and err.getvalue().count("\n") == 1
+
+
+DETERMINISM = """
+import json, sys
+from modalkit.cli import run
+for argv in json.loads(sys.argv[1]):
+    assert run(argv) == 0, argv
+"""
+
+
+def test_output_bytes_do_not_depend_on_the_hash_seed():
+    peru = Path(__file__).resolve().parent / "data" / "peru.prog"
+    commands = [["braid", "--file", str(peru), "--ascii"]] + [
+        argv for q in QUALITIES for argv in (
+            ["special", f"--quality={q}", "--paper-compat"],
+            ["graph", f"--quality={q}", "--dot"],
+            ["graph", f"--quality={q}", "--dot", "--root", "F#"],
+            ["approx", "--target", "11,0,2,3,5,6,8,9", f"--quality={q}", "--root", "B"],
+        )
+    ]
+    out = io.StringIO()
+    assert all(run(argv, out=out) == 0 for argv in commands)
+    src = Path(modalkit.__file__).resolve().parents[1]
+    for seed in ("0", "1", "4242"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", DETERMINISM, json.dumps(commands)],
+                              capture_output=True, env=env, check=True)
+        assert proc.stdout == out.getvalue().encode(), f"PYTHONHASHSEED={seed}"

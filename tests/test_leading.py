@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from modalkit import leading
 from modalkit.braid import BraidWord, concatenate, invariants, serialize_word
-from modalkit.errors import IndexOutOfRange, ParseError, SizeMismatch
+from modalkit.errors import CrossingLeading, IndexOutOfRange, ParseError, SizeMismatch
 from modalkit.leading import (
     STRANDS,
     Progression,
@@ -21,7 +21,7 @@ from modalkit.leading import (
     parse_progression,
     voice_leading,
 )
-from modalkit.leading import _reduced_moves
+from modalkit.leading import _letters, _reduced_moves
 from modalkit.pitch import _SPELLINGS, _SYMBOL_INTERVALS, Chord, _Table, parse_chord_symbol
 
 # More digits than int() converts by default (4,300).
@@ -73,6 +73,9 @@ def test_padding_doubles_the_root():
     # without a declared root the lowest pitch class is doubled
     v = voice_leading(Chord([4, 7, 11]), Chord([0, 4, 7, 11]))
     assert v.source == (4, 4, 7, 11)
+    # so does a progression root of None
+    p = Progression((("a", None, Chord([4, 7, 11])), ("b", 0, Chord([0, 4, 7, 11]))))
+    assert braid_of_progression(p) == braid_of_leading(v)
 
 
 def test_cmaj7_to_gmaj7_pairs():
@@ -140,16 +143,19 @@ def test_leading_range_check_names_the_first_note_out_of_range(notes):
 
 
 def test_a_note_equal_to_a_pitch_class_walks_as_it(monkeypatch):
-    with pytest.raises(IndexOutOfRange, match=r"^pitch class 0\.5 is not in 0\.\.11$"):
-        voice_leading(Chord([0.5, 4]), Chord([1, 5]))
+    # a chord note must be an integer, so 0.5 is refused where it enters
+    with pytest.raises(IndexOutOfRange, match=r"^note 0\.5 is not an integer$"):
+        Chord([0.5, 4])
     # the doubled root 2.0 makes the move (3.0, 5), which walks like (3, 5)
     a, b = Chord([2, 9]), Chord([0, 4, 7])
     expected = braid_of_leading(voice_leading(a, b, a_root=2))
     for first, then in ((2.0, 2), (2, 2.0)):
         monkeypatch.setattr(leading, "_WALKS", _Table(leading._walk))  # cold
         for root in (first, then):  # then warm
-            word = braid_of_leading(voice_leading(a, b, a_root=root))
-            assert word == expected and all(type(i) is int for i, _sign in word.letters)
+            progression = Progression((("a", root, a), ("b", 0, b)))
+            for word in (braid_of_leading(voice_leading(a, b, a_root=root)),
+                         braid_of_progression(progression)):
+                assert word == expected and all(type(i) is int for i, _sign in word.letters)
 
 
 def test_against_brute_force_oracle():
@@ -180,7 +186,7 @@ def test_crossing_free_detection():
 
 def test_reduced_moves_deduplicate_padding():
     v = VoiceLeading((0, 2, 2, 4), (0, 3, 6, 8))
-    moves = _reduced_moves(v)
+    moves = _reduced_moves(v.source, v.target)
     # the doubled pitch class keeps its cheaper move only
     assert moves == [(1, 1), (3, 4), (5, 9)]
     slots = list(zip(*moves))
@@ -206,6 +212,13 @@ def reference_reduced_moves(v):
     return sorted(keep_best(keep_best(((s + 1, t + 1) for s, t in v.pairs()), 0), 1))
 
 
+def reference_letters(moves):
+    """Descending walks in ascending slot order, then ascending walks in descending slot order."""
+    down = [(i, -1) for a, b in moves if b < a for i in range(a - 1, b - 1, -1)]
+    up = [(i, 1) for a, b in reversed(moves) if b > a for i in range(a, b)]
+    return down + up
+
+
 notes = st.lists(st.integers(0, 11), min_size=1, max_size=7)
 
 
@@ -223,12 +236,38 @@ def leadings(draw):
 @example(VoiceLeading((0, 0, 1, 2), (1, 3, 5, 5)), random.Random(0))  # a target repeats after the source pass
 @example(VoiceLeading((2, 2, 2), (0, 4, 4)), random.Random(0))
 def test_reduced_moves_match_the_two_pass_form(v, rng):
-    assert _reduced_moves(v) == reference_reduced_moves(v)
+    moves = reference_reduced_moves(v)
+    assert _reduced_moves(v.source, v.target) == moves
+    # the core appends the walks of those moves to the letters it is given
+    prefix = [(1, 1)]
+    assert _letters(prefix, v.source, v.target) is prefix
+    assert prefix == [(1, 1), *reference_letters(moves)]
     # the same crossing-free leading, its voices listed in another order
     pairs = list(v.pairs())
     rng.shuffle(pairs)
     shuffled = VoiceLeading(*map(tuple, zip(*pairs)))
-    assert _reduced_moves(shuffled) == reference_reduced_moves(v)
+    assert braid_of_leading(shuffled).letters == tuple(reference_letters(moves))
+
+
+voices = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), min_size=1, max_size=6)
+
+
+@settings(max_examples=100)
+@given(leadings().map(lambda v: list(v.pairs())) | voices, st.randoms(use_true_random=False))
+@example([(0, 5), (4, 2)], random.Random(0))  # crosses: refused
+@example([(2, 0), (2, 4), (7, 7)], random.Random(0))  # a repeated source, in either order
+def test_every_accepted_word_lands_its_voices(pairs, rng):
+    rng.shuffle(pairs)
+    v = VoiceLeading(*map(tuple, zip(*pairs)))
+    try:
+        word = braid_of_leading(v)
+    except CrossingLeading:
+        assert not v.is_crossing_free()
+        return
+    assert v.is_crossing_free()
+    perm = invariants(word).permutation
+    for a, b in _reduced_moves(sorted(v.source), sorted(v.target)):
+        assert perm[a - 1] == b
 
 
 @pytest.mark.parametrize("root", [13, -1])
@@ -254,19 +293,22 @@ def test_braid_moves_every_voice_to_its_slot():
         target = sorted(rng.sample(range(12), size))
         v = VoiceLeading(tuple(source), tuple(target))
         perm = invariants(braid_of_leading(v)).permutation
-        for a, b in _reduced_moves(v):
+        for a, b in _reduced_moves(v.source, v.target):
             assert perm[a - 1] == b
 
 
-def test_crossing_leading_word_does_not_land_its_voices():
-    # braid_of_leading realizes only crossing-free leadings, as its docstring says
+def test_crossing_leading_is_refused():
+    # walked as given, slot 5 would end on slot 2, not on its target 3
     v = VoiceLeading((0, 4), (5, 2))
     assert not v.is_crossing_free()
-    assert _reduced_moves(v) == [(1, 6), (5, 3)]
-    w = braid_of_leading(v)
-    assert serialize_word(w) == "s4^-1 s3^-1 s1 s2 s3 s4 s5"
-    perm = invariants(w).permutation
-    assert perm[0] == 6 and perm[4] == 2  # slot 5 ends on 2, not on its target 3
+    with pytest.raises(CrossingLeading, match=r"^the pairing \(\(0, 5\), \(4, 2\)\) crosses$"):
+        braid_of_leading(v)
+    with pytest.raises(CrossingLeading):
+        braid_of_leading(VoiceLeading((0, 4, 7), (11, 4, 7)))  # a rotation crosses
+    # the crossing-free pairing of the same notes, its voices in either order
+    word = braid_of_leading(VoiceLeading((4, 0), (5, 2)))
+    assert word == braid_of_leading(VoiceLeading((0, 4), (2, 5)))
+    assert serialize_word(word) == "s5 s1 s2"
 
 
 def test_identity_leading_gives_empty_word():

@@ -150,6 +150,13 @@ def test_harmonize_rejects_bad_degree():
         harmonize(ScaleType.MAJOR, 9)
 
 
+@pytest.mark.parametrize("degree", [2.5, 2.0, "2", None], ids=repr)
+def test_harmonize_refuses_a_degree_that_is_no_integer(degree):
+    # as a root that keys a table: 2.0 equals degree 2, yet it is no integer
+    with pytest.raises(IndexOutOfRange, match=rf"^degree {degree!r} is not an integer$"):
+        harmonize(ScaleType.MAJOR, degree)
+
+
 def test_quality_census_over_21_modes():
     census = {}
     for s in ScaleType:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from modalkit.errors import ParseError
+from modalkit.errors import IndexOutOfRange, ParseError
 from modalkit.pitch import (
     _SYMBOL_INTERVALS,
     NOTE_TO_PC,
@@ -109,6 +109,19 @@ def test_chord_keeps_duplicates():
     c = Chord([0, 0, 5])
     assert len(c) == 3
     assert list(c) == [0, 0, 5]
+
+
+@pytest.mark.parametrize("note", [0.5, 4.0, "5", None, float("nan")], ids=repr)
+def test_chord_notes_are_integers(note):
+    # one gate where notes enter: a note equal to a pitch class is still no integer
+    with pytest.raises(IndexOutOfRange, match=f"^note {re.escape(repr(note))} is not an integer$"):
+        Chord([0, note])
+
+
+def test_chord_reduces_integers_and_shows_its_notes():
+    assert Chord(n for n in (12, -1, True)).notes == (0, 1, 11)
+    assert Chord(notes=[7, 0, 4]) == Chord([0, 4, 7])
+    assert repr(Chord([7, 0, 4])) == "Chord([0, 4, 7])"
 
 
 def test_seven_qualities():

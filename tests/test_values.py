@@ -209,6 +209,10 @@ def test_missing_or_unknown_fields_are_type_errors(cls):
          "pitch class 13 is not in 0..11"),
         (VoiceLeading, dict(source=(0, 4, 7), target=(-1, 5, 9)), IndexOutOfRange,
          "pitch class -1 is not in 0..11"),
+        (Progression, dict(chords=(("C", 0, Chord([0, 4, 7])), ("x", 13, Chord([1])))),
+         IndexOutOfRange, r"^pitch class 13 is not in 0\.\.11$"),
+        (Progression, dict(chords=(("x", 0.5, Chord([1])),)), IndexOutOfRange,
+         r"^pitch class 0\.5 is not in 0\.\.11$"),
     ],
     ids=lambda value: value.__name__ if isinstance(value, type) else None,
 )
