@@ -24,22 +24,71 @@ Letter = tuple[int, int]  # (generator index, sign)
 
 
 class BraidWord(_Value, letters=()):
+    """A word of signed generators on ``strands`` strands.
+
+    The strand count is an integer of at least 1, and each letter is a pair
+    (generator index, sign) with an index in [1, strands - 1] and a sign of
+    +1 or -1.  A strand count that is no integer, such as 12.5 or '12', and
+    an index that is none, such as 1.5, are refused.  A number equal to an
+    integer is read as it: a strand count such as 12.0 or True is kept as
+    that int, and a letter equal to a valid one, such as (1.0, 1) or
+    (True, 1), is accepted and kept as given, so its word equals the word
+    of integer letters, and every function reads the letter as that one.
+    """
+
     __slots__ = ("strands", "letters")
 
     def __post_init__(self):
         """The one validation of a word; bench/spans.py wraps it to count the letters."""
-        if self.strands < 1:
+        n = self.strands
+        if n.__class__ is not int:
+            n = _integer(n)
+            if n is None:
+                raise InvalidBraid(f"strand count {self.strands!r} is not an integer")
+            object.__setattr__(self, "strands", n)
+        if n < 1:
             raise InvalidBraid("need at least one strand")
-        for index, sign in self.letters:
-            if not 1 <= index <= self.strands - 1:
-                raise IndexOutOfRange(
-                    f"generator s{index} needs {index + 1} strands, have {self.strands}"
-                )
-            if sign not in (1, -1):
-                raise InvalidBraid(f"sign must be +1 or -1, got {sign}")
+        if n <= _TABLED_STRANDS:
+            try:
+                if _VALID[n].issuperset(self.letters):
+                    return
+            except TypeError:  # an unhashable letter, such as [1, 1]
+                pass
+        for letter in self.letters:  # the first letter outside the set is refused
+            _check(letter, n)
 
     def __len__(self) -> int:
         return len(self.letters)
+
+
+def _integer(value) -> int | None:
+    """The int equal to ``value``, as 12 for 12.0 or 1 for True; None for 1.5 or '12'."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return whole if whole == value else None
+
+
+def _check(letter, strands: int) -> None:
+    """Refuse ``letter`` unless it equals a valid letter on ``strands`` strands."""
+    if not (isinstance(letter, tuple) and len(letter) == 2):
+        raise InvalidBraid(f"letter {letter!r} is not a (generator index, sign) pair")
+    index, sign = letter
+    i = _integer(index)
+    if i is None:
+        raise IndexOutOfRange(f"generator index {index!r} is not an integer")
+    if not 1 <= i <= strands - 1:
+        raise IndexOutOfRange(f"generator s{i} needs {i + 1} strands, have {strands}")
+    if sign not in (1, -1):
+        raise InvalidBraid(f"sign must be +1 or -1, got {sign}")
+
+
+# The valid letters per strand count, so that one issuperset checks a whole
+# word; up to 64 strands, so a huge strand count builds no huge set.  A word
+# on more strands, or with a letter outside the set, is checked letter by letter.
+_TABLED_STRANDS = 64
+_VALID = _Table(lambda n: frozenset((i, sign) for i in range(1, n) for sign in (1, -1)))
 
 
 class BraidInvariants(_Value):
@@ -58,14 +107,25 @@ def concatenate(first: BraidWord, *rest: BraidWord) -> BraidWord:
 
 
 def invariants(w: BraidWord) -> BraidInvariants:
-    occupant = list(range(1, w.strands + 1))  # occupant[s-1] = start of the strand at slot s
-    for index, _sign in w.letters:
-        occupant[index - 1], occupant[index] = occupant[index], occupant[index - 1]
+    letters = w.letters
+    try:
+        occupant = _occupants(w.strands, letters)
+    except TypeError:  # an index equal to an integer, such as 1.0, indexes no list
+        letters = [(int(i), int(sign)) for i, sign in letters]
+        occupant = _occupants(w.strands, letters)
     position = [0] * w.strands
     for slot, start in enumerate(occupant, start=1):
         position[start - 1] = slot
-    writhe = sum(sign for _i, sign in w.letters)
+    writhe = int(sum(sign for _i, sign in letters))
     return BraidInvariants(tuple(position), writhe)
+
+
+def _occupants(strands: int, letters) -> list[int]:
+    """occupant[s-1], the start position of the strand at slot s after ``letters``."""
+    occupant = list(range(1, strands + 1))
+    for index, _sign in letters:
+        occupant[index - 1], occupant[index] = occupant[index], occupant[index - 1]
+    return occupant
 
 
 def free_reduce(w: BraidWord) -> BraidWord:
@@ -146,12 +206,13 @@ def _letter(text: str, tokens: list[str], k: int, strands: int) -> Letter:
 
 
 def _token(letter: Letter) -> str:
-    i, sign = letter
+    i, sign = map(int, letter)  # a letter such as (1.0, 1) is spelled as (1, 1)
     return f"s{i}" if sign > 0 else f"s{i}^-1"
 
 
 def _block(key: tuple[int, Letter]) -> str:
-    n, (i, sign) = key
+    n, letter = key
+    i, sign = map(int, letter)  # a letter such as (1.0, 1) is drawn as (1, 1)
     left, right = "| " * (i - 1), " |" * (n - i - 1)
     middle = " / " if sign > 0 else " \\ "
     return f"{left}\\ /{right}\n{left}{middle}{right}\n{left}/ \\{right}\n"

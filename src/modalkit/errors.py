@@ -33,16 +33,23 @@ class PatternMismatch(ModalkitError):
 
 
 class InvalidBraid(ModalkitError, ValueError):
-    """A braid word or rewrite is asked for with fewer than one strand, a
-    letter sign other than +1/-1, or an unknown rule name."""
+    """A braid word or rewrite is asked for with a strand count that is no
+    integer or is below one, a letter that is not a (generator index, sign)
+    pair, a letter sign other than +1/-1, or an unknown rule name."""
+
+
+class InvalidProgression(ModalkitError, ValueError):
+    """A progression entry that is not a (label, root, Chord) triple: a
+    tuple of a str label, a root and a Chord."""
 
 
 class IndexOutOfRange(ModalkitError, ValueError):
-    """An index lies outside its range: a braid generator outside
-    [1, strands - 1], a scale degree outside 1..7 or not an integer, a chord
-    note that is not an integer, a voice or a progression root that is no
-    pitch class in 0..11, or a root that is not an integer where a root keys
-    a table of the theory."""
+    """An index lies outside its range: a braid generator index that is not
+    an integer or lies outside [1, strands - 1], a scale degree outside 1..7
+    or not an integer, a chord note that is not an integer, a voice or a
+    progression root that is no pitch class in 0..11 (an unhashable root
+    such as [1] included), or a root that is not an integer where a root
+    keys a table of the theory."""
 
 
 class SizeMismatch(ModalkitError):

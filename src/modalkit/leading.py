@@ -13,10 +13,13 @@ which crosses in this linear order, often moves the voices less (Tymoczko
 Braids live on 12 strands, one per pitch class; a voice moving from pitch
 class p to q occupies strand slot p+1 and walks to slot q+1 through
 adjacent crossings.  One core, ``_letters``, turns two sorted sides of one
-size into a transition's letters.  The progression words pair the chords'
-sorted notes straight into it, the smaller chord padded with its root, and
-``braid_of_leading`` sorts its leading's sides once it has refused a
-crossing pairing.
+size into a transition's letters, and ``braid_of_leading`` sorts its
+leading's sides into it once it has refused a crossing pairing.  One
+generator, ``_transition_letters``, pairs a progression's sorted notes into
+it, the smaller chord padded with its root, one letter tuple per
+transition.  A ``Progression`` keeps that derivation once either
+progression word asks for it, and both words read it; the ``braid`` verb
+streams the generator and keeps nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +29,13 @@ import re
 from collections.abc import Iterator
 
 from .braid import BraidWord, Letter
-from .errors import CrossingLeading, IndexOutOfRange, ParseError, SizeMismatch
+from .errors import (
+    CrossingLeading,
+    IndexOutOfRange,
+    InvalidProgression,
+    ParseError,
+    SizeMismatch,
+)
 from .pitch import Chord, PitchClass, _Table, _Value, parse_chord_symbol, parse_pcs, pc
 
 STRANDS = 12
@@ -179,16 +188,31 @@ def braid_of_leading(v: VoiceLeading) -> BraidWord:
 class Progression(_Value):
     """A sequence of one or more labelled chords: (label, root, Chord) each.
 
-    A root is None or a pitch class in 0..11; None pads with the lowest note.
+    Each entry is a tuple of a str label, a root and a Chord; anything else
+    is an InvalidProgression.  A root is None or a pitch class in 0..11, and
+    None pads with the lowest note.  The chords are kept as a tuple, so a
+    list given here shows as a tuple in the repr.
+
+    The first progression word asked for derives the letters of every
+    transition, one letter tuple each, and the progression keeps them for
+    its life, so the other word reads them instead of deriving them again.
     """
 
-    __slots__ = ("chords",)
+    __slots__ = ("chords", "_transitions")
 
     def __post_init__(self):
-        if not self.chords:
+        chords = tuple(self.chords)
+        object.__setattr__(self, "chords", chords)
+        object.__setattr__(self, "_transitions", None)
+        if not chords:
             raise ParseError("the progression has no chords", 0)
-        if not _ROOTS.issuperset([root for _, root, _ in self.chords]):
-            root = next(root for _, root, _ in self.chords if root not in _ROOTS)
+        for entry in chords:
+            if not (isinstance(entry, tuple) and len(entry) == 3
+                    and isinstance(entry[0], str) and isinstance(entry[2], Chord)):
+                raise InvalidProgression(f"entry {entry!r} is not a (label, root, Chord) triple")
+        roots = [root for _, root, _ in chords]
+        if not _all_roots(roots):
+            root = next(root for root in roots if not _all_roots((root,)))
             raise IndexOutOfRange(f"pitch class {root!r} is not in 0..11")
 
     def leadings(self) -> Iterator[VoiceLeading]:
@@ -197,29 +221,47 @@ class Progression(_Value):
             yield voice_leading(a, b, a_root=ra, b_root=rb)
 
 
-def _sides(p: Progression) -> Iterator[tuple[tuple[PitchClass, ...], tuple[PitchClass, ...]]]:
-    """Each transition's two sorted sides, the smaller chord padded with its root."""
+def _all_roots(roots) -> bool:
+    """Whether every root is None or a pitch class; an unhashable one, such as [1], is not."""
+    try:
+        return _ROOTS.issuperset(roots)
+    except TypeError:
+        return False
+
+
+def _transition_letters(p: Progression) -> Iterator[tuple[Letter, ...]]:
+    """Each transition's letters, derived as the caller asks for them and kept nowhere.
+
+    The two sides are the chords' sorted notes, the smaller chord padded with its root.
+    """
     for (_, ra, a), (_, rb, b) in itertools.pairwise(p.chords):
-        yield _padded(ra, a, len(b.notes)), _padded(rb, b, len(a.notes))
+        source, target = _padded(ra, a, len(b.notes)), _padded(rb, b, len(a.notes))
+        yield tuple(_letters([], source, target))
+
+
+def _transitions(p: Progression) -> tuple[tuple[Letter, ...], ...]:
+    """Each transition's letters, derived on the first call and kept by ``p``."""
+    kept = p._transitions
+    if kept is None:
+        kept = tuple(_transition_letters(p))
+        object.__setattr__(p, "_transitions", kept)
+    return kept
 
 
 def _words(p: Progression) -> Iterator[BraidWord]:
-    """Each transition's word, built only as the caller asks for it."""
-    for source, target in _sides(p):
-        yield BraidWord(STRANDS, tuple(_letters([], source, target)))
+    """Each transition's word, built only as the caller asks for it; the braid verb's stream."""
+    for letters in _transition_letters(p):
+        yield BraidWord(STRANDS, letters)
 
 
 def braids_of_progression(p: Progression) -> list[BraidWord]:
     """One braid word per chord transition."""
-    return list(_words(p))
+    return [BraidWord(STRANDS, letters) for letters in _transitions(p)]
 
 
 def braid_of_progression(p: Progression) -> BraidWord:
     """Concatenation of the per-transition words, checked once; identity for one chord."""
-    letters: list[Letter] = []
-    for source, target in _sides(p):
-        _letters(letters, source, target)
-    return BraidWord(STRANDS, tuple(letters))
+    return BraidWord(STRANDS, tuple(itertools.chain.from_iterable(_transitions(p))))
 
 
 _COMMENT = re.compile(r"(?:^|\s)#")

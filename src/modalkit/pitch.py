@@ -90,7 +90,7 @@ def parse_pcs(text: str) -> list[PitchClass]:
 
 
 class _Value:
-    """An immutable record: its fields are its ``__slots__``.
+    """An immutable record: its fields are its public ``__slots__``.
 
     A subclass names each field once, in ``__slots__``, and gets an
     ``__init__`` generated as dataclasses does it: the fields in that order,
@@ -99,13 +99,18 @@ class _Value:
     fields defines ``__post_init__``, which ``__init__`` calls once they are
     set.  Like a frozen dataclass, a record equals an instance of its own
     type with equal fields, hashes by them and shows as ``Name(field=value, ...)``.
+
+    A slot named with a leading underscore is no field: it holds a value the
+    record derives from its fields, set with ``object.__setattr__``, and
+    takes no part in ``__init__``, equality, hashing, the repr, copies or
+    pickles.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **defaults):
         super().__init_subclass__()
-        fields = cls.__slots__
+        fields = cls._names = tuple(n for n in cls.__slots__ if not n.startswith("_"))
         if not defaults.keys() <= set(fields):
             raise TypeError(f"{cls.__name__} defaults {sorted(defaults)} name no field of {fields}")
         params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in fields)
@@ -126,7 +131,7 @@ class _Value:
         return hash(self._fields(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
         return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name: str, value: object):
@@ -137,7 +142,7 @@ class _Value:
 
     def __reduce__(self):
         # copy and pickle rebuild the record through __init__, which checks it again
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), tuple(getattr(self, name) for name in self._names)
 
 
 class Chord(_Value):

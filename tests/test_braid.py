@@ -89,6 +89,29 @@ def test_word_validation():
     assert len(BraidWord(4)) == 0
 
 
+@pytest.mark.parametrize("strands", [12, 100])  # checked by one set, and letter by letter
+@pytest.mark.parametrize("equal", [(1.0, 1), (True, 1), (1, 1.0), (1, True)])
+def test_a_letter_equal_to_a_valid_one_reads_as_it(monkeypatch, strands, equal):
+    # accepted and kept as given; every function reads it as the integer letter
+    monkeypatch.setattr(braid, "_TOKENS", braid._Table(braid._token))  # cold, so the equal
+    monkeypatch.setattr(braid, "_BLOCKS", braid._Table(braid._block))  # letter is derived first
+    word, twin = BraidWord(strands, (equal, (2, -1))), BraidWord(strands, ((1, 1), (2, -1)))
+    assert word.letters[0] is equal
+    assert word == twin and hash(word) == hash(twin)
+    for read in (serialize_word, render_ascii, invariants, free_reduce):
+        assert read(word) == read(twin)
+    assert repr(invariants(word)) == repr(invariants(twin))
+    assert serialize_word(twin) == "s1 s2^-1"
+    assert parse_word(serialize_word(word), strands) == twin
+
+
+@pytest.mark.parametrize("count", [12.0, True, 3.0])
+def test_a_strand_count_equal_to_an_integer_is_kept_as_it(count):
+    word = BraidWord(count)
+    assert type(word.strands) is int and word.strands == count
+    assert word == BraidWord(int(count)) and repr(word) == f"BraidWord(strands={int(count)}, letters=())"
+
+
 @pytest.mark.parametrize(
     "call",
     [

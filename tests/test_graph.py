@@ -134,6 +134,7 @@ BOUNDS = {
     "modalkit.leading._SYMBOLS": 21 * 10,  # note spelling + quality token
     "modalkit.braid._TOKENS": 2 * 11,  # letter on 12 strands
     "modalkit.braid._BLOCKS": 2 * 11 + 2 * 2,  # (strands, letter) on 12 and 3 strands
+    "modalkit.braid._VALID": 2,  # strand count: 12 and 3
 }
 WHOLE_MAPS = {"modalkit.modes._names_by_offsets", "modalkit.graph._paths_by_name"}
 

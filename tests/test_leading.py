@@ -355,6 +355,57 @@ def test_braid_of_progression_checks_each_letter_once(monkeypatch):
     assert [id(w) for w in checked] == [id(joined)] and len(joined) > 0
 
 
+padding_lines = st.sampled_from(["x: 0", "y: 4,4", "z: 0,1,2,3,4,5"])  # pad up and down
+
+
+@settings(max_examples=150)
+@given(st.lists(symbol_lines | pcs_lines | padding_lines, min_size=1, max_size=24),
+       st.booleans())
+@example(["Cmaj7"], True)
+@example(["x: 0", "Cmaj7", "x: 0", "x: 0", "z: 0,1,2,3,4,5"], False)
+def test_both_progression_words_match_each_transition(lines, words_first):
+    p = parse_progression("\n".join(lines))
+    expected = [braid_of_leading(voice_leading(a, b, ra, rb))
+                for (_, ra, a), (_, rb, b) in zip(p.chords, p.chords[1:])]
+    whole = concatenate(BraidWord(STRANDS), *expected)
+    calls = [lambda: braids_of_progression(p), lambda: braid_of_progression(p)]
+    if not words_first:
+        calls.reverse()
+    for call in calls * 2:
+        got = call()
+        assert got == (expected if isinstance(got, list) else whole)
+
+
+def test_a_progression_derives_each_transition_once(monkeypatch):
+    runs, letters = [], leading._letters
+    monkeypatch.setattr(leading, "_letters", lambda *args: runs.append(1) or letters(*args))
+    text = "Cmaj7\nx: 0,0,4\nG7\nF#o7\ny: 2\nCmaj7\n"
+    for first, then in ((braids_of_progression, braid_of_progression),
+                        (braid_of_progression, braids_of_progression)):
+        p = parse_progression(text)
+        n = len(p.chords)
+        first(p), then(p), first(p), then(p)
+        assert len(runs) == n - 1
+        runs.clear()
+
+
+def test_the_braid_stream_keeps_no_letters():
+    text = "Cmaj7\nG7\nF#o7\n"
+    p = parse_progression(text)
+    assert list(leading._words(p)) == braids_of_progression(parse_progression(text))
+    assert p._transitions is None
+
+
+def test_a_progression_keeps_its_own_chords():
+    entries = [("a", 0, Chord([0, 4, 7])), ("b", 7, Chord([7, 11, 2]))]
+    p = Progression(entries)
+    words = braids_of_progression(p)
+    entries.append(("c", 5, Chord([5, 9, 0])))  # the caller's list, changed after the build
+    assert p.chords == tuple(entries[:2])
+    assert braids_of_progression(p) == words
+    assert braid_of_progression(p) == words[0]
+
+
 def test_single_chord_progression_is_identity():
     p = parse_progression("Cmaj7\n")
     assert braid_of_progression(p) == BraidWord(STRANDS)

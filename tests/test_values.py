@@ -1,7 +1,8 @@
 """The 11 value types behave as frozen dataclasses: field equality and hashing,
 ``Name(field=value, ...)`` reprs, no assignment, keyword construction with
 defaults, copies and pickles, and ``DegreeLabel`` ordering.  Each takes its
-``__slots__`` as parameters, and each field check runs once per build."""
+public ``__slots__`` as parameters, and each field check runs once per build.
+A private slot, such as the letters a ``Progression`` derives, is no field."""
 
 import copy
 import inspect
@@ -28,14 +29,23 @@ from modalkit import (
     TriadQuality,
     VoiceLeading,
     approximate,
+    braid_of_progression,
     build_graph,
     concatenate,
     free_reduce,
     hs_ws_scale,
+    parse_progression,
     parse_word,
     rewrite_step,
 )
-from modalkit.errors import IndexOutOfRange, InvalidBraid, NotAMode, ParseError, SizeMismatch
+from modalkit.errors import (
+    IndexOutOfRange,
+    InvalidBraid,
+    InvalidProgression,
+    NotAMode,
+    ParseError,
+    SizeMismatch,
+)
 from modalkit.pitch import _Value
 
 IONIAN = (0, 2, 4, 5, 7, 9, 11)
@@ -136,6 +146,27 @@ def test_copies_and_pickles_are_equal(cls):
         assert type(twin) is cls and twin == value
 
 
+def test_derived_letters_leave_a_progression_as_it_was():
+    # the letters a Progression keeps are no field: nothing about its value changes
+    text = "Cmaj7\nx: 0,0,4\nG7\n"
+    derived, fresh = parse_progression(text), parse_progression(text)
+    braid_of_progression(derived)
+    assert derived._transitions is not None and fresh._transitions is None
+    assert derived == fresh and hash(derived) == hash(fresh) and repr(derived) == repr(fresh)
+    assert copy.copy(derived).__reduce__() == fresh.__reduce__() == derived.__reduce__()
+    assert pickle.dumps(derived) == pickle.dumps(fresh)
+    for twin in (copy.copy(derived), copy.deepcopy(derived), pickle.loads(pickle.dumps(derived))):
+        assert twin == derived and twin._transitions is None
+
+
+def test_a_list_of_chords_is_kept_as_a_tuple():
+    entries = [("C", 0, Chord([0, 4, 7]))]
+    p = Progression(entries)
+    assert p.chords == tuple(entries) and type(p.chords) is tuple
+    assert repr(p) == "Progression(chords=(('C', 0, Chord([0, 4, 7])),))"
+    assert p == Progression(tuple(entries))
+
+
 def test_defaults_and_keywords():
     assert BraidWord(12) == BraidWord(strands=12, letters=()) and BraidWord(12).letters == ()
     assert ModalScale(0, IONIAN).name == ""
@@ -168,8 +199,10 @@ DEFAULTS = {BraidWord: {"letters": ()}, ModalScale: {"name": ""}, AdmissiblePath
 
 @pytest.mark.parametrize("cls", TYPES, ids=lambda cls: cls.__name__)
 def test_signature_is_the_slots_in_order(cls):
+    # the public slots: a slot named with a leading underscore is no field
     parameters = inspect.signature(cls).parameters
-    assert list(parameters) == list(cls.__slots__) == list(SAMPLES[cls][0])
+    fields = [name for name in cls.__slots__ if not name.startswith("_")]
+    assert list(parameters) == fields == list(SAMPLES[cls][0])
     assert {p.kind for p in parameters.values()} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
     defaults = {name: p.default for name, p in parameters.items() if p.default is not p.empty}
     assert defaults == DEFAULTS.get(cls, {})
@@ -213,6 +246,28 @@ def test_missing_or_unknown_fields_are_type_errors(cls):
          IndexOutOfRange, r"^pitch class 13 is not in 0\.\.11$"),
         (Progression, dict(chords=(("x", 0.5, Chord([1])),)), IndexOutOfRange,
          r"^pitch class 0\.5 is not in 0\.\.11$"),
+        (Progression, dict(chords=(("a", 0, (0, 4)), ("b", 0, Chord([1])))), InvalidProgression,
+         r"^entry \('a', 0, \(0, 4\)\) is not a \(label, root, Chord\) triple$"),
+        (Progression, dict(chords=(["a", 0, Chord([1])],)), InvalidProgression, "not a"),
+        (Progression, dict(chords=(("a", 0),)), InvalidProgression, "not a"),
+        (Progression, dict(chords=(("a", 0, Chord([1]), "extra"),)), InvalidProgression, "not a"),
+        (Progression, dict(chords=((0, 0, Chord([1])),)), InvalidProgression, "not a"),
+        (Progression, dict(chords=("abc",)), InvalidProgression, "not a"),
+        (Progression, dict(chords=(("C", 0, Chord([0])), ("x", [1], Chord([1])))),
+         IndexOutOfRange, r"^pitch class \[1\] is not in 0\.\.11$"),
+        (BraidWord, dict(strands=12, letters=((1.5, 1),)), IndexOutOfRange,
+         r"^generator index 1\.5 is not an integer$"),
+        (BraidWord, dict(strands=100, letters=((2, 1), (1.5, 1))), IndexOutOfRange,
+         r"^generator index 1\.5 is not an integer$"),
+        (BraidWord, dict(strands=100, letters=((100, 1),)), IndexOutOfRange,
+         r"^generator s100 needs 101 strands, have 100$"),
+        (BraidWord, dict(strands=100, letters=((1, 0),)), InvalidBraid, "sign must be"),
+        (BraidWord, dict(strands=12.5), InvalidBraid, r"^strand count 12\.5 is not an integer$"),
+        (BraidWord, dict(strands="12"), InvalidBraid, r"^strand count '12' is not an integer$"),
+        (BraidWord, dict(strands=3, letters=((1,),)), InvalidBraid,
+         r"^letter \(1,\) is not a \(generator index, sign\) pair$"),
+        (BraidWord, dict(strands=3, letters=([1, 1],)), InvalidBraid, "not a"),
+        (BraidWord, dict(strands=3, letters=(("1", 1),)), IndexOutOfRange, "not an integer"),
     ],
     ids=lambda value: value.__name__ if isinstance(value, type) else None,
 )
