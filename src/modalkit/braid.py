@@ -34,12 +34,20 @@ class BraidWord(_Value, letters=()):
     that int, and a letter equal to a valid one, such as (1.0, 1) or
     (True, 1), is accepted and kept as given, so its word equals the word
     of integer letters, and every function reads the letter as that one.
+    The letters are kept as a tuple, so a list given here shows as a tuple
+    in the repr, and changing that list later changes nothing kept; letters
+    that are no sequence, such as 5, are refused.
     """
 
     __slots__ = ("strands", "letters")
 
     def __post_init__(self):
         """The one validation of a word; bench/spans.py wraps it to count the letters."""
+        if self.letters.__class__ is not tuple:
+            try:
+                object.__setattr__(self, "letters", tuple(self.letters))
+            except TypeError:  # no sequence, such as 5
+                raise InvalidBraid(f"letters {self.letters!r} are not a sequence") from None
         n = self.strands
         if n.__class__ is not int:
             n = _integer(n)
@@ -210,26 +218,30 @@ def _token(letter: Letter) -> str:
     return f"s{i}" if sign > 0 else f"s{i}^-1"
 
 
-def _block(key: tuple[int, Letter]) -> str:
-    n, letter = key
+def _block(n: int, letter: Letter) -> str:
     i, sign = map(int, letter)  # a letter such as (1.0, 1) is drawn as (1, 1)
     left, right = "| " * (i - 1), " |" * (n - i - 1)
     middle = " / " if sign > 0 else " \\ "
     return f"{left}\\ /{right}\n{left}{middle}{right}\n{left}/ \\{right}\n"
 
 
-# One token per letter (generator index, sign), its inverse, and one three-row
-# drawing per (strand count, letter), so they hold at most the letters of the
-# strand counts in use.  A token read back enters _LETTERS, which parse_word
-# fills itself, only as serialize_word spells it, and only with a letter valid
-# on its word's strand count.
+def _drawings(n: int) -> tuple[str, _Table]:
+    """The base row of ``n`` plain strands, and a table of each letter's three rows on them."""
+    return " ".join("|" * n) + "\n", _Table(lambda letter: _block(n, letter))
+
+
+# One token per letter (generator index, sign), its inverse, and per strand
+# count one table of three-row drawings per letter, so they hold at most the
+# letters of the strand counts in use.  A token read back enters _LETTERS,
+# which parse_word fills itself, only as serialize_word spells it, and only
+# with a letter valid on its word's strand count.
 _TOKENS = _Table(_token)
 _LETTERS: dict[str, Letter] = {}
-_BLOCKS = _Table(_block)
+_DRAWINGS = _Table(_drawings)
 
 
 def serialize_word(w: BraidWord) -> str:
-    return " ".join([_TOKENS[letter] for letter in w.letters])
+    return " ".join(map(_TOKENS.__getitem__, w.letters))
 
 
 def render_ascii(w: BraidWord) -> str:
@@ -239,6 +251,5 @@ def render_ascii(w: BraidWord) -> str:
     so the output always has 3 * len(word) + 1 lines.  Positive crossings
     show ``/`` in the middle row, negative ones ``\\``.
     """
-    n = w.strands
-    drawn = [_BLOCKS[n, letter] for letter in w.letters]
-    return " ".join("|" * n) + "\n" + "".join(drawn)
+    base, blocks = _DRAWINGS[w.strands]
+    return "".join([base, *map(blocks.__getitem__, w.letters)])

@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import functools
 import io
+import itertools
 import sys
 
 from . import braid as braid_mod
@@ -171,14 +172,17 @@ def _cmd_braid(args):
     except UnicodeDecodeError as exc:
         position = len(data[:exc.start].decode("utf-8"))
         raise ParseError(f"{args.file} is not UTF-8 text; bad byte", position) from None
-    # parsed whole before the first yield, so a ParseError prints nothing on stdout
-    progression = leading_mod.parse_progression(text)
+    del data  # only the text is read from here on
+    # decoded whole, so a file that is not UTF-8 prints nothing; then read one line
+    # at a time, so a bad line fails after the lines before it were yielded, and
+    # run drops the block it has not written yet
+    entries = leading_mod._entries(text)
+    first = next(entries)  # a file with no chords is a ParseError before any output
     yield f"strands={leading_mod.STRANDS}\n"
-    words = leading_mod._words(progression)
-    for (a, _, _), (b, _, _), word in zip(progression.chords, progression.chords[1:], words):
-        yield f"{a} -> {b}: {braid_mod.serialize_word(word)}\n"
-        if args.ascii:
-            yield braid_mod.render_ascii(word)
+    for a, b, letters in leading_mod._transition_letters(itertools.chain((first,), entries)):
+        word = braid_mod.BraidWord(leading_mod.STRANDS, letters)
+        line = f"{a} -> {b}: {braid_mod.serialize_word(word)}\n"
+        yield line + braid_mod.render_ascii(word) if args.ascii else line
 
 
 def _cmd_approx(args):

@@ -34,8 +34,9 @@ class PatternMismatch(ModalkitError):
 
 class InvalidBraid(ModalkitError, ValueError):
     """A braid word or rewrite is asked for with a strand count that is no
-    integer or is below one, a letter that is not a (generator index, sign)
-    pair, a letter sign other than +1/-1, or an unknown rule name."""
+    integer or is below one, letters that are no sequence, a letter that is
+    not a (generator index, sign) pair, a letter sign other than +1/-1, or an
+    unknown rule name."""
 
 
 class InvalidProgression(ModalkitError, ValueError):

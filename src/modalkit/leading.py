@@ -13,13 +13,18 @@ which crosses in this linear order, often moves the voices less (Tymoczko
 Braids live on 12 strands, one per pitch class; a voice moving from pitch
 class p to q occupies strand slot p+1 and walks to slot q+1 through
 adjacent crossings.  One core, ``_letters``, turns two sorted sides of one
-size into a transition's letters, and ``braid_of_leading`` sorts its
-leading's sides into it once it has refused a crossing pairing.  One
-generator, ``_transition_letters``, pairs a progression's sorted notes into
-it, the smaller chord padded with its root, one letter tuple per
-transition.  A ``Progression`` keeps that derivation once either
+size into a transition's letters, reading each voice's walk from a table
+keyed by its two pitch classes, and ``braid_of_leading`` sorts its
+leading's sides into it once it has refused a crossing pairing.
+
+One line parser, ``_entries``, yields a text's (label, root, Chord) entries
+one line at a time; ``parse_progression`` keeps them in a ``Progression``.
+One derivation, ``_transition_letters``, pairs any iterable of entries
+through the core, the smaller chord padded with its root, one letter tuple
+per transition.  A ``Progression`` keeps that derivation once either
 progression word asks for it, and both words read it; the ``braid`` verb
-streams the generator and keeps nothing.
+pairs the parser's entries through it straight to its output and keeps
+neither entries nor letters.
 """
 
 from __future__ import annotations
@@ -102,19 +107,19 @@ def _padded(root: PitchClass | None, chord: Chord, size: int) -> tuple[PitchClas
     return tuple(sorted(notes + (pad,) * (size - len(notes))))
 
 
-def _reduced_moves(source, target) -> list[tuple[int, int]]:
-    """Distinct (source slot, target slot) moves realizable by strands, in order.
+def _reduced_moves(source, target) -> list[tuple[PitchClass, PitchClass]]:
+    """Distinct (source, target) pitch-class moves realizable by strands, in order.
 
     Both sides are sorted and of one size, so zipping them gives the moves
     already sorted.  Padding can duplicate a pitch class on either side; a
     physical strand can only make one move, so duplicate sources and
     duplicate targets each keep the single move with the smallest
-    displacement (ties go to ascending motion).  Equal slots sit next to
-    each other, so one pass per side keeps each run's best move, and the
-    result is strictly increasing in both slots.  A side whose notes repeat
+    displacement (ties go to ascending motion).  Equal pitch classes sit next
+    to each other, so one pass per side keeps each run's best move, and the
+    result is strictly increasing on both sides.  A side whose notes repeat
     no pitch class needs no pass.
     """
-    moves = [(s + 1, t + 1) for s, t in zip(source, target)]
+    moves = list(zip(source, target))
     if len(set(source)) < len(source):
         moves = _best_of_runs(moves, 0)
     if len(set(target)) < len(target):
@@ -123,27 +128,31 @@ def _reduced_moves(source, target) -> list[tuple[int, int]]:
 
 
 def _best_of_runs(moves: list[tuple[int, int]], side: int) -> list[tuple[int, int]]:
-    """The first move of least (|d|, d < 0) from each run sharing a slot on ``side``."""
-    kept = [moves[0]]
-    for move in moves[1:]:
-        last = kept[-1]
-        if move[side] != last[side]:
-            kept.append(move)
+    """The first move of least (|d|, d < 0) from each run sharing a pitch class on ``side``."""
+    kept = []
+    moves = iter(moves)
+    best = next(moves)
+    for move in moves:
+        if move[side] != best[side]:
+            kept.append(best)
+            best = move
         else:
-            d, e = move[1] - move[0], last[1] - last[0]
-            if (abs(d), d < 0) < (abs(e), e < 0):
-                kept[-1] = move
+            d, e = move[1] - move[0], best[1] - best[0]
+            if abs(d) < abs(e) or d == -e > 0:  # shorter, or as long and ascending
+                best = move
+    kept.append(best)
     return kept
 
 
 def _walk(move: tuple[int, int]) -> tuple[Letter, ...]:
-    a, b = map(int, move)  # a slot such as 6.0 equals an integer and walks as it
-    if b < a:
-        return tuple((i, -1) for i in range(a - 1, b - 1, -1))
-    return tuple((i, 1) for i in range(a, b))
+    """The letters that walk a voice from pitch class s to t: from slot s + 1 to slot t + 1."""
+    s, t = map(int, move)  # a pitch class such as 6.0 equals an integer and walks as it
+    if t < s:
+        return tuple((i, -1) for i in range(s, t, -1))
+    return tuple((i, 1) for i in range(s + 1, t + 1))
 
 
-# The letters that walk one voice from slot a to slot b, per move (a, b).
+# Each voice's walk per (source, target) pitch class.
 _WALKS = _Table(_walk)
 
 
@@ -151,8 +160,8 @@ def _letters(letters: list[Letter], source, target) -> list[Letter]:
     """Append the letters that walk sorted ``source`` onto sorted ``target``, unchecked.
 
     The one core from two sorted sides of one size to a transition's word:
-    descending voices walk first, in ascending slot order, then ascending
-    voices in descending slot order.
+    descending voices walk first, in ascending order, then ascending voices
+    in descending order.
     """
     moves = _reduced_moves(source, target)
     for move in moves:
@@ -229,29 +238,24 @@ def _all_roots(roots) -> bool:
         return False
 
 
-def _transition_letters(p: Progression) -> Iterator[tuple[Letter, ...]]:
-    """Each transition's letters, derived as the caller asks for them and kept nowhere.
+def _transition_letters(entries) -> Iterator[tuple[str, str, tuple[Letter, ...]]]:
+    """Each transition of the (label, root, Chord) ``entries``: (its source label,
+    its target label, its letters), derived as the caller asks for it and kept nowhere.
 
     The two sides are the chords' sorted notes, the smaller chord padded with its root.
     """
-    for (_, ra, a), (_, rb, b) in itertools.pairwise(p.chords):
+    for (la, ra, a), (lb, rb, b) in itertools.pairwise(entries):
         source, target = _padded(ra, a, len(b.notes)), _padded(rb, b, len(a.notes))
-        yield tuple(_letters([], source, target))
+        yield la, lb, tuple(_letters([], source, target))
 
 
 def _transitions(p: Progression) -> tuple[tuple[Letter, ...], ...]:
     """Each transition's letters, derived on the first call and kept by ``p``."""
     kept = p._transitions
     if kept is None:
-        kept = tuple(_transition_letters(p))
+        kept = tuple(letters for _, _, letters in _transition_letters(p.chords))
         object.__setattr__(p, "_transitions", kept)
     return kept
-
-
-def _words(p: Progression) -> Iterator[BraidWord]:
-    """Each transition's word, built only as the caller asks for it; the braid verb's stream."""
-    for letters in _transition_letters(p):
-        yield BraidWord(STRANDS, letters)
 
 
 def braids_of_progression(p: Progression) -> list[BraidWord]:
@@ -271,21 +275,32 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 # so a wrapper installed on this module, as bench/spans.py does, sees every miss.
 _SYMBOLS = _Table(lambda line: parse_chord_symbol(line))
 
+_BLOCK = 1 << 16  # about as many characters as _lines splits at once
 
-def parse_progression(text: str) -> Progression:
-    """One chord per line: a chord symbol, or ``name: pc,pc,...``.
 
-    Only a newline ends a line; a trailing carriage return is stripped like
-    other surrounding whitespace.  Blank lines are ignored, and so is a
-    ``#`` comment: a ``#`` at the start of a line or after whitespace, to the
-    end of the line.  A ``#`` inside a token is a sharp, as in ``F#o7``.  A
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` as ``text.split("\\n")`` gives them, split one block of
+    about 64 K characters at a time, so no list of all the lines exists."""
+    start = 0
+    while (end := text.find("\n", start + _BLOCK)) >= 0:
+        yield from text[start:end].split("\n")
+        start = end + 1
+    yield from text[start:].split("\n")
+
+
+def _entries(text: str) -> Iterator[tuple[str, PitchClass, Chord]]:
+    """Each chord line's (label, root, Chord), parsed as the caller asks for it.
+
+    One chord per line: a chord symbol, or ``name: pc,pc,...``.  Only a
+    newline ends a line; a trailing carriage return is stripped like other
+    surrounding whitespace.  Blank lines are ignored, and so is a ``#``
+    comment: a ``#`` at the start of a line or after whitespace, to the end
+    of the line.  A ``#`` inside a token is a sharp, as in ``F#o7``.  A
     ParseError names its line, and its position is the character offset
-    into ``text``.
+    into ``text``; text with no chord line is a ParseError once it is read.
     """
-    chords: list[tuple[str, PitchClass, Chord]] = []
-    offset = 0
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line_start, offset = offset, offset + len(raw) + 1
+    entry = None
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = (_COMMENT.split(raw, 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
@@ -293,12 +308,23 @@ def parse_progression(text: str) -> Progression:
         try:
             if colon:
                 values = parse_pcs(body)
-                chords.append((name.strip(), values[0], Chord(values)))
+                entry = name.strip(), values[0], Chord(values)
             else:
-                chords.append((line, *_SYMBOLS[line]))
+                root, chord = _SYMBOLS[line]
+                entry = line, root, chord
         except ParseError as exc:
+            line_start = 0
+            for _ in range(lineno - 1):  # found only on error, so no good line pays for it
+                line_start = text.index("\n", line_start) + 1
             column = len(raw) - len(raw.lstrip()) + (len(name) + 1 if colon else 0)
             raise ParseError(
                 f"{exc.message} on line {lineno}", line_start + column + exc.position
             ) from None
-    return Progression(tuple(chords))
+        yield entry
+    if entry is None:
+        raise ParseError("the progression has no chords", 0)
+
+
+def parse_progression(text: str) -> Progression:
+    """The progression of ``text``, one chord per line, as ``_entries`` reads them."""
+    return Progression(tuple(_entries(text)))

@@ -223,9 +223,9 @@ def test_09_progression_fixtures():
         perm = invariants(word).permutation
         targets = {t + 1 for t in v.target}
         moved = set()
-        for a, b in _reduced_moves(v.source, v.target):
-            assert perm[a - 1] == b
-            moved.add(b)
+        for a, b in _reduced_moves(v.source, v.target):  # pitch classes, slots a + 1 and b + 1
+            assert perm[a] == b + 1
+            moved.add(b + 1)
         assert moved <= targets
     report(9, "fixture words parse (12/7/12, positive); progression braids land voices")
 

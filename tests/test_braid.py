@@ -94,7 +94,7 @@ def test_word_validation():
 def test_a_letter_equal_to_a_valid_one_reads_as_it(monkeypatch, strands, equal):
     # accepted and kept as given; every function reads it as the integer letter
     monkeypatch.setattr(braid, "_TOKENS", braid._Table(braid._token))  # cold, so the equal
-    monkeypatch.setattr(braid, "_BLOCKS", braid._Table(braid._block))  # letter is derived first
+    monkeypatch.setattr(braid, "_DRAWINGS", braid._Table(braid._drawings))  # letter is derived first
     word, twin = BraidWord(strands, (equal, (2, -1))), BraidWord(strands, ((1, 1), (2, -1)))
     assert word.letters[0] is equal
     assert word == twin and hash(word) == hash(twin)
@@ -112,6 +112,18 @@ def test_a_strand_count_equal_to_an_integer_is_kept_as_it(count):
     assert word == BraidWord(int(count)) and repr(word) == f"BraidWord(strands={int(count)}, letters=())"
 
 
+def test_letters_are_kept_as_a_tuple():
+    given_letters = [(1, 1), (2, -1)]
+    word, twin = BraidWord(3, given_letters), BraidWord(3, ((1, 1), (2, -1)))
+    assert type(word.letters) is tuple
+    assert word == twin and hash(word) == hash(twin)
+    assert repr(word) == "BraidWord(strands=3, letters=((1, 1), (2, -1)))"
+    # a letter added to the caller's list after the check changes nothing kept
+    given_letters.append((9, 1))
+    assert word == twin and len(word) == 2
+    assert BraidWord(3, twin.letters).letters is twin.letters  # a tuple is kept as given
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -119,8 +131,9 @@ def test_a_strand_count_equal_to_an_integer_is_kept_as_it(count):
         lambda: parse_word("s1", strands=0),
         lambda: BraidWord(3, ((1, 2),)),
         lambda: rewrite_step(BraidWord(3, ((1, 1),)), "nope", 0),
+        lambda: BraidWord(3, 5),
     ],
-    ids=["no-strands", "parse-no-strands", "bad-sign", "unknown-rule"],
+    ids=["no-strands", "parse-no-strands", "bad-sign", "unknown-rule", "letters-no-sequence"],
 )
 def test_invalid_braid_requests_are_domain_errors(call):
     with pytest.raises(InvalidBraid) as info:

@@ -102,9 +102,9 @@ def ascending_first(v) -> BraidWord:
     moves = _reduced_moves(v.source, v.target)
     letters = []
     for a, b in reversed([m for m in moves if m[1] > m[0]]):
-        letters.extend((i, 1) for i in range(a, b))
+        letters.extend((i, 1) for i in range(a + 1, b + 1))
     for a, b in [m for m in moves if m[1] < m[0]]:
-        letters.extend((i, -1) for i in range(a - 1, b - 1, -1))
+        letters.extend((i, -1) for i in range(a, b, -1))
     return BraidWord(STRANDS, tuple(letters))
 
 

@@ -16,6 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import modalkit
+from modalkit import leading
 from modalkit.cli import run
 from modalkit.pitch import ChordQuality
 
@@ -332,20 +333,24 @@ class _Discard:
 
 def test_braid_memory_per_chord_is_small(tmp_path):
     # tracemalloc counts allocations, not time, so the figure is deterministic.
-    # The parsed chords cost about 250 bytes each; holding every transition's
-    # leading and word as well costs about 1 KB per chord.
+    # The verb streams its file, so what grows with it is the decoded text,
+    # about the file's own bytes per chord.  Holding the parsed chords as well
+    # costs about 150 bytes per chord.  Both sizes exceed one parser block.
     def peak(chords):
         path = tmp_path / f"{chords}.prog"
         path.write_text("\n".join(["Cmaj7", "A-7", "D-9", "G13b9", "F#o7"] * (chords // 5)) + "\n")
         tracemalloc.start()
         try:
             assert run(["braid", "--file", str(path)], out=_Discard()) == 0
-            return tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1], path.stat().st_size
         finally:
             tracemalloc.stop()
 
     peak(5)  # first-call caches are not a per-chord cost
-    assert (peak(20_000) - peak(5_000)) / 15_000 < 500
+    (small, small_bytes), (large, large_bytes) = peak(14_000), peak(28_000)
+    assert small_bytes > leading._BLOCK
+    file_bytes_per_chord = (large_bytes - small_bytes) / 14_000
+    assert (large - small) / 14_000 < 2 * file_bytes_per_chord
 
 
 # The error contract under fuzzing.  No drawn token holds a NUL: execve cannot

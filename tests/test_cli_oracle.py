@@ -6,7 +6,10 @@ theory is finite, so every input of those verbs runs here, with roots spelled
 on flats and on sharps.  ``approx`` alone has too many (4,096 targets per
 quality and root), so hypothesis draws its targets.  ``braid`` reads files of
 any length, so seeded songs from ``bench/inputs.py`` and hand-made files run
-here, and ``check_braid_stdout`` checks each word it prints.
+here, and ``check_braid_stdout`` checks each word it prints.  Long files that
+cross the parser's and the output's 64 K blocks check the streamed verb against
+the library's progression words, and a bad line deep in such a file against
+the error contract.
 """
 
 import importlib.util
@@ -24,7 +27,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import modalkit
+from modalkit import leading
+from modalkit.braid import render_ascii, serialize_word
 from modalkit.cli import run
+from modalkit.leading import STRANDS, braids_of_progression, parse_progression
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -202,6 +208,58 @@ def test_malformed_braid_files_print_one_parse_error(data, tmp_path):
     assert run(["braid", "--file", str(path)], out=out, err=err) == 1
     assert out.getvalue() == ""
     assert err.getvalue().startswith("ParseError: ") and err.getvalue().count("\n") == 1
+
+
+def long_song(seed: int, chords: int) -> str:
+    """A seeded song with CRLF and LF ends, comments and blank lines, and no last newline."""
+    rng = random.Random(seed)
+    lines = []
+    for line in inputs.song(rng, chords, rng.random() < 0.5).text.splitlines():
+        if rng.random() < 0.3:
+            line += "  # a comment that pads the line, so lines cross the parser's blocks"
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "# between chords", "  \t"]))
+        lines.append(line + ("\r" if rng.random() < 0.5 else ""))
+    return "\n".join(lines)
+
+
+def library_stdout(text: str, ascii_: bool) -> str:
+    """The braid verb's stdout, built from the library's kept progression words."""
+    p = parse_progression(text)
+    words = braids_of_progression(p)
+    return f"strands={STRANDS}\n" + "".join(
+        f"{a} -> {b}: {serialize_word(w)}\n" + (render_ascii(w) if ascii_ else "")
+        for (a, _, _), (b, _, _), w in zip(p.chords, p.chords[1:], words))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("ascii_", [False, True], ids=["plain", "ascii"])
+def test_braid_verb_streams_the_library_words(seed, ascii_, tmp_path):
+    text = long_song(seed, 5_000)
+    assert len(text) > 2 * leading._BLOCK and not text.endswith("\n")
+    path = tmp_path / "song.prog"
+    path.write_bytes(text.encode())
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["braid", "--file", str(path), *(["--ascii"] if ascii_ else [])]
+    assert (run(argv, out=out, err=err), err.getvalue()) == (0, "")
+    assert out.getvalue() == library_stdout(text, ascii_)
+    assert len(out.getvalue()) > 2 << 16  # written in several blocks
+
+
+def test_a_bad_line_after_a_block_of_output_ends_after_whole_lines(tmp_path):
+    # the lines before a bad one are read and printed as they stream; run writes
+    # each full 64 KB block, drops the unfinished one and prints the one error line
+    good = long_song(3, 5_000)
+    path = tmp_path / "song.prog"
+    path.write_bytes(f"{good}\nCxx\nG7\n".encode())
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["braid", "--file", str(path)], out=out, err=err) == 1
+    lineno, position = good.count("\n") + 2, len(good) + 2
+    assert err.getvalue() == (f"ParseError: unknown chord quality 'xx' on line {lineno}"
+                              f" (at position {position})\n")
+    printed = out.getvalue()
+    assert len(printed) >= 1 << 16 and printed.endswith("\n")
+    assert library_stdout(good, False).startswith(printed)
 
 
 DETERMINISM = """

@@ -130,10 +130,10 @@ BOUNDS = {
     "modalkit.graph._GRAPHS": 7,  # quality
     "modalkit.graph._THEORY_DOT": 7 * 13,  # (quality, root pitch class or None)
     "modalkit.approximate._CANDIDATES": 7 * 12,  # (quality, root pitch class)
-    "modalkit.leading._WALKS": 12 * 11,  # (slot, another slot)
+    "modalkit.leading._WALKS": 12 * 11,  # (pitch class, another pitch class)
     "modalkit.leading._SYMBOLS": 21 * 10,  # note spelling + quality token
     "modalkit.braid._TOKENS": 2 * 11,  # letter on 12 strands
-    "modalkit.braid._BLOCKS": 2 * 11 + 2 * 2,  # (strands, letter) on 12 and 3 strands
+    "modalkit.braid._DRAWINGS": 2,  # strand count: 12 and 3, each 2 * (strands - 1) letters
     "modalkit.braid._VALID": 2,  # strand count: 12 and 3
 }
 WHOLE_MAPS = {"modalkit.modes._names_by_offsets", "modalkit.graph._paths_by_name"}
@@ -206,6 +206,7 @@ for n in (12, 3):
     word = BraidWord(n, tuple((i, sign) for i in range(1, n) for sign in (1, -1)))
     render_ascii(word), parse_word(serialize_word(word), n)
 assert len(braid._LETTERS) == 2 * 11
+assert {n: len(blocks) for n, (_base, blocks) in braid._DRAWINGS.items()} == {12: 22, 3: 4}
 """
 
 

@@ -1,7 +1,10 @@
 """Voice leadings checked against a brute-force assignment oracle."""
 
+import io
 import random
 from itertools import permutations, product
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from modalkit import leading
 from modalkit.braid import BraidWord, concatenate, invariants, serialize_word
+from modalkit.cli import run
 from modalkit.errors import CrossingLeading, IndexOutOfRange, ParseError, SizeMismatch
 from modalkit.leading import (
     STRANDS,
@@ -23,6 +27,8 @@ from modalkit.leading import (
 )
 from modalkit.leading import _letters, _reduced_moves
 from modalkit.pitch import _SPELLINGS, _SYMBOL_INTERVALS, Chord, _Table, parse_chord_symbol
+
+DATA, GOLDEN = (Path(__file__).parent / name for name in ("data", "golden"))
 
 # More digits than int() converts by default (4,300).
 HUGE = "0" * 5000
@@ -188,14 +194,14 @@ def test_reduced_moves_deduplicate_padding():
     v = VoiceLeading((0, 2, 2, 4), (0, 3, 6, 8))
     moves = _reduced_moves(v.source, v.target)
     # the doubled pitch class keeps its cheaper move only
-    assert moves == [(1, 1), (3, 4), (5, 9)]
+    assert moves == [(0, 0), (2, 3), (4, 8)]
     slots = list(zip(*moves))
     assert list(slots[0]) == sorted(set(slots[0]))
     assert list(slots[1]) == sorted(set(slots[1]))
 
 
 def reference_reduced_moves(v):
-    """The two-pass form: per side a dict keeps each slot's best move, then a sort."""
+    """The two-pass form: per side a dict keeps each pitch class's best move, then a sort."""
 
     def badness(move):
         d = move[1] - move[0]
@@ -209,13 +215,16 @@ def reference_reduced_moves(v):
                 best[move[side]] = move
         return best.values()
 
-    return sorted(keep_best(keep_best(((s + 1, t + 1) for s, t in v.pairs()), 0), 1))
+    return sorted(keep_best(keep_best(v.pairs(), 0), 1))
 
 
 def reference_letters(moves):
-    """Descending walks in ascending slot order, then ascending walks in descending slot order."""
-    down = [(i, -1) for a, b in moves if b < a for i in range(a - 1, b - 1, -1)]
-    up = [(i, 1) for a, b in reversed(moves) if b > a for i in range(a, b)]
+    """Descending walks in ascending order, then ascending walks in descending order.
+
+    A voice from pitch class a to b walks from strand slot a + 1 to slot b + 1.
+    """
+    down = [(i, -1) for a, b in moves if b < a for i in range(a, b, -1)]
+    up = [(i, 1) for a, b in reversed(moves) if b > a for i in range(a + 1, b + 1)]
     return down + up
 
 
@@ -267,7 +276,7 @@ def test_every_accepted_word_lands_its_voices(pairs, rng):
     assert v.is_crossing_free()
     perm = invariants(word).permutation
     for a, b in _reduced_moves(sorted(v.source), sorted(v.target)):
-        assert perm[a - 1] == b
+        assert perm[a] == b + 1  # from slot a + 1 to slot b + 1
 
 
 @pytest.mark.parametrize("root", [13, -1])
@@ -294,7 +303,7 @@ def test_braid_moves_every_voice_to_its_slot():
         v = VoiceLeading(tuple(source), tuple(target))
         perm = invariants(braid_of_leading(v)).permutation
         for a, b in _reduced_moves(v.source, v.target):
-            assert perm[a - 1] == b
+            assert perm[a] == b + 1  # from slot a + 1 to slot b + 1
 
 
 def test_crossing_leading_is_refused():
@@ -389,11 +398,19 @@ def test_a_progression_derives_each_transition_once(monkeypatch):
         runs.clear()
 
 
-def test_the_braid_stream_keeps_no_letters():
+def test_the_braid_stream_keeps_no_letters(monkeypatch):
+    # the verb pairs the parser's entries through the one derivation, and builds
+    # no Progression, so nothing keeps the entries or the letters
     text = "Cmaj7\nG7\nF#o7\n"
-    p = parse_progression(text)
-    assert list(leading._words(p)) == braids_of_progression(parse_progression(text))
-    assert p._transitions is None
+    words = braids_of_progression(parse_progression(text))
+    built = []
+    monkeypatch.setattr(Progression, "__post_init__", lambda p: built.append(p))
+    stream = leading._transition_letters(leading._entries(text))
+    assert [(a, b, BraidWord(STRANDS, letters)) for a, b, letters in stream] == [
+        ("Cmaj7", "G7", words[0]), ("G7", "F#o7", words[1])]
+    out = io.StringIO()
+    assert run(["braid", "--file", str(DATA / "peru.prog")], out=out) == 0
+    assert built == [] and out.getvalue() == (GOLDEN / "braid_peru.txt").read_text()
 
 
 def test_a_progression_keeps_its_own_chords():
@@ -443,6 +460,8 @@ def test_parse_progression_errors():
         pytest.param(
             f"x: 0,{HUGE}\n", f"bad pitch class {HUGE!r} on line 1", 5, HUGE, id="5000-digits"
         ),
+        pytest.param("Cmaj7\n" * 30_000 + "Cxx\n", "unknown chord quality 'xx' on line 30001",
+                     180_001, "xx", id="past-two-blocks"),
     ],
 )
 def test_parse_progression_error_names_line_and_offset(text, message, position, token):
@@ -470,6 +489,26 @@ def test_parse_progression_counts_newlines_only(text, lineno):
         parse_progression(text)
     assert info.value.message.endswith(f" on line {lineno}")
     assert text[: info.value.position].count("\n") + 1 == lineno
+
+
+LONG_LINE = "x" * (3 * leading._BLOCK)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "\n", "\n" * 5, "a", "a\n", "\na", "\r\n", LONG_LINE, f"a\n{LONG_LINE}\nb\n",
+     "\n" * (2 * leading._BLOCK + 1)],
+    ids=["empty", "newline", "newlines", "one-line", "trailing-newline", "leading-newline", "crlf",
+         "line-of-three-blocks", "long-middle-line", "newlines-of-two-blocks"],
+)
+def test_block_lines_are_the_split_lines(text):
+    assert list(leading._lines(text)) == text.split("\n")
+
+
+@given(st.text(alphabet="ab\n\r", max_size=40), st.integers(1, 6))
+def test_lines_split_alike_in_blocks_of_any_size(text, block):
+    with mock.patch.object(leading, "_BLOCK", block):
+        assert list(leading._lines(text)) == text.split("\n")
 
 
 def test_parse_progression_without_chords_is_a_parse_error():
@@ -510,4 +549,5 @@ def test_only_valid_chord_symbols_are_kept():
 def test_walks_are_kept_per_move():
     for s, t in product(range(12), repeat=2):
         braid_of_leading(VoiceLeading((s,), (t,)))
-    assert set(leading._WALKS) == {(a, b) for a, b in product(range(1, 13), repeat=2) if a != b}
+    # keyed by the voice's two pitch classes; a voice that stays looks up no walk
+    assert set(leading._WALKS) == {(s, t) for s, t in product(range(12), repeat=2) if s != t}
