@@ -179,10 +179,13 @@ def _cmd_braid(args):
     entries = leading_mod._entries(text)
     first = next(entries)  # a file with no chords is a ParseError before any output
     yield f"strands={leading_mod.STRANDS}\n"
-    for a, b, letters in leading_mod._transition_letters(itertools.chain((first,), entries)):
-        word = braid_mod.BraidWord(leading_mod.STRANDS, letters)
-        line = f"{a} -> {b}: {braid_mod.serialize_word(word)}\n"
-        yield line + braid_mod.render_ascii(word) if args.ascii else line
+    # each move's tokens and rows were checked once, as one word, when its walk was derived
+    walk = leading_mod._WALKS.__getitem__
+    base, _ = braid_mod._DRAWINGS[leading_mod.STRANDS]  # the row of plain strands
+    for a, b, moves in leading_mod._transition_moves(itertools.chain((first,), entries)):
+        walks = list(map(walk, moves))  # (letters, tokens, rows) per move
+        line = f"{a} -> {b}: {' '.join([tokens for _, tokens, _ in walks])}\n"
+        yield "".join([line, base, *[rows for _, _, rows in walks]]) if args.ascii else line
 
 
 def _cmd_approx(args):

@@ -12,28 +12,31 @@ which crosses in this linear order, often moves the voices less (Tymoczko
 
 Braids live on 12 strands, one per pitch class; a voice moving from pitch
 class p to q occupies strand slot p+1 and walks to slot q+1 through
-adjacent crossings.  One core, ``_letters``, turns two sorted sides of one
-size into a transition's letters, reading each voice's walk from a table
-keyed by its two pitch classes, and ``braid_of_leading`` sorts its
-leading's sides into it once it has refused a crossing pairing.
+adjacent crossings.  ``_WALKS`` keeps one entry per move (p, q), at most
+12 x 11: the walk's letters, its tokens and its ASCII rows on 12 strands,
+checked once, as one ``BraidWord``, when the entry is derived.  One core,
+``_moves``, turns two sorted sides into a transition's kept moves in walk
+order, padding the smaller side with its root; ``braid_of_leading`` sorts
+its leading's sides into it once it has refused a crossing pairing.
 
 One line parser, ``_entries``, yields a text's (label, root, Chord) entries
 one line at a time; ``parse_progression`` keeps them in a ``Progression``.
-One derivation, ``_transition_letters``, pairs any iterable of entries
-through the core, the smaller chord padded with its root, one letter tuple
-per transition.  A ``Progression`` keeps that derivation once either
-progression word asks for it, and both words read it; the ``braid`` verb
-pairs the parser's entries through it straight to its output and keeps
-neither entries nor letters.
+One derivation, ``_transition_moves``, pairs any iterable of entries through
+the core, one list of moves per transition.  A ``Progression`` keeps its
+transitions' letters, joined from the walks, once either progression word
+asks for them, and both words build and check their words from them.  The
+``braid`` verb pairs the parser's entries through the same derivation and
+writes each move's kept tokens and rows, so it builds no letters and no word
+per transition, checks each move once, and keeps neither entries nor moves.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
-from .braid import BraidWord, Letter
+from .braid import BraidWord, Letter, render_ascii, serialize_word
 from .errors import (
     CrossingLeading,
     IndexOutOfRange,
@@ -95,39 +98,53 @@ def voice_leading(
     Unequal sizes are reconciled by doubling the smaller chord's root
     (lowest pitch class when no root is declared).
     """
-    return VoiceLeading(_padded(a_root, a, len(b.notes)), _padded(b_root, b, len(a.notes)))
+    source, target = _padded(a_root, a.notes, len(b.notes)), _padded(b_root, b.notes, len(a.notes))
+    return VoiceLeading(source, target)
 
 
-def _padded(root: PitchClass | None, chord: Chord, size: int) -> tuple[PitchClass, ...]:
-    """The chord's sorted notes, its root (its lowest note when None) doubled up to ``size``."""
-    notes = chord.notes  # a Chord keeps its notes sorted
+def _padded(root: PitchClass | None, notes, size: int) -> tuple[PitchClass, ...]:
+    """Sorted ``notes``, as a Chord keeps them, their root (their lowest note when
+    None) doubled up to ``size``."""
     if len(notes) >= size:
         return notes
     pad = min(notes) if root is None else root
     return tuple(sorted(notes + (pad,) * (size - len(notes))))
 
 
-def _reduced_moves(source, target) -> list[tuple[PitchClass, PitchClass]]:
-    """Distinct (source, target) pitch-class moves realizable by strands, in order.
+def _moves(source, target, source_root=None, target_root=None) -> list[tuple[int, int]]:
+    """The kept moves of sorted ``source`` onto sorted ``target``, in walk order.
 
-    Both sides are sorted and of one size, so zipping them gives the moves
-    already sorted.  Padding can duplicate a pitch class on either side; a
-    physical strand can only make one move, so duplicate sources and
-    duplicate targets each keep the single move with the smallest
-    displacement (ties go to ascending motion).  Equal pitch classes sit next
-    to each other, so one pass per side keeps each run's best move, and the
-    result is strictly increasing on both sides.  A side whose notes repeat
-    no pitch class needs no pass.
+    The one core from two sorted sides to a transition: the smaller side is
+    padded with its root (its lowest note when None) to the other's size, and
+    zipped in order the two sides are the voices' (source, target) pitch-class
+    moves.  A physical strand can make only one move, so where a side repeats a
+    pitch class each run of equal pitch classes keeps the move of least
+    displacement (ties go to ascending motion); a padded side may repeat, and an
+    unpadded one is tested.  The moving moves come back in walk order:
+    descending voices in ascending order, then ascending voices in descending
+    order.
     """
-    moves = list(zip(source, target))
-    if len(set(source)) < len(source):
+    size, other = len(source), len(target)
+    if size < other:
+        source = _padded(source_root, source, other)
+    elif other < size:
+        target = _padded(target_root, target, size)
+    moves = zip(source, target)
+    if size < other or len(set(source)) < size:
         moves = _best_of_runs(moves, 0)
-    if len(set(target)) < len(target):
+    if other < size or len(set(target)) < other:
         moves = _best_of_runs(moves, 1)
-    return moves
+    down, up = [], []
+    for move in moves:
+        if move[1] < move[0]:
+            down.append(move)
+        elif move[1] > move[0]:
+            up.append(move)
+    up.reverse()
+    return down + up
 
 
-def _best_of_runs(moves: list[tuple[int, int]], side: int) -> list[tuple[int, int]]:
+def _best_of_runs(moves: Iterable[tuple[int, int]], side: int) -> list[tuple[int, int]]:
     """The first move of least (|d|, d < 0) from each run sharing a pitch class on ``side``."""
     kept = []
     moves = iter(moves)
@@ -144,33 +161,28 @@ def _best_of_runs(moves: list[tuple[int, int]], side: int) -> list[tuple[int, in
     return kept
 
 
-def _walk(move: tuple[int, int]) -> tuple[Letter, ...]:
-    """The letters that walk a voice from pitch class s to t: from slot s + 1 to slot t + 1."""
+def _walk(move: tuple[int, int]) -> tuple[tuple[Letter, ...], str, str]:
+    """A voice's walk from pitch class s to t, from slot s + 1 to slot t + 1: its
+    letters, its tokens and its three rows per letter on 12 strands, checked once."""
     s, t = map(int, move)  # a pitch class such as 6.0 equals an integer and walks as it
     if t < s:
-        return tuple((i, -1) for i in range(s, t, -1))
-    return tuple((i, 1) for i in range(s + 1, t + 1))
+        letters = tuple((i, -1) for i in range(s, t, -1))
+    else:
+        letters = tuple((i, 1) for i in range(s + 1, t + 1))
+    word = BraidWord(STRANDS, letters)
+    return letters, serialize_word(word), render_ascii(word).partition("\n")[2]
 
 
-# Each voice's walk per (source, target) pitch class.
+# Each voice's walk per (source, target) pitch class: (letters, tokens, rows).
 _WALKS = _Table(_walk)
 
 
-def _letters(letters: list[Letter], source, target) -> list[Letter]:
-    """Append the letters that walk sorted ``source`` onto sorted ``target``, unchecked.
-
-    The one core from two sorted sides of one size to a transition's word:
-    descending voices walk first, in ascending order, then ascending voices
-    in descending order.
-    """
-    moves = _reduced_moves(source, target)
+def _letters(moves) -> tuple[Letter, ...]:
+    """The letters of ``moves``' walks, one walk after another."""
+    letters = []
     for move in moves:
-        if move[1] < move[0]:
-            letters += _WALKS[move]
-    for move in reversed(moves):
-        if move[1] > move[0]:
-            letters += _WALKS[move]
-    return letters
+        letters += _WALKS[move][0]
+    return tuple(letters)
 
 
 def braid_of_leading(v: VoiceLeading) -> BraidWord:
@@ -191,7 +203,7 @@ def braid_of_leading(v: VoiceLeading) -> BraidWord:
     # both sides sorted as given is crossing-free; otherwise test each pair
     if (source != list(v.source) or target != list(v.target)) and not v.is_crossing_free():
         raise CrossingLeading(f"the pairing {v.pairs()} crosses")
-    return BraidWord(STRANDS, tuple(_letters([], source, target)))
+    return BraidWord(STRANDS, _letters(_moves(source, target)))
 
 
 class Progression(_Value):
@@ -238,22 +250,19 @@ def _all_roots(roots) -> bool:
         return False
 
 
-def _transition_letters(entries) -> Iterator[tuple[str, str, tuple[Letter, ...]]]:
+def _transition_moves(entries) -> Iterator[tuple[str, str, list[tuple[int, int]]]]:
     """Each transition of the (label, root, Chord) ``entries``: (its source label,
-    its target label, its letters), derived as the caller asks for it and kept nowhere.
-
-    The two sides are the chords' sorted notes, the smaller chord padded with its root.
-    """
+    its target label, its moves in walk order), derived as the caller asks for it
+    and kept nowhere."""
     for (la, ra, a), (lb, rb, b) in itertools.pairwise(entries):
-        source, target = _padded(ra, a, len(b.notes)), _padded(rb, b, len(a.notes))
-        yield la, lb, tuple(_letters([], source, target))
+        yield la, lb, _moves(a.notes, b.notes, ra, rb)
 
 
 def _transitions(p: Progression) -> tuple[tuple[Letter, ...], ...]:
     """Each transition's letters, derived on the first call and kept by ``p``."""
     kept = p._transitions
     if kept is None:
-        kept = tuple(letters for _, _, letters in _transition_letters(p.chords))
+        kept = tuple(_letters(moves) for _, _, moves in _transition_moves(p.chords))
         object.__setattr__(p, "_transitions", kept)
     return kept
 

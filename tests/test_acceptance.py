@@ -23,7 +23,6 @@ from modalkit.errors import PatternMismatch
 from modalkit.graph import build_graph, enumerate_admissible, special_modes, tcm
 from modalkit.leading import (
     STRANDS,
-    _reduced_moves,
     braid_of_leading,
     braids_of_progression,
     parse_progression,
@@ -32,6 +31,7 @@ from modalkit.leading import (
 from modalkit.modes import ScaleType, decompose, harmonize, recompose, standard_modes
 from modalkit.pitch import Chord, ChordQuality
 
+from test_leading import reference_reduced_moves
 from test_modes import HARMONIZATION, MODE_TABLE
 
 DATA = Path(__file__).parent / "data"
@@ -223,7 +223,7 @@ def test_09_progression_fixtures():
         perm = invariants(word).permutation
         targets = {t + 1 for t in v.target}
         moved = set()
-        for a, b in _reduced_moves(v.source, v.target):  # pitch classes, slots a + 1 and b + 1
+        for a, b in reference_reduced_moves(v):  # pitch classes, slots a + 1 and b + 1
             assert perm[a] == b + 1
             moved.add(b + 1)
         assert moved <= targets

@@ -13,7 +13,6 @@ from modalkit.cli import run
 from modalkit.errors import PatternMismatch
 from modalkit.leading import (
     STRANDS,
-    _reduced_moves,
     braid_of_leading,
     braid_of_progression,
     parse_progression,
@@ -23,6 +22,7 @@ from modalkit.pitch import Chord, _SYMBOL_INTERVALS
 
 from braid_oracle import image, same_braid
 from test_braid import word_strategy
+from test_leading import reference_reduced_moves
 
 DATA = Path(__file__).parent / "data"
 
@@ -99,7 +99,7 @@ def test_braid_verb_words_join_to_the_progression_braid():
 
 def ascending_first(v) -> BraidWord:
     """``braid_of_leading`` with its two groups of voices emitted the other way round."""
-    moves = _reduced_moves(v.source, v.target)
+    moves = reference_reduced_moves(v)
     letters = []
     for a, b in reversed([m for m in moves if m[1] > m[0]]):
         letters.extend((i, 1) for i in range(a + 1, b + 1))

@@ -28,9 +28,10 @@ from hypothesis import strategies as st
 
 import modalkit
 from modalkit import leading
-from modalkit.braid import render_ascii, serialize_word
+from modalkit.braid import BraidWord, render_ascii, serialize_word
 from modalkit.cli import run
 from modalkit.leading import STRANDS, braids_of_progression, parse_progression
+from modalkit.pitch import _Table
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -244,6 +245,24 @@ def test_braid_verb_streams_the_library_words(seed, ascii_, tmp_path):
     assert (run(argv, out=out, err=err), err.getvalue()) == (0, "")
     assert out.getvalue() == library_stdout(text, ascii_)
     assert len(out.getvalue()) > 2 << 16  # written in several blocks
+
+
+@pytest.mark.parametrize("ascii_", [False, True], ids=["plain", "ascii"])
+def test_the_braid_verb_checks_each_move_once(ascii_, monkeypatch, tmp_path):
+    # a walk is checked as one word when it is derived; the verb then writes its
+    # kept tokens and rows, so the checks are bounded by the 12 * 11 moves, not
+    # by the file's length
+    text = long_song(1, 5_000)
+    expected = library_stdout(text, ascii_)
+    path = tmp_path / "song.prog"
+    path.write_bytes(text.encode())
+    checked, check = [], BraidWord.__post_init__
+    monkeypatch.setattr(BraidWord, "__post_init__", lambda w: checked.append(w) or check(w))
+    monkeypatch.setattr(leading, "_WALKS", _Table(leading._walk))  # cold
+    out = io.StringIO()
+    assert run(["braid", "--file", str(path), *(["--ascii"] if ascii_ else [])], out=out) == 0
+    assert out.getvalue() == expected
+    assert 0 < len(checked) == len(leading._WALKS) <= 12 * 11
 
 
 def test_a_bad_line_after_a_block_of_output_ends_after_whole_lines(tmp_path):

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modalkit import leading
-from modalkit.braid import BraidWord, concatenate, invariants, serialize_word
+from modalkit import braid, leading
+from modalkit.braid import BraidWord, concatenate, invariants, render_ascii, serialize_word
 from modalkit.cli import run
 from modalkit.errors import CrossingLeading, IndexOutOfRange, ParseError, SizeMismatch
 from modalkit.leading import (
@@ -25,7 +25,7 @@ from modalkit.leading import (
     parse_progression,
     voice_leading,
 )
-from modalkit.leading import _letters, _reduced_moves
+from modalkit.leading import _letters, _moves
 from modalkit.pitch import _SPELLINGS, _SYMBOL_INTERVALS, Chord, _Table, parse_chord_symbol
 
 DATA, GOLDEN = (Path(__file__).parent / name for name in ("data", "golden"))
@@ -190,14 +190,14 @@ def test_crossing_free_detection():
     assert VoiceLeading((0, 4), (2, 5)).is_crossing_free()
 
 
-def test_reduced_moves_deduplicate_padding():
-    v = VoiceLeading((0, 2, 2, 4), (0, 3, 6, 8))
-    moves = _reduced_moves(v.source, v.target)
-    # the doubled pitch class keeps its cheaper move only
-    assert moves == [(0, 0), (2, 3), (4, 8)]
-    slots = list(zip(*moves))
-    assert list(slots[0]) == sorted(set(slots[0]))
-    assert list(slots[1]) == sorted(set(slots[1]))
+def test_moves_deduplicate_padding():
+    # the doubled pitch class keeps its cheaper move only, and the voice that
+    # stays makes none; descending voices walk first, then ascending ones
+    assert _moves((0, 2, 2, 4), (0, 3, 6, 8)) == [(4, 8), (2, 3)]
+    assert _moves((0, 2, 4), (0, 3, 6, 8), 2) == [(4, 8), (2, 3)]  # padded with its root
+    assert _moves((9, 11), (0, 3, 4)) == [(9, 3), (11, 4)]  # 9 doubled keeps its shorter move
+    assert _moves((5, 7), (0, 10)) == [(5, 0), (7, 10)]
+    assert _moves((0, 4, 7), (5,)) == [(4, 5)]  # three voices compete for the one target
 
 
 def reference_reduced_moves(v):
@@ -231,26 +231,32 @@ def reference_letters(moves):
 notes = st.lists(st.integers(0, 11), min_size=1, max_size=7)
 
 
-@st.composite
-def leadings(draw):
+roots = st.none() | st.integers(0, 11)
+transitions = st.tuples(notes.map(Chord), notes.map(Chord), roots, roots)
+
+
+def leadings():
     """Leadings as voice_leading builds them: chords that may repeat pitch
     classes, of equal size or padded with a declared or the lowest root."""
-    roots = st.none() | st.integers(0, 11)
-    a, b, a_root, b_root = draw(notes), draw(notes), draw(roots), draw(roots)
-    return voice_leading(Chord(a), Chord(b), a_root=a_root, b_root=b_root)
+    return transitions.map(lambda t: voice_leading(t[0], t[1], a_root=t[2], b_root=t[3]))
 
 
 @settings(max_examples=300)
-@given(leadings(), st.randoms(use_true_random=False))
-@example(VoiceLeading((0, 0, 1, 2), (1, 3, 5, 5)), random.Random(0))  # a target repeats after the source pass
-@example(VoiceLeading((2, 2, 2), (0, 4, 4)), random.Random(0))
-def test_reduced_moves_match_the_two_pass_form(v, rng):
+@given(transitions, st.randoms(use_true_random=False))
+# a target repeats after the source pass; both sides repeat; padded, then a target repeats
+@example((Chord([0, 0, 1, 2]), Chord([1, 3, 5, 5]), None, None), random.Random(0))
+@example((Chord([2, 2, 2]), Chord([0, 4, 4]), None, None), random.Random(0))
+@example((Chord([2]), Chord([0, 4, 4]), None, None), random.Random(0))
+def test_moves_match_the_two_pass_form_in_walk_order(transition, rng):
+    a, b, a_root, b_root = transition
+    v = voice_leading(a, b, a_root=a_root, b_root=b_root)
     moves = reference_reduced_moves(v)
-    assert _reduced_moves(v.source, v.target) == moves
-    # the core appends the walks of those moves to the letters it is given
-    prefix = [(1, 1)]
-    assert _letters(prefix, v.source, v.target) is prefix
-    assert prefix == [(1, 1), *reference_letters(moves)]
+    # the core pads the smaller chord itself, and keeps the moving moves
+    walk = _moves(a.notes, b.notes, a_root, b_root)
+    assert _moves(v.source, v.target) == walk
+    assert sorted(walk) == [(s, t) for s, t in moves if s != t]
+    # in walk order, their walks are the transition's letters
+    assert _letters(walk) == tuple(reference_letters(moves))
     # the same crossing-free leading, its voices listed in another order
     pairs = list(v.pairs())
     rng.shuffle(pairs)
@@ -275,7 +281,7 @@ def test_every_accepted_word_lands_its_voices(pairs, rng):
         return
     assert v.is_crossing_free()
     perm = invariants(word).permutation
-    for a, b in _reduced_moves(sorted(v.source), sorted(v.target)):
+    for a, b in reference_reduced_moves(v):
         assert perm[a] == b + 1  # from slot a + 1 to slot b + 1
 
 
@@ -302,7 +308,7 @@ def test_braid_moves_every_voice_to_its_slot():
         target = sorted(rng.sample(range(12), size))
         v = VoiceLeading(tuple(source), tuple(target))
         perm = invariants(braid_of_leading(v)).permutation
-        for a, b in _reduced_moves(v.source, v.target):
+        for a, b in reference_reduced_moves(v):
             assert perm[a] == b + 1  # from slot a + 1 to slot b + 1
 
 
@@ -357,9 +363,11 @@ def test_braid_of_progression_is_the_concatenation(lines):
 
 
 def test_braid_of_progression_checks_each_letter_once(monkeypatch):
+    text = "Cmaj7\nx: 0,0,4\nG7\nF#o7\nCmaj7\n"
+    braid_of_progression(parse_progression(text))  # each walk is checked once, when derived
     checked, check = [], BraidWord.__post_init__
     monkeypatch.setattr(BraidWord, "__post_init__", lambda w: checked.append(w) or check(w))
-    p = parse_progression("Cmaj7\nx: 0,0,4\nG7\nF#o7\nCmaj7\n")
+    p = parse_progression(text)
     joined = braid_of_progression(p)
     assert [id(w) for w in checked] == [id(joined)] and len(joined) > 0
 
@@ -386,8 +394,8 @@ def test_both_progression_words_match_each_transition(lines, words_first):
 
 
 def test_a_progression_derives_each_transition_once(monkeypatch):
-    runs, letters = [], leading._letters
-    monkeypatch.setattr(leading, "_letters", lambda *args: runs.append(1) or letters(*args))
+    runs, moves = [], leading._moves
+    monkeypatch.setattr(leading, "_moves", lambda *args: runs.append(1) or moves(*args))
     text = "Cmaj7\nx: 0,0,4\nG7\nF#o7\ny: 2\nCmaj7\n"
     for first, then in ((braids_of_progression, braid_of_progression),
                         (braid_of_progression, braids_of_progression)):
@@ -399,18 +407,38 @@ def test_a_progression_derives_each_transition_once(monkeypatch):
 
 
 def test_the_braid_stream_keeps_no_letters(monkeypatch):
-    # the verb pairs the parser's entries through the one derivation, and builds
-    # no Progression, so nothing keeps the entries or the letters
+    # the verb pairs the parser's entries through the one core and writes each
+    # move's kept tokens and rows: it builds no Progression, no letters and no
+    # word, so nothing keeps the entries or the letters
     text = "Cmaj7\nG7\nF#o7\n"
     words = braids_of_progression(parse_progression(text))
+    stream = leading._transition_moves(leading._entries(text))
+    assert [(a, b, BraidWord(STRANDS, _letters(moves))) for a, b, moves in stream] == [
+        ("Cmaj7", "G7", words[0]), ("G7", "F#o7", words[1])]
+    path = DATA / "peru.prog"
+    braids_of_progression(parse_progression(path.read_text()))  # every walk it needs, derived
     built = []
     monkeypatch.setattr(Progression, "__post_init__", lambda p: built.append(p))
-    stream = leading._transition_letters(leading._entries(text))
-    assert [(a, b, BraidWord(STRANDS, letters)) for a, b, letters in stream] == [
-        ("Cmaj7", "G7", words[0]), ("G7", "F#o7", words[1])]
+    monkeypatch.setattr(BraidWord, "__post_init__", lambda w: built.append(w))
+    monkeypatch.setattr(leading, "_letters", lambda moves: built.append(moves))
+    for name in ("serialize_word", "render_ascii"):
+        monkeypatch.setattr(braid, name, lambda w: built.append(w))
+    for flags, golden in (([], "braid_peru.txt"), (["--ascii"], "braid_peru_ascii.txt")):
+        out = io.StringIO()
+        assert run(["braid", "--file", str(path), *flags], out=out) == 0
+        assert built == [] and out.getvalue() == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("ascii_", [False, True], ids=["plain", "ascii"])
+def test_an_empty_transition_prints_no_tokens(ascii_, tmp_path):
+    # a chord that moves no voice: the line keeps the space after its colon,
+    # and its drawing is the base row alone
+    path = tmp_path / "song.prog"
+    path.write_text("C: 0,4,7\nC: 7,0,4\n")
     out = io.StringIO()
-    assert run(["braid", "--file", str(DATA / "peru.prog")], out=out) == 0
-    assert built == [] and out.getvalue() == (GOLDEN / "braid_peru.txt").read_text()
+    assert run(["braid", "--file", str(path), *(["--ascii"] if ascii_ else [])], out=out) == 0
+    base = "| | | | | | | | | | | |\n"
+    assert out.getvalue() == "strands=12\nC -> C: \n" + (base if ascii_ else "")
 
 
 def test_a_progression_keeps_its_own_chords():
@@ -551,3 +579,20 @@ def test_walks_are_kept_per_move():
         braid_of_leading(VoiceLeading((s,), (t,)))
     # keyed by the voice's two pitch classes; a voice that stays looks up no walk
     assert set(leading._WALKS) == {(s, t) for s, t in product(range(12), repeat=2) if s != t}
+
+
+def test_each_move_keeps_its_walks_tokens_and_rows():
+    base = render_ascii(BraidWord(STRANDS))
+    for s, t in permutations(range(12), 2):
+        letters, text, rows = leading._WALKS[s, t]
+        assert letters == tuple(reference_letters([(s, t)]))
+        word = BraidWord(STRANDS, letters)
+        assert text == serialize_word(word)
+        assert base + rows == render_ascii(word)
+
+
+def test_a_walk_off_the_strands_is_refused_when_derived():
+    walks = _Table(leading._walk)
+    with pytest.raises(IndexOutOfRange, match=r"^generator s12 needs 13 strands, have 12$"):
+        walks[0, 12]
+    assert (0, 12) not in walks and walks[0, 11][1] == " ".join(f"s{i}" for i in range(1, 12))
