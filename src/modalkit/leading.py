@@ -96,7 +96,8 @@ def voice_leading(
     """The crossing-free leading from a to b: sorted notes paired in order.
 
     Unequal sizes are reconciled by doubling the smaller chord's root
-    (lowest pitch class when no root is declared).
+    (lowest pitch class when no root is declared; an empty chord with no
+    root is a SizeMismatch).
     """
     source, target = _padded(a_root, a.notes, len(b.notes)), _padded(b_root, b.notes, len(a.notes))
     return VoiceLeading(source, target)
@@ -104,9 +105,11 @@ def voice_leading(
 
 def _padded(root: PitchClass | None, notes, size: int) -> tuple[PitchClass, ...]:
     """Sorted ``notes``, as a Chord keeps them, their root (their lowest note when
-    None) doubled up to ``size``."""
+    None) doubled up to ``size``; an empty chord with no root is a SizeMismatch."""
     if len(notes) >= size:
         return notes
+    if root is None and not notes:
+        raise SizeMismatch("an empty chord with no root has no note to double")
     pad = min(notes) if root is None else root
     return tuple(sorted(notes + (pad,) * (size - len(notes))))
 

@@ -55,11 +55,15 @@ class ScaleType(Enum):
 
 
 class ModalScale(_Value, name=""):
-    """An ordered seven-degree scale: root first, then ascending degrees."""
+    """An ordered seven-degree scale: root first, then ascending degrees.
 
-    __slots__ = ("root", "degrees", "name")
+    A scale keeps its ``Mode`` once ``decompose`` has built it.
+    """
+
+    __slots__ = ("root", "degrees", "name", "_mode")
 
     def __post_init__(self):
+        object.__setattr__(self, "_mode", None)
         if len(self.degrees) != 7 or len(set(self.degrees)) != 7:
             raise NotAMode(f"need 7 distinct pitch classes, got {self.degrees}")
         if self.degrees[0] != self.root:
@@ -132,8 +136,32 @@ def harmonize(s: ScaleType, degree: int) -> ChordQuality:
 
 
 def decompose(m: ModalScale) -> Mode:
-    """Split a modal scale into base chord (1,3,5,7) and tension chord (2,4,6)."""
-    return Mode(Chord(m.degrees[0::2]), Chord(m.degrees[1::2]), m)
+    """Split a modal scale into base chord (1,3,5,7) and tension chord (2,4,6).
+
+    The split is built and checked on a scale's first call and kept by the
+    scale; a scale that is no mode raises NotAMode on every call.
+    """
+    mode = m._mode
+    if mode is None:
+        mode = Mode(Chord(m.degrees[0::2]), Chord(m.degrees[1::2]), m)
+        object.__setattr__(m, "_mode", mode)
+    return mode
+
+
+def _recomposed(
+    key: tuple[tuple[PitchClass, ...], tuple[PitchClass, ...], PitchClass],
+) -> ModalScale:
+    base, tension, root = key
+    degrees = tuple(sorted(set(base) | set(tension), key=lambda n: pc(n - root)))
+    offsets = tuple(pc(d - root) for d in degrees)
+    scale = ModalScale(root, degrees, _names_by_offsets().get(offsets, ""))
+    object.__setattr__(scale, "_mode", Mode(Chord(base), Chord(tension), scale))
+    return scale
+
+
+# ``recompose`` per (base notes, tension notes, root pitch class): 98 accepted
+# splits on each root, 1,176 in all; a split that is no mode raises and stays out.
+_RECOMPOSED = _Table(_recomposed)
 
 
 def recompose(base: Chord, tension: Chord, root: PitchClass) -> ModalScale:
@@ -141,11 +169,9 @@ def recompose(base: Chord, tension: Chord, root: PitchClass) -> ModalScale:
 
     The inverse of ``decompose``: raises NotAMode unless the notes, sorted
     upward from the root, split back into exactly ``base`` and ``tension``.
+    A root that is no integer is an IndexOutOfRange.
     """
-    degrees = tuple(sorted(set(base.notes) | set(tension.notes), key=lambda n: pc(n - root)))
-    offsets = tuple(pc(d - root) for d in degrees)
-    name = _names_by_offsets().get(offsets, "")
-    return Mode(base, tension, ModalScale(pc(root), degrees, name)).scale
+    return _RECOMPOSED[base.notes, tension.notes, _root_pc(root)]
 
 
 def all_standard_modes(root: PitchClass = 0) -> list[ModalScale]:

@@ -34,6 +34,17 @@ def _root_pc(root: int) -> PitchClass:
         raise IndexOutOfRange(f"root {root!r} is not an integer") from None
 
 
+def _pitch_classes(notes) -> list[PitchClass]:
+    """Each note's pitch class; a note that is no integer is an IndexOutOfRange."""
+    values = []
+    for note in notes:
+        try:
+            values.append(operator.index(note) % 12)
+        except TypeError:
+            raise IndexOutOfRange(f"note {note!r} is not an integer") from None
+    return values
+
+
 def pc_name(value: PitchClass) -> str:
     return PC_NAMES[pc(value)]
 
@@ -103,7 +114,8 @@ class _Value:
     A slot named with a leading underscore is no field: it holds a value the
     record derives from its fields, set with ``object.__setattr__``, and
     takes no part in ``__init__``, equality, hashing, the repr, copies or
-    pickles.
+    pickles.  ``__init__`` sets each field through its slot's descriptor
+    directly, the one that ``object.__setattr__`` would look up by name.
     """
 
     __slots__ = ()
@@ -114,10 +126,11 @@ class _Value:
         if not defaults.keys() <= set(fields):
             raise TypeError(f"{cls.__name__} defaults {sorted(defaults)} name no field of {fields}")
         params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in fields)
-        lines = [f"def __init__(self{params}):", *(f"    _set(self, {n!r}, {n})" for n in fields)]
+        lines = [f"def __init__(self{params}):", *(f"    _set_{n}(self, {n})" for n in fields)]
         if hasattr(cls, "__post_init__"):
             lines.append("    self.__post_init__()")  # looked up per call, so a patch counts
-        namespace = {"_set": object.__setattr__, "_defaults": defaults}
+        namespace = {f"_set_{n}": vars(cls)[n].__set__ for n in fields}
+        namespace["_defaults"] = defaults
         exec("\n".join(lines), namespace)
         cls.__init__ = namespace["__init__"]
         cls._fields = operator.attrgetter(*fields)
@@ -158,12 +171,7 @@ class Chord(_Value):
     __slots__ = ("notes",)
 
     def __post_init__(self):
-        notes = []
-        for note in self.notes:
-            try:
-                notes.append(operator.index(note) % 12)
-            except TypeError:
-                raise IndexOutOfRange(f"note {note!r} is not an integer") from None
+        notes = _pitch_classes(self.notes)
         notes.sort()
         object.__setattr__(self, "notes", tuple(notes))
 

@@ -63,8 +63,9 @@ def reference_approximate(target, q, root):
 
 
 def test_candidates_match_path_notes():
+    # in name order, so that ranking by (-shared, len(added)) alone keeps the name tiebreak
     for q in ChordQuality:
-        paths = enumerate_admissible(build_graph(q))
+        paths = sorted(enumerate_admissible(build_graph(q)), key=lambda p: p.name)
         for root in range(12):
             expected = tuple((p, frozenset(path_notes(p, root))) for p in paths)
             assert _CANDIDATES[q, root] == expected
@@ -78,3 +79,11 @@ def test_approximate_matches_the_per_call_derivation():
             ranked = approximate(target, q, root)
             assert ranked == reference_approximate(target, q, root)
             assert ranked == approximate(target, q, root + 12)
+
+
+def test_approximate_matches_the_per_call_derivation_on_every_target():
+    # every subset of the 12 pitch classes, for each quality at one root
+    subsets = [frozenset(n for n in range(12) if mask >> n & 1) for mask in range(1 << 12)]
+    for q in ChordQuality:
+        for target in subsets:
+            assert approximate(target, q, 5) == reference_approximate(target, q, 5)

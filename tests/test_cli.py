@@ -52,6 +52,8 @@ def run_subprocess(argv):
         (["graph", "--quality", "o7", "--dot"], "graph_dim7.dot"),
         (["braid", "--file", str(DATA / "peru.prog")], "braid_peru.txt"),
         (["braid", "--file", str(DATA / "peru.prog"), "--ascii"], "braid_peru_ascii.txt"),
+        (["approx", "--target", "11,0,2,3,5,6,8,9", "--quality", "7", "--root", "B"],
+         "approx_peru.txt"),
     ],
 )
 def test_golden_outputs(argv, golden):

@@ -4,7 +4,8 @@
 its ``cli_stdout`` gives the exact stdout of every verb but ``braid``.  The
 theory is finite, so every input of those verbs runs here, with roots spelled
 on flats and on sharps.  ``approx`` alone has too many (4,096 targets per
-quality and root), so hypothesis draws its targets.  ``braid`` reads files of
+quality and root), so each quality and root spelling runs with one seeded
+target and format, and hypothesis draws more targets.  ``braid`` reads files of
 any length, so seeded songs from ``bench/inputs.py`` and hand-made files run
 here, and ``check_braid_stdout`` checks each word it prints.  Long files that
 cross the parser's and the output's 64 K blocks check the streamed verb against
@@ -12,7 +13,6 @@ the library's progression words, and a bad line deep in such a file against
 the error contract.
 """
 
-import importlib.util
 import io
 import json
 import os
@@ -33,19 +33,7 @@ from modalkit.cli import run
 from modalkit.leading import STRANDS, braids_of_progression, parse_progression
 from modalkit.pitch import _Table
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def load(name):
-    """A module of bench/, loaded by its path; inputs.py imports oracle by name."""
-    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
-    module = sys.modules[name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-oracle = load("oracle")
-inputs = load("inputs")
+from bench_modules import inputs, oracle
 
 FORMATS = ("plain", "csv", "json")
 SPELLINGS = [(pc, note) for notes in (inputs.FLAT_ROOTS, inputs.SHARP_ROOTS)
@@ -67,7 +55,15 @@ def decompose(scale, degree, root, rng):
                    "--notes", ",".join(map(str, notes)), "--root", str(root))
 
 
+def approx(quality, root, note, rng):
+    target = sorted(rng.sample(range(12), rng.randint(1, 12)))
+    return command("approx", dict(target=target, quality=quality, root=root,
+                                  format=rng.choice(FORMATS)),
+                   "--target", ",".join(map(str, target)), f"--quality={quality}", "--root", note)
+
+
 RNG = random.Random(11)  # the note order of each decompose command
+APPROX_RNG = random.Random(20)  # the target and format of each approx command
 COMMANDS = {
     "modes": [
         command("modes", dict(scale=scale, root=root, format=fmt), "--scale", scale, "--root", note)
@@ -105,6 +101,9 @@ COMMANDS = {
                 *(["--paper-compat"] if paper else []))
         for q, paper, fmt in product(QUALITIES, (False, True), FORMATS)
     ],
+    "approx": [
+        approx(q, root, note, APPROX_RNG) for q, (root, note) in product(QUALITIES, SPELLINGS)
+    ],
 }
 
 
@@ -121,7 +120,8 @@ def test_every_input_is_enumerated():
     # 24 spellings: 12 roots on flats, 12 on sharps; 21 standard modes on 12 roots
     counts = {verb: len(commands) for verb, commands in COMMANDS.items()}
     assert counts == {"modes": 216, "harmonize": 72, "decompose": 252, "graph": 182,
-                      "tcm": 24, "admissible": 21, "special": 42}
+                      "tcm": 24, "admissible": 21, "special": 42, "approx": 168}
+    assert set(inputs.VERBS) - set(COMMANDS) == {"braid"}
 
 
 @pytest.mark.parametrize("verb", list(COMMANDS))

@@ -94,6 +94,8 @@ def test_cmaj7_to_gmaj7_pairs():
 def reference_voice_leading(a, b, a_root=None, b_root=None):
     """Both note lists copied, padded one note at a time and sorted."""
     source, target = list(a.notes), list(b.notes)
+    if (not source and a_root is None and target) or (not target and b_root is None and source):
+        raise SizeMismatch("an empty chord with no root has no note to double")
     while len(source) < len(target):
         source.append(a_root if a_root is not None else min(source))
     while len(target) < len(source):
@@ -115,11 +117,21 @@ padding_roots = st.none() | st.integers(-2, 13)
 
 @settings(max_examples=300)
 @given(chord_notes, chord_notes, padding_roots, padding_roots)
-@example([], [0], None, None)  # nothing to double: min() of no notes, as before
+@example([], [0], None, None)  # nothing to double: a SizeMismatch, not min() of no notes
 def test_voice_leading_matches_the_copy_and_sort_form(a, b, a_root, b_root):
     # a Chord's notes are sorted already, so only a padded side is sorted again
     args = (Chord(a), Chord(b), a_root, b_root)
     assert outcome(voice_leading, *args) == outcome(reference_voice_leading, *args)
+
+
+def test_an_empty_chord_with_no_root_is_a_size_mismatch():
+    message = r"^an empty chord with no root has no note to double$"
+    with pytest.raises(SizeMismatch, match=message):
+        voice_leading(Chord([]), Chord([1]))
+    with pytest.raises(SizeMismatch, match=message):
+        braid_of_progression(Progression((("a", None, Chord([])), ("b", 0, Chord([1, 2])))))
+    # a root is the note an empty chord doubles
+    assert voice_leading(Chord([]), Chord([1, 2]), a_root=5) == VoiceLeading((5, 5), (1, 2))
 
 
 def reference_range_check(source, target):

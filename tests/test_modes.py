@@ -1,18 +1,21 @@
 """Standard modes, harmonization, and decompose/recompose on all 21 modes,
 every admissible mode and every seven-note scale."""
 
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 
-from modalkit.approximate import _CANDIDATES, approximate
+from modalkit.approximate import _CANDIDATES, approximate, hs_ws_scale
 from modalkit.errors import IndexOutOfRange, ModalkitError, NotAMode
 from modalkit.graph import _THEORY_DOT, build_graph, emit_dot, enumerate_admissible, path_notes
 from modalkit.modes import (
     ModalScale,
     Mode,
     ScaleType,
+    _RECOMPOSED,
     _STANDARD_MODES,
     all_standard_modes,
     decompose,
@@ -92,7 +95,7 @@ def test_returned_mode_lists_do_not_share_the_table():
     assert standard_modes(ScaleType.MAJOR, 14) == reference_standard_modes(ScaleType.MAJOR, 2)
 
 
-TABLES = (_STANDARD_MODES, _CANDIDATES, _THEORY_DOT)
+TABLES = (_STANDARD_MODES, _CANDIDATES, _THEORY_DOT, _RECOMPOSED)
 
 
 @pytest.mark.parametrize("root", [0.5, 7.0, "7", -1.5], ids=repr)
@@ -103,8 +106,11 @@ TABLES = (_STANDARD_MODES, _CANDIDATES, _THEORY_DOT)
         lambda root: all_standard_modes(root),
         lambda root: approximate({0, 4, 7}, ChordQuality.DOM7, root),
         lambda root: emit_dot(build_graph(ChordQuality.DIM7), root),
+        lambda root: recompose(Chord([0, 4, 7, 11]), Chord([2, 5, 9]), root),
+        lambda root: hs_ws_scale(root),
     ],
-    ids=["standard_modes", "all_standard_modes", "approximate", "emit_dot"],
+    ids=["standard_modes", "all_standard_modes", "approximate", "emit_dot", "recompose",
+         "hs_ws_scale"],
 )
 def test_a_root_that_keys_a_table_is_an_integer(call, root):
     sizes = [len(table) for table in TABLES]
@@ -112,6 +118,13 @@ def test_a_root_that_keys_a_table_is_an_integer(call, root):
         call(root)
     assert str(info.value) == f"root {root!r} is not an integer"
     assert [len(table) for table in TABLES] == sizes
+
+
+@pytest.mark.parametrize("note", [0.5, 4.0, "0", None], ids=repr)
+def test_a_target_note_is_an_integer(note):
+    # as a Chord's notes: 4.0 equals pitch class 4, yet it is no integer
+    with pytest.raises(IndexOutOfRange, match=rf"^note {note!r} is not an integer$"):
+        approximate({note, 7}, ChordQuality.DOM7, 0)
 
 
 def test_integer_like_roots_key_the_tables_as_their_pitch_class():
@@ -258,6 +271,28 @@ def test_catalog_agrees_with_decompose_on_every_root():
                 mode = decompose(scale)
                 assert recompose(mode.base, mode.tension, scale.root) == scale
                 assert harmonize(s, degree) is mode.base_quality()
+
+
+def test_a_scale_decomposes_once_and_stays_the_same_value():
+    scale = standard_modes(ScaleType.MELODIC_MINOR, 5)[3]
+    fresh = reference_standard_modes(ScaleType.MELODIC_MINOR, 5)[3]
+    mode = decompose(scale)
+    assert decompose(scale) is mode and mode == decompose(fresh)
+    assert scale == fresh and hash(scale) == hash(fresh) and repr(scale) == repr(fresh)
+    assert pickle.dumps(scale) == pickle.dumps(fresh)
+    for twin in (copy.copy(scale), copy.deepcopy(scale), pickle.loads(pickle.dumps(scale))):
+        assert twin == scale and twin._mode is None and decompose(twin) == mode
+    # a recomposed scale comes with its split, the one decompose builds
+    back = recompose(mode.base, mode.tension, scale.root + 12)
+    assert back == scale and decompose(back) == mode
+
+
+def test_a_scale_that_is_no_mode_raises_on_every_decompose():
+    scale = ModalScale(0, (0, 1, 2, 3, 4, 5, 6))
+    for _ in range(2):
+        with pytest.raises(NotAMode, match="fit no seventh chord"):
+            decompose(scale)
+    assert scale._mode is None
 
 
 def test_mode_checks_its_split():
