@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .errors import InvalidArgument
 from .graph import AdmissiblePath, build_graph, path_notes
 from .pitch import ChordQuality, PitchClass, _pitch_classes, _root_pc, _Table, _Value, pc
 
@@ -42,7 +43,11 @@ def approximate(
 
     Shared count descending, then fewer added tensions, then name.  Every
     target note and the root must be integers; any other is an IndexOutOfRange.
+    A quality that is no ChordQuality, or a target that is no collection, is
+    an InvalidArgument.
     """
+    if not isinstance(q, ChordQuality):
+        raise InvalidArgument(f"approximate takes a ChordQuality, not {type(q).__name__}")
     root = _root_pc(root)
     target = frozenset(_pitch_classes(target))
     ranked = [

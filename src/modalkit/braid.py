@@ -5,6 +5,14 @@ strands at positions i and i+1.  Words act on positions left to right: the
 first letter is the crossing nearest the start of the braid.  The library
 computes necessary conditions for braid equality (permutation and writhe);
 the test suite proves equality exactly with Artin's action on a free group.
+
+A word is checked once, where its letters come from outside: ``BraidWord(...)``,
+a copy or a pickle, and ``parse_word`` of a token its strand count does not
+spell.  A word built from words that were checked, by ``concatenate``,
+``free_reduce`` or ``rewrite_step``, or from tokens ``parse_word`` knows, is
+built by ``_word`` without the check, and so are the progression words, whose
+letters come from walks checked once each.  Each function here that takes a
+word refuses any other value with InvalidBraid.
 """
 
 from __future__ import annotations
@@ -37,19 +45,23 @@ class BraidWord(_Value, letters=()):
     The letters are kept as a tuple, so a list given here shows as a tuple
     in the repr, and changing that list later changes nothing kept; letters
     that are no sequence, such as 5, are refused.
+
+    Building, copying or unpickling a word checks it once; the words this
+    package builds from checked words and walks are not checked again.
     """
 
     __slots__ = ("strands", "letters")
 
     def __post_init__(self):
-        """The one validation of a word; bench/spans.py wraps it to count the letters."""
-        if self.letters.__class__ is not tuple:
+        """The one check of a word whose fields come from outside; ``_word`` skips it
+        for fields already checked.  bench/spans.py wraps it to count the letters."""
+        if type(self.letters) is not tuple:
             try:
                 object.__setattr__(self, "letters", tuple(self.letters))
             except TypeError:  # no sequence, such as 5
                 raise InvalidBraid(f"letters {self.letters!r} are not a sequence") from None
         n = self.strands
-        if n.__class__ is not int:
+        if type(n) is not int:
             n = _integer(n)
             if n is None:
                 raise InvalidBraid(f"strand count {self.strands!r} is not an integer")
@@ -99,6 +111,33 @@ _TABLED_STRANDS = 64
 _VALID = _Table(lambda n: frozenset((i, sign) for i in range(1, n) for sign in (1, -1)))
 
 
+_set_strands = vars(BraidWord)["strands"].__set__
+_set_letters = vars(BraidWord)["letters"].__set__
+
+
+def _word(strands: int, letters: tuple[Letter, ...]) -> BraidWord:
+    """The word of fields known to pass the check, built without it: an int
+    ``strands`` of at least 1 and a tuple of letters valid on it."""
+    word = object.__new__(BraidWord)
+    _set_strands(word, strands)
+    _set_letters(word, letters)
+    return word
+
+
+def _checked(w) -> BraidWord:
+    """``w`` when it is a BraidWord, so checked when built; a subclass's word, whose
+    class may check less, checked again as a BraidWord; InvalidBraid for any other."""
+    if type(w) is BraidWord:
+        return w
+    if isinstance(w, BraidWord):
+        return BraidWord(w.strands, w.letters)
+    raise _not_a_word(w)
+
+
+def _not_a_word(value) -> InvalidBraid:
+    return InvalidBraid(f"{type(value).__name__} is not a BraidWord")
+
+
 class BraidInvariants(_Value):
     """Necessary conditions for braid equality: the permutation, 1-based
     (start position p ends at ``permutation[p-1]``), and the writhe."""
@@ -108,13 +147,17 @@ class BraidInvariants(_Value):
 
 def concatenate(first: BraidWord, *rest: BraidWord) -> BraidWord:
     """The words read one after another; all must have the same strand count."""
-    for w in rest:
-        if w.strands != first.strands:
-            raise StrandMismatch(f"{first.strands} strands vs {w.strands}")
-    return BraidWord(first.strands, tuple(letter for w in (first, *rest) for letter in w.letters))
+    words = [_checked(w) for w in (first, *rest)]
+    strands = words[0].strands
+    for w in words:
+        if w.strands != strands:
+            raise StrandMismatch(f"{strands} strands vs {w.strands}")
+    return _word(strands, tuple(letter for w in words for letter in w.letters))
 
 
 def invariants(w: BraidWord) -> BraidInvariants:
+    if not isinstance(w, BraidWord):
+        raise _not_a_word(w)
     letters = w.letters
     try:
         occupant = _occupants(w.strands, letters)
@@ -138,13 +181,14 @@ def _occupants(strands: int, letters) -> list[int]:
 
 def free_reduce(w: BraidWord) -> BraidWord:
     """Cancel all adjacent s_i s_i^-1 pairs (a fixed point of free_cancel)."""
+    w = _checked(w)
     stack: list[Letter] = []
     for letter in w.letters:
         if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
             stack.pop()
         else:
             stack.append(letter)
-    return BraidWord(w.strands, tuple(stack))
+    return _word(w.strands, tuple(stack))
 
 
 # Each rule's window: how many letters it reads from ``at`` on, and their name.
@@ -159,6 +203,7 @@ def rewrite_step(w: BraidWord, rule: str, at: int) -> BraidWord:
     s_{i+1} s_i s_{i+1} (or back), with a uniform sign.  A window of letters
     from ``at`` on that leaves the word, or does not fit the rule, is a PatternMismatch.
     """
+    w = _checked(w)
     if rule not in _WINDOWS:
         raise InvalidBraid(f"unknown rule {rule!r}")
     width, window = _WINDOWS[rule]
@@ -177,23 +222,30 @@ def rewrite_step(w: BraidWord, rule: str, at: int) -> BraidWord:
         if not (third == [(i, si)] and sj == si and abs(i - j) == 1):
             raise PatternMismatch(f"letters at {at} are not a braid-relation triple")
         replacement = ((j, sj), (i, si), (j, sj))
-    return BraidWord(w.strands, w.letters[:at] + replacement + w.letters[at + width:])
+    return _word(w.strands, w.letters[:at] + replacement + w.letters[at + width:])
 
 
 _TOKEN = re.compile(r"s([0-9]+)(\^-1)?")
 
 
 def parse_word(text: str, strands: int) -> BraidWord:
-    """Parse whitespace-separated tokens ``s<k>`` / ``s<k>^-1``, ``k`` in ASCII digits."""
+    """Parse whitespace-separated tokens ``s<k>`` / ``s<k>^-1``, ``k`` in ASCII digits.
+
+    Tokens that all spell, as ``serialize_word`` does, a valid letter on an int
+    strand count in 1..64 are looked up and build a word that needs no check;
+    any other text is read token by token and the word is checked.
+    """
     tokens = text.split()
-    try:
-        letters = [_LETTERS[token] for token in tokens]
-    except KeyError:  # a token not read before: read each by _TOKEN
-        letters = [_letter(text, tokens, k, strands) for k in range(len(tokens))]
-    return BraidWord(strands, tuple(letters))
+    if type(strands) is int and 0 < strands <= _TABLED_STRANDS:
+        known = _LETTERS[strands]
+        try:  # from a list: tuple(map(...)) resizes each tuple it grows, raising peak RSS
+            return _word(strands, tuple([known[token] for token in tokens]))
+        except KeyError:  # a token this strand count does not spell
+            pass
+    return BraidWord(strands, tuple([_letter(text, tokens, k) for k in range(len(tokens))]))
 
 
-def _letter(text: str, tokens: list[str], k: int, strands: int) -> Letter:
+def _letter(text: str, tokens: list[str], k: int) -> Letter:
     """The letter of ``tokens[k]``, read by ``_TOKEN``."""
     token = tokens[k]
     m = _TOKEN.fullmatch(token)
@@ -207,10 +259,7 @@ def _letter(text: str, tokens: list[str], k: int, strands: int) -> Letter:
             start = text.find(earlier, end)
             end = start + len(earlier)
         raise ParseError(f"bad braid token {token!r}", start)
-    letter = (index, -1 if m.group(2) else 1)
-    if 1 <= index < strands and m.group(1)[0] != "0":  # as serialize_word spells it
-        _LETTERS[token] = letter
-    return letter
+    return index, -1 if m.group(2) else 1
 
 
 def _token(letter: Letter) -> str:
@@ -230,17 +279,19 @@ def _drawings(n: int) -> tuple[str, _Table]:
     return " ".join("|" * n) + "\n", _Table(lambda letter: _block(n, letter))
 
 
-# One token per letter (generator index, sign), its inverse, and per strand
-# count one table of three-row drawings per letter, so they hold at most the
-# letters of the strand counts in use.  A token read back enters _LETTERS,
-# which parse_word fills itself, only as serialize_word spells it, and only
-# with a letter valid on its word's strand count.
+# Per letter (generator index, sign) its token, as serialize_word spells it;
+# per strand count up to 64, the bound of _VALID, each valid letter by that
+# token, 2 * (n - 1) on n strands, for parse_word to look up; and per strand
+# count one table of three-row drawings per letter.  So they hold at most the
+# letters of the strand counts in use.
 _TOKENS = _Table(_token)
-_LETTERS: dict[str, Letter] = {}
+_LETTERS = _Table(lambda n: {_token(letter): letter for letter in _VALID[n]})
 _DRAWINGS = _Table(_drawings)
 
 
 def serialize_word(w: BraidWord) -> str:
+    if not isinstance(w, BraidWord):
+        raise _not_a_word(w)
     return " ".join(map(_TOKENS.__getitem__, w.letters))
 
 
@@ -251,5 +302,7 @@ def render_ascii(w: BraidWord) -> str:
     so the output always has 3 * len(word) + 1 lines.  Positive crossings
     show ``/`` in the middle row, negative ones ``\\``.
     """
+    if not isinstance(w, BraidWord):
+        raise _not_a_word(w)
     base, blocks = _DRAWINGS[w.strands]
     return "".join([base, *map(blocks.__getitem__, w.letters)])

@@ -35,8 +35,14 @@ class PatternMismatch(ModalkitError):
 class InvalidBraid(ModalkitError, ValueError):
     """A braid word or rewrite is asked for with a strand count that is no
     integer or is below one, letters that are no sequence, a letter that is
-    not a (generator index, sign) pair, a letter sign other than +1/-1, or an
-    unknown rule name."""
+    not a (generator index, sign) pair, a letter sign other than +1/-1, an
+    unknown rule name, or a value that is no BraidWord where a word is read."""
+
+
+class InvalidArgument(ModalkitError, TypeError):
+    """A library call is given a value of the wrong kind: a chord that is no
+    ``Chord``, a quality that is no ``ChordQuality``, or notes that are no
+    collection."""
 
 
 class InvalidProgression(ModalkitError, ValueError):

@@ -24,7 +24,8 @@ one line at a time; ``parse_progression`` keeps them in a ``Progression``.
 One derivation, ``_transition_moves``, pairs any iterable of entries through
 the core, one list of moves per transition.  A ``Progression`` keeps its
 transitions' letters, joined from the walks, once either progression word
-asks for them, and both words build and check their words from them.  The
+asks for them, and both words build their words from them with no second
+check, as ``braid_of_leading`` does, since every walk was checked.  The
 ``braid`` verb pairs the parser's entries through the same derivation and
 writes each move's kept tokens and rows, so it builds no letters and no word
 per transition, checks each move once, and keeps neither entries nor moves.
@@ -36,10 +37,11 @@ import itertools
 import re
 from collections.abc import Iterable, Iterator
 
-from .braid import BraidWord, Letter, render_ascii, serialize_word
+from .braid import BraidWord, Letter, _word, render_ascii, serialize_word
 from .errors import (
     CrossingLeading,
     IndexOutOfRange,
+    InvalidArgument,
     InvalidProgression,
     ParseError,
     SizeMismatch,
@@ -97,8 +99,11 @@ def voice_leading(
 
     Unequal sizes are reconciled by doubling the smaller chord's root
     (lowest pitch class when no root is declared; an empty chord with no
-    root is a SizeMismatch).
+    root is a SizeMismatch).  A chord that is no Chord is an InvalidArgument.
     """
+    if not (isinstance(a, Chord) and isinstance(b, Chord)):
+        raise InvalidArgument(f"voice_leading takes two Chords, not {type(a).__name__}"
+                              f" and {type(b).__name__}")
     source, target = _padded(a_root, a.notes, len(b.notes)), _padded(b_root, b.notes, len(a.notes))
     return VoiceLeading(source, target)
 
@@ -206,7 +211,7 @@ def braid_of_leading(v: VoiceLeading) -> BraidWord:
     # both sides sorted as given is crossing-free; otherwise test each pair
     if (source != list(v.source) or target != list(v.target)) and not v.is_crossing_free():
         raise CrossingLeading(f"the pairing {v.pairs()} crosses")
-    return BraidWord(STRANDS, _letters(_moves(source, target)))
+    return _word(STRANDS, _letters(_moves(source, target)))
 
 
 class Progression(_Value):
@@ -272,12 +277,12 @@ def _transitions(p: Progression) -> tuple[tuple[Letter, ...], ...]:
 
 def braids_of_progression(p: Progression) -> list[BraidWord]:
     """One braid word per chord transition."""
-    return [BraidWord(STRANDS, letters) for letters in _transitions(p)]
+    return [_word(STRANDS, letters) for letters in _transitions(p)]
 
 
 def braid_of_progression(p: Progression) -> BraidWord:
-    """Concatenation of the per-transition words, checked once; identity for one chord."""
-    return BraidWord(STRANDS, tuple(itertools.chain.from_iterable(_transitions(p))))
+    """Concatenation of the per-transition words; identity for one chord."""
+    return _word(STRANDS, tuple(itertools.chain.from_iterable(_transitions(p))))
 
 
 _COMMENT = re.compile(r"(?:^|\s)#")

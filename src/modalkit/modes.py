@@ -13,7 +13,7 @@ import functools
 import operator
 from enum import Enum
 
-from .errors import IndexOutOfRange, NotAMode
+from .errors import IndexOutOfRange, InvalidArgument, NotAMode
 from .pitch import (
     Chord, ChordQuality, PitchClass, Triad, TriadQuality, _MEMBERS_BY, _root_pc, _Table, _Value, pc,
 )
@@ -169,8 +169,12 @@ def recompose(base: Chord, tension: Chord, root: PitchClass) -> ModalScale:
 
     The inverse of ``decompose``: raises NotAMode unless the notes, sorted
     upward from the root, split back into exactly ``base`` and ``tension``.
-    A root that is no integer is an IndexOutOfRange.
+    A root that is no integer is an IndexOutOfRange, and a base or tension
+    that is no Chord is an InvalidArgument.
     """
+    if not (isinstance(base, Chord) and isinstance(tension, Chord)):
+        raise InvalidArgument(f"recompose takes two Chords, not {type(base).__name__}"
+                              f" and {type(tension).__name__}")
     return _RECOMPOSED[base.notes, tension.notes, _root_pc(root)]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from enum import Enum
 
-from .errors import IndexOutOfRange, ParseError
+from .errors import IndexOutOfRange, InvalidArgument, ParseError
 
 PitchClass = int
 
@@ -35,7 +35,12 @@ def _root_pc(root: int) -> PitchClass:
 
 
 def _pitch_classes(notes) -> list[PitchClass]:
-    """Each note's pitch class; a note that is no integer is an IndexOutOfRange."""
+    """Each note's pitch class; a note that is no integer is an IndexOutOfRange, and
+    notes that are no collection, such as 5, are an InvalidArgument."""
+    try:
+        notes = iter(notes)
+    except TypeError:
+        raise InvalidArgument(f"notes of type {type(notes).__name__} are no collection") from None
     values = []
     for note in notes:
         try:
@@ -165,7 +170,8 @@ class Chord(_Value):
     Duplicates are legal: a pitch-class list with a repeated value, such as
     the progression line ``x: 0,0,4``, gives ``Chord([0, 0, 4])``.  Every
     note must be an integer, as ``operator.index`` reads one; any other note,
-    such as 0.5 or ``'5'``, is an IndexOutOfRange.
+    such as 0.5 or ``'5'``, is an IndexOutOfRange, and notes that are no
+    collection, such as 5, are an InvalidArgument.
     """
 
     __slots__ = ("notes",)

@@ -1,9 +1,10 @@
 """Braid words: parsing, invariants, rewriting, rendering."""
 
 import re
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modalkit import braid
@@ -132,8 +133,15 @@ def test_letters_are_kept_as_a_tuple():
         lambda: BraidWord(3, ((1, 2),)),
         lambda: rewrite_step(BraidWord(3, ((1, 1),)), "nope", 0),
         lambda: BraidWord(3, 5),
+        *(lambda f=f: f(((1, 1),)) for f in (invariants, serialize_word, render_ascii,
+                                             free_reduce, concatenate)),
+        lambda: concatenate(BraidWord(3), ((1, 1),)),
+        lambda: rewrite_step(SimpleNamespace(strands=3, letters=((1, 1), (1, -1))),
+                             "free_cancel", 0),
     ],
-    ids=["no-strands", "parse-no-strands", "bad-sign", "unknown-rule", "letters-no-sequence"],
+    ids=["no-strands", "parse-no-strands", "bad-sign", "unknown-rule", "letters-no-sequence",
+         "invariants-tuple", "serialize-tuple", "render-tuple", "reduce-tuple",
+         "concatenate-tuple", "concatenate-then-tuple", "rewrite-duck"],
 )
 def test_invalid_braid_requests_are_domain_errors(call):
     with pytest.raises(InvalidBraid) as info:
@@ -330,21 +338,97 @@ def test_bad_token_position_walks_the_earlier_tokens(text, position):
 
 
 def test_token_table_holds_only_canonical_valid_tokens(monkeypatch):
-    monkeypatch.setattr(braid, "_LETTERS", {})
-    # spellings that serialize_word never writes parse as before but are not kept
+    monkeypatch.setattr(braid, "_LETTERS", braid._Table(braid._LETTERS._derive))  # cold
+    # spellings that serialize_word never writes parse as before, token by token
     assert parse_word("s01 s01^-1 s001", 12).letters == ((1, 1), (1, -1), (1, 1))
-    assert braid._LETTERS == {}
-    for text, strands in [("s99999", 12), ("s9", 4), ("s1 s3^-1", 3), ("s1", 0)]:
+    for text, strands in [("s99999", 12), ("s9", 4), ("s1 s3^-1", 3), ("s1", 0), ("s1", True)]:
         with pytest.raises(ModalkitError):
             parse_word(text, strands)
-    assert braid._LETTERS == {"s1": (1, 1)}  # from the 3-strand word, where s1 is valid
+    # a strand count that is no int in 1..64 keys nothing, and is read as before
+    assert parse_word("s1 s64^-1", 65) == BraidWord(65, ((1, 1), (64, -1)))
+    assert parse_word("s2", 3.0) == BraidWord(3, ((2, 1),))
     parse_word("s3 s2^-1 s11^-1", 12)
-    assert braid._LETTERS == {"s1": (1, 1), "s3": (3, 1), "s2^-1": (2, -1), "s11^-1": (11, -1)}
-    # a kept token met on fewer strands is still checked by the word
+    assert sorted(braid._LETTERS) == [3, 4, 12]
+    # a token of more strands met on fewer is refused by the word's check
     with pytest.raises(IndexOutOfRange):
         parse_word("s11^-1", 4)
-    for token, letter in braid._LETTERS.items():
-        assert serialize_word(BraidWord(letter[0] + 1, (letter,))) == token
+    # each count holds exactly its 2 * (n - 1) valid letters, spelled as serialize_word does
+    for n, known in braid._LETTERS.items():
+        letters = [(i, sign) for i in range(1, n) for sign in (1, -1)]
+        assert known == {serialize_word(BraidWord(n, (letter,))): letter for letter in letters}
+
+
+def test_token_table_is_bounded_by_the_tabled_strand_counts(monkeypatch):
+    monkeypatch.setattr(braid, "_LETTERS", braid._Table(braid._LETTERS._derive))
+    for n in range(1, 3 * braid._TABLED_STRANDS):
+        parse_word("s1" if n > 1 else "", n)
+    assert sorted(braid._LETTERS) == list(range(1, braid._TABLED_STRANDS + 1))
+    assert sum(map(len, braid._LETTERS.values())) == sum(2 * (n - 1) for n in braid._LETTERS)
+
+
+def built_words(w, other, at):
+    """Every word concatenate, free_reduce, rewrite_step and parse_word build from
+    the checked words ``w`` and ``other``, with rewrites tried at ``at``."""
+    yield concatenate(w, other, w)
+    yield free_reduce(w)
+    for rule in ("free_cancel", "p1_swap", "p2_slide"):
+        try:
+            yield rewrite_step(w, rule, at)
+        except PatternMismatch:
+            pass
+    yield parse_word(serialize_word(w), w.strands)
+
+
+@settings(max_examples=200)
+@given(word_strategy(max_strands=8, max_len=10).flatmap(lambda w: st.tuples(
+    st.just(w), word_strategy(max_strands=w.strands, max_len=6).map(
+        lambda v: BraidWord(w.strands, v.letters)), st.integers(0, 10))))
+@example((BraidWord(3, ((1.0, 1), (True, -1), (2, 1))), BraidWord(3), 0))
+@example((BraidWord(12.0, ((1, 1), (2, 1), (1, 1))), BraidWord(12), 0))
+def test_an_unchecked_build_is_the_checked_word(words):
+    # a word built without the check is the word the check builds from its fields,
+    # so the check would refuse none of them
+    for built in built_words(*words):
+        assert type(built) is BraidWord
+        assert type(built.strands) is int and type(built.letters) is tuple
+        checked = BraidWord(built.strands, built.letters)
+        assert built == checked and built.letters is checked.letters
+
+
+class LaxWord(BraidWord):
+    """A subclass whose check accepts anything."""
+
+    __slots__ = ("strands", "letters")
+
+    def __post_init__(self):
+        pass
+
+
+class PosingWord:
+    """No BraidWord, though isinstance says it is one."""
+
+    __class__ = property(lambda self: BraidWord)
+
+    def __init__(self, strands, letters):
+        self.strands, self.letters = strands, letters
+
+
+@pytest.mark.parametrize("make", [SimpleNamespace, LaxWord, PosingWord],
+                         ids=["duck", "subclass", "posing"])
+def test_a_word_the_check_refuses_never_comes_back(make):
+    bad = make(strands=3, letters=((99, 1),))
+    good = BraidWord(3, ((1, 1),))
+    for build in (lambda: concatenate(bad), lambda: concatenate(good, bad),
+                  lambda: free_reduce(bad), lambda: rewrite_step(bad, "free_cancel", 0)):
+        with pytest.raises(ModalkitError):
+            build()
+
+
+def test_a_subclass_word_is_rebuilt_as_a_checked_word():
+    lax = LaxWord(3, [(1, 1), (1, -1), (2, 1)])
+    assert isinstance(lax, BraidWord) and type(lax.letters) is list
+    for built in (concatenate(lax), free_reduce(lax), rewrite_step(lax, "free_cancel", 0)):
+        assert type(built) is BraidWord and type(built.letters) is tuple
 
 
 @given(word_strategy())

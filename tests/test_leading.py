@@ -370,18 +370,27 @@ def test_braid_of_progression_is_the_concatenation(lines):
     words = braids_of_progression(p)
     joined = braid_of_progression(p)
     assert joined == concatenate(BraidWord(STRANDS), *words)
+    for w in (*words, joined):  # built unchecked, each is the word the check builds
+        assert type(w.letters) is tuple and w == BraidWord(w.strands, w.letters)
     if len(lines) == 1:
         assert joined == BraidWord(STRANDS)
 
 
 def test_braid_of_progression_checks_each_letter_once(monkeypatch):
+    # each walk is checked once, as one word, when it is derived; both progression
+    # words are built from the checked walks, so they check nothing again
     text = "Cmaj7\nx: 0,0,4\nG7\nF#o7\nCmaj7\n"
-    braid_of_progression(parse_progression(text))  # each walk is checked once, when derived
     checked, check = [], BraidWord.__post_init__
     monkeypatch.setattr(BraidWord, "__post_init__", lambda w: checked.append(w) or check(w))
+    monkeypatch.setattr(leading, "_WALKS", _Table(leading._walk))  # cold
     p = parse_progression(text)
-    joined = braid_of_progression(p)
-    assert [id(w) for w in checked] == [id(joined)] and len(joined) > 0
+    joined, words = braid_of_progression(p), braids_of_progression(p)
+    walks = [letters for letters, _tokens, _rows in leading._WALKS.values()]
+    assert [w.letters for w in checked] == walks and len(walks) > 0
+    checked.clear()
+    q = parse_progression(text)
+    assert (braids_of_progression(q), braid_of_progression(q)) == (words, joined)
+    assert checked == [] and len(joined) == sum(map(len, words)) > 0
 
 
 padding_lines = st.sampled_from(["x: 0", "y: 4,4", "z: 0,1,2,3,4,5"])  # pad up and down

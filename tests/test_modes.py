@@ -9,8 +9,9 @@ import pickle
 import pytest
 
 from modalkit.approximate import _CANDIDATES, approximate, hs_ws_scale
-from modalkit.errors import IndexOutOfRange, ModalkitError, NotAMode
+from modalkit.errors import IndexOutOfRange, InvalidArgument, ModalkitError, NotAMode
 from modalkit.graph import _THEORY_DOT, build_graph, emit_dot, enumerate_admissible, path_notes
+from modalkit.leading import voice_leading
 from modalkit.modes import (
     ModalScale,
     Mode,
@@ -125,6 +126,31 @@ def test_a_target_note_is_an_integer(note):
     # as a Chord's notes: 4.0 equals pitch class 4, yet it is no integer
     with pytest.raises(IndexOutOfRange, match=rf"^note {note!r} is not an integer$"):
         approximate({note, 7}, ChordQuality.DOM7, 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: recompose((0, 4, 7, 11), Chord([2, 5, 9]), 0),
+         "recompose takes two Chords, not tuple and Chord"),
+        (lambda: recompose(Chord([0, 4, 7, 11]), None, 0),
+         "recompose takes two Chords, not Chord and NoneType"),
+        (lambda: voice_leading((0, 4), Chord([1])),
+         "voice_leading takes two Chords, not tuple and Chord"),
+        (lambda: approximate({0}, "x", 0), "approximate takes a ChordQuality, not str"),
+        (lambda: approximate({0}, "7", 0), "approximate takes a ChordQuality, not str"),
+        (lambda: approximate(5, ChordQuality.DOM7, 0), "notes of type int are no collection"),
+        (lambda: Chord(5), "notes of type int are no collection"),
+    ],
+    ids=["recompose-base", "recompose-tension", "voice_leading", "approximate-quality",
+         "approximate-symbol", "approximate-target", "chord"],
+)
+def test_a_value_of_the_wrong_type_is_a_domain_error(call, message):
+    sizes = [len(table) for table in TABLES]
+    with pytest.raises(InvalidArgument) as info:
+        call()
+    assert str(info.value) == message and isinstance(info.value, TypeError)
+    assert [len(table) for table in TABLES] == sizes
 
 
 def test_integer_like_roots_key_the_tables_as_their_pitch_class():

@@ -1,7 +1,8 @@
 """The 11 value types behave as frozen dataclasses: field equality and hashing,
 ``Name(field=value, ...)`` reprs, no assignment, keyword construction with
 defaults, copies and pickles, and ``DegreeLabel`` ordering.  Each takes its
-public ``__slots__`` as parameters, and each field check runs once per build.
+public ``__slots__`` as parameters, and each field check runs once per build
+from outside fields; a braid word built from checked words is not checked again.
 A private slot, such as the letters a ``Progression`` derives, is no field."""
 
 import copy
@@ -29,7 +30,9 @@ from modalkit import (
     TriadQuality,
     VoiceLeading,
     approximate,
+    braid_of_leading,
     braid_of_progression,
+    braids_of_progression,
     build_graph,
     concatenate,
     free_reduce,
@@ -311,14 +314,29 @@ def test_copies_and_pickles_are_checked_again(cls, monkeypatch):
 
 
 def test_patched_braid_check_runs_once_per_build(monkeypatch):
-    checked = counting_check(BraidWord, monkeypatch)
     word = BraidWord(3, ((1, 1), (1, -1), (2, 1)))
-    builds = [
-        word,
+    p = parse_progression("Cmaj7\nx: 0,0,4\nG7\nF#o7\n")
+    leading = VoiceLeading((0, 4, 7), (2, 5, 11))
+    braids_of_progression(p), braid_of_leading(leading)  # each walk they need, checked once
+    checked = counting_check(BraidWord, monkeypatch)
+    # a word whose fields come from outside is checked once per build
+    once = [
+        BraidWord(3, ((1, 1), (2, -1))),
         BraidWord(strands=3),
+        copy.copy(word),
+        pickle.loads(pickle.dumps(word)),
+        parse_word("s01 s2^-1", 3),  # s01 is no token serialize_word writes
+    ]
+    assert list(map(id, checked)) == list(map(id, once))
+    checked.clear()
+    # a word built from checked words, known tokens or checked walks is not checked again
+    never = [
         concatenate(word, word, word),
         free_reduce(word),
         rewrite_step(word, "free_cancel", 0),
         parse_word("s1 s2^-1", 3),
+        *braids_of_progression(p),
+        braid_of_progression(p),
+        braid_of_leading(leading),
     ]
-    assert list(map(id, checked)) == list(map(id, builds))
+    assert checked == [] and all(type(w) is BraidWord for w in never)
