@@ -8,11 +8,13 @@ the test suite proves equality exactly with Artin's action on a free group.
 
 A word is checked once, where its letters come from outside: ``BraidWord(...)``,
 a copy or a pickle, and ``parse_word`` of a token its strand count does not
-spell.  A word built from words that were checked, by ``concatenate``,
-``free_reduce`` or ``rewrite_step``, or from tokens ``parse_word`` knows, is
-built by ``_word`` without the check, and so are the progression words, whose
-letters come from walks checked once each.  Each function here that takes a
-word refuses any other value with InvalidBraid.
+spell.  The check stores the strand count and each letter as ints, and every
+function here reads them as stored.  A word built from words that were
+checked, by ``concatenate``, ``free_reduce`` or ``rewrite_step``, or from
+tokens ``parse_word`` knows, is built by ``_word`` without the check, and so
+are the progression words, whose letters come from walks checked once each.
+Each function here that takes a word refuses any other value with
+InvalidBraid, and checks a subclass's word again as a BraidWord.
 """
 
 from __future__ import annotations
@@ -36,15 +38,10 @@ class BraidWord(_Value, letters=()):
 
     The strand count is an integer of at least 1, and each letter is a pair
     (generator index, sign) with an index in [1, strands - 1] and a sign of
-    +1 or -1.  A strand count that is no integer, such as 12.5 or '12', and
-    an index that is none, such as 1.5, are refused.  A number equal to an
-    integer is read as it: a strand count such as 12.0 or True is kept as
-    that int, and a letter equal to a valid one, such as (1.0, 1) or
-    (True, 1), is accepted and kept as given, so its word equals the word
-    of integer letters, and every function reads the letter as that one.
-    The letters are kept as a tuple, so a list given here shows as a tuple
-    in the repr, and changing that list later changes nothing kept; letters
-    that are no sequence, such as 5, are refused.
+    +1 or -1.  Each number is accepted if equal to an int, and stored as
+    that int: ``BraidWord(3.0, [(1.0, 1)])`` is ``BraidWord(3, ((1, 1),))``.
+    The letters are stored as a tuple; letters that are no sequence, such
+    as 5, are refused.
 
     Building, copying or unpickling a word checks it once; the words this
     package builds from checked words and walks are not checked again.
@@ -55,27 +52,17 @@ class BraidWord(_Value, letters=()):
     def __post_init__(self):
         """The one check of a word whose fields come from outside; ``_word`` skips it
         for fields already checked.  bench/spans.py wraps it to count the letters."""
-        if type(self.letters) is not tuple:
-            try:
-                object.__setattr__(self, "letters", tuple(self.letters))
-            except TypeError:  # no sequence, such as 5
-                raise InvalidBraid(f"letters {self.letters!r} are not a sequence") from None
-        n = self.strands
-        if type(n) is not int:
-            n = _integer(n)
-            if n is None:
-                raise InvalidBraid(f"strand count {self.strands!r} is not an integer")
-            object.__setattr__(self, "strands", n)
+        try:
+            letters = tuple(self.letters)
+        except TypeError:  # no sequence, such as 5
+            raise InvalidBraid(f"letters {self.letters!r} are not a sequence") from None
+        n = _integer(self.strands)
+        if n is None:
+            raise InvalidBraid(f"strand count {self.strands!r} is not an integer")
         if n < 1:
             raise InvalidBraid("need at least one strand")
-        if n <= _TABLED_STRANDS:
-            try:
-                if _VALID[n].issuperset(self.letters):
-                    return
-            except TypeError:  # an unhashable letter, such as [1, 1]
-                pass
-        for letter in self.letters:  # the first letter outside the set is refused
-            _check(letter, n)
+        object.__setattr__(self, "strands", n)
+        object.__setattr__(self, "letters", tuple([_check(letter, n) for letter in letters]))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -90,8 +77,8 @@ def _integer(value) -> int | None:
     return whole if whole == value else None
 
 
-def _check(letter, strands: int) -> None:
-    """Refuse ``letter`` unless it equals a valid letter on ``strands`` strands."""
+def _check(letter, strands: int) -> Letter:
+    """The int letter equal to ``letter`` on ``strands`` strands; refused unless valid."""
     if not (isinstance(letter, tuple) and len(letter) == 2):
         raise InvalidBraid(f"letter {letter!r} is not a (generator index, sign) pair")
     index, sign = letter
@@ -102,13 +89,7 @@ def _check(letter, strands: int) -> None:
         raise IndexOutOfRange(f"generator s{i} needs {i + 1} strands, have {strands}")
     if sign not in (1, -1):
         raise InvalidBraid(f"sign must be +1 or -1, got {sign}")
-
-
-# The valid letters per strand count, so that one issuperset checks a whole
-# word; up to 64 strands, so a huge strand count builds no huge set.  A word
-# on more strands, or with a letter outside the set, is checked letter by letter.
-_TABLED_STRANDS = 64
-_VALID = _Table(lambda n: frozenset((i, sign) for i in range(1, n) for sign in (1, -1)))
+    return i, 1 if sign == 1 else -1
 
 
 _set_strands = vars(BraidWord)["strands"].__set__
@@ -117,7 +98,7 @@ _set_letters = vars(BraidWord)["letters"].__set__
 
 def _word(strands: int, letters: tuple[Letter, ...]) -> BraidWord:
     """The word of fields known to pass the check, built without it: an int
-    ``strands`` of at least 1 and a tuple of letters valid on it."""
+    ``strands`` of at least 1 and a tuple of int letters valid on it."""
     word = object.__new__(BraidWord)
     _set_strands(word, strands)
     _set_letters(word, letters)
@@ -131,11 +112,7 @@ def _checked(w) -> BraidWord:
         return w
     if isinstance(w, BraidWord):
         return BraidWord(w.strands, w.letters)
-    raise _not_a_word(w)
-
-
-def _not_a_word(value) -> InvalidBraid:
-    return InvalidBraid(f"{type(value).__name__} is not a BraidWord")
+    raise InvalidBraid(f"{type(w).__name__} is not a BraidWord")
 
 
 class BraidInvariants(_Value):
@@ -156,27 +133,14 @@ def concatenate(first: BraidWord, *rest: BraidWord) -> BraidWord:
 
 
 def invariants(w: BraidWord) -> BraidInvariants:
-    if not isinstance(w, BraidWord):
-        raise _not_a_word(w)
-    letters = w.letters
-    try:
-        occupant = _occupants(w.strands, letters)
-    except TypeError:  # an index equal to an integer, such as 1.0, indexes no list
-        letters = [(int(i), int(sign)) for i, sign in letters]
-        occupant = _occupants(w.strands, letters)
+    w = _checked(w)
+    occupant = list(range(1, w.strands + 1))  # occupant[s-1]: the start of the strand at slot s
+    for index, _sign in w.letters:
+        occupant[index - 1], occupant[index] = occupant[index], occupant[index - 1]
     position = [0] * w.strands
     for slot, start in enumerate(occupant, start=1):
         position[start - 1] = slot
-    writhe = int(sum(sign for _i, sign in letters))
-    return BraidInvariants(tuple(position), writhe)
-
-
-def _occupants(strands: int, letters) -> list[int]:
-    """occupant[s-1], the start position of the strand at slot s after ``letters``."""
-    occupant = list(range(1, strands + 1))
-    for index, _sign in letters:
-        occupant[index - 1], occupant[index] = occupant[index], occupant[index - 1]
-    return occupant
+    return BraidInvariants(tuple(position), sum(sign for _i, sign in w.letters))
 
 
 def free_reduce(w: BraidWord) -> BraidWord:
@@ -263,12 +227,12 @@ def _letter(text: str, tokens: list[str], k: int) -> Letter:
 
 
 def _token(letter: Letter) -> str:
-    i, sign = map(int, letter)  # a letter such as (1.0, 1) is spelled as (1, 1)
+    i, sign = letter
     return f"s{i}" if sign > 0 else f"s{i}^-1"
 
 
 def _block(n: int, letter: Letter) -> str:
-    i, sign = map(int, letter)  # a letter such as (1.0, 1) is drawn as (1, 1)
+    i, sign = letter
     left, right = "| " * (i - 1), " |" * (n - i - 1)
     middle = " / " if sign > 0 else " \\ "
     return f"{left}\\ /{right}\n{left}{middle}{right}\n{left}/ \\{right}\n"
@@ -280,19 +244,21 @@ def _drawings(n: int) -> tuple[str, _Table]:
 
 
 # Per letter (generator index, sign) its token, as serialize_word spells it;
-# per strand count up to 64, the bound of _VALID, each valid letter by that
-# token, 2 * (n - 1) on n strands, for parse_word to look up; and per strand
-# count one table of three-row drawings per letter.  So they hold at most the
-# letters of the strand counts in use.
+# per strand count each valid letter by that token, 2 * (n - 1) on n strands,
+# for parse_word to look up; and per strand count one table of three-row
+# drawings per letter.  Each is read only for words on at most 64 strands, so
+# it holds at most the letters of those counts; a word on more strands derives
+# its tokens and drawings per call, and nothing is kept.
+_TABLED_STRANDS = 64
 _TOKENS = _Table(_token)
-_LETTERS = _Table(lambda n: {_token(letter): letter for letter in _VALID[n]})
+_LETTERS = _Table(lambda n: {_token((i, sign)): (i, sign) for i in range(1, n) for sign in (1, -1)})
 _DRAWINGS = _Table(_drawings)
 
 
 def serialize_word(w: BraidWord) -> str:
-    if not isinstance(w, BraidWord):
-        raise _not_a_word(w)
-    return " ".join(map(_TOKENS.__getitem__, w.letters))
+    w = _checked(w)
+    token = _TOKENS.__getitem__ if w.strands <= _TABLED_STRANDS else _token
+    return " ".join(map(token, w.letters))
 
 
 def render_ascii(w: BraidWord) -> str:
@@ -302,7 +268,7 @@ def render_ascii(w: BraidWord) -> str:
     so the output always has 3 * len(word) + 1 lines.  Positive crossings
     show ``/`` in the middle row, negative ones ``\\``.
     """
-    if not isinstance(w, BraidWord):
-        raise _not_a_word(w)
-    base, blocks = _DRAWINGS[w.strands]
+    w = _checked(w)
+    n = w.strands
+    base, blocks = _DRAWINGS[n] if n <= _TABLED_STRANDS else _drawings(n)
     return "".join([base, *map(blocks.__getitem__, w.letters)])

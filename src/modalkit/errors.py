@@ -41,8 +41,9 @@ class InvalidBraid(ModalkitError, ValueError):
 
 class InvalidArgument(ModalkitError, TypeError):
     """A library call is given a value of the wrong kind: a chord that is no
-    ``Chord``, a quality that is no ``ChordQuality``, or notes that are no
-    collection."""
+    ``Chord``, a quality that is no ``ChordQuality``, a leading that is no
+    ``VoiceLeading``, a progression that is no ``Progression``, or notes that
+    are no collection, as in ``Chord(5)`` or ``VoiceLeading(5, 6)``."""
 
 
 class InvalidProgression(ModalkitError, ValueError):
@@ -53,9 +54,9 @@ class InvalidProgression(ModalkitError, ValueError):
 class IndexOutOfRange(ModalkitError, ValueError):
     """An index lies outside its range: a braid generator index that is not
     an integer or lies outside [1, strands - 1], a scale degree outside 1..7
-    or not an integer, a chord note that is not an integer, a voice or a
-    progression root that is no pitch class in 0..11 (an unhashable root
-    such as [1] included), or a root that is not an integer where a root
+    or not an integer, a chord note that is not an integer, a ``VoiceLeading``
+    note or a progression root that is no pitch class in 0..11 (an unhashable
+    one such as [1] included), or a root that is not an integer where a root
     keys a table of the theory."""
 
 

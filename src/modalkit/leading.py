@@ -12,12 +12,15 @@ which crosses in this linear order, often moves the voices less (Tymoczko
 
 Braids live on 12 strands, one per pitch class; a voice moving from pitch
 class p to q occupies strand slot p+1 and walks to slot q+1 through
-adjacent crossings.  ``_WALKS`` keeps one entry per move (p, q), at most
-12 x 11: the walk's letters, its tokens and its ASCII rows on 12 strands,
-checked once, as one ``BraidWord``, when the entry is derived.  One core,
-``_moves``, turns two sorted sides into a transition's kept moves in walk
-order, padding the smaller side with its root; ``braid_of_leading`` sorts
-its leading's sides into it once it has refused a crossing pairing.
+adjacent crossings.  A ``VoiceLeading`` stores its notes, and a
+``Progression`` its roots, as the int pitch classes they equal, so every
+move the core and the walks read is a pair of ints.  ``_WALKS`` keeps one
+entry per move (p, q), at most 12 x 11: the walk's letters, its tokens and
+its ASCII rows on 12 strands, checked once, as one ``BraidWord``, when the
+entry is derived.  One core, ``_moves``, turns two sorted sides into a
+transition's kept moves in walk order, padding the smaller side with its
+root; ``braid_of_leading`` sorts its leading's sides into it once it has
+refused a crossing pairing.
 
 One line parser, ``_entries``, yields a text's (label, root, Chord) entries
 one line at a time; ``parse_progression`` keeps them in a ``Progression``.
@@ -49,8 +52,16 @@ from .errors import (
 from .pitch import Chord, PitchClass, _Table, _Value, parse_chord_symbol, parse_pcs, pc
 
 STRANDS = 12
-_PITCH_CLASSES = frozenset(range(12))
-_ROOTS = _PITCH_CLASSES | {None}  # a progression root; None pads with the lowest note
+_PITCH_CLASSES = {n: n for n in range(12)}  # each pitch class, by any number equal to it
+
+
+def _pitch_class(note) -> PitchClass:
+    """The int pitch class equal to ``note``; any other value, such as 12, 0.5 or
+    an unhashable [1], is an IndexOutOfRange."""
+    try:
+        return _PITCH_CLASSES[note]
+    except (KeyError, TypeError):
+        raise IndexOutOfRange(f"pitch class {note!r} is not in 0..11") from None
 
 
 def arc_distance(a: int, b: int) -> int:
@@ -62,21 +73,27 @@ class VoiceLeading(_Value):
     """A voice assignment between two note lists, paired in order.
 
     Both lists hold the same number of voices, and every note is a pitch
-    class in 0..11, so each voice has a strand slot on 12 strands.  The
-    pairing may cross: ``voice_leading`` builds only crossing-free leadings,
-    but this constructor also takes one such as ``VoiceLeading((0, 4), (5, 2))``,
-    which ``braid_of_leading`` refuses (see ``is_crossing_free``).
+    class in 0..11, so each voice has a strand slot on 12 strands.  A note
+    is accepted if equal to an int, and stored as that int; both lists are
+    stored as tuples.  Notes that are no collection, such as 5, are an
+    InvalidArgument.  The pairing may cross: ``voice_leading`` builds only
+    crossing-free leadings, but this constructor also takes one such as
+    ``VoiceLeading((0, 4), (5, 2))``, which ``braid_of_leading`` refuses
+    (see ``is_crossing_free``).
     """
 
     __slots__ = ("source", "target")
 
     def __post_init__(self):
-        if len(self.source) != len(self.target):
-            raise SizeMismatch(f"{len(self.source)} voices vs {len(self.target)}")
-        notes = (*self.source, *self.target)
-        if not _PITCH_CLASSES.issuperset(notes):
-            note = next(note for note in notes if note not in _PITCH_CLASSES)
-            raise IndexOutOfRange(f"pitch class {note!r} is not in 0..11")
+        try:
+            size, other = len(self.source), len(self.target)
+        except TypeError:  # notes that are no collection, such as 5
+            kinds = f"{type(self.source).__name__} and {type(self.target).__name__}"
+            raise InvalidArgument(f"VoiceLeading takes two note collections, not {kinds}") from None
+        if size != other:
+            raise SizeMismatch(f"{size} voices vs {other}")
+        object.__setattr__(self, "source", tuple(map(_pitch_class, self.source)))
+        object.__setattr__(self, "target", tuple(map(_pitch_class, self.target)))
 
     def pairs(self) -> tuple[tuple[PitchClass, PitchClass], ...]:
         return tuple(zip(self.source, self.target))
@@ -172,7 +189,7 @@ def _best_of_runs(moves: Iterable[tuple[int, int]], side: int) -> list[tuple[int
 def _walk(move: tuple[int, int]) -> tuple[tuple[Letter, ...], str, str]:
     """A voice's walk from pitch class s to t, from slot s + 1 to slot t + 1: its
     letters, its tokens and its three rows per letter on 12 strands, checked once."""
-    s, t = map(int, move)  # a pitch class such as 6.0 equals an integer and walks as it
+    s, t = move
     if t < s:
         letters = tuple((i, -1) for i in range(s, t, -1))
     else:
@@ -206,7 +223,10 @@ def braid_of_leading(v: VoiceLeading) -> BraidWord:
 
     A crossing leading, such as ``VoiceLeading((0, 4), (5, 2))``, is a
     CrossingLeading.  A crossing-free one may list its voices in any order.
+    A leading that is no VoiceLeading is an InvalidArgument.
     """
+    if not isinstance(v, VoiceLeading):
+        raise InvalidArgument(f"braid_of_leading takes a VoiceLeading, not {type(v).__name__}")
     source, target = sorted(v.source), sorted(v.target)
     # both sides sorted as given is crossing-free; otherwise test each pair
     if (source != list(v.source) or target != list(v.target)) and not v.is_crossing_free():
@@ -218,9 +238,10 @@ class Progression(_Value):
     """A sequence of one or more labelled chords: (label, root, Chord) each.
 
     Each entry is a tuple of a str label, a root and a Chord; anything else
-    is an InvalidProgression.  A root is None or a pitch class in 0..11, and
-    None pads with the lowest note.  The chords are kept as a tuple, so a
-    list given here shows as a tuple in the repr.
+    is an InvalidProgression.  A root is None or a pitch class in 0..11,
+    stored as an int as ``VoiceLeading`` stores a note, and None pads with
+    the lowest note.  The chords are stored as a tuple, so a list given here
+    shows as a tuple in the repr.
 
     The first progression word asked for derives the letters of every
     transition, one letter tuple each, and the progression keeps them for
@@ -231,7 +252,6 @@ class Progression(_Value):
 
     def __post_init__(self):
         chords = tuple(self.chords)
-        object.__setattr__(self, "chords", chords)
         object.__setattr__(self, "_transitions", None)
         if not chords:
             raise ParseError("the progression has no chords", 0)
@@ -239,23 +259,15 @@ class Progression(_Value):
             if not (isinstance(entry, tuple) and len(entry) == 3
                     and isinstance(entry[0], str) and isinstance(entry[2], Chord)):
                 raise InvalidProgression(f"entry {entry!r} is not a (label, root, Chord) triple")
-        roots = [root for _, root, _ in chords]
-        if not _all_roots(roots):
-            root = next(root for root in roots if not _all_roots((root,)))
-            raise IndexOutOfRange(f"pitch class {root!r} is not in 0..11")
+        object.__setattr__(self, "chords", tuple([
+            (label, root if root is None else _pitch_class(root), chord)
+            for label, root, chord in chords
+        ]))
 
     def leadings(self) -> Iterator[VoiceLeading]:
         """Each chord transition's leading, built only as the caller asks for it."""
         for (_, ra, a), (_, rb, b) in itertools.pairwise(self.chords):
             yield voice_leading(a, b, a_root=ra, b_root=rb)
-
-
-def _all_roots(roots) -> bool:
-    """Whether every root is None or a pitch class; an unhashable one, such as [1], is not."""
-    try:
-        return _ROOTS.issuperset(roots)
-    except TypeError:
-        return False
 
 
 def _transition_moves(entries) -> Iterator[tuple[str, str, list[tuple[int, int]]]]:
@@ -267,7 +279,10 @@ def _transition_moves(entries) -> Iterator[tuple[str, str, list[tuple[int, int]]
 
 
 def _transitions(p: Progression) -> tuple[tuple[Letter, ...], ...]:
-    """Each transition's letters, derived on the first call and kept by ``p``."""
+    """Each transition's letters, derived on the first call and kept by ``p``; a
+    ``p`` that is no Progression is an InvalidArgument."""
+    if not isinstance(p, Progression):
+        raise InvalidArgument(f"a progression word takes a Progression, not {type(p).__name__}")
     kept = p._transitions
     if kept is None:
         kept = tuple(_letters(moves) for _, _, moves in _transition_moves(p.chords))

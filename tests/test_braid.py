@@ -90,14 +90,12 @@ def test_word_validation():
     assert len(BraidWord(4)) == 0
 
 
-@pytest.mark.parametrize("strands", [12, 100])  # checked by one set, and letter by letter
+@pytest.mark.parametrize("strands", [12, 100])  # read through the tables, and per call
 @pytest.mark.parametrize("equal", [(1.0, 1), (True, 1), (1, 1.0), (1, True)])
-def test_a_letter_equal_to_a_valid_one_reads_as_it(monkeypatch, strands, equal):
-    # accepted and kept as given; every function reads it as the integer letter
-    monkeypatch.setattr(braid, "_TOKENS", braid._Table(braid._token))  # cold, so the equal
-    monkeypatch.setattr(braid, "_DRAWINGS", braid._Table(braid._drawings))  # letter is derived first
+def test_a_letter_equal_to_a_valid_one_reads_as_it(strands, equal):
+    # accepted and stored as the int letter, so every function reads that letter
     word, twin = BraidWord(strands, (equal, (2, -1))), BraidWord(strands, ((1, 1), (2, -1)))
-    assert word.letters[0] is equal
+    assert word.letters == ((1, 1), (2, -1)) and all(type(x) is int for x in word.letters[0])
     assert word == twin and hash(word) == hash(twin)
     for read in (serialize_word, render_ascii, invariants, free_reduce):
         assert read(word) == read(twin)
@@ -122,7 +120,8 @@ def test_letters_are_kept_as_a_tuple():
     # a letter added to the caller's list after the check changes nothing kept
     given_letters.append((9, 1))
     assert word == twin and len(word) == 2
-    assert BraidWord(3, twin.letters).letters is twin.letters  # a tuple is kept as given
+    assert BraidWord(3, twin.letters).letters == twin.letters
+    assert all(type(x) is int for letter in word.letters for x in letter)
 
 
 @pytest.mark.parametrize(
@@ -359,11 +358,18 @@ def test_token_table_holds_only_canonical_valid_tokens(monkeypatch):
 
 
 def test_token_table_is_bounded_by_the_tabled_strand_counts(monkeypatch):
-    monkeypatch.setattr(braid, "_LETTERS", braid._Table(braid._LETTERS._derive))
+    for table in ("_LETTERS", "_TOKENS", "_DRAWINGS"):
+        monkeypatch.setattr(braid, table, braid._Table(getattr(braid, table)._derive))
     for n in range(1, 3 * braid._TABLED_STRANDS):
-        parse_word("s1" if n > 1 else "", n)
+        word = parse_word(f"s{n - 1} s{n - 1}^-1 s1" if n > 1 else "", n)
+        assert serialize_word(word) == reference_serialize_word(word)
+        assert render_ascii(word) == reference_render_ascii(word)
     assert sorted(braid._LETTERS) == list(range(1, braid._TABLED_STRANDS + 1))
     assert sum(map(len, braid._LETTERS.values())) == sum(2 * (n - 1) for n in braid._LETTERS)
+    # one token per letter that a word on at most 64 strands uses, none for a longer word
+    assert set(braid._TOKENS) == {(i, sign) for i in range(1, braid._TABLED_STRANDS)
+                                  for sign in (1, -1)}
+    assert sorted(braid._DRAWINGS) == list(range(1, braid._TABLED_STRANDS + 1))
 
 
 def built_words(w, other, at):
@@ -392,7 +398,8 @@ def test_an_unchecked_build_is_the_checked_word(words):
         assert type(built) is BraidWord
         assert type(built.strands) is int and type(built.letters) is tuple
         checked = BraidWord(built.strands, built.letters)
-        assert built == checked and built.letters is checked.letters
+        assert built == checked and built.letters == checked.letters
+        assert all(type(x) is int for letter in built.letters for x in letter)
 
 
 class LaxWord(BraidWord):
@@ -419,7 +426,8 @@ def test_a_word_the_check_refuses_never_comes_back(make):
     bad = make(strands=3, letters=((99, 1),))
     good = BraidWord(3, ((1, 1),))
     for build in (lambda: concatenate(bad), lambda: concatenate(good, bad),
-                  lambda: free_reduce(bad), lambda: rewrite_step(bad, "free_cancel", 0)):
+                  lambda: free_reduce(bad), lambda: rewrite_step(bad, "free_cancel", 0),
+                  lambda: invariants(bad), lambda: serialize_word(bad), lambda: render_ascii(bad)):
         with pytest.raises(ModalkitError):
             build()
 
@@ -429,6 +437,10 @@ def test_a_subclass_word_is_rebuilt_as_a_checked_word():
     assert isinstance(lax, BraidWord) and type(lax.letters) is list
     for built in (concatenate(lax), free_reduce(lax), rewrite_step(lax, "free_cancel", 0)):
         assert type(built) is BraidWord and type(built.letters) is tuple
+    # a reader checks it again too, so it reads the int letters the check stores
+    lax, twin = LaxWord(3.0, [(1.0, 1), (2, -1.0)]), BraidWord(3, ((1, 1), (2, -1)))
+    for read in (invariants, serialize_word, render_ascii):
+        assert read(lax) == read(twin)
 
 
 @given(word_strategy())

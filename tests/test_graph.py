@@ -133,10 +133,9 @@ BOUNDS = {
     "modalkit.approximate._CANDIDATES": 7 * 12,  # (quality, root pitch class)
     "modalkit.leading._WALKS": 12 * 11,  # (pitch class, another pitch class)
     "modalkit.leading._SYMBOLS": 21 * 10,  # note spelling + quality token
-    "modalkit.braid._TOKENS": 2 * 11,  # letter on 12 strands
-    "modalkit.braid._LETTERS": 2,  # strand count: 12 and 3, each 2 * (strands - 1) tokens
-    "modalkit.braid._DRAWINGS": 2,  # strand count: 12 and 3, each 2 * (strands - 1) letters
-    "modalkit.braid._VALID": 2,  # strand count: 12 and 3
+    "modalkit.braid._TOKENS": 2 * 63,  # letter on at most 64 strands
+    "modalkit.braid._LETTERS": 64,  # strand count up to 64, each 2 * (strands - 1) tokens
+    "modalkit.braid._DRAWINGS": 64,  # strand count up to 64, each 2 * (strands - 1) letters
 }
 WHOLE_MAPS = {"modalkit.modes._names_by_offsets", "modalkit.graph._paths_by_name"}
 
@@ -216,11 +215,13 @@ find_mode_by_name("ionian")
 parse_progression("\\n".join(root + token for root in _SPELLINGS for token in _SYMBOL_INTERVALS))
 for s, t in product(range(12), repeat=2):
     braid_of_leading(VoiceLeading((s,), (t,)))
-for n in (12, 3):
-    word = BraidWord(n, tuple((i, sign) for i in range(1, n) for sign in (1, -1)))
+for n in range(1, 2 * 64 + 1):  # above 64 strands, one letter each keeps the drawings small
+    letters = tuple((i, sign) for i in range(1, n) for sign in (1, -1))
+    word = BraidWord(n, letters if n <= 64 else letters[:2])
     render_ascii(word), parse_word(serialize_word(word), n)
-assert {n: len(tokens) for n, tokens in braid._LETTERS.items()} == {12: 22, 3: 4}
-assert {n: len(blocks) for n, (_base, blocks) in braid._DRAWINGS.items()} == {12: 22, 3: 4}
+every = {n: 2 * (n - 1) for n in range(1, 65)}
+assert {n: len(tokens) for n, tokens in braid._LETTERS.items()} == every
+assert {n: len(blocks) for n, (_base, blocks) in braid._DRAWINGS.items()} == every
 """
 
 

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 from modalkit import braid, leading
 from modalkit.braid import BraidWord, concatenate, invariants, render_ascii, serialize_word
 from modalkit.cli import run
-from modalkit.errors import CrossingLeading, IndexOutOfRange, ParseError, SizeMismatch
+from modalkit.errors import (
+    CrossingLeading,
+    IndexOutOfRange,
+    InvalidArgument,
+    ParseError,
+    SizeMismatch,
+)
 from modalkit.leading import (
     STRANDS,
     Progression,
@@ -160,20 +166,18 @@ def test_leading_range_check_names_the_first_note_out_of_range(notes):
         assert isinstance(got, VoiceLeading)
 
 
-def test_a_note_equal_to_a_pitch_class_walks_as_it(monkeypatch):
+def test_a_note_equal_to_a_pitch_class_walks_as_it():
     # a chord note must be an integer, so 0.5 is refused where it enters
     with pytest.raises(IndexOutOfRange, match=r"^note 0\.5 is not an integer$"):
         Chord([0.5, 4])
-    # the doubled root 2.0 makes the move (3.0, 5), which walks like (3, 5)
+    # the doubled root 2.0 is stored as 2, so it walks as 2
     a, b = Chord([2, 9]), Chord([0, 4, 7])
     expected = braid_of_leading(voice_leading(a, b, a_root=2))
-    for first, then in ((2.0, 2), (2, 2.0)):
-        monkeypatch.setattr(leading, "_WALKS", _Table(leading._walk))  # cold
-        for root in (first, then):  # then warm
-            progression = Progression((("a", root, a), ("b", 0, b)))
-            for word in (braid_of_leading(voice_leading(a, b, a_root=root)),
-                         braid_of_progression(progression)):
-                assert word == expected and all(type(i) is int for i, _sign in word.letters)
+    for root in (2.0, 2):
+        progression = Progression((("a", root, a), ("b", 0, b)))
+        for word in (braid_of_leading(voice_leading(a, b, a_root=root)),
+                     braid_of_progression(progression)):
+            assert word == expected and all(type(i) is int for i, _sign in word.letters)
 
 
 def test_against_brute_force_oracle():
@@ -301,6 +305,39 @@ def test_every_accepted_word_lands_its_voices(pairs, rng):
 def test_leading_notes_are_pitch_classes(root):
     with pytest.raises(IndexOutOfRange, match=rf"^pitch class {root} is not in 0\.\.11$"):
         voice_leading(Chord([0, 4, 7]), Chord([0, 4, 7, 11]), a_root=root)
+
+
+def test_a_leading_stores_its_notes_as_tuples():
+    source, target = [0, 4], [5, 7]
+    v = VoiceLeading(source, target)
+    assert (v.source, v.target) == ((0, 4), (5, 7))
+    assert hash(v) == hash(VoiceLeading((0, 4), (5, 7)))
+    # a note added to the caller's list after the check changes nothing stored
+    source.append(9)
+    assert v == VoiceLeading((0, 4), (5, 7))
+    assert repr(v) == "VoiceLeading(source=(0, 4), target=(5, 7))"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: VoiceLeading(5, 6), InvalidArgument,
+         r"^VoiceLeading takes two note collections, not int and int$"),
+        (lambda: VoiceLeading((0, [1]), (1, 2)), IndexOutOfRange,
+         r"^pitch class \[1\] is not in 0\.\.11$"),
+        (lambda: braid_of_leading((0, 4)), InvalidArgument,
+         r"^braid_of_leading takes a VoiceLeading, not tuple$"),
+        (lambda: braids_of_progression(["Cmaj7"]), InvalidArgument,
+         r"^a progression word takes a Progression, not list$"),
+        (lambda: braid_of_progression(["Cmaj7"]), InvalidArgument,
+         r"^a progression word takes a Progression, not list$"),
+    ],
+    ids=["leading-no-collection", "leading-unhashable-note", "braid_of_leading",
+         "braids_of_progression", "braid_of_progression"],
+)
+def test_a_value_of_the_wrong_kind_is_a_domain_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_braid_of_leading_word_and_permutation():

@@ -9,6 +9,7 @@ import copy
 import inspect
 import itertools
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -168,6 +169,58 @@ def test_a_list_of_chords_is_kept_as_a_tuple():
     assert p.chords == tuple(entries) and type(p.chords) is tuple
     assert repr(p) == "Progression(chords=(('C', 0, Chord([0, 4, 7])),))"
     assert p == Progression(tuple(entries))
+
+
+def equal_number(n):
+    """n, or a number of another type equal to it: a float, a Fraction, or a bool for 0 and 1."""
+    return st.sampled_from([n, float(n), Fraction(n), *([bool(n)] if n in (0, 1) else [])])
+
+
+def blurred(draw, fields):
+    """``fields`` with each int, however deep in tuples, drawn as a number equal to it."""
+    if type(fields) is int:
+        return draw(equal_number(fields))
+    if type(fields) is tuple:
+        return tuple(blurred(draw, field) for field in fields)
+    return fields  # a str label, a None root or a Chord
+
+
+def stored_numbers(value):
+    """Every number a value stores, through its fields, its tuples and its Chords."""
+    if isinstance(value, _Value):
+        for name in value._names:
+            yield from stored_numbers(getattr(value, name))
+    elif type(value) is tuple:
+        for field in value:
+            yield from stored_numbers(field)
+    elif not (value is None or type(value) is str):
+        yield value
+
+
+def pitch_classes(size):
+    return st.lists(st.integers(0, 11), min_size=size, max_size=size).map(tuple)
+
+
+INT_FIELDS = st.one_of(
+    st.integers(2, 8).flatmap(lambda n: st.tuples(st.just(BraidWord), st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1))), max_size=6).map(tuple),
+    ))),
+    st.integers(0, 5).flatmap(lambda size: st.tuples(
+        st.just(VoiceLeading), st.tuples(pitch_classes(size), pitch_classes(size)))),
+    st.tuples(st.just(Progression), st.tuples(st.lists(st.tuples(
+        st.sampled_from(["a", "b"]), st.none() | st.integers(0, 11),
+        st.integers(0, 4).flatmap(pitch_classes).map(Chord),
+    ), min_size=1, max_size=4).map(tuple))),
+)
+
+
+@given(st.data(), INT_FIELDS)
+def test_numbers_equal_to_ints_are_stored_as_the_ints(data, int_fields):
+    cls, fields = int_fields
+    value, twin = cls(*blurred(data.draw, fields)), cls(*fields)
+    assert all(type(number) is int for number in stored_numbers(value))
+    assert value == twin and hash(value) == hash(twin) and repr(value) == repr(twin)
 
 
 def test_defaults_and_keywords():
