@@ -19,10 +19,12 @@ InvalidBraid, and checks a subclass's word again as a BraidWord.
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .errors import (
     IndexOutOfRange,
+    InvalidArgument,
     InvalidBraid,
     ParseError,
     PatternMismatch,
@@ -165,12 +167,18 @@ def rewrite_step(w: BraidWord, rule: str, at: int) -> BraidWord:
     free_cancel removes an adjacent inverse pair; p1_swap commutes two
     generators with |i - j| > 1; p2_slide turns s_i s_{i+1} s_i into
     s_{i+1} s_i s_{i+1} (or back), with a uniform sign.  A window of letters
-    from ``at`` on that leaves the word, or does not fit the rule, is a PatternMismatch.
+    from ``at`` on that leaves the word, or does not fit the rule, is a PatternMismatch;
+    a position that is no int, such as 0.0 or '0', is an InvalidArgument.
     """
     w = _checked(w)
-    if rule not in _WINDOWS:
-        raise InvalidBraid(f"unknown rule {rule!r}")
-    width, window = _WINDOWS[rule]
+    try:
+        width, window = _WINDOWS[rule]
+    except (KeyError, TypeError):  # no rule name, such as 'swap' or an unhashable [1]
+        raise InvalidBraid(f"unknown rule {rule!r}") from None
+    try:
+        at = operator.index(at)
+    except TypeError:
+        raise InvalidArgument(f"position {at!r} is not an int") from None
     if not 0 <= at <= len(w) - width:
         raise PatternMismatch(f"no letter {window} at {at}")
     (i, si), (j, sj), *third = w.letters[at:at + width]
@@ -197,9 +205,13 @@ def parse_word(text: str, strands: int) -> BraidWord:
 
     Tokens that all spell, as ``serialize_word`` does, a valid letter on an int
     strand count in 1..64 are looked up and build a word that needs no check;
-    any other text is read token by token and the word is checked.
+    any other text is read token by token and the word is checked.  Text
+    that is no str, such as 5 or bytes, is an InvalidArgument.
     """
-    tokens = text.split()
+    try:
+        tokens = str.split(text)
+    except TypeError:
+        raise InvalidArgument(f"braid text is a str, not {type(text).__name__}") from None
     if type(strands) is int and 0 < strands <= _TABLED_STRANDS:
         known = _LETTERS[strands]
         try:  # from a list: tuple(map(...)) resizes each tuple it grows, raising peak RSS

@@ -2,8 +2,17 @@
 
 Every verb is a thin adapter over the library: a generator that yields its
 output text, which ``run`` writes to stdout.  Output is byte-deterministic
-for a fixed input.  Exit codes: 0 success, 2 usage error, 1 domain error
-(the error class name goes to stderr).
+for a fixed input, help text included: argparse formats it at one fixed
+width, whatever the terminal.  Exit codes: 0 success, 2 usage error, 1
+domain error (the error class name goes to stderr).
+
+A verb pays only for what it uses.  This module runs ``pitch`` and
+``errors`` on import and holds the other layers as the lazily executed
+modules that ``modalkit/__init__.py`` registers; a layer runs when a verb
+first reads an attribute of it, so ``braid`` never runs ``modes``, ``graph``
+or ``approximate``.  ``run`` builds the sub-parser of the verb that its first
+argument names, and all nine only when that argument names none, as for
+``--help`` or a typo.
 
 Output is never styled, so setting MODAL_NO_COLOR changes nothing; the
 variable is honored by construction.
@@ -18,13 +27,16 @@ import io
 import itertools
 import sys
 
-from . import braid as braid_mod
-from . import graph as graph_mod
-from . import leading as leading_mod
-from . import modes as modes_mod
-from .approximate import approximate
 from .errors import ModalkitError, ParseError
 from .pitch import ChordQuality, _integer, parse_note, parse_pcs, pc_name
+
+# The other layers, unexecuted until a verb reads them.  They are looked up in
+# sys.modules: the package attribute ``approximate`` is the function, and
+# reading it would run its layer.
+approximate_mod, braid_mod, graph_mod, leading_mod, modes_mod = (
+    sys.modules[f"{__package__}.{layer}"]
+    for layer in ("approximate", "braid", "graph", "leading", "modes")
+)
 
 ROMAN = ("I", "II", "III", "IV", "V", "VI", "VII")
 
@@ -189,7 +201,7 @@ def _cmd_braid(args):
 
 
 def _cmd_approx(args):
-    ranked = approximate(set(args.target), args.quality, args.root)
+    ranked = approximate_mod.approximate(set(args.target), args.quality, args.root)
     rows = [
         {
             "rank": str(i + 1),
@@ -204,83 +216,123 @@ def _cmd_approx(args):
     yield _table(rows, args.format)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_QUALITY = _lookup(ChordQuality.from_symbol, "unknown chord quality")
+# the label is looked up when an argument is read, so building a parser runs no modes
+_SCALE = _lookup(lambda label: modes_mod.ScaleType.from_label(label), "unknown scale")
+_NOTE = _lookup(parse_note, "unknown note name")
+_PCS = _lookup(parse_pcs, "bad pitch-class list")
+_INTEGER = _lookup(_integer, "bad integer")
+
+
+def _add_format(p):
+    p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
+
+
+def _modes_arguments(p):
+    p.add_argument("--scale", type=_SCALE, required=True)
+    p.add_argument("--root", type=_NOTE, required=True)
+    _add_format(p)
+
+
+def _harmonize_arguments(p):
+    p.add_argument("--scale", type=_SCALE, required=True)
+    p.add_argument("--degree", type=_INTEGER, choices=range(1, 8))
+    _add_format(p)
+
+
+def _decompose_arguments(p):
+    p.add_argument("--notes", type=_PCS, required=True)
+    p.add_argument("--root", type=_INTEGER, choices=range(0, 12), required=True)
+
+
+def _graph_arguments(p):
+    p.add_argument("--quality", type=_QUALITY, required=True)
+    p.add_argument("--root", type=_NOTE)
+    p.add_argument("--dot", action="store_true")
+
+
+def _tcm_arguments(p):
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--quality", type=_QUALITY)
+    group.add_argument("--all", action="store_true")
+    _add_format(p)
+
+
+def _admissible_arguments(p):
+    p.add_argument("--quality", type=_QUALITY, required=True)
+    _add_format(p)
+
+
+def _special_arguments(p):
+    p.add_argument("--quality", type=_QUALITY, required=True)
+    p.add_argument("--paper-compat", action="store_true")
+    _add_format(p)
+
+
+def _braid_arguments(p):
+    p.add_argument("--file", required=True)
+    p.add_argument("--ascii", action="store_true")
+
+
+def _approx_arguments(p):
+    p.add_argument("--target", type=_PCS, required=True)
+    p.add_argument("--quality", type=_QUALITY, required=True)
+    p.add_argument("--root", type=_NOTE, required=True)
+    _add_format(p)
+
+
+# Per verb, in the order help lists them: its help line, the function that adds
+# its arguments to its sub-parser, and its command.
+_VERBS = {
+    "modes": ("list the seven modes of a parent scale", _modes_arguments, _cmd_modes),
+    "harmonize": ("seventh-chord quality per scale degree", _harmonize_arguments, _cmd_harmonize),
+    "decompose": ("split a scale into base chord + tension chord", _decompose_arguments,
+                  _cmd_decompose),
+    "graph": ("show or export a base-chord graph", _graph_arguments, _cmd_graph),
+    "tcm": ("topological complexity per quality", _tcm_arguments, _cmd_tcm),
+    "admissible": ("all admissible modes on a quality", _admissible_arguments, _cmd_admissible),
+    "special": ("special (non-standard) admissible modes", _special_arguments, _cmd_special),
+    "braid": ("braid words for a progression file", _braid_arguments, _cmd_braid),
+    "approx": ("approximate a scale by admissible modes", _approx_arguments, _cmd_approx),
+}
+
+# Help and usage text at one width, the one argparse picks when stdout is no
+# terminal; argparse would otherwise read the terminal width (COLUMNS) on each call.
+HELP_WIDTH = 78
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the sub-parser of ``verb`` alone when it names a verb, else all nine.
+
+    Either way the usage line is the same: it lists every verb.
+    """
     # no option is read from a prefix of its name, such as --form for --format
-    parser_class = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser_class = functools.partial(
+        argparse.ArgumentParser, allow_abbrev=False,
+        formatter_class=functools.partial(argparse.HelpFormatter, width=HELP_WIDTH),
+    )
     parser = parser_class(
         prog="modalkit",
         description="Modal scales, base-chord graphs, braid words and voice leadings.",
     )
-    sub = parser.add_subparsers(dest="verb", required=True, parser_class=parser_class)
-    quality = _lookup(ChordQuality.from_symbol, "unknown chord quality")
-    scale = _lookup(modes_mod.ScaleType.from_label, "unknown scale")
-    note = _lookup(parse_note, "unknown note name")
-    pcs = _lookup(parse_pcs, "bad pitch-class list")
-    integer = _lookup(_integer, "bad integer")
-
-    def add_format(p):
-        p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-
-    p = sub.add_parser("modes", help="list the seven modes of a parent scale")
-    p.add_argument("--scale", type=scale, required=True)
-    p.add_argument("--root", type=note, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_modes)
-
-    p = sub.add_parser("harmonize", help="seventh-chord quality per scale degree")
-    p.add_argument("--scale", type=scale, required=True)
-    p.add_argument("--degree", type=integer, choices=range(1, 8))
-    add_format(p)
-    p.set_defaults(func=_cmd_harmonize)
-
-    p = sub.add_parser("decompose", help="split a scale into base chord + tension chord")
-    p.add_argument("--notes", type=pcs, required=True)
-    p.add_argument("--root", type=integer, choices=range(0, 12), required=True)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("graph", help="show or export a base-chord graph")
-    p.add_argument("--quality", type=quality, required=True)
-    p.add_argument("--root", type=note)
-    p.add_argument("--dot", action="store_true")
-    p.set_defaults(func=_cmd_graph)
-
-    p = sub.add_parser("tcm", help="topological complexity per quality")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--quality", type=quality)
-    group.add_argument("--all", action="store_true")
-    add_format(p)
-    p.set_defaults(func=_cmd_tcm)
-
-    p = sub.add_parser("admissible", help="all admissible modes on a quality")
-    p.add_argument("--quality", type=quality, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_admissible)
-
-    p = sub.add_parser("special", help="special (non-standard) admissible modes")
-    p.add_argument("--quality", type=quality, required=True)
-    p.add_argument("--paper-compat", action="store_true")
-    add_format(p)
-    p.set_defaults(func=_cmd_special)
-
-    p = sub.add_parser("braid", help="braid words for a progression file")
-    p.add_argument("--file", required=True)
-    p.add_argument("--ascii", action="store_true")
-    p.set_defaults(func=_cmd_braid)
-
-    p = sub.add_parser("approx", help="approximate a scale by admissible modes")
-    p.add_argument("--target", type=pcs, required=True)
-    p.add_argument("--quality", type=quality, required=True)
-    p.add_argument("--root", type=note, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_approx)
-
+    verbs = [verb] if verb in _VERBS else list(_VERBS)
+    sub = parser.add_subparsers(
+        dest="verb", required=True, parser_class=parser_class,
+        # the usage shows every verb, as argparse spells the choices when all are added
+        metavar=None if len(verbs) > 1 else "{" + ",".join(_VERBS) + "}",
+    )
+    for name in verbs:
+        help_line, add_arguments, command = _VERBS[name]
+        p = sub.add_parser(name, help=help_line)
+        add_arguments(p)
+        p.set_defaults(func=command)
     return parser
 
 
 def run(argv: list[str], out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             args, extra = parser.parse_known_args(argv)

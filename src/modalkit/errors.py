@@ -41,9 +41,12 @@ class InvalidBraid(ModalkitError, ValueError):
 
 class InvalidArgument(ModalkitError, TypeError):
     """A library call is given a value of the wrong kind: a chord that is no
-    ``Chord``, a quality that is no ``ChordQuality``, a leading that is no
-    ``VoiceLeading``, a progression that is no ``Progression``, or notes that
-    are no collection, as in ``Chord(5)`` or ``VoiceLeading(5, 6)``."""
+    ``Chord``, a quality that is no ``ChordQuality``, a parent scale that is
+    no ``ScaleType``, a scale that is no ``ModalScale``, a graph that is no
+    ``ModeGraph``, a leading that is no ``VoiceLeading``, a progression that
+    is no ``Progression``, text that is no ``str``, a rewrite position that is
+    no int, or notes that are no collection, as in ``Chord(5)`` or
+    ``VoiceLeading(5, 6)``."""
 
 
 class InvalidProgression(ModalkitError, ValueError):
@@ -56,8 +59,9 @@ class IndexOutOfRange(ModalkitError, ValueError):
     an integer or lies outside [1, strands - 1], a scale degree outside 1..7
     or not an integer, a chord note that is not an integer, a ``VoiceLeading``
     note or a progression root that is no pitch class in 0..11 (an unhashable
-    one such as [1] included), or a root that is not an integer where a root
-    keys a table of the theory."""
+    one such as [1] included), a root that is not an integer where a root
+    keys a table of the theory, a value given to ``pc`` that is not an
+    integer, or a padding root of ``voice_leading`` that is no number."""
 
 
 class SizeMismatch(ModalkitError):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 
+from .errors import InvalidArgument
 from .modes import _names_by_offsets
 from .pitch import NOTE_TO_PC, ChordQuality, PitchClass, _root_pc, _Table, _Value, pc, pc_name
 
@@ -101,7 +102,9 @@ SPECIAL_NAMES: dict[tuple[int, ...], str] = {
 
 
 def _graph(q: ChordQuality) -> ModeGraph:
-    """q's graph with its admissible paths."""
+    """q's graph with its admissible paths; a q that is no ChordQuality is refused."""
+    if not isinstance(q, ChordQuality):
+        raise _no_quality(q)
     standard = standard_patterns(q)
     # zip(*patterns) gives, per degree, the semitones the standard modes use there
     per_degree = [
@@ -121,22 +124,46 @@ def _graph(q: ChordQuality) -> ModeGraph:
     return ModeGraph(q, vertices, edges, tuple(paths))
 
 
+# q's graph per quality.  A key that is no ChordQuality is refused on its miss, and
+# an unhashable one where it is looked up, so a lookup that hits checks nothing.
 _GRAPHS = _Table(_graph)
 
 
+def _no_quality(q) -> InvalidArgument:
+    return InvalidArgument(f"a base-chord graph needs a ChordQuality, not {type(q).__name__}")
+
+
 def build_graph(q: ChordQuality) -> ModeGraph:
-    """The oriented graph of all degree choices the standard modes allow on q."""
-    return _GRAPHS[q]
+    """The oriented graph of all degree choices the standard modes allow on q.
+
+    A q that is no ChordQuality is an InvalidArgument here, in ``tcm`` and in
+    ``special_modes``; a g that is no ModeGraph is one in the functions that
+    read a graph.
+    """
+    try:
+        return _GRAPHS[q]
+    except TypeError:  # unhashable; _graph refuses the other keys
+        raise _no_quality(q) from None
+
+
+def _no_graph(g) -> InvalidArgument:
+    return InvalidArgument(f"a ModeGraph is needed, not {type(g).__name__}")
 
 
 def euler_characteristic(g: ModeGraph) -> int:
     """Vertices minus edges."""
-    return len(g.vertices) - len(g.edges)
+    try:
+        return len(g.vertices) - len(g.edges)
+    except AttributeError:
+        raise _no_graph(g) from None
 
 
 def maximal_tree(g: ModeGraph) -> tuple[tuple[DegreeLabel, DegreeLabel], ...]:
     """A deterministic spanning tree: first-reached edges in vertex order."""
-    seen = {g.vertices[0]}
+    try:
+        seen = {g.vertices[0]}
+    except AttributeError:
+        raise _no_graph(g) from None
     tree: list[tuple[DegreeLabel, DegreeLabel]] = []
     # Edges connect consecutive degrees only, so one left-to-right sweep
     # reaches every vertex.
@@ -150,7 +177,10 @@ def maximal_tree(g: ModeGraph) -> tuple[tuple[DegreeLabel, DegreeLabel], ...]:
 
 def tcm(q: ChordQuality) -> int:
     """Topological complexity: rank of the fundamental group, 1 - chi."""
-    return 1 - euler_characteristic(_GRAPHS[q])
+    try:
+        return 1 - euler_characteristic(_GRAPHS[q])
+    except TypeError:  # unhashable; _graph refuses the other keys
+        raise _no_quality(q) from None
 
 
 def enumerate_admissible(g: ModeGraph) -> list[AdmissiblePath]:
@@ -159,12 +189,19 @@ def enumerate_admissible(g: ModeGraph) -> list[AdmissiblePath]:
     Deterministic order: lexicographic over the per-degree choices with the
     flatter alteration first.
     """
-    return list(g.paths)
+    try:
+        return list(g.paths)
+    except AttributeError:
+        raise _no_graph(g) from None
 
 
 def special_modes(q: ChordQuality) -> list[AdmissiblePath]:
     """Admissible paths that are not standard modes."""
-    return [p for p in _GRAPHS[q].paths if p.is_special]
+    try:
+        paths = _GRAPHS[q].paths
+    except TypeError:  # unhashable; _graph refuses the other keys
+        raise _no_quality(q) from None
+    return [p for p in paths if p.is_special]
 
 
 # Degree lists printed in the source classification for the special modes.
@@ -199,8 +236,13 @@ def emit_dot(g: ModeGraph, root: PitchClass | None = None) -> str:
     """Render the graph as a DOT digraph; note names when a root is given."""
     if root is not None:
         root = _root_pc(root)
-    if _GRAPHS.get(g.quality) is g:
-        return _THEORY_DOT[g.quality, root]
+    try:
+        if _GRAPHS.get(g.quality) is g:
+            return _THEORY_DOT[g.quality, root]
+    except AttributeError:
+        raise _no_graph(g) from None
+    if not isinstance(g, ModeGraph):
+        raise _no_graph(g)
     return _render_dot(g, root)
 
 

@@ -133,7 +133,10 @@ def _padded(root: PitchClass | None, notes, size: int) -> tuple[PitchClass, ...]
     if root is None and not notes:
         raise SizeMismatch("an empty chord with no root has no note to double")
     pad = min(notes) if root is None else root
-    return tuple(sorted(notes + (pad,) * (size - len(notes))))
+    try:
+        return tuple(sorted(notes + (pad,) * (size - len(notes))))
+    except TypeError:  # a root that is no number, such as 'x'
+        raise IndexOutOfRange(f"root {root!r} is not a pitch class") from None
 
 
 def _moves(source, target, source_root=None, target_root=None) -> list[tuple[int, int]]:
@@ -358,5 +361,8 @@ def _entries(text: str) -> Iterator[tuple[str, PitchClass, Chord]]:
 
 
 def parse_progression(text: str) -> Progression:
-    """The progression of ``text``, one chord per line, as ``_entries`` reads them."""
+    """The progression of ``text``, one chord per line, as ``_entries`` reads them;
+    text that is no str, such as 5 or bytes, is an InvalidArgument."""
+    if not isinstance(text, str):
+        raise InvalidArgument(f"progression text is a str, not {type(text).__name__}")
     return Progression(tuple(_entries(text)))

@@ -98,12 +98,24 @@ class Mode(_Value):
 
 
 def standard_modes(s: ScaleType, root: PitchClass) -> list[ModalScale]:
-    """The seven modes of a parent scale: one rotation per scale degree."""
-    return list(_STANDARD_MODES[s, _root_pc(root)])
+    """The seven modes of a parent scale: one rotation per scale degree.
+
+    An s that is no ScaleType is an InvalidArgument, here and in ``harmonize``.
+    """
+    try:
+        return list(_STANDARD_MODES[s, _root_pc(root)])
+    except TypeError:  # an unhashable s; _rotations refuses the other keys
+        raise _no_scale(s) from None
+
+
+def _no_scale(s) -> InvalidArgument:
+    return InvalidArgument(f"a parent scale is a ScaleType, not {type(s).__name__}")
 
 
 def _rotations(key: tuple[ScaleType, PitchClass]) -> tuple[ModalScale, ...]:
     s, root = key
+    if not isinstance(s, ScaleType):
+        raise _no_scale(s)
     parent = tuple(pc(root + i) for i in s.step_pattern)
     return tuple(
         ModalScale(parent[i], parent[i:] + parent[:i], n) for i, n in enumerate(s.mode_names)
@@ -112,6 +124,7 @@ def _rotations(key: tuple[ScaleType, PitchClass]) -> tuple[ModalScale, ...]:
 
 # ``standard_modes`` per (parent scale, root pitch class), and per parent scale
 # the base quality by degree 1..7: the 21 standard modes are _STANDARD_MODES[s, 0].
+# A scale that is no ScaleType is refused on its miss, so a lookup that hits checks nothing.
 _STANDARD_MODES = _Table(_rotations)
 _QUALITIES = _Table(lambda s: {
     degree: decompose(m).base_quality() for degree, m in enumerate(_STANDARD_MODES[s, 0], start=1)
@@ -132,16 +145,23 @@ def harmonize(s: ScaleType, degree: int) -> ChordQuality:
         raise IndexOutOfRange(f"degree {degree!r} is not an integer") from None
     if not 1 <= degree <= 7:
         raise IndexOutOfRange(f"degree must be in 1..7, got {degree}")
-    return _QUALITIES[s][degree]
+    try:
+        return _QUALITIES[s][degree]
+    except TypeError:  # an unhashable s; _rotations refuses the other keys
+        raise _no_scale(s) from None
 
 
 def decompose(m: ModalScale) -> Mode:
     """Split a modal scale into base chord (1,3,5,7) and tension chord (2,4,6).
 
     The split is built and checked on a scale's first call and kept by the
-    scale; a scale that is no mode raises NotAMode on every call.
+    scale; a scale that is no mode raises NotAMode on every call, and an m
+    that is no ModalScale is an InvalidArgument.
     """
-    mode = m._mode
+    try:
+        mode = m._mode
+    except AttributeError:
+        raise InvalidArgument(f"decompose takes a ModalScale, not {type(m).__name__}") from None
     if mode is None:
         mode = Mode(Chord(m.degrees[0::2]), Chord(m.degrees[1::2]), m)
         object.__setattr__(m, "_mode", mode)

@@ -22,14 +22,18 @@ PC_NAMES = ("C", "Db", "D", "Eb", "E", "F", "F#", "G", "Ab", "A", "Bb", "B")
 
 
 def pc(value: int) -> PitchClass:
-    """Reduce an integer to its pitch class in [0, 11]."""
-    return value % 12
+    """Reduce an integer to its pitch class in [0, 11]; any other value, such as
+    0.5 or '5', is an IndexOutOfRange."""
+    try:
+        return operator.index(value) % 12
+    except TypeError:
+        raise IndexOutOfRange(f"pitch class {value!r} is not an integer") from None
 
 
 def _root_pc(root: int) -> PitchClass:
     """The pitch class of a root that keys a table; a root that is no integer is refused."""
     try:
-        return pc(operator.index(root))
+        return operator.index(root) % 12
     except TypeError:
         raise IndexOutOfRange(f"root {root!r} is not an integer") from None
 
@@ -62,10 +66,18 @@ _SPELLINGS: dict[str, PitchClass] = {
 
 
 def parse_note(text: str) -> PitchClass:
-    """Parse a note name like ``C``, ``F#`` or ``Bb`` into a pitch class."""
-    if text not in _SPELLINGS:
-        raise ParseError(f"unknown note name {text!r}")
-    return _SPELLINGS[text]
+    """Parse a note name like ``C``, ``F#`` or ``Bb`` into a pitch class; text
+    that is no str is an InvalidArgument."""
+    try:
+        return _SPELLINGS[text]
+    except (KeyError, TypeError):  # TypeError: unhashable, such as [1]
+        if not isinstance(text, str):
+            raise _no_text(text) from None
+        raise ParseError(f"unknown note name {text!r}") from None
+
+
+def _no_text(text) -> InvalidArgument:
+    return InvalidArgument(f"a note or chord name is a str, not {type(text).__name__}")
 
 
 def _integer(token: str, what: str = "integer", start: int = 0) -> int:
@@ -276,8 +288,11 @@ _SYMBOL_INTERVALS: dict[str, tuple[int, ...]] = {
 def parse_chord_symbol(text: str) -> tuple[PitchClass, Chord]:
     """Parse a chord symbol like ``Cmaj7``, ``B-7b5`` or ``F-9``.
 
-    Returns (root pitch class, full pitch-class chord).
+    Returns (root pitch class, full pitch-class chord).  Text that is no str
+    is an InvalidArgument.
     """
+    if not isinstance(text, str):
+        raise _no_text(text)
     root = text[:2] if text[:2] in _SPELLINGS else text[:1]
     if root not in _SPELLINGS:
         raise ParseError(f"expected a root note in {text!r}", 0)

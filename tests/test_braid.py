@@ -21,6 +21,7 @@ from modalkit.braid import (
 )
 from modalkit.errors import (
     IndexOutOfRange,
+    InvalidArgument,
     InvalidBraid,
     ModalkitError,
     ParseError,
@@ -137,15 +138,36 @@ def test_letters_are_kept_as_a_tuple():
         lambda: concatenate(BraidWord(3), ((1, 1),)),
         lambda: rewrite_step(SimpleNamespace(strands=3, letters=((1, 1), (1, -1))),
                              "free_cancel", 0),
+        lambda: rewrite_step(BraidWord(3, ((1, 1),)), ["p1_swap"], 0),
     ],
     ids=["no-strands", "parse-no-strands", "bad-sign", "unknown-rule", "letters-no-sequence",
          "invariants-tuple", "serialize-tuple", "render-tuple", "reduce-tuple",
-         "concatenate-tuple", "concatenate-then-tuple", "rewrite-duck"],
+         "concatenate-tuple", "concatenate-then-tuple", "rewrite-duck", "unhashable-rule"],
 )
 def test_invalid_braid_requests_are_domain_errors(call):
     with pytest.raises(InvalidBraid) as info:
         call()
     assert isinstance(info.value, ModalkitError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: parse_word(5, 3), "braid text is a str, not int"),
+        (lambda: parse_word(b"s1", 3), "braid text is a str, not bytes"),
+        (lambda: parse_word(b"", 3), "braid text is a str, not bytes"),
+        (lambda: rewrite_step(BraidWord(5, ((1, 1), (3, 1))), "p1_swap", 0.0),
+         "position 0.0 is not an int"),
+        (lambda: rewrite_step(BraidWord(5, ((1, 1), (3, 1))), "p1_swap", "0"),
+         "position '0' is not an int"),
+    ],
+    ids=["parse-int", "parse-bytes", "parse-empty-bytes", "rewrite-float-position",
+         "rewrite-str-position"],
+)
+def test_text_and_positions_of_the_wrong_type_are_domain_errors(call, message):
+    with pytest.raises(InvalidArgument) as info:
+        call()
+    assert str(info.value) == message and isinstance(info.value, TypeError)
 
 
 def test_invariants_single_crossing():

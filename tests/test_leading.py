@@ -331,9 +331,15 @@ def test_a_leading_stores_its_notes_as_tuples():
          r"^a progression word takes a Progression, not list$"),
         (lambda: braid_of_progression(["Cmaj7"]), InvalidArgument,
          r"^a progression word takes a Progression, not list$"),
+        (lambda: parse_progression(5), InvalidArgument, r"^progression text is a str, not int$"),
+        (lambda: parse_progression(b"Cmaj7"), InvalidArgument,
+         r"^progression text is a str, not bytes$"),
+        (lambda: voice_leading(Chord([0]), Chord([1, 2]), a_root="x"), IndexOutOfRange,
+         r"^root 'x' is not a pitch class$"),
     ],
     ids=["leading-no-collection", "leading-unhashable-note", "braid_of_leading",
-         "braids_of_progression", "braid_of_progression"],
+         "braids_of_progression", "braid_of_progression", "parse_progression-int",
+         "parse_progression-bytes", "leading-str-root"],
 )
 def test_a_value_of_the_wrong_kind_is_a_domain_error(call, error, message):
     with pytest.raises(error, match=message):

@@ -10,7 +10,18 @@ import pytest
 
 from modalkit.approximate import _CANDIDATES, approximate, hs_ws_scale
 from modalkit.errors import IndexOutOfRange, InvalidArgument, ModalkitError, NotAMode
-from modalkit.graph import _THEORY_DOT, build_graph, emit_dot, enumerate_admissible, path_notes
+from modalkit.graph import (
+    _GRAPHS,
+    _THEORY_DOT,
+    build_graph,
+    emit_dot,
+    enumerate_admissible,
+    euler_characteristic,
+    maximal_tree,
+    path_notes,
+    special_modes,
+    tcm,
+)
 from modalkit.leading import voice_leading
 from modalkit.modes import (
     ModalScale,
@@ -141,16 +152,34 @@ def test_a_target_note_is_an_integer(note):
         (lambda: approximate({0}, "7", 0), "approximate takes a ChordQuality, not str"),
         (lambda: approximate(5, ChordQuality.DOM7, 0), "notes of type int are no collection"),
         (lambda: Chord(5), "notes of type int are no collection"),
+        *((lambda f=f, q=q: f(q), f"a base-chord graph needs a ChordQuality, not {kind}")
+          for f in (build_graph, tcm, special_modes)
+          for q, kind in (("7", "str"), ([7], "list"), (TriadQuality.MAJOR, "TriadQuality"))),
+        *((lambda f=f, g=g: f(g), f"a ModeGraph is needed, not {kind}")
+          for f in (enumerate_admissible, emit_dot, euler_characteristic, maximal_tree)
+          for g, kind in (("x", "str"), (Triad(0, TriadQuality.MAJOR), "Triad"))),
+        (lambda: harmonize("major", 1), "a parent scale is a ScaleType, not str"),
+        (lambda: harmonize([1], 1), "a parent scale is a ScaleType, not list"),
+        (lambda: standard_modes("major", 0), "a parent scale is a ScaleType, not str"),
+        (lambda: standard_modes({}, 0), "a parent scale is a ScaleType, not dict"),
+        (lambda: decompose((0, 1)), "decompose takes a ModalScale, not tuple"),
     ],
     ids=["recompose-base", "recompose-tension", "voice_leading", "approximate-quality",
-         "approximate-symbol", "approximate-target", "chord"],
+         "approximate-symbol", "approximate-target", "chord",
+         *(f"{f}-{kind}" for f in ("build_graph", "tcm", "special_modes")
+           for kind in ("str", "unhashable", "triad-quality")),
+         *(f"{f}-{kind}" for f in ("enumerate_admissible", "emit_dot", "euler_characteristic",
+                                   "maximal_tree") for kind in ("str", "triad")),
+         "harmonize", "harmonize-unhashable", "standard_modes", "standard_modes-unhashable",
+         "decompose"],
 )
 def test_a_value_of_the_wrong_type_is_a_domain_error(call, message):
-    sizes = [len(table) for table in TABLES]
+    tables = (*TABLES, _GRAPHS)
+    sizes = [len(table) for table in tables]
     with pytest.raises(InvalidArgument) as info:
         call()
     assert str(info.value) == message and isinstance(info.value, TypeError)
-    assert [len(table) for table in TABLES] == sizes
+    assert [len(table) for table in tables] == sizes  # a refused key stays out
 
 
 def test_integer_like_roots_key_the_tables_as_their_pitch_class():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from modalkit.errors import IndexOutOfRange, ParseError
+from modalkit.errors import IndexOutOfRange, InvalidArgument, ParseError
 from modalkit.pitch import (
     _SYMBOL_INTERVALS,
     NOTE_TO_PC,
@@ -82,6 +82,23 @@ def test_note_parsers_match_the_regex_reference(text):
 def test_pc_reduces_mod_12(n):
     assert 0 <= pc(n) <= 11
     assert pc(n + 12) == pc(n)
+
+
+@pytest.mark.parametrize("value", [0.5, 12.0, "5", "%d", None, [1]])
+def test_pc_refuses_what_is_no_integer(value):
+    # '%d' % 12 would be the str '12'
+    with pytest.raises(IndexOutOfRange, match=r"^pitch class .* is not an integer$"):
+        pc(value)
+    with pytest.raises(IndexOutOfRange):
+        pc_name(value)
+
+
+@pytest.mark.parametrize("parse", [parse_note, parse_chord_symbol])
+@pytest.mark.parametrize("text, kind", [(5, "int"), (b"C", "bytes"), (["C"], "list"),
+                                        (("C",), "tuple")])
+def test_note_and_chord_names_are_str(parse, text, kind):
+    with pytest.raises(InvalidArgument, match=f"^a note or chord name is a str, not {kind}$"):
+        parse(text)
 
 
 def test_note_names_round_trip():
