@@ -1,6 +1,12 @@
-"""Approximating arbitrary scales by admissible modes over a fixed base chord."""
+"""Approximating arbitrary scales by admissible modes over a fixed base chord.
+
+A set of pitch classes is also a 12-bit mask, bit n for pitch class n, so the
+ranking counts and differences of two sets are integer operations.
+"""
 
 from __future__ import annotations
+
+import operator
 
 from .errors import InvalidArgument
 from .graph import AdmissiblePath, build_graph, path_notes
@@ -13,16 +19,30 @@ def hs_ws_scale(root: PitchClass) -> frozenset[PitchClass]:
     return frozenset(pc(root + k) for k in (0, 1, 3, 4, 6, 7, 9, 10))
 
 
+def _mask(pitch_classes) -> int:
+    """The mask of ints in 0..11, as ``_pitch_classes`` checks them: bit n for pitch class n."""
+    mask = 0
+    for n in pitch_classes:
+        mask |= 1 << n
+    return mask
+
+
+# The pitch-class set of each mask, at most 4,096.  Keyed only by masks built from
+# checked ints, never by the caller's values, so 7.0 cannot find the entry of 7.
+_PC_SETS = _Table(lambda mask: frozenset(n for n in range(12) if mask >> n & 1))
+
+
 def _candidates(
     key: tuple[ChordQuality, PitchClass],
-) -> tuple[tuple[AdmissiblePath, frozenset], ...]:
+) -> tuple[tuple[AdmissiblePath, frozenset, int], ...]:
     q, root = key
     paths = sorted(build_graph(q).paths, key=lambda path: path.name)
-    return tuple((path, frozenset(path_notes(path, root))) for path in paths)
+    masks = [_mask(path_notes(path, root)) for path in paths]
+    return tuple((path, _PC_SETS[mask], mask) for path, mask in zip(paths, masks))
 
 
-# Each admissible path on (quality, root pitch class) with its notes, in name
-# order, so that a stable sort on the other ranking keys breaks ties by name.
+# Each admissible path on (quality, root pitch class) with its notes and their
+# mask, in name order, so that a candidate's index breaks ranking ties by name.
 _CANDIDATES = _Table(_candidates)
 
 
@@ -30,8 +50,13 @@ class ScaleApproximation(_Value):
     __slots__ = ("target", "candidate", "root", "notes", "shared", "dropped", "added")
 
 
-def _rank(a: ScaleApproximation) -> tuple[int, int]:
-    return -a.shared, len(a.added)
+# ``approximate`` builds each record without the type call, as ``braid._word`` builds
+# a word: it derives every field itself, and a ScaleApproximation checks none.
+_new = object.__new__
+_set_target, _set_candidate, _set_root, _set_notes, _set_shared, _set_dropped, _set_added = (
+    vars(ScaleApproximation)[name].__set__ for name in ScaleApproximation._names
+)
+_last = operator.itemgetter(-1)
 
 
 def approximate(
@@ -44,16 +69,30 @@ def approximate(
     Shared count descending, then fewer added tensions, then name.  Every
     target note and the root must be integers; any other is an IndexOutOfRange.
     A quality that is no ChordQuality, or a target that is no collection, is
-    an InvalidArgument.
+    an InvalidArgument.  The checked target becomes a 12-bit mask, and each
+    candidate's counts are bit counts of its mask against it; the target and
+    the dropped and added notes are read from one table of the 4,096
+    pitch-class sets.
     """
     if not isinstance(q, ChordQuality):
         raise InvalidArgument(f"approximate takes a ChordQuality, not {type(q).__name__}")
     root = _root_pc(root)
-    target = frozenset(_pitch_classes(target))
-    ranked = [
-        ScaleApproximation(target, path, root, notes, len(target & notes), target - notes,
-                           notes - target)
-        for path, notes in _CANDIDATES[q, root]
-    ]
-    ranked.sort(key=_rank)
-    return ranked
+    tm = _mask(_pitch_classes(target))
+    target = _PC_SETS[tm]
+    ranked = []
+    # one loop, with no comprehension or Python call per candidate: on caches that other
+    # work has filled, each code object a call touches costs more than its instructions
+    for index, (path, notes, m) in enumerate(_CANDIDATES[q, root]):
+        shared = (tm & m).bit_count()
+        added = m & ~tm
+        a = _new(ScaleApproximation)
+        _set_target(a, target)
+        _set_candidate(a, path)
+        _set_root(a, root)
+        _set_notes(a, notes)
+        _set_shared(a, shared)
+        _set_dropped(a, _PC_SETS[tm & ~m])
+        _set_added(a, _PC_SETS[added])
+        ranked.append((-shared, added.bit_count(), index, a))
+    ranked.sort()  # the index differs in every rank, so no record is compared
+    return list(map(_last, ranked))

@@ -27,13 +27,29 @@ _LABEL_NAMES: dict[tuple[int, int], str] = {
     (6, 8): "mVI", (6, 9): "MVI",
     (7, 9): "dVII", (7, 10): "mVII", (7, 11): "MVII",
 }
+# Each (degree, semitones) pair a DegreeLabel takes, by any pair of numbers equal to it.
+_LABEL_PAIRS = {(d, s): (d, s) for d in range(1, 8) for s in range(12)}
 
 
 @functools.total_ordering
 class DegreeLabel(_Value):
-    """A graph vertex: a scale degree and its semitones above the root, ordered by both."""
+    """A graph vertex: a scale degree and its semitones above the root, ordered by both.
+
+    A degree in 1..7 and semitones in 0..11, each stored as the int it equals;
+    any other pair, such as ``("a", "b")``, is an InvalidArgument.  Only the
+    pairs that the graphs use have a ``name``.
+    """
 
     __slots__ = ("degree", "semitones")
+
+    def __post_init__(self):
+        try:
+            degree, semitones = _LABEL_PAIRS[self.degree, self.semitones]
+        except (KeyError, TypeError):  # TypeError: unhashable, such as [1]
+            raise InvalidArgument(f"a degree label is a degree in 1..7 and semitones in 0..11,"
+                                  f" not {self.degree!r} and {self.semitones!r}") from None
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "semitones", semitones)
 
     def __lt__(self, other: DegreeLabel) -> bool:
         if other.__class__ is DegreeLabel:
@@ -42,7 +58,12 @@ class DegreeLabel(_Value):
 
     @property
     def name(self) -> str:
-        return _LABEL_NAMES[(self.degree, self.semitones)]
+        """The figure's spelling; a pair that no graph uses has none, an InvalidArgument."""
+        try:
+            return _LABEL_NAMES[(self.degree, self.semitones)]
+        except KeyError:
+            raise InvalidArgument(f"no label names degree {self.degree} at {self.semitones}"
+                                  f" semitones") from None
 
     def note_name(self, root: PitchClass) -> str:
         """Spell this degree over a root: the letter ``degree - 1`` steps above

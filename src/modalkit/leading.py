@@ -37,6 +37,7 @@ per transition, checks each move once, and keeps neither entries nor moves.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from collections.abc import Iterable, Iterator
 
@@ -117,12 +118,29 @@ def voice_leading(
     Unequal sizes are reconciled by doubling the smaller chord's root
     (lowest pitch class when no root is declared; an empty chord with no
     root is a SizeMismatch).  A chord that is no Chord is an InvalidArgument.
+    Each root is read as the int it equals, whether or not its chord is padded;
+    one equal to no int, such as ``'x'`` or 0.5, is an IndexOutOfRange.  An int
+    out of 0..11 is refused where padding places it, as a note of the leading.
     """
     if not (isinstance(a, Chord) and isinstance(b, Chord)):
         raise InvalidArgument(f"voice_leading takes two Chords, not {type(a).__name__}"
                               f" and {type(b).__name__}")
+    a_root, b_root = _padding_root(a_root), _padding_root(b_root)
     source, target = _padded(a_root, a.notes, len(b.notes)), _padded(b_root, b.notes, len(a.notes))
     return VoiceLeading(source, target)
+
+
+def _padding_root(root) -> int | None:
+    """None, or the int a root equals: its pitch class, or an int out of 0..11."""
+    if root is None:
+        return None
+    try:
+        return _PITCH_CLASSES[root]
+    except (KeyError, TypeError):
+        try:
+            return operator.index(root)
+        except TypeError:
+            raise IndexOutOfRange(f"root {root!r} is not a pitch class") from None
 
 
 def _padded(root: PitchClass | None, notes, size: int) -> tuple[PitchClass, ...]:
@@ -133,10 +151,7 @@ def _padded(root: PitchClass | None, notes, size: int) -> tuple[PitchClass, ...]
     if root is None and not notes:
         raise SizeMismatch("an empty chord with no root has no note to double")
     pad = min(notes) if root is None else root
-    try:
-        return tuple(sorted(notes + (pad,) * (size - len(notes))))
-    except TypeError:  # a root that is no number, such as 'x'
-        raise IndexOutOfRange(f"root {root!r} is not a pitch class") from None
+    return tuple(sorted(notes + (pad,) * (size - len(notes))))
 
 
 def _moves(source, target, source_root=None, target_root=None) -> list[tuple[int, int]]:

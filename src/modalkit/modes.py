@@ -15,7 +15,8 @@ from enum import Enum
 
 from .errors import IndexOutOfRange, InvalidArgument, NotAMode
 from .pitch import (
-    Chord, ChordQuality, PitchClass, Triad, TriadQuality, _MEMBERS_BY, _root_pc, _Table, _Value, pc,
+    Chord, ChordQuality, PitchClass, Triad, TriadQuality, _MEMBERS_BY, _pitch_classes, _root_pc,
+    _Table, _Value, pc,
 )
 
 
@@ -49,6 +50,8 @@ class ScaleType(Enum):
         self.step_pattern = step_pattern
         self.mode_names = mode_names
 
+    __hash__ = object.__hash__  # by identity, in C, as pitch._Quality explains
+
     @classmethod
     def from_label(cls, label: str) -> "ScaleType":
         return _MEMBERS_BY[cls, "label"][label]
@@ -57,13 +60,20 @@ class ScaleType(Enum):
 class ModalScale(_Value, name=""):
     """An ordered seven-degree scale: root first, then ascending degrees.
 
-    A scale keeps its ``Mode`` once ``decompose`` has built it.
+    Its degrees are a tuple and its name a str, or it is an InvalidArgument; its
+    root and each degree are integers, or it is an IndexOutOfRange.  A scale
+    keeps its ``Mode`` once ``decompose`` has built it.
     """
 
     __slots__ = ("root", "degrees", "name", "_mode")
 
     def __post_init__(self):
         object.__setattr__(self, "_mode", None)
+        if not (isinstance(self.degrees, tuple) and isinstance(self.name, str)):
+            raise InvalidArgument(f"a ModalScale takes a tuple of degrees and a str name, not"
+                                  f" {type(self.degrees).__name__} and {type(self.name).__name__}")
+        _root_pc(self.root)
+        _pitch_classes(self.degrees)
         if len(self.degrees) != 7 or len(set(self.degrees)) != 7:
             raise NotAMode(f"need 7 distinct pitch classes, got {self.degrees}")
         if self.degrees[0] != self.root:
@@ -81,6 +91,11 @@ class Mode(_Value):
     __slots__ = ("base", "tension", "scale")
 
     def __post_init__(self):
+        if not (isinstance(self.base, Chord) and isinstance(self.tension, Chord)
+                and isinstance(self.scale, ModalScale)):
+            raise InvalidArgument(f"a Mode takes two Chords and a ModalScale, not"
+                                  f" {type(self.base).__name__}, {type(self.tension).__name__}"
+                                  f" and {type(self.scale).__name__}")
         degrees = self.scale.degrees
         if self.base != Chord(degrees[0::2]) or self.tension != Chord(degrees[1::2]):
             raise NotAMode(f"base and tension are not degrees 1,3,5,7 and 2,4,6 of {degrees}")

@@ -227,7 +227,13 @@ _MEMBERS_BY = _Table(lambda key: {getattr(member, key[1]): member for member in 
 
 
 class _Quality:
-    """A chord shape as an Enum member: its symbol and its intervals above the root."""
+    """A chord shape as an Enum member: its symbol and its intervals above the root.
+
+    A member hashes by identity, in C: an Enum member equals only itself, and
+    ``Enum.__hash__`` hashes its name in Python on every table lookup.
+    """
+
+    __hash__ = object.__hash__
 
     def __init__(self, symbol: str, intervals: tuple[int, ...]):
         self.symbol = symbol

@@ -2,7 +2,10 @@
 
 import random
 
+import pytest
+
 from modalkit.approximate import ScaleApproximation, _CANDIDATES, approximate, hs_ws_scale
+from modalkit.errors import IndexOutOfRange
 from modalkit.graph import build_graph, enumerate_admissible, path_notes
 from modalkit.pitch import ChordQuality, pc
 
@@ -63,12 +66,16 @@ def reference_approximate(target, q, root):
 
 
 def test_candidates_match_path_notes():
-    # in name order, so that ranking by (-shared, len(added)) alone keeps the name tiebreak
+    # in name order, so that a candidate's index after (-shared, added) keeps the name tiebreak
     for q in ChordQuality:
         paths = sorted(enumerate_admissible(build_graph(q)), key=lambda p: p.name)
         for root in range(12):
-            expected = tuple((p, frozenset(path_notes(p, root))) for p in paths)
-            assert _CANDIDATES[q, root] == expected
+            candidates = _CANDIDATES[q, root]
+            assert [(p, notes) for p, notes, _mask in candidates] == [
+                (p, frozenset(path_notes(p, root))) for p in paths
+            ]
+            for _path, notes, mask in candidates:
+                assert mask == sum(1 << n for n in notes) and 0 <= mask < 1 << 12
 
 
 def test_approximate_matches_the_per_call_derivation():
@@ -87,3 +94,23 @@ def test_approximate_matches_the_per_call_derivation_on_every_target():
     for q in ChordQuality:
         for target in subsets:
             assert approximate(target, q, 5) == reference_approximate(target, q, 5)
+
+
+@pytest.mark.parametrize(
+    "target", [frozenset({0, 7.0}), [0, 7.0], {0, "7"}, (0.5,), [0, 7, 7.0]], ids=repr
+)
+def test_filled_tables_still_refuse_a_note_that_is_no_integer(target):
+    # the tables are keyed by masks of checked ints, so 7.0 never finds the entry of 7
+    for q in ChordQuality:
+        for root in range(12):
+            approximate(frozenset({0, 7}), q, root)
+    with pytest.raises(IndexOutOfRange, match=r"^note .* is not an integer$"):
+        approximate(target, ChordQuality.DOM7, 0)
+
+
+def test_masks_read_true_as_1_and_repeats_and_octaves_once():
+    assert approximate({True, 0}, ChordQuality.DOM7, 0) == approximate({0, 1}, ChordQuality.DOM7, 0)
+    for target in ([-1, 11, 23, 23], [0, 12, -12, 24, 0], [], range(-30, 30)):
+        for q in ChordQuality:
+            assert approximate(target, q, 7) == reference_approximate(target, q, 7)
+

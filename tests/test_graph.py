@@ -131,6 +131,7 @@ BOUNDS = {
     "modalkit.graph._GRAPHS": 7,  # quality
     "modalkit.graph._THEORY_DOT": 7 * 13,  # (quality, root pitch class or None)
     "modalkit.approximate._CANDIDATES": 7 * 12,  # (quality, root pitch class)
+    "modalkit.approximate._PC_SETS": 1 << 12,  # pitch-class set mask
     "modalkit.leading._WALKS": 12 * 11,  # (pitch class, another pitch class)
     "modalkit.leading._SYMBOLS": 21 * 10,  # note spelling + quality token
     "modalkit.braid._TOKENS": 2 * 63,  # letter on at most 64 strands
@@ -211,6 +212,8 @@ for q in ChordQuality:
     emit_dot(g)
     for root in range(-12, 24):
         emit_dot(g, root), approximate({0}, q, root)
+for mask in range(1 << 12):
+    approximate([n for n in range(12) if mask >> n & 1], ChordQuality.DOM7, 0)
 find_mode_by_name("ionian")
 parse_progression("\\n".join(root + token for root in _SPELLINGS for token in _SYMBOL_INTERVALS))
 for s, t in product(range(12), repeat=2):

@@ -2,6 +2,7 @@
 
 import io
 import random
+import re
 from itertools import permutations, product
 from pathlib import Path
 from unittest import mock
@@ -305,6 +306,22 @@ def test_every_accepted_word_lands_its_voices(pairs, rng):
 def test_leading_notes_are_pitch_classes(root):
     with pytest.raises(IndexOutOfRange, match=rf"^pitch class {root} is not in 0\.\.11$"):
         voice_leading(Chord([0, 4, 7]), Chord([0, 4, 7, 11]), a_root=root)
+
+
+@pytest.mark.parametrize("b", [Chord([1]), Chord([1, 2])], ids=["unpadded", "padded"])
+def test_a_root_that_is_no_number_is_refused_whether_or_not_its_chord_is_padded(b):
+    for root in ("x", 0.5, [1]):
+        with pytest.raises(IndexOutOfRange, match=rf"^root {re.escape(repr(root))} is not a"):
+            voice_leading(Chord([0]), b, a_root=root)
+        with pytest.raises(IndexOutOfRange, match="is not a pitch class"):
+            voice_leading(b, Chord([0]), b_root=root)
+
+
+def test_a_root_equal_to_an_int_is_read_as_that_int():
+    assert voice_leading(Chord([0]), Chord([1, 2]), a_root=5.0) == VoiceLeading((0, 5), (1, 2))
+    assert voice_leading(Chord([0]), Chord([1]), a_root=5.0, b_root=True) == VoiceLeading((0,), (1,))
+    padded = voice_leading(Chord([0]), Chord([1, 2]), a_root=5.0)
+    assert all(type(note) is int for note in padded.source)
 
 
 def test_a_leading_stores_its_notes_as_tuples():

@@ -346,7 +346,7 @@ def test_chords_cannot_be_changed():
         assert twin == chord and twin.notes == (0, 4, 7)
 
 
-CHECKED = [ModalScale, Mode, VoiceLeading, Progression, BraidWord]
+CHECKED = [ModalScale, Mode, DegreeLabel, VoiceLeading, Progression, BraidWord]
 
 
 def counting_check(cls, monkeypatch):

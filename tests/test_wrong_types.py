@@ -1,4 +1,5 @@
-"""Every public function refuses an argument of the wrong type with a ModalkitError.
+"""Every public function, and every value type that checks its fields, refuses an
+argument of the wrong type with a ModalkitError.
 
 Each function of ``modalkit.__all__`` is called with valid arguments but one,
 which is drawn from values of other types: library values, None, text,
@@ -19,7 +20,9 @@ from modalkit import (
     BraidWord,
     Chord,
     ChordQuality,
+    DegreeLabel,
     ModalScale,
+    Mode,
     ModeGraph,
     Progression,
     ScaleType,
@@ -57,7 +60,7 @@ from modalkit import (
     tcm,
     voice_leading,
 )
-from modalkit.errors import ModalkitError
+from modalkit.errors import IndexOutOfRange, InvalidArgument, ModalkitError
 
 WORD = BraidWord(5, ((1, 1), (3, 1)))
 SCALE = standard_modes(ScaleType.MAJOR, 0)[0]
@@ -86,6 +89,7 @@ TAKES = {
     "scale": lambda v: isinstance(v, ModalScale),
     "scale type": lambda v: isinstance(v, ScaleType),
     "text": lambda v: isinstance(v, str),
+    "tuple": lambda v: isinstance(v, tuple),
     "word": lambda v: isinstance(v, BraidWord),
 }
 
@@ -121,9 +125,10 @@ CALLS = [
     (special_modes, (ChordQuality.DOM7,), ("quality",)),
     (standard_modes, (ScaleType.MAJOR, 0), ("scale type", "int")),
     (tcm, (ChordQuality.DOM7,), ("quality",)),
-    # the smaller chord is padded with its root, so only that root is read
+    # a root is read whether or not its chord is padded
     (voice_leading, (Chord([0]), Chord([1, 2]), 0, None), ("chord", "chord", "root", None)),
     (voice_leading, (Chord([0, 1]), Chord([2]), None, 2), (None, None, None, "root")),
+    (voice_leading, (Chord([0]), Chord([1]), 0, 1), (None, None, "root", "root")),
 ]
 
 SAMPLES = [
@@ -157,3 +162,56 @@ def test_every_public_function_is_called():
     public = {name for name in modalkit.__all__
               if isinstance(getattr(modalkit, name), types.FunctionType)}
     assert public == {function.__name__ for function, _, _ in CALLS}
+
+
+# (value type, valid fields, the kind of each): the value types that check their
+# fields when built, except VoiceLeading, Progression and BraidWord, which
+# tests/test_leading.py and tests/test_braid.py check.  Triad, ModeGraph,
+# AdmissiblePath and ScaleApproximation check nothing.
+BUILDS = [
+    (ModalScale, (0, SCALE.degrees, "ionian"), ("int", "tuple", "text")),
+    (Mode, (decompose(SCALE).base, decompose(SCALE).tension, SCALE), ("chord", "chord", "scale")),
+    (DegreeLabel, (2, 3), ("int", "int")),
+]
+
+
+@pytest.mark.parametrize("cls, fields, kinds", BUILDS, ids=[cls.__name__ for cls, _, _ in BUILDS])
+@given(data=st.data())
+def test_a_field_of_the_wrong_type_is_a_modalkit_error(cls, fields, kinds, data):
+    cls(*fields)  # the valid fields are taken
+    position = data.draw(st.sampled_from(range(len(fields))))
+    takes = TAKES[kinds[position]]
+    value = data.draw(VALUES.filter(lambda v: not takes(v)), label=f"field {position}")
+    with pytest.raises(ModalkitError):
+        cls(*fields[:position], value, *fields[position + 1:])
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: ModalScale(0, 5), InvalidArgument,
+         r"^a ModalScale takes a tuple of degrees and a str name, not int and str$"),
+        (lambda: ModalScale(0, (0, 2, 4, 5, 7, 9, "b")), IndexOutOfRange,
+         r"^note 'b' is not an integer$"),
+        (lambda: ModalScale(0.0, SCALE.degrees), IndexOutOfRange, r"^root 0\.0 is not an integer$"),
+        (lambda: Mode(1, 2, 3), InvalidArgument,
+         r"^a Mode takes two Chords and a ModalScale, not int, int and int$"),
+        (lambda: DegreeLabel("a", "b"), InvalidArgument,
+         r"^a degree label is a degree in 1\.\.7 and semitones in 0\.\.11, not 'a' and 'b'$"),
+        (lambda: DegreeLabel(8, 0), InvalidArgument, "not 8 and 0"),
+        (lambda: DegreeLabel(1, 12), InvalidArgument, "not 1 and 12"),
+        (lambda: DegreeLabel(1, 5).name, InvalidArgument,
+         r"^no label names degree 1 at 5 semitones$"),
+    ],
+    ids=["scale-degrees", "scale-degree", "scale-root", "mode", "label-text", "label-degree",
+         "label-semitones", "label-unnamed"],
+)
+def test_a_value_type_names_what_it_refuses(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_a_degree_label_stores_the_ints_its_numbers_equal():
+    label = DegreeLabel(2.0, True)
+    assert (type(label.degree), type(label.semitones)) == (int, int)
+    assert label == DegreeLabel(2, 1) and label.name == "mII" and label.note_name(0) == "Db"
