@@ -134,15 +134,18 @@ def concatenate(first: BraidWord, *rest: BraidWord) -> BraidWord:
     return _word(strands, tuple(letter for w in words for letter in w.letters))
 
 
+_sign = operator.itemgetter(1)
+
+
 def invariants(w: BraidWord) -> BraidInvariants:
     w = _checked(w)
     occupant = list(range(1, w.strands + 1))  # occupant[s-1]: the start of the strand at slot s
-    for index, _sign in w.letters:
+    for index, _ in w.letters:
         occupant[index - 1], occupant[index] = occupant[index], occupant[index - 1]
     position = [0] * w.strands
     for slot, start in enumerate(occupant, start=1):
         position[start - 1] = slot
-    return BraidInvariants(tuple(position), sum(sign for _i, sign in w.letters))
+    return BraidInvariants(tuple(position), sum(map(_sign, w.letters)))
 
 
 def free_reduce(w: BraidWord) -> BraidWord:

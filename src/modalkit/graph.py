@@ -85,13 +85,37 @@ class DegreeLabel(_Value):
 
 
 class ModeGraph(_Value):
-    """A base-chord graph with its root-to-seventh ``paths`` in ``enumerate_admissible`` order."""
+    """A base-chord graph with its root-to-seventh ``paths`` in ``enumerate_admissible`` order.
+
+    A quality that is no ChordQuality is an InvalidArgument.
+    """
 
     __slots__ = ("quality", "vertices", "edges", "paths")
 
+    def __post_init__(self):
+        if not isinstance(self.quality, ChordQuality):
+            raise _no_quality(self.quality)
+
 
 class AdmissiblePath(_Value, name=""):
+    """A root-to-seventh path: its labels, whether it is special, and its name.
+
+    Labels that are no tuple of DegreeLabels, or a name that is no str, are an
+    InvalidArgument.
+    """
+
     __slots__ = ("labels", "is_special", "name")
+
+    def __post_init__(self):
+        labels = self.labels
+        if not isinstance(labels, tuple):
+            raise InvalidArgument(f"a path's labels are a tuple, not {type(labels).__name__}")
+        for label in labels:
+            if not isinstance(label, DegreeLabel):
+                kind = type(label).__name__
+                raise InvalidArgument(f"a path's label is a DegreeLabel, not {kind}")
+        if not isinstance(self.name, str):
+            raise InvalidArgument(f"a path's name is a str, not {type(self.name).__name__}")
 
     def offsets(self) -> tuple[int, ...]:
         return tuple(label.semitones for label in self.labels)

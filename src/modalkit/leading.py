@@ -19,11 +19,15 @@ entry per move (p, q), at most 12 x 11: the walk's letters, its tokens and
 its ASCII rows on 12 strands, checked once, as one ``BraidWord``, when the
 entry is derived.  One core, ``_moves``, turns two sorted sides into a
 transition's kept moves in walk order, padding the smaller side with its
-root; ``braid_of_leading`` sorts its leading's sides into it once it has
-refused a crossing pairing.
+root, and reads whether each side repeats a pitch class from a flag, which
+each ``Chord`` derives once; ``braid_of_leading`` sorts its leading's sides
+into it, with their flags, once it has refused a crossing pairing.
 
 One line parser, ``_entries``, yields a text's (label, root, Chord) entries
-one line at a time; ``parse_progression`` keeps them in a ``Progression``.
+one line at a time, and builds each ``name: pc,...`` chord from the pitch
+classes it has just checked, without a second check; ``parse_progression``
+keeps the entries in a ``Progression``, also built without a second check,
+as ``braid._word`` builds a word.
 One derivation, ``_transition_moves``, pairs any iterable of entries through
 the core, one list of moves per transition.  A ``Progression`` keeps its
 transitions' letters, joined from the walks, once either progression word
@@ -50,7 +54,7 @@ from .errors import (
     ParseError,
     SizeMismatch,
 )
-from .pitch import Chord, PitchClass, _Table, _Value, parse_chord_symbol, parse_pcs, pc
+from .pitch import Chord, PitchClass, _chord, _Table, _Value, parse_chord_symbol, parse_pcs, pc
 
 STRANDS = 12
 _PITCH_CLASSES = {n: n for n in range(12)}  # each pitch class, by any number equal to it
@@ -154,7 +158,9 @@ def _padded(root: PitchClass | None, notes, size: int) -> tuple[PitchClass, ...]
     return tuple(sorted(notes + (pad,) * (size - len(notes))))
 
 
-def _moves(source, target, source_root=None, target_root=None) -> list[tuple[int, int]]:
+def _moves(
+    source, target, source_root=None, target_root=None, source_repeats=True, target_repeats=True
+) -> list[tuple[int, int]]:
     """The kept moves of sorted ``source`` onto sorted ``target``, in walk order.
 
     The one core from two sorted sides to a transition: the smaller side is
@@ -162,10 +168,11 @@ def _moves(source, target, source_root=None, target_root=None) -> list[tuple[int
     zipped in order the two sides are the voices' (source, target) pitch-class
     moves.  A physical strand can make only one move, so where a side repeats a
     pitch class each run of equal pitch classes keeps the move of least
-    displacement (ties go to ascending motion); a padded side may repeat, and an
-    unpadded one is tested.  The moving moves come back in walk order:
-    descending voices in ascending order, then ascending voices in descending
-    order.
+    displacement (ties go to ascending motion).  A padded side may repeat; an
+    unpadded one repeats as its flag says, as a ``Chord``'s ``_repeats`` does,
+    and with no flag given it is read as one that may.  The moving moves come
+    back in walk order: descending voices in ascending order, then ascending
+    voices in descending order.
     """
     size, other = len(source), len(target)
     if size < other:
@@ -173,9 +180,9 @@ def _moves(source, target, source_root=None, target_root=None) -> list[tuple[int
     elif other < size:
         target = _padded(target_root, target, size)
     moves = zip(source, target)
-    if size < other or len(set(source)) < size:
+    if size < other or source_repeats:
         moves = _best_of_runs(moves, 0)
-    if other < size or len(set(target)) < other:
+    if other < size or target_repeats:
         moves = _best_of_runs(moves, 1)
     down, up = [], []
     for move in moves:
@@ -191,7 +198,9 @@ def _best_of_runs(moves: Iterable[tuple[int, int]], side: int) -> list[tuple[int
     """The first move of least (|d|, d < 0) from each run sharing a pitch class on ``side``."""
     kept = []
     moves = iter(moves)
-    best = next(moves)
+    best = next(moves, None)
+    if best is None:  # two empty sides
+        return kept
     for move in moves:
         if move[side] != best[side]:
             kept.append(best)
@@ -249,7 +258,9 @@ def braid_of_leading(v: VoiceLeading) -> BraidWord:
     # both sides sorted as given is crossing-free; otherwise test each pair
     if (source != list(v.source) or target != list(v.target)) and not v.is_crossing_free():
         raise CrossingLeading(f"the pairing {v.pairs()} crosses")
-    return _word(STRANDS, _letters(_moves(source, target)))
+    moves = _moves(source, target, source_repeats=len(set(source)) < len(source),
+                   target_repeats=len(set(target)) < len(target))
+    return _word(STRANDS, _letters(moves))
 
 
 class Progression(_Value):
@@ -293,7 +304,7 @@ def _transition_moves(entries) -> Iterator[tuple[str, str, list[tuple[int, int]]
     its target label, its moves in walk order), derived as the caller asks for it
     and kept nowhere."""
     for (la, ra, a), (lb, rb, b) in itertools.pairwise(entries):
-        yield la, lb, _moves(a.notes, b.notes, ra, rb)
+        yield la, lb, _moves(a.notes, b.notes, ra, rb, a._repeats, b._repeats)
 
 
 def _transitions(p: Progression) -> tuple[tuple[Letter, ...], ...]:
@@ -357,8 +368,8 @@ def _entries(text: str) -> Iterator[tuple[str, PitchClass, Chord]]:
         name, colon, body = line.partition(":")
         try:
             if colon:
-                values = parse_pcs(body)
-                entry = name.strip(), values[0], Chord(values)
+                values = parse_pcs(body)  # int pitch classes in 0..11, so checked
+                entry = name.strip(), values[0], _chord(values)
             else:
                 root, chord = _SYMBOLS[line]
                 entry = line, root, chord
@@ -375,9 +386,21 @@ def _entries(text: str) -> Iterator[tuple[str, PitchClass, Chord]]:
         raise ParseError("the progression has no chords", 0)
 
 
+_set_chords = vars(Progression)["chords"].__set__
+_set_transitions = vars(Progression)["_transitions"].__set__
+
+
 def parse_progression(text: str) -> Progression:
     """The progression of ``text``, one chord per line, as ``_entries`` reads them;
-    text that is no str, such as 5 or bytes, is an InvalidArgument."""
+    text that is no str, such as 5 or bytes, is an InvalidArgument.
+
+    Every entry ``_entries`` yields is a (str, int pitch class, Chord) triple, so
+    the progression is built from them without its check, as ``braid._word``
+    builds a word.
+    """
     if not isinstance(text, str):
         raise InvalidArgument(f"progression text is a str, not {type(text).__name__}")
-    return Progression(tuple(_entries(text)))
+    p = object.__new__(Progression)
+    _set_chords(p, tuple(_entries(text)))
+    _set_transitions(p, None)
+    return p

@@ -184,14 +184,21 @@ class Chord(_Value):
     note must be an integer, as ``operator.index`` reads one; any other note,
     such as 0.5 or ``'5'``, is an IndexOutOfRange, and notes that are no
     collection, such as 5, are an InvalidArgument.
+
+    A chord knows once whether its notes repeat a pitch class: the private
+    ``_repeats`` is derived when the chord is built, copied or unpickled, so
+    the braid core reads it and builds no set per transition.  The progression
+    parser builds its chords from pitch classes it has checked with ``_chord``,
+    which sets both slots without the check.
     """
 
-    __slots__ = ("notes",)
+    __slots__ = ("notes", "_repeats")
 
     def __post_init__(self):
         notes = _pitch_classes(self.notes)
         notes.sort()
         object.__setattr__(self, "notes", tuple(notes))
+        object.__setattr__(self, "_repeats", len(set(notes)) < len(notes))
 
     def __len__(self) -> int:
         return len(self.notes)
@@ -201,6 +208,20 @@ class Chord(_Value):
 
     def __repr__(self) -> str:
         return f"Chord({list(self.notes)})"
+
+
+_set_notes = vars(Chord)["notes"].__set__
+_set_repeats = vars(Chord)["_repeats"].__set__
+
+
+def _chord(values: list[PitchClass]) -> Chord:
+    """The chord of ``values`` known to pass the check, int pitch classes in 0..11,
+    built without it, as ``braid._word`` builds a word."""
+    notes = tuple(sorted(values))
+    chord = object.__new__(Chord)
+    _set_notes(chord, notes)
+    _set_repeats(chord, len(set(notes)) < len(notes))
+    return chord
 
 
 class _Table(dict):
@@ -272,7 +293,16 @@ class TriadQuality(_Quality, Enum):
 
 
 class Triad(_Value):
+    """A root and a TriadQuality.  A root that is no integer is an IndexOutOfRange,
+    and a quality that is no TriadQuality an InvalidArgument."""
+
     __slots__ = ("root", "quality")
+
+    def __post_init__(self):
+        _root_pc(self.root)
+        if not isinstance(self.quality, TriadQuality):
+            raise InvalidArgument(f"a Triad's quality is a TriadQuality,"
+                                  f" not {type(self.quality).__name__}")
 
     def chord(self) -> Chord:
         return Chord(self.root + i for i in self.quality.intervals)

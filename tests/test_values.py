@@ -346,7 +346,10 @@ def test_chords_cannot_be_changed():
         assert twin == chord and twin.notes == (0, 4, 7)
 
 
-CHECKED = [ModalScale, Mode, DegreeLabel, VoiceLeading, Progression, BraidWord]
+CHECKED = [
+    Triad, ModalScale, Mode, DegreeLabel, ModeGraph, AdmissiblePath, VoiceLeading, Progression,
+    BraidWord,
+]
 
 
 def counting_check(cls, monkeypatch):

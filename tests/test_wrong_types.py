@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import modalkit
 from modalkit import (
+    AdmissiblePath,
     BraidWord,
     Chord,
     ChordQuality,
@@ -81,6 +82,7 @@ TAKES = {
     "chord": lambda v: isinstance(v, Chord),
     "graph": lambda v: isinstance(v, ModeGraph),
     "int": lambda v: isinstance(v, int),
+    "labels": lambda v: isinstance(v, tuple) and all(isinstance(x, DegreeLabel) for x in v),
     "leading": lambda v: isinstance(v, VoiceLeading),
     "notes": _int_collection,
     "progression": lambda v: isinstance(v, Progression),
@@ -89,6 +91,7 @@ TAKES = {
     "scale": lambda v: isinstance(v, ModalScale),
     "scale type": lambda v: isinstance(v, ScaleType),
     "text": lambda v: isinstance(v, str),
+    "triad quality": lambda v: isinstance(v, TriadQuality),
     "tuple": lambda v: isinstance(v, tuple),
     "word": lambda v: isinstance(v, BraidWord),
 }
@@ -164,14 +167,20 @@ def test_every_public_function_is_called():
     assert public == {function.__name__ for function, _, _ in CALLS}
 
 
-# (value type, valid fields, the kind of each): the value types that check their
-# fields when built, except VoiceLeading, Progression and BraidWord, which
-# tests/test_leading.py and tests/test_braid.py check.  Triad, ModeGraph,
-# AdmissiblePath and ScaleApproximation check nothing.
+PATH = GRAPH.paths[0]
+
+# (value type, valid fields, the kind of each; a kind of None is not checked):
+# the value types that check their fields when built, except VoiceLeading,
+# Progression and BraidWord, which tests/test_leading.py and tests/test_braid.py
+# check.  Only ScaleApproximation checks nothing.
 BUILDS = [
+    (Triad, (2, TriadQuality.MINOR), ("int", "triad quality")),
     (ModalScale, (0, SCALE.degrees, "ionian"), ("int", "tuple", "text")),
     (Mode, (decompose(SCALE).base, decompose(SCALE).tension, SCALE), ("chord", "chord", "scale")),
     (DegreeLabel, (2, 3), ("int", "int")),
+    (ModeGraph, (GRAPH.quality, GRAPH.vertices, GRAPH.edges, GRAPH.paths),
+     ("quality", None, None, None)),
+    (AdmissiblePath, (PATH.labels, PATH.is_special, PATH.name), ("labels", None, "text")),
 ]
 
 
@@ -179,7 +188,7 @@ BUILDS = [
 @given(data=st.data())
 def test_a_field_of_the_wrong_type_is_a_modalkit_error(cls, fields, kinds, data):
     cls(*fields)  # the valid fields are taken
-    position = data.draw(st.sampled_from(range(len(fields))))
+    position = data.draw(st.sampled_from([i for i, kind in enumerate(kinds) if kind]))
     takes = TAKES[kinds[position]]
     value = data.draw(VALUES.filter(lambda v: not takes(v)), label=f"field {position}")
     with pytest.raises(ModalkitError):
@@ -202,9 +211,22 @@ def test_a_field_of_the_wrong_type_is_a_modalkit_error(cls, fields, kinds, data)
         (lambda: DegreeLabel(1, 12), InvalidArgument, "not 1 and 12"),
         (lambda: DegreeLabel(1, 5).name, InvalidArgument,
          r"^no label names degree 1 at 5 semitones$"),
+        (lambda: Triad("x", TriadQuality.MAJOR), IndexOutOfRange, r"^root 'x' is not an integer$"),
+        (lambda: Triad(0.5, TriadQuality.MAJOR), IndexOutOfRange, r"^root 0\.5 is not an integer$"),
+        (lambda: Triad(0, ChordQuality.DOM7), InvalidArgument,
+         r"^a Triad's quality is a TriadQuality, not ChordQuality$"),
+        (lambda: ModeGraph("7", (), (), ()), InvalidArgument,
+         r"^a base-chord graph needs a ChordQuality, not str$"),
+        (lambda: AdmissiblePath([DegreeLabel(1, 0)], False), InvalidArgument,
+         r"^a path's labels are a tuple, not list$"),
+        (lambda: AdmissiblePath((DegreeLabel(1, 0), (2, 2)), False), InvalidArgument,
+         r"^a path's label is a DegreeLabel, not tuple$"),
+        (lambda: AdmissiblePath(PATH.labels, False, 5), InvalidArgument,
+         r"^a path's name is a str, not int$"),
     ],
     ids=["scale-degrees", "scale-degree", "scale-root", "mode", "label-text", "label-degree",
-         "label-semitones", "label-unnamed"],
+         "label-semitones", "label-unnamed", "triad-root-text", "triad-root-float",
+         "triad-quality", "graph-quality", "path-labels", "path-label", "path-name"],
 )
 def test_a_value_type_names_what_it_refuses(build, error, message):
     with pytest.raises(error, match=message):
