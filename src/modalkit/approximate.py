@@ -10,20 +10,20 @@ import operator
 
 from .errors import InvalidArgument
 from .graph import AdmissiblePath, build_graph, path_notes
-from .pitch import ChordQuality, PitchClass, _pitch_classes, _root_pc, _Table, _Value, pc
+from .pitch import ChordQuality, PitchClass, _int, _ints, _pc, _Table, _Value, pc
 
 
 def hs_ws_scale(root: PitchClass) -> frozenset[PitchClass]:
     """The half-step/whole-step octatonic scale on a root, an integer."""
-    root = _root_pc(root)
+    root = _pc(root, "root")
     return frozenset(pc(root + k) for k in (0, 1, 3, 4, 6, 7, 9, 10))
 
 
-def _mask(pitch_classes) -> int:
-    """The mask of ints in 0..11, as ``_pitch_classes`` checks them: bit n for pitch class n."""
+def _mask(notes) -> int:
+    """The mask of the pitch classes of int notes: bit n % 12 for each note n."""
     mask = 0
-    for n in pitch_classes:
-        mask |= 1 << n
+    for n in notes:
+        mask |= 1 << n % 12
     return mask
 
 
@@ -46,12 +46,15 @@ def _candidates(
 _CANDIDATES = _Table(_candidates)
 
 
-class ScaleApproximation(_Value):
+class ScaleApproximation(_Value, kinds=(object, AdmissiblePath, _pc, object, _int, object, object)):
+    """One candidate's ranking against a target: its path on a root pitch class, its
+    notes, the count of notes it shares with the target, and the notes it drops and adds."""
+
     __slots__ = ("target", "candidate", "root", "notes", "shared", "dropped", "added")
 
 
 # ``approximate`` builds each record without the type call, as ``braid._word`` builds
-# a word: it derives every field itself, and a ScaleApproximation checks none.
+# a word: it derives every field itself, so the check would refuse none.
 _new = object.__new__
 _set_target, _set_candidate, _set_root, _set_notes, _set_shared, _set_dropped, _set_added = (
     vars(ScaleApproximation)[name].__set__ for name in ScaleApproximation._names
@@ -76,8 +79,8 @@ def approximate(
     """
     if not isinstance(q, ChordQuality):
         raise InvalidArgument(f"approximate takes a ChordQuality, not {type(q).__name__}")
-    root = _root_pc(root)
-    tm = _mask(_pitch_classes(target))
+    root = _pc(root, "root")
+    tm = _mask(_ints(target, "note"))
     target = _PC_SETS[tm]
     ranked = []
     # one loop, with no comprehension or Python call per candidate: on caches that other

@@ -30,20 +30,18 @@ from .errors import (
     PatternMismatch,
     StrandMismatch,
 )
-from .pitch import _Table, _Value
+from .pitch import _int, _Table, _Value
 
 Letter = tuple[int, int]  # (generator index, sign)
 
 
-class BraidWord(_Value, letters=()):
+class BraidWord(_Value, kinds=(_int, object), letters=()):
     """A word of signed generators on ``strands`` strands.
 
     The strand count is an integer of at least 1, and each letter is a pair
-    (generator index, sign) with an index in [1, strands - 1] and a sign of
-    +1 or -1.  Each number is accepted if equal to an int, and stored as
-    that int: ``BraidWord(3.0, [(1.0, 1)])`` is ``BraidWord(3, ((1, 1),))``.
-    The letters are stored as a tuple; letters that are no sequence, such
-    as 5, are refused.
+    (generator index, sign) with an integer index in [1, strands - 1] and a
+    sign equal to +1 or -1, stored as that int.  The letters are stored as a
+    tuple; letters that are no sequence, such as 5, are refused.
 
     Building, copying or unpickling a word checks it once; the words this
     package builds from checked words and walks are not checked again.
@@ -51,32 +49,19 @@ class BraidWord(_Value, letters=()):
 
     __slots__ = ("strands", "letters")
 
-    def __post_init__(self):
-        """The one check of a word whose fields come from outside; ``_word`` skips it
-        for fields already checked.  bench/spans.py wraps it to count the letters."""
+    def _finish(self):
+        """Each letter valid on the strand count, stored as its int letter."""
         try:
             letters = tuple(self.letters)
         except TypeError:  # no sequence, such as 5
             raise InvalidBraid(f"letters {self.letters!r} are not a sequence") from None
-        n = _integer(self.strands)
-        if n is None:
-            raise InvalidBraid(f"strand count {self.strands!r} is not an integer")
+        n = self.strands
         if n < 1:
             raise InvalidBraid("need at least one strand")
-        object.__setattr__(self, "strands", n)
         object.__setattr__(self, "letters", tuple([_check(letter, n) for letter in letters]))
 
     def __len__(self) -> int:
         return len(self.letters)
-
-
-def _integer(value) -> int | None:
-    """The int equal to ``value``, as 12 for 12.0 or 1 for True; None for 1.5 or '12'."""
-    try:
-        whole = int(value)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return whole if whole == value else None
 
 
 def _check(letter, strands: int) -> Letter:
@@ -84,9 +69,7 @@ def _check(letter, strands: int) -> Letter:
     if not (isinstance(letter, tuple) and len(letter) == 2):
         raise InvalidBraid(f"letter {letter!r} is not a (generator index, sign) pair")
     index, sign = letter
-    i = _integer(index)
-    if i is None:
-        raise IndexOutOfRange(f"generator index {index!r} is not an integer")
+    i = _int(index, "generator index")
     if not 1 <= i <= strands - 1:
         raise IndexOutOfRange(f"generator s{i} needs {i + 1} strands, have {strands}")
     if sign not in (1, -1):
@@ -117,11 +100,15 @@ def _checked(w) -> BraidWord:
     raise InvalidBraid(f"{type(w).__name__} is not a BraidWord")
 
 
-class BraidInvariants(_Value):
+class BraidInvariants(_Value, kinds=((_int,), _int)):
     """Necessary conditions for braid equality: the permutation, 1-based
     (start position p ends at ``permutation[p-1]``), and the writhe."""
 
     __slots__ = ("permutation", "writhe")
+
+
+_set_permutation = vars(BraidInvariants)["permutation"].__set__
+_set_writhe = vars(BraidInvariants)["writhe"].__set__
 
 
 def concatenate(first: BraidWord, *rest: BraidWord) -> BraidWord:
@@ -145,7 +132,11 @@ def invariants(w: BraidWord) -> BraidInvariants:
     position = [0] * w.strands
     for slot, start in enumerate(occupant, start=1):
         position[start - 1] = slot
-    return BraidInvariants(tuple(position), sum(map(_sign, w.letters)))
+    # built without the check, as _word builds a word: both fields are ints derived here
+    result = object.__new__(BraidInvariants)
+    _set_permutation(result, tuple(position))
+    _set_writhe(result, sum(map(_sign, w.letters)))
+    return result
 
 
 def free_reduce(w: BraidWord) -> BraidWord:
@@ -171,17 +162,14 @@ def rewrite_step(w: BraidWord, rule: str, at: int) -> BraidWord:
     generators with |i - j| > 1; p2_slide turns s_i s_{i+1} s_i into
     s_{i+1} s_i s_{i+1} (or back), with a uniform sign.  A window of letters
     from ``at`` on that leaves the word, or does not fit the rule, is a PatternMismatch;
-    a position that is no int, such as 0.0 or '0', is an InvalidArgument.
+    the position ``at`` is an integer.
     """
     w = _checked(w)
     try:
         width, window = _WINDOWS[rule]
     except (KeyError, TypeError):  # no rule name, such as 'swap' or an unhashable [1]
         raise InvalidBraid(f"unknown rule {rule!r}") from None
-    try:
-        at = operator.index(at)
-    except TypeError:
-        raise InvalidArgument(f"position {at!r} is not an int") from None
+    at = _int(at, "position")
     if not 0 <= at <= len(w) - width:
         raise PatternMismatch(f"no letter {window} at {at}")
     (i, si), (j, sj), *third = w.letters[at:at + width]

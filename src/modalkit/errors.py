@@ -33,20 +33,19 @@ class PatternMismatch(ModalkitError):
 
 
 class InvalidBraid(ModalkitError, ValueError):
-    """A braid word or rewrite is asked for with a strand count that is no
-    integer or is below one, letters that are no sequence, a letter that is
-    not a (generator index, sign) pair, a letter sign other than +1/-1, an
-    unknown rule name, or a value that is no BraidWord where a word is read."""
+    """A braid word or rewrite is asked for with fewer than one strand, letters
+    that are no sequence, a letter that is not a (generator index, sign)
+    pair, a sign other than +1/-1, an unknown rule name, or a value that is
+    no BraidWord where a word is read."""
 
 
 class InvalidArgument(ModalkitError, TypeError):
-    """A library call is given a value of the wrong kind: a chord that is no
-    ``Chord``, a quality that is no ``ChordQuality``, a parent scale that is
-    no ``ScaleType``, a scale that is no ``ModalScale``, a graph that is no
-    ``ModeGraph``, a leading that is no ``VoiceLeading``, a progression that
-    is no ``Progression``, text that is no ``str``, a rewrite position that is
-    no int, or notes that are no collection, as in ``Chord(5)`` or
-    ``VoiceLeading(5, 6)``."""
+    """A library call or a value type is given a value of the wrong kind: a
+    field or argument that is no instance of its declared class, as in
+    ``Triad(0, ChordQuality.DOM7)`` or ``recompose((0, 4), ...)``; text that
+    is no ``str``; values that are no collection where a collection is read,
+    as in ``Chord(5)``; or a ``DegreeLabel`` pair that the figure does not
+    name, such as (1, 5)."""
 
 
 class InvalidProgression(ModalkitError, ValueError):
@@ -55,13 +54,13 @@ class InvalidProgression(ModalkitError, ValueError):
 
 
 class IndexOutOfRange(ModalkitError, ValueError):
-    """An index lies outside its range: a braid generator index that is not
-    an integer or lies outside [1, strands - 1], a scale degree outside 1..7
-    or not an integer, a chord note that is not an integer, a ``VoiceLeading``
-    note or a progression root that is no pitch class in 0..11 (an unhashable
-    one such as [1] included), a root that is not an integer where a root
-    keys a table of the theory, a value given to ``pc`` that is not an
-    integer, or a padding root of ``voice_leading`` that is no number."""
+    """A number is no integer, or lies outside its range.
+
+    Every integer and pitch class the library reads, in a value-type field or
+    a function argument, is the int that ``operator.index`` returns (a pitch
+    class is that int mod 12), so 5.0, '5' and [1] are refused as
+    ``<what> <value> is not an integer``.  The ranges are a braid generator's
+    [1, strands - 1] and ``harmonize``'s degrees 1..7."""
 
 
 class SizeMismatch(ModalkitError):

@@ -14,7 +14,7 @@ import itertools
 
 from .errors import InvalidArgument
 from .modes import _names_by_offsets
-from .pitch import NOTE_TO_PC, ChordQuality, PitchClass, _root_pc, _Table, _Value, pc, pc_name
+from .pitch import NOTE_TO_PC, ChordQuality, PitchClass, _int, _pc, _Table, _Value, pc, pc_name
 
 # Label spelling per (degree, semitone offset), following the figure
 # convention M=major, m=minor, P=perfect, a=augmented, d=diminished.
@@ -27,29 +27,23 @@ _LABEL_NAMES: dict[tuple[int, int], str] = {
     (6, 8): "mVI", (6, 9): "MVI",
     (7, 9): "dVII", (7, 10): "mVII", (7, 11): "MVII",
 }
-# Each (degree, semitones) pair a DegreeLabel takes, by any pair of numbers equal to it.
-_LABEL_PAIRS = {(d, s): (d, s) for d in range(1, 8) for s in range(12)}
 
 
 @functools.total_ordering
-class DegreeLabel(_Value):
+class DegreeLabel(_Value, kinds=(_int, _pc)):
     """A graph vertex: a scale degree and its semitones above the root, ordered by both.
 
-    A degree in 1..7 and semitones in 0..11, each stored as the int it equals;
-    any other pair, such as ``("a", "b")``, is an InvalidArgument.  Only the
-    pairs that the graphs use have a ``name``.
+    The degree is an integer and the semitones a pitch class, and the pair is
+    one that the figure names, such as (2, 1) for ``mII``; any other pair,
+    such as (1, 5), is an InvalidArgument.
     """
 
     __slots__ = ("degree", "semitones")
 
-    def __post_init__(self):
-        try:
-            degree, semitones = _LABEL_PAIRS[self.degree, self.semitones]
-        except (KeyError, TypeError):  # TypeError: unhashable, such as [1]
-            raise InvalidArgument(f"a degree label is a degree in 1..7 and semitones in 0..11,"
-                                  f" not {self.degree!r} and {self.semitones!r}") from None
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "semitones", semitones)
+    def _finish(self):
+        if (self.degree, self.semitones) not in _LABEL_NAMES:
+            raise InvalidArgument(f"no label names degree {self.degree} at {self.semitones}"
+                                  f" semitones")
 
     def __lt__(self, other: DegreeLabel) -> bool:
         if other.__class__ is DegreeLabel:
@@ -58,12 +52,8 @@ class DegreeLabel(_Value):
 
     @property
     def name(self) -> str:
-        """The figure's spelling; a pair that no graph uses has none, an InvalidArgument."""
-        try:
-            return _LABEL_NAMES[(self.degree, self.semitones)]
-        except KeyError:
-            raise InvalidArgument(f"no label names degree {self.degree} at {self.semitones}"
-                                  f" semitones") from None
+        """The figure's spelling."""
+        return _LABEL_NAMES[self.degree, self.semitones]
 
     def note_name(self, root: PitchClass) -> str:
         """Spell this degree over a root: the letter ``degree - 1`` steps above
@@ -84,38 +74,16 @@ class DegreeLabel(_Value):
         return self.name
 
 
-class ModeGraph(_Value):
-    """A base-chord graph with its root-to-seventh ``paths`` in ``enumerate_admissible`` order.
-
-    A quality that is no ChordQuality is an InvalidArgument.
-    """
+class ModeGraph(_Value, kinds=(ChordQuality, object, object, object)):
+    """A base-chord graph with its root-to-seventh ``paths`` in ``enumerate_admissible`` order."""
 
     __slots__ = ("quality", "vertices", "edges", "paths")
 
-    def __post_init__(self):
-        if not isinstance(self.quality, ChordQuality):
-            raise _no_quality(self.quality)
 
-
-class AdmissiblePath(_Value, name=""):
-    """A root-to-seventh path: its labels, whether it is special, and its name.
-
-    Labels that are no tuple of DegreeLabels, or a name that is no str, are an
-    InvalidArgument.
-    """
+class AdmissiblePath(_Value, kinds=((DegreeLabel,), object, str), name=""):
+    """A root-to-seventh path: its labels, whether it is special, and its name."""
 
     __slots__ = ("labels", "is_special", "name")
-
-    def __post_init__(self):
-        labels = self.labels
-        if not isinstance(labels, tuple):
-            raise InvalidArgument(f"a path's labels are a tuple, not {type(labels).__name__}")
-        for label in labels:
-            if not isinstance(label, DegreeLabel):
-                kind = type(label).__name__
-                raise InvalidArgument(f"a path's label is a DegreeLabel, not {kind}")
-        if not isinstance(self.name, str):
-            raise InvalidArgument(f"a path's name is a str, not {type(self.name).__name__}")
 
     def offsets(self) -> tuple[int, ...]:
         return tuple(label.semitones for label in self.labels)
@@ -280,7 +248,7 @@ PUBLISHED_SPECIALS: dict[ChordQuality, tuple[tuple[str, tuple[str, ...]], ...]] 
 def emit_dot(g: ModeGraph, root: PitchClass | None = None) -> str:
     """Render the graph as a DOT digraph; note names when a root is given."""
     if root is not None:
-        root = _root_pc(root)
+        root = _pc(root, "root")
     try:
         if _GRAPHS.get(g.quality) is g:
             return _THEORY_DOT[g.quality, root]
@@ -320,5 +288,6 @@ def find_mode_by_name(name: str) -> tuple[ChordQuality, AdmissiblePath] | None:
 
 
 def path_notes(p: AdmissiblePath, root: PitchClass) -> tuple[PitchClass, ...]:
+    root = _pc(root, "root")
     return tuple(pc(root + s) for s in p.offsets())
 

@@ -12,9 +12,11 @@ which crosses in this linear order, often moves the voices less (Tymoczko
 
 Braids live on 12 strands, one per pitch class; a voice moving from pitch
 class p to q occupies strand slot p+1 and walks to slot q+1 through
-adjacent crossings.  A ``VoiceLeading`` stores its notes, and a
-``Progression`` its roots, as the int pitch classes they equal, so every
-move the core and the walks read is a pair of ints.  ``_WALKS`` keeps one
+adjacent crossings.  Every note and root is read by the one pitch-class
+rule of ``pitch``, the int that ``operator.index`` returns mod 12: a
+``VoiceLeading`` stores its notes, a ``Progression`` its roots and
+``voice_leading`` reads its roots that way, so every move the core and the
+walks read is a pair of ints in 0..11.  ``_WALKS`` keeps one
 entry per move (p, q), at most 12 x 11: the walk's letters, its tokens and
 its ASCII rows on 12 strands, checked once, as one ``BraidWord``, when the
 entry is derived.  One core, ``_moves``, turns two sorted sides into a
@@ -41,64 +43,45 @@ per transition, checks each move once, and keeps neither entries nor moves.
 from __future__ import annotations
 
 import itertools
-import operator
 import re
 from collections.abc import Iterable, Iterator
 
 from .braid import BraidWord, Letter, _word, render_ascii, serialize_word
 from .errors import (
     CrossingLeading,
-    IndexOutOfRange,
     InvalidArgument,
     InvalidProgression,
     ParseError,
     SizeMismatch,
 )
-from .pitch import Chord, PitchClass, _chord, _Table, _Value, parse_chord_symbol, parse_pcs, pc
+from .pitch import (
+    Chord, PitchClass, _chord, _pc, _Table, _Value, parse_chord_symbol, parse_pcs, pc,
+)
 
 STRANDS = 12
-_PITCH_CLASSES = {n: n for n in range(12)}  # each pitch class, by any number equal to it
-
-
-def _pitch_class(note) -> PitchClass:
-    """The int pitch class equal to ``note``; any other value, such as 12, 0.5 or
-    an unhashable [1], is an IndexOutOfRange."""
-    try:
-        return _PITCH_CLASSES[note]
-    except (KeyError, TypeError):
-        raise IndexOutOfRange(f"pitch class {note!r} is not in 0..11") from None
 
 
 def arc_distance(a: int, b: int) -> int:
     """Shorter arc between two pitch classes on the 12-cycle."""
+    a, b = _pc(a, "pitch class"), _pc(b, "pitch class")
     return min(pc(a - b), pc(b - a))
 
 
-class VoiceLeading(_Value):
-    """A voice assignment between two note lists, paired in order.
+class VoiceLeading(_Value, kinds=((_pc,), (_pc,))):
+    """A voice assignment between two note lists of pitch classes, paired in order.
 
-    Both lists hold the same number of voices, and every note is a pitch
-    class in 0..11, so each voice has a strand slot on 12 strands.  A note
-    is accepted if equal to an int, and stored as that int; both lists are
-    stored as tuples.  Notes that are no collection, such as 5, are an
-    InvalidArgument.  The pairing may cross: ``voice_leading`` builds only
-    crossing-free leadings, but this constructor also takes one such as
-    ``VoiceLeading((0, 4), (5, 2))``, which ``braid_of_leading`` refuses
-    (see ``is_crossing_free``).
+    Both lists hold the same number of voices, or it is a SizeMismatch, so
+    each voice has a strand slot on 12 strands.  The pairing may cross:
+    ``voice_leading`` builds only crossing-free leadings, but this
+    constructor also takes one such as ``VoiceLeading((0, 4), (5, 2))``,
+    which ``braid_of_leading`` refuses (see ``is_crossing_free``).
     """
 
     __slots__ = ("source", "target")
 
-    def __post_init__(self):
-        try:
-            size, other = len(self.source), len(self.target)
-        except TypeError:  # notes that are no collection, such as 5
-            kinds = f"{type(self.source).__name__} and {type(self.target).__name__}"
-            raise InvalidArgument(f"VoiceLeading takes two note collections, not {kinds}") from None
-        if size != other:
-            raise SizeMismatch(f"{size} voices vs {other}")
-        object.__setattr__(self, "source", tuple(map(_pitch_class, self.source)))
-        object.__setattr__(self, "target", tuple(map(_pitch_class, self.target)))
+    def _finish(self):
+        if len(self.source) != len(self.target):
+            raise SizeMismatch(f"{len(self.source)} voices vs {len(self.target)}")
 
     def pairs(self) -> tuple[tuple[PitchClass, PitchClass], ...]:
         return tuple(zip(self.source, self.target))
@@ -121,30 +104,19 @@ def voice_leading(
 
     Unequal sizes are reconciled by doubling the smaller chord's root
     (lowest pitch class when no root is declared; an empty chord with no
-    root is a SizeMismatch).  A chord that is no Chord is an InvalidArgument.
-    Each root is read as the int it equals, whether or not its chord is padded;
-    one equal to no int, such as ``'x'`` or 0.5, is an IndexOutOfRange.  An int
-    out of 0..11 is refused where padding places it, as a note of the leading.
+    root is a SizeMismatch).  Each root is None or a pitch class, read
+    whether or not its chord is padded.  A chord that is no Chord is an
+    InvalidArgument.
     """
     if not (isinstance(a, Chord) and isinstance(b, Chord)):
         raise InvalidArgument(f"voice_leading takes two Chords, not {type(a).__name__}"
                               f" and {type(b).__name__}")
-    a_root, b_root = _padding_root(a_root), _padding_root(b_root)
+    if a_root is not None:
+        a_root = _pc(a_root, "root")
+    if b_root is not None:
+        b_root = _pc(b_root, "root")
     source, target = _padded(a_root, a.notes, len(b.notes)), _padded(b_root, b.notes, len(a.notes))
     return VoiceLeading(source, target)
-
-
-def _padding_root(root) -> int | None:
-    """None, or the int a root equals: its pitch class, or an int out of 0..11."""
-    if root is None:
-        return None
-    try:
-        return _PITCH_CLASSES[root]
-    except (KeyError, TypeError):
-        try:
-            return operator.index(root)
-        except TypeError:
-            raise IndexOutOfRange(f"root {root!r} is not a pitch class") from None
 
 
 def _padded(root: PitchClass | None, notes, size: int) -> tuple[PitchClass, ...]:
@@ -263,14 +235,13 @@ def braid_of_leading(v: VoiceLeading) -> BraidWord:
     return _word(STRANDS, _letters(moves))
 
 
-class Progression(_Value):
+class Progression(_Value, kinds=(object,)):
     """A sequence of one or more labelled chords: (label, root, Chord) each.
 
     Each entry is a tuple of a str label, a root and a Chord; anything else
-    is an InvalidProgression.  A root is None or a pitch class in 0..11,
-    stored as an int as ``VoiceLeading`` stores a note, and None pads with
-    the lowest note.  The chords are stored as a tuple, so a list given here
-    shows as a tuple in the repr.
+    is an InvalidProgression.  A root is None, which pads with the lowest
+    note, or a pitch class.  The chords are stored as a tuple, so a list
+    given here shows as a tuple in the repr.
 
     The first progression word asked for derives the letters of every
     transition, one letter tuple each, and the progression keeps them for
@@ -279,7 +250,7 @@ class Progression(_Value):
 
     __slots__ = ("chords", "_transitions")
 
-    def __post_init__(self):
+    def _finish(self):
         chords = tuple(self.chords)
         object.__setattr__(self, "_transitions", None)
         if not chords:
@@ -289,7 +260,7 @@ class Progression(_Value):
                     and isinstance(entry[0], str) and isinstance(entry[2], Chord)):
                 raise InvalidProgression(f"entry {entry!r} is not a (label, root, Chord) triple")
         object.__setattr__(self, "chords", tuple([
-            (label, root if root is None else _pitch_class(root), chord)
+            (label, root if root is None else _pc(root, "root"), chord)
             for label, root, chord in chords
         ]))
 

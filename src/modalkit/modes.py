@@ -10,13 +10,12 @@ the 12 special modes.
 from __future__ import annotations
 
 import functools
-import operator
 from enum import Enum
 
 from .errors import IndexOutOfRange, InvalidArgument, NotAMode
 from .pitch import (
-    Chord, ChordQuality, PitchClass, Triad, TriadQuality, _MEMBERS_BY, _pitch_classes, _root_pc,
-    _Table, _Value, pc,
+    Chord, ChordQuality, PitchClass, Triad, TriadQuality, _MEMBERS_BY, _int, _pc, _Table, _Value,
+    pc,
 )
 
 
@@ -57,23 +56,17 @@ class ScaleType(Enum):
         return _MEMBERS_BY[cls, "label"][label]
 
 
-class ModalScale(_Value, name=""):
+class ModalScale(_Value, kinds=(_pc, (_pc,), str), name=""):
     """An ordered seven-degree scale: root first, then ascending degrees.
 
-    Its degrees are a tuple and its name a str, or it is an InvalidArgument; its
-    root and each degree are integers, or it is an IndexOutOfRange.  A scale
-    keeps its ``Mode`` once ``decompose`` has built it.
+    The root and the degrees are pitch classes.  A scale keeps its ``Mode``
+    once ``decompose`` has built it.
     """
 
     __slots__ = ("root", "degrees", "name", "_mode")
 
-    def __post_init__(self):
+    def _finish(self):
         object.__setattr__(self, "_mode", None)
-        if not (isinstance(self.degrees, tuple) and isinstance(self.name, str)):
-            raise InvalidArgument(f"a ModalScale takes a tuple of degrees and a str name, not"
-                                  f" {type(self.degrees).__name__} and {type(self.name).__name__}")
-        _root_pc(self.root)
-        _pitch_classes(self.degrees)
         if len(self.degrees) != 7 or len(set(self.degrees)) != 7:
             raise NotAMode(f"need 7 distinct pitch classes, got {self.degrees}")
         if self.degrees[0] != self.root:
@@ -84,18 +77,13 @@ class ModalScale(_Value, name=""):
         return tuple(pc(d - self.root) for d in self.degrees)
 
 
-class Mode(_Value):
+class Mode(_Value, kinds=(Chord, Chord, ModalScale)):
     """A scale split into a base chord (degrees 1-3-5-7) stacking to a
     seventh chord and a tension chord (degrees 2-4-6), not always a triad."""
 
     __slots__ = ("base", "tension", "scale")
 
-    def __post_init__(self):
-        if not (isinstance(self.base, Chord) and isinstance(self.tension, Chord)
-                and isinstance(self.scale, ModalScale)):
-            raise InvalidArgument(f"a Mode takes two Chords and a ModalScale, not"
-                                  f" {type(self.base).__name__}, {type(self.tension).__name__}"
-                                  f" and {type(self.scale).__name__}")
+    def _finish(self):
         degrees = self.scale.degrees
         if self.base != Chord(degrees[0::2]) or self.tension != Chord(degrees[1::2]):
             raise NotAMode(f"base and tension are not degrees 1,3,5,7 and 2,4,6 of {degrees}")
@@ -118,7 +106,7 @@ def standard_modes(s: ScaleType, root: PitchClass) -> list[ModalScale]:
     An s that is no ScaleType is an InvalidArgument, here and in ``harmonize``.
     """
     try:
-        return list(_STANDARD_MODES[s, _root_pc(root)])
+        return list(_STANDARD_MODES[s, _pc(root, "root")])
     except TypeError:  # an unhashable s; _rotations refuses the other keys
         raise _no_scale(s) from None
 
@@ -154,10 +142,7 @@ def _names_by_offsets() -> dict[tuple[int, ...], str]:
 
 def harmonize(s: ScaleType, degree: int) -> ChordQuality:
     """Seventh-chord quality stacked on a scale degree: an integer in 1..7."""
-    try:
-        degree = operator.index(degree)
-    except TypeError:
-        raise IndexOutOfRange(f"degree {degree!r} is not an integer") from None
+    degree = _int(degree, "degree")
     if not 1 <= degree <= 7:
         raise IndexOutOfRange(f"degree must be in 1..7, got {degree}")
     try:
@@ -210,7 +195,7 @@ def recompose(base: Chord, tension: Chord, root: PitchClass) -> ModalScale:
     if not (isinstance(base, Chord) and isinstance(tension, Chord)):
         raise InvalidArgument(f"recompose takes two Chords, not {type(base).__name__}"
                               f" and {type(tension).__name__}")
-    return _RECOMPOSED[base.notes, tension.notes, _root_pc(root)]
+    return _RECOMPOSED[base.notes, tension.notes, _pc(root, "root")]
 
 
 def all_standard_modes(root: PitchClass = 0) -> list[ModalScale]:

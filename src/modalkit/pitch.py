@@ -1,6 +1,9 @@
 """Pitch-class arithmetic, chords as multisets mod 12, and chord-symbol parsing.
 
 Pitch classes are integers in [0, 11] (semitones above C, octave equivalent).
+Two rules read every number the library is given, in a value-type field or
+a function argument: an integer is the int that ``operator.index`` returns
+(``_int``), and a pitch class is that integer mod 12 (``_pc``).
 A chord is an unordered multiset of pitch classes; equality ignores order.
 Enharmonic spelling is erased at this layer: note names exist only as a
 display convenience and never affect equality.
@@ -21,37 +24,56 @@ NOTE_TO_PC = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
 PC_NAMES = ("C", "Db", "D", "Eb", "E", "F", "F#", "G", "Ab", "A", "Bb", "B")
 
 
-def pc(value: int) -> PitchClass:
-    """Reduce an integer to its pitch class in [0, 11]; any other value, such as
-    0.5 or '5', is an IndexOutOfRange."""
+def _int(value, what: str) -> int:
+    """The integer rule: the int that ``operator.index`` reads, so a bool counts and
+    5.0, '5' and Fraction(5) do not; any other value is an IndexOutOfRange that
+    names it as ``what``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise IndexOutOfRange(f"{what} {value!r} is not an integer") from None
+
+
+def _pc(value, what: str) -> PitchClass:
+    """The pitch-class rule: the integer rule's int mod 12."""
     try:
         return operator.index(value) % 12
     except TypeError:
-        raise IndexOutOfRange(f"pitch class {value!r} is not an integer") from None
+        _int(value, what)  # refuses it, as the integer rule words it
+        raise
 
 
-def _root_pc(root: int) -> PitchClass:
-    """The pitch class of a root that keys a table; a root that is no integer is refused."""
+def pc(value: int) -> PitchClass:
+    """Reduce an integer to its pitch class in [0, 11]; any other value, such as
+    0.5 or '5', is an IndexOutOfRange."""
+    return _pc(value, "pitch class")
+
+
+def _collection(values, what: str) -> list:
+    """The items of ``values`` as a list; values that are no collection, such as 5,
+    are an InvalidArgument that names them as ``what`` plural."""
     try:
-        return operator.index(root) % 12
+        values = iter(values)
     except TypeError:
-        raise IndexOutOfRange(f"root {root!r} is not an integer") from None
+        kind = type(values).__name__
+        raise InvalidArgument(f"{what}s of type {kind} are no collection") from None
+    return list(values)
 
 
-def _pitch_classes(notes) -> list[PitchClass]:
-    """Each note's pitch class; a note that is no integer is an IndexOutOfRange, and
-    notes that are no collection, such as 5, are an InvalidArgument."""
+def _ints(values, what: str) -> list[int]:
+    """The integer rule over a collection, each value read as ``_int`` reads it."""
+    values = _collection(values, what)
     try:
-        notes = iter(notes)
+        return list(map(operator.index, values))
     except TypeError:
-        raise InvalidArgument(f"notes of type {type(notes).__name__} are no collection") from None
-    values = []
-    for note in notes:
-        try:
-            values.append(operator.index(note) % 12)
-        except TypeError:
-            raise IndexOutOfRange(f"note {note!r} is not an integer") from None
-    return values
+        for value in values:
+            _int(value, what)  # names the first value that is no integer
+        raise
+
+
+def _pitch_classes(values, what: str) -> list[PitchClass]:
+    """The pitch-class rule over a collection: each integer mod 12."""
+    return [n % 12 for n in _ints(values, what)]
 
 
 def pc_name(value: PitchClass) -> str:
@@ -117,16 +139,70 @@ def parse_pcs(text: str) -> list[PitchClass]:
     return values
 
 
+def _a(name: str) -> str:
+    return f"an {name}" if name[0] in "AEIOU" else f"a {name}"
+
+
+def _reader(owner: str, field: str, kind):
+    """The function that reads one value of ``owner``'s ``field`` as ``kind`` declares it."""
+    if kind is _pc or kind is _int:
+        return lambda value: kind(value, field)
+    if isinstance(kind, tuple):
+        (item,) = kind
+        noun = "note" if item is _pc else field.removesuffix("s")
+        if item is _pc or item is _int:
+            each = _pitch_classes if item is _pc else _ints
+            return lambda values: tuple(each(values, noun))
+        read = _reader(owner, noun, item)
+        return lambda values: tuple([read(value) for value in _collection(values, noun)])
+
+    def instance(value):
+        if isinstance(value, kind):
+            return value
+        raise InvalidArgument(f"{_a(owner)}'s {field} is {_a(kind.__name__)},"
+                              f" not {type(value).__name__}")
+
+    return instance
+
+
+def _checker(cls, kinds):
+    """``cls.__post_init__``: each field read by its kind, then ``cls._finish``."""
+    readers = [(name, _reader(cls.__name__, name, kind))
+               for name, kind in zip(cls._names, kinds) if kind is not object]
+    finish = vars(cls).get("_finish")
+
+    def __post_init__(self):
+        for name, read in readers:
+            object.__setattr__(self, name, read(getattr(self, name)))
+        if finish:
+            finish(self)
+
+    return __post_init__
+
+
 class _Value:
     """An immutable record: its fields are its public ``__slots__``.
 
     A subclass names each field once, in ``__slots__``, and gets an
     ``__init__`` generated as dataclasses does it: the fields in that order,
     by position or keyword, with defaults given as class keywords, as in
-    ``class BraidWord(_Value, letters=())``.  A subclass that checks its
-    fields defines ``__post_init__``, which ``__init__`` calls once they are
-    set.  Like a frozen dataclass, a record equals an instance of its own
-    type with equal fields, hashes by them and shows as ``Name(field=value, ...)``.
+    ``class BraidWord(_Value, letters=())``.  Like a frozen dataclass, a
+    record equals an instance of its own type with equal fields, hashes by
+    them and shows as ``Name(field=value, ...)``.
+
+    A subclass declares the kind of each field, in field order, as in
+    ``class Triad(_Value, kinds=(_pc, TriadQuality))``, and gets a
+    ``__post_init__`` that ``__init__`` calls once the fields are set:
+
+    - ``_pc`` or ``_int``, a number, is read by that rule and stored;
+    - a class is checked with ``isinstance``, and ``object`` takes anything;
+    - a one-item tuple of either, such as ``(_pc,)``, takes any collection
+      of such values and stores them as a tuple.  A refusal calls an item of
+      a tuple of pitch classes a note, and any other item by its field's
+      name less a trailing s, as a ``label`` of ``labels``.
+
+    Then the subclass's own ``_finish``, if it has one, checks relations
+    between the fields and derives the private slots.
 
     A slot named with a leading underscore is no field: it holds a value the
     record derives from its fields, set with ``object.__setattr__``, and
@@ -137,11 +213,15 @@ class _Value:
 
     __slots__ = ()
 
-    def __init_subclass__(cls, **defaults):
+    def __init_subclass__(cls, kinds=None, **defaults):
         super().__init_subclass__()
         fields = cls._names = tuple(n for n in cls.__slots__ if not n.startswith("_"))
         if not defaults.keys() <= set(fields):
             raise TypeError(f"{cls.__name__} defaults {sorted(defaults)} name no field of {fields}")
+        if kinds is not None:
+            if len(kinds) != len(fields):
+                raise TypeError(f"{cls.__name__} kinds {kinds} are not one per field of {fields}")
+            cls.__post_init__ = _checker(cls, kinds)
         params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in fields)
         lines = [f"def __init__(self{params}):", *(f"    _set_{n}(self, {n})" for n in fields)]
         if hasattr(cls, "__post_init__"):
@@ -175,15 +255,13 @@ class _Value:
         return type(self), tuple(getattr(self, name) for name in self._names)
 
 
-class Chord(_Value):
+class Chord(_Value, kinds=((_pc,),)):
     """An unordered multiset of pitch classes.
 
-    Stored sorted and reduced mod 12, so equality and hashing are order-free.
-    Duplicates are legal: a pitch-class list with a repeated value, such as
-    the progression line ``x: 0,0,4``, gives ``Chord([0, 0, 4])``.  Every
-    note must be an integer, as ``operator.index`` reads one; any other note,
-    such as 0.5 or ``'5'``, is an IndexOutOfRange, and notes that are no
-    collection, such as 5, are an InvalidArgument.
+    Stored sorted and reduced mod 12, as the pitch-class rule reads each
+    note, so equality and hashing are order-free.  Duplicates are legal: a
+    pitch-class list with a repeated value, such as the progression line
+    ``x: 0,0,4``, gives ``Chord([0, 0, 4])``.
 
     A chord knows once whether its notes repeat a pitch class: the private
     ``_repeats`` is derived when the chord is built, copied or unpickled, so
@@ -194,10 +272,9 @@ class Chord(_Value):
 
     __slots__ = ("notes", "_repeats")
 
-    def __post_init__(self):
-        notes = _pitch_classes(self.notes)
-        notes.sort()
-        object.__setattr__(self, "notes", tuple(notes))
+    def _finish(self):
+        notes = tuple(sorted(self.notes))
+        object.__setattr__(self, "notes", notes)
         object.__setattr__(self, "_repeats", len(set(notes)) < len(notes))
 
     def __len__(self) -> int:
@@ -292,17 +369,10 @@ class TriadQuality(_Quality, Enum):
     AUGMENTED = ("#5", (0, 4, 8))
 
 
-class Triad(_Value):
-    """A root and a TriadQuality.  A root that is no integer is an IndexOutOfRange,
-    and a quality that is no TriadQuality an InvalidArgument."""
+class Triad(_Value, kinds=(_pc, TriadQuality)):
+    """A root pitch class and a TriadQuality."""
 
     __slots__ = ("root", "quality")
-
-    def __post_init__(self):
-        _root_pc(self.root)
-        if not isinstance(self.quality, TriadQuality):
-            raise InvalidArgument(f"a Triad's quality is a TriadQuality,"
-                                  f" not {type(self.quality).__name__}")
 
     def chord(self) -> Chord:
         return Chord(self.root + i for i in self.quality.intervals)

@@ -92,9 +92,10 @@ def test_word_validation():
 
 
 @pytest.mark.parametrize("strands", [12, 100])  # read through the tables, and per call
-@pytest.mark.parametrize("equal", [(1.0, 1), (True, 1), (1, 1.0), (1, True)])
+@pytest.mark.parametrize("equal", [(True, True), (True, 1), (1, 1.0), (1, True)])
 def test_a_letter_equal_to_a_valid_one_reads_as_it(strands, equal):
-    # accepted and stored as the int letter, so every function reads that letter
+    # an index that is an integer, and a sign equal to +1, are stored as the int
+    # letter, so every function reads that letter; an index of 1.0 is no integer
     word, twin = BraidWord(strands, (equal, (2, -1))), BraidWord(strands, ((1, 1), (2, -1)))
     assert word.letters == ((1, 1), (2, -1)) and all(type(x) is int for x in word.letters[0])
     assert word == twin and hash(word) == hash(twin)
@@ -105,7 +106,7 @@ def test_a_letter_equal_to_a_valid_one_reads_as_it(strands, equal):
     assert parse_word(serialize_word(word), strands) == twin
 
 
-@pytest.mark.parametrize("count", [12.0, True, 3.0])
+@pytest.mark.parametrize("count", [True])  # 12.0 is no integer: tests/test_wrong_types.py
 def test_a_strand_count_equal_to_an_integer_is_kept_as_it(count):
     word = BraidWord(count)
     assert type(word.strands) is int and word.strands == count
@@ -157,17 +158,20 @@ def test_invalid_braid_requests_are_domain_errors(call):
         (lambda: parse_word(b"s1", 3), "braid text is a str, not bytes"),
         (lambda: parse_word(b"", 3), "braid text is a str, not bytes"),
         (lambda: rewrite_step(BraidWord(5, ((1, 1), (3, 1))), "p1_swap", 0.0),
-         "position 0.0 is not an int"),
+         "position 0.0 is not an integer"),
         (lambda: rewrite_step(BraidWord(5, ((1, 1), (3, 1))), "p1_swap", "0"),
-         "position '0' is not an int"),
+         "position '0' is not an integer"),
     ],
     ids=["parse-int", "parse-bytes", "parse-empty-bytes", "rewrite-float-position",
          "rewrite-str-position"],
 )
 def test_text_and_positions_of_the_wrong_type_are_domain_errors(call, message):
-    with pytest.raises(InvalidArgument) as info:
+    # text that is no str is an InvalidArgument; a position, by the integer rule,
+    # is an IndexOutOfRange
+    error = IndexOutOfRange if message.startswith("position") else InvalidArgument
+    with pytest.raises(error) as info:
         call()
-    assert str(info.value) == message and isinstance(info.value, TypeError)
+    assert str(info.value) == message
 
 
 def test_invariants_single_crossing():
@@ -367,7 +371,9 @@ def test_token_table_holds_only_canonical_valid_tokens(monkeypatch):
             parse_word(text, strands)
     # a strand count that is no int in 1..64 keys nothing, and is read as before
     assert parse_word("s1 s64^-1", 65) == BraidWord(65, ((1, 1), (64, -1)))
-    assert parse_word("s2", 3.0) == BraidWord(3, ((2, 1),))
+    assert parse_word("s2", True + 2) == BraidWord(3, ((2, 1),))
+    with pytest.raises(IndexOutOfRange, match=r"^strands 3\.0 is not an integer$"):
+        parse_word("s2", 3.0)
     parse_word("s3 s2^-1 s11^-1", 12)
     assert sorted(braid._LETTERS) == [3, 4, 12]
     # a token of more strands met on fewer is refused by the word's check
@@ -411,8 +417,8 @@ def built_words(w, other, at):
 @given(word_strategy(max_strands=8, max_len=10).flatmap(lambda w: st.tuples(
     st.just(w), word_strategy(max_strands=w.strands, max_len=6).map(
         lambda v: BraidWord(w.strands, v.letters)), st.integers(0, 10))))
-@example((BraidWord(3, ((1.0, 1), (True, -1), (2, 1))), BraidWord(3), 0))
-@example((BraidWord(12.0, ((1, 1), (2, 1), (1, 1))), BraidWord(12), 0))
+@example((BraidWord(3, ((True, 1.0), (True, -1), (2, 1))), BraidWord(3), 0))
+@example((BraidWord(12, ((1, 1), (2, 1), (1, 1))), BraidWord(12), 0))
 def test_an_unchecked_build_is_the_checked_word(words):
     # a word built without the check is the word the check builds from its fields,
     # so the check would refuse none of them
@@ -459,10 +465,13 @@ def test_a_subclass_word_is_rebuilt_as_a_checked_word():
     assert isinstance(lax, BraidWord) and type(lax.letters) is list
     for built in (concatenate(lax), free_reduce(lax), rewrite_step(lax, "free_cancel", 0)):
         assert type(built) is BraidWord and type(built.letters) is tuple
-    # a reader checks it again too, so it reads the int letters the check stores
-    lax, twin = LaxWord(3.0, [(1.0, 1), (2, -1.0)]), BraidWord(3, ((1, 1), (2, -1)))
+    # a reader checks it again too, so it reads the int letters the check stores,
+    # and refuses what the check refuses
+    lax, twin = LaxWord(3, [(True, 1), (2, -1.0)]), BraidWord(3, ((1, 1), (2, -1)))
     for read in (invariants, serialize_word, render_ascii):
         assert read(lax) == read(twin)
+        with pytest.raises(IndexOutOfRange, match=r"^generator index 1\.0 is not an integer$"):
+            read(LaxWord(3, [(1.0, 1)]))
 
 
 @given(word_strategy())

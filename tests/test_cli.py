@@ -183,7 +183,9 @@ def test_cli_start_up_imports_only_what_every_verb_needs():
     command, env = cli_command([])
     loaded = subprocess.run([sys.executable, "-c", STARTUP_CHECK], capture_output=True,
                             text=True, env=env, check=True).stdout.split()
-    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize", "json", "csv"} & set(loaded)
+    # numbers, fractions and decimal too: an integer is what operator.index reads
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize", "json", "csv", "numbers",
+                "fractions", "decimal"} & set(loaded)
     # bench/workloads.py:library() reads every layer from sys.modules after `import modalkit`
     layers = ("pitch", "modes", "graph", "approximate", "leading", "braid", "errors", "cli")
     assert {f"modalkit.{layer}" for layer in layers} <= set(loaded)

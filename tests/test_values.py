@@ -9,7 +9,7 @@ import copy
 import inspect
 import itertools
 import pickle
-from fractions import Fraction
+from enum import Enum
 
 import pytest
 from hypothesis import given
@@ -50,6 +50,7 @@ from modalkit.errors import (
     ParseError,
     SizeMismatch,
 )
+from modalkit.graph import _LABEL_NAMES
 from modalkit.pitch import _Value
 
 IONIAN = (0, 2, 4, 5, 7, 9, 11)
@@ -171,54 +172,87 @@ def test_a_list_of_chords_is_kept_as_a_tuple():
     assert p == Progression(tuple(entries))
 
 
-def equal_number(n):
-    """n, or a number of another type equal to it: a float, a Fraction, or a bool for 0 and 1."""
-    return st.sampled_from([n, float(n), Fraction(n), *([bool(n)] if n in (0, 1) else [])])
+class Pitch(int):
+    """A number of a sample that fills a pitch-class field, so the check stores it mod 12."""
 
 
-def blurred(draw, fields):
-    """``fields`` with each int, however deep in tuples, drawn as a number equal to it."""
+def read_as(draw, fields):
+    """``fields`` with each number, however deep in tuples, drawn as another number that
+    the rules read as it: an int of the same pitch class for a Pitch, and a bool for an
+    int 0 or 1 (a pitch class 0 or 1 may be drawn as either)."""
+    if isinstance(fields, Pitch):
+        same = [int(fields), *([bool(fields)] if fields in (0, 1) else [])]
+        return draw(st.integers(-40, 40).map(lambda k: int(fields) + 12 * k) | st.sampled_from(same))
     if type(fields) is int:
-        return draw(equal_number(fields))
+        return draw(st.sampled_from([fields, *([bool(fields)] if fields in (0, 1) else [])]))
     if type(fields) is tuple:
-        return tuple(blurred(draw, field) for field in fields)
-    return fields  # a str label, a None root or a Chord
+        return tuple(read_as(draw, field) for field in fields)
+    return fields  # a str, a None root, an enum member or a value
+
+
+def as_stored(fields):
+    """``fields`` as the check stores them: each Pitch, already in 0..11, as an int."""
+    if isinstance(fields, int):
+        return int(fields)
+    if type(fields) is tuple:
+        return tuple(as_stored(field) for field in fields)
+    return fields
 
 
 def stored_numbers(value):
-    """Every number a value stores, through its fields, its tuples and its Chords."""
+    """Every number a value stores, through its fields, its sets and tuples and the
+    values it holds; a path's ``is_special`` flag is no number."""
     if isinstance(value, _Value):
         for name in value._names:
-            yield from stored_numbers(getattr(value, name))
-    elif type(value) is tuple:
+            if name != "is_special":
+                yield from stored_numbers(getattr(value, name))
+    elif type(value) in (tuple, frozenset):
         for field in value:
             yield from stored_numbers(field)
-    elif not (value is None or type(value) is str):
+    elif not (value is None or type(value) is str or isinstance(value, Enum)):
         yield value
 
 
+PITCH = st.integers(0, 11).map(Pitch)
+
+
 def pitch_classes(size):
-    return st.lists(st.integers(0, 11), min_size=size, max_size=size).map(tuple)
+    return st.lists(PITCH, min_size=size, max_size=size).map(tuple)
 
 
-INT_FIELDS = st.one_of(
+def candidate_fields(a, root):
+    """A ranked candidate's fields, its root as a Pitch."""
+    return (a.target, a.candidate, Pitch(root), a.notes, a.shared, a.dropped, a.added)
+
+
+# (value type, fields) for every value type that stores a number in a field of its own.
+NUMBER_FIELDS = st.one_of(
+    st.tuples(st.just(Triad), st.tuples(PITCH, st.sampled_from(TriadQuality))),
+    PITCH.map(lambda r: (ModalScale, (r, tuple(Pitch((r + k) % 12) for k in IONIAN), "x"))),
+    st.sampled_from(sorted(_LABEL_NAMES)).map(lambda p: (DegreeLabel, (p[0], Pitch(p[1])))),
+    st.sampled_from(RANKED).map(lambda a: (ScaleApproximation, candidate_fields(a, 11))),
+    st.integers(0, 6).flatmap(pitch_classes).map(lambda notes: (Chord, (notes,))),
     st.integers(2, 8).flatmap(lambda n: st.tuples(st.just(BraidWord), st.tuples(
         st.just(n),
         st.lists(st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1))), max_size=6).map(tuple),
     ))),
+    st.tuples(st.just(BraidInvariants), st.tuples(
+        st.permutations(range(1, 6)).map(tuple), st.integers(-5, 5))),
     st.integers(0, 5).flatmap(lambda size: st.tuples(
         st.just(VoiceLeading), st.tuples(pitch_classes(size), pitch_classes(size)))),
     st.tuples(st.just(Progression), st.tuples(st.lists(st.tuples(
-        st.sampled_from(["a", "b"]), st.none() | st.integers(0, 11),
-        st.integers(0, 4).flatmap(pitch_classes).map(Chord),
+        st.sampled_from(["a", "b"]), st.none() | PITCH,
+        st.integers(0, 4).flatmap(pitch_classes).map(lambda notes: Chord(as_stored(notes))),
     ), min_size=1, max_size=4).map(tuple))),
 )
 
 
-@given(st.data(), INT_FIELDS)
-def test_numbers_equal_to_ints_are_stored_as_the_ints(data, int_fields):
-    cls, fields = int_fields
-    value, twin = cls(*blurred(data.draw, fields)), cls(*fields)
+@given(st.data(), NUMBER_FIELDS)
+def test_numbers_equal_to_ints_are_stored_as_the_ints(data, number_fields):
+    # every stored number is an int, and every pitch class in 0..11: the value equals,
+    # and shows as, the one built from the ints in 0..11 that the rules read
+    cls, fields = number_fields
+    value, twin = cls(*read_as(data.draw, fields)), cls(*as_stored(fields))
     assert all(type(number) is int for number in stored_numbers(value))
     assert value == twin and hash(value) == hash(twin) and repr(value) == repr(twin)
 
@@ -232,7 +266,7 @@ def test_defaults_and_keywords():
     assert ScaleApproximation(**approximation_fields(RANKED[0])) == RANKED[0]
 
 
-LABELS = st.builds(DegreeLabel, st.integers(1, 7), st.integers(0, 11))
+LABELS = st.sampled_from(sorted(_LABEL_NAMES)).map(lambda pair: DegreeLabel(*pair))
 
 
 @given(st.lists(LABELS, max_size=12))
@@ -294,14 +328,14 @@ def test_missing_or_unknown_fields_are_type_errors(cls):
         (BraidWord, dict(strands=0), InvalidBraid, "need at least one strand"),
         (BraidWord, dict(strands=3, letters=((1, 1), (3, 1))), IndexOutOfRange, "s3 needs 4 strands"),
         (BraidWord, dict(strands=3, letters=((1, 0),)), InvalidBraid, "sign must be"),
-        (VoiceLeading, dict(source=(0, 4, 13), target=(2, 5, 9)), IndexOutOfRange,
-         "pitch class 13 is not in 0..11"),
-        (VoiceLeading, dict(source=(0, 4, 7), target=(-1, 5, 9)), IndexOutOfRange,
-         "pitch class -1 is not in 0..11"),
-        (Progression, dict(chords=(("C", 0, Chord([0, 4, 7])), ("x", 13, Chord([1])))),
-         IndexOutOfRange, r"^pitch class 13 is not in 0\.\.11$"),
+        (VoiceLeading, dict(source=(0, 4, 13.0), target=(2, 5, 9)), IndexOutOfRange,
+         "note 13.0 is not an integer"),
+        (VoiceLeading, dict(source=(0, 4, 7), target=("-1", 5, 9)), IndexOutOfRange,
+         "note '-1' is not an integer"),
+        (Progression, dict(chords=(("C", 0, Chord([0, 4, 7])), ("x", 13.0, Chord([1])))),
+         IndexOutOfRange, r"^root 13\.0 is not an integer$"),
         (Progression, dict(chords=(("x", 0.5, Chord([1])),)), IndexOutOfRange,
-         r"^pitch class 0\.5 is not in 0\.\.11$"),
+         r"^root 0\.5 is not an integer$"),
         (Progression, dict(chords=(("a", 0, (0, 4)), ("b", 0, Chord([1])))), InvalidProgression,
          r"^entry \('a', 0, \(0, 4\)\) is not a \(label, root, Chord\) triple$"),
         (Progression, dict(chords=(["a", 0, Chord([1])],)), InvalidProgression, "not a"),
@@ -310,7 +344,7 @@ def test_missing_or_unknown_fields_are_type_errors(cls):
         (Progression, dict(chords=((0, 0, Chord([1])),)), InvalidProgression, "not a"),
         (Progression, dict(chords=("abc",)), InvalidProgression, "not a"),
         (Progression, dict(chords=(("C", 0, Chord([0])), ("x", [1], Chord([1])))),
-         IndexOutOfRange, r"^pitch class \[1\] is not in 0\.\.11$"),
+         IndexOutOfRange, r"^root \[1\] is not an integer$"),
         (BraidWord, dict(strands=12, letters=((1.5, 1),)), IndexOutOfRange,
          r"^generator index 1\.5 is not an integer$"),
         (BraidWord, dict(strands=100, letters=((2, 1), (1.5, 1))), IndexOutOfRange,
@@ -318,8 +352,8 @@ def test_missing_or_unknown_fields_are_type_errors(cls):
         (BraidWord, dict(strands=100, letters=((100, 1),)), IndexOutOfRange,
          r"^generator s100 needs 101 strands, have 100$"),
         (BraidWord, dict(strands=100, letters=((1, 0),)), InvalidBraid, "sign must be"),
-        (BraidWord, dict(strands=12.5), InvalidBraid, r"^strand count 12\.5 is not an integer$"),
-        (BraidWord, dict(strands="12"), InvalidBraid, r"^strand count '12' is not an integer$"),
+        (BraidWord, dict(strands=12.5), IndexOutOfRange, r"^strands 12\.5 is not an integer$"),
+        (BraidWord, dict(strands="12"), IndexOutOfRange, r"^strands '12' is not an integer$"),
         (BraidWord, dict(strands=3, letters=((1,),)), InvalidBraid,
          r"^letter \(1,\) is not a \(generator index, sign\) pair$"),
         (BraidWord, dict(strands=3, letters=([1, 1],)), InvalidBraid, "not a"),
@@ -347,8 +381,8 @@ def test_chords_cannot_be_changed():
 
 
 CHECKED = [
-    Triad, ModalScale, Mode, DegreeLabel, ModeGraph, AdmissiblePath, VoiceLeading, Progression,
-    BraidWord,
+    Triad, ModalScale, Mode, DegreeLabel, ModeGraph, AdmissiblePath, ScaleApproximation,
+    VoiceLeading, Progression, BraidWord, BraidInvariants,
 ]
 
 

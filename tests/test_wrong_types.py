@@ -1,23 +1,30 @@
-"""Every public function, and every value type that checks its fields, refuses an
-argument of the wrong type with a ModalkitError.
+"""Every public function, and every value type, refuses an argument of the wrong
+type with a ModalkitError, and reads every integer and pitch class by one rule.
 
 Each function of ``modalkit.__all__`` is called with valid arguments but one,
 which is drawn from values of other types: library values, None, text,
 bytes, lists and dicts.  The call must raise a ``ModalkitError``, never a bare
-``AttributeError`` or ``TypeError``.  Numbers are not drawn: whether a float
-equal to an int is taken is a question of value, checked where each function
-is tested.
+``AttributeError`` or ``TypeError``.
+
+Numbers are drawn by the table ``NUMBERS``: every value-type field and every
+argument of a public function that is an integer or a pitch class.  This file
+keeps that table itself, so it checks the library's own declarations instead
+of reading them.
 """
 
+import operator
 import types
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import modalkit
 from modalkit import (
     AdmissiblePath,
+    BraidInvariants,
     BraidWord,
     Chord,
     ChordQuality,
@@ -26,6 +33,7 @@ from modalkit import (
     Mode,
     ModeGraph,
     Progression,
+    ScaleApproximation,
     ScaleType,
     Triad,
     TriadQuality,
@@ -62,6 +70,8 @@ from modalkit import (
     voice_leading,
 )
 from modalkit.errors import IndexOutOfRange, InvalidArgument, ModalkitError
+from modalkit.graph import path_notes
+from modalkit.leading import arc_distance
 
 WORD = BraidWord(5, ((1, 1), (3, 1)))
 SCALE = standard_modes(ScaleType.MAJOR, 0)[0]
@@ -77,14 +87,25 @@ def _int_collection(value) -> bool:
         return False
 
 
+def _collection_of(cls):
+    def takes(value):
+        try:
+            return all(isinstance(item, cls) for item in value)
+        except TypeError:
+            return False
+
+    return takes
+
+
 # Per kind of parameter, the values of the right type.
 TAKES = {
     "chord": lambda v: isinstance(v, Chord),
     "graph": lambda v: isinstance(v, ModeGraph),
     "int": lambda v: isinstance(v, int),
-    "labels": lambda v: isinstance(v, tuple) and all(isinstance(x, DegreeLabel) for x in v),
+    "labels": _collection_of(DegreeLabel),
     "leading": lambda v: isinstance(v, VoiceLeading),
     "notes": _int_collection,
+    "path": lambda v: isinstance(v, AdmissiblePath),
     "progression": lambda v: isinstance(v, Progression),
     "quality": lambda v: isinstance(v, ChordQuality),
     "root": lambda v: v is None or isinstance(v, int),
@@ -168,11 +189,13 @@ def test_every_public_function_is_called():
 
 
 PATH = GRAPH.paths[0]
+RANKED = approximate({0, 4, 7, 10}, ChordQuality.DOM7, 0)[0]
+RANKED_FIELDS = tuple(getattr(RANKED, name) for name in ScaleApproximation.__slots__)
 
 # (value type, valid fields, the kind of each; a kind of None is not checked):
-# the value types that check their fields when built, except VoiceLeading,
+# the value types whose fields are not all numbers, except VoiceLeading,
 # Progression and BraidWord, which tests/test_leading.py and tests/test_braid.py
-# check.  Only ScaleApproximation checks nothing.
+# check.
 BUILDS = [
     (Triad, (2, TriadQuality.MINOR), ("int", "triad quality")),
     (ModalScale, (0, SCALE.degrees, "ionian"), ("int", "tuple", "text")),
@@ -181,6 +204,7 @@ BUILDS = [
     (ModeGraph, (GRAPH.quality, GRAPH.vertices, GRAPH.edges, GRAPH.paths),
      ("quality", None, None, None)),
     (AdmissiblePath, (PATH.labels, PATH.is_special, PATH.name), ("labels", None, "text")),
+    (ScaleApproximation, RANKED_FIELDS, (None, "path", "int", None, "int", None, None)),
 ]
 
 
@@ -198,35 +222,34 @@ def test_a_field_of_the_wrong_type_is_a_modalkit_error(cls, fields, kinds, data)
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: ModalScale(0, 5), InvalidArgument,
-         r"^a ModalScale takes a tuple of degrees and a str name, not int and str$"),
+        (lambda: ModalScale(0, 5), InvalidArgument, r"^notes of type int are no collection$"),
         (lambda: ModalScale(0, (0, 2, 4, 5, 7, 9, "b")), IndexOutOfRange,
          r"^note 'b' is not an integer$"),
         (lambda: ModalScale(0.0, SCALE.degrees), IndexOutOfRange, r"^root 0\.0 is not an integer$"),
-        (lambda: Mode(1, 2, 3), InvalidArgument,
-         r"^a Mode takes two Chords and a ModalScale, not int, int and int$"),
-        (lambda: DegreeLabel("a", "b"), InvalidArgument,
-         r"^a degree label is a degree in 1\.\.7 and semitones in 0\.\.11, not 'a' and 'b'$"),
-        (lambda: DegreeLabel(8, 0), InvalidArgument, "not 8 and 0"),
-        (lambda: DegreeLabel(1, 12), InvalidArgument, "not 1 and 12"),
-        (lambda: DegreeLabel(1, 5).name, InvalidArgument,
-         r"^no label names degree 1 at 5 semitones$"),
+        (lambda: Mode(1, 2, 3), InvalidArgument, r"^a Mode's base is a Chord, not int$"),
+        (lambda: DegreeLabel("a", "b"), IndexOutOfRange, r"^degree 'a' is not an integer$"),
+        (lambda: DegreeLabel(8, 0), InvalidArgument, r"^no label names degree 8 at 0 semitones$"),
+        (lambda: DegreeLabel(1, 12.0), IndexOutOfRange, r"^semitones 12\.0 is not an integer$"),
+        (lambda: DegreeLabel(1, 5), InvalidArgument, r"^no label names degree 1 at 5 semitones$"),
         (lambda: Triad("x", TriadQuality.MAJOR), IndexOutOfRange, r"^root 'x' is not an integer$"),
         (lambda: Triad(0.5, TriadQuality.MAJOR), IndexOutOfRange, r"^root 0\.5 is not an integer$"),
         (lambda: Triad(0, ChordQuality.DOM7), InvalidArgument,
          r"^a Triad's quality is a TriadQuality, not ChordQuality$"),
         (lambda: ModeGraph("7", (), (), ()), InvalidArgument,
-         r"^a base-chord graph needs a ChordQuality, not str$"),
-        (lambda: AdmissiblePath([DegreeLabel(1, 0)], False), InvalidArgument,
-         r"^a path's labels are a tuple, not list$"),
+         r"^a ModeGraph's quality is a ChordQuality, not str$"),
+        (lambda: AdmissiblePath(5, False), InvalidArgument,
+         r"^labels of type int are no collection$"),
         (lambda: AdmissiblePath((DegreeLabel(1, 0), (2, 2)), False), InvalidArgument,
-         r"^a path's label is a DegreeLabel, not tuple$"),
+         r"^an AdmissiblePath's label is a DegreeLabel, not tuple$"),
         (lambda: AdmissiblePath(PATH.labels, False, 5), InvalidArgument,
-         r"^a path's name is a str, not int$"),
+         r"^an AdmissiblePath's name is a str, not int$"),
+        (lambda: ScaleApproximation(1, 2, 3, 4, 5, 6, 7), InvalidArgument,
+         r"^a ScaleApproximation's candidate is an AdmissiblePath, not int$"),
     ],
     ids=["scale-degrees", "scale-degree", "scale-root", "mode", "label-text", "label-degree",
          "label-semitones", "label-unnamed", "triad-root-text", "triad-root-float",
-         "triad-quality", "graph-quality", "path-labels", "path-label", "path-name"],
+         "triad-quality", "graph-quality", "path-labels", "path-label", "path-name",
+         "approximation-candidate"],
 )
 def test_a_value_type_names_what_it_refuses(build, error, message):
     with pytest.raises(error, match=message):
@@ -234,6 +257,154 @@ def test_a_value_type_names_what_it_refuses(build, error, message):
 
 
 def test_a_degree_label_stores_the_ints_its_numbers_equal():
-    label = DegreeLabel(2.0, True)
+    # the int that operator.index reads, its semitones as their pitch class
+    label = DegreeLabel(2, True)
     assert (type(label.degree), type(label.semitones)) == (int, int)
-    assert label == DegreeLabel(2, 1) and label.name == "mII" and label.note_name(0) == "Db"
+    assert label == DegreeLabel(2, 13) == DegreeLabel(2, 1)
+    assert label.name == "mII" and label.note_name(0) == "Db"
+
+
+def integer(value):
+    """The integer rule, as this table reads it: the int that ``operator.index``
+    returns, or None when it refuses the value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+IONIAN = (0, 2, 4, 5, 7, 9, 11)
+ANY = lambda n: True  # noqa: E731
+PITCH_CLASS, INTEGER = "pitch class", "integer"
+
+
+def row(name, call, what, kind, takes=ANY, optional=False, stores=False):
+    """One number that the library reads: ``call(v)`` reads it, and a refusal names it
+    ``what``.  An integer n that ``takes`` refuses is refused for its range or a
+    relation to the other fields; None is taken where ``optional``; and where
+    ``stores``, ``call`` returns the number as it is stored."""
+    return pytest.param(call, what, kind, takes, optional, stores, id=name)
+
+
+def candidate(**fields):
+    """RANKED with the given fields replaced."""
+    return ScaleApproximation(**{**dict(zip(ScaleApproximation.__slots__, RANKED_FIELDS)),
+                                 **fields})
+
+
+NUMBERS = [
+    row("Triad.root", lambda v: Triad(v, TriadQuality.MAJOR).root, "root", PITCH_CLASS,
+        stores=True),
+    row("ModalScale.root", lambda v: ModalScale(v, IONIAN).root, "root", PITCH_CLASS,
+        lambda n: n % 12 == 0, stores=True),
+    row("ModalScale.degrees", lambda v: ModalScale(0, IONIAN[:6] + (v,)).degrees[6], "note",
+        PITCH_CLASS, lambda n: n % 12 not in IONIAN[:6], stores=True),
+    row("DegreeLabel.degree", lambda v: DegreeLabel(v, 1).degree, "degree", INTEGER,
+        lambda n: n == 2, stores=True),
+    row("DegreeLabel.semitones", lambda v: DegreeLabel(2, v).semitones, "semitones", PITCH_CLASS,
+        lambda n: n % 12 in (1, 2, 3), stores=True),
+    row("ScaleApproximation.root", lambda v: candidate(root=v).root, "root", PITCH_CLASS,
+        stores=True),
+    row("ScaleApproximation.shared", lambda v: candidate(shared=v).shared, "shared", INTEGER,
+        stores=True),
+    row("Chord.notes", lambda v: Chord([v]).notes[0], "note", PITCH_CLASS, stores=True),
+    row("VoiceLeading.source", lambda v: VoiceLeading((v,), (0,)).source[0], "note", PITCH_CLASS,
+        stores=True),
+    row("VoiceLeading.target", lambda v: VoiceLeading((0,), (v,)).target[0], "note", PITCH_CLASS,
+        stores=True),
+    row("Progression.chords-root", lambda v: Progression((("a", v, Chord([0])),)).chords[0][1],
+        "root", PITCH_CLASS, optional=True, stores=True),
+    row("BraidWord.strands", lambda v: BraidWord(v).strands, "strands", INTEGER,
+        lambda n: n >= 1, stores=True),
+    row("BraidWord.letters-index", lambda v: BraidWord(12, ((v, 1),)).letters[0][0],
+        "generator index", INTEGER, lambda n: 1 <= n <= 11, stores=True),
+    row("BraidInvariants.permutation", lambda v: BraidInvariants((v,), 0).permutation[0],
+        "permutation", INTEGER, stores=True),
+    row("BraidInvariants.writhe", lambda v: BraidInvariants((1,), v).writhe, "writhe", INTEGER,
+        stores=True),
+    row("pc", pc, "pitch class", PITCH_CLASS, stores=True),
+    row("pc_name", pc_name, "pitch class", PITCH_CLASS),
+    row("DegreeLabel.note_name", lambda v: DegreeLabel(2, 1).note_name(v), "pitch class",
+        PITCH_CLASS),
+    row("standard_modes", lambda v: standard_modes(ScaleType.MAJOR, v), "root", PITCH_CLASS),
+    row("all_standard_modes", all_standard_modes, "root", PITCH_CLASS),
+    row("harmonize", lambda v: harmonize(ScaleType.MAJOR, v), "degree", INTEGER,
+        lambda n: 1 <= n <= 7),
+    row("recompose", lambda v: recompose(Chord([0, 4, 7, 11]), Chord([2, 5, 9]), v), "root",
+        PITCH_CLASS, lambda n: n % 12 == 0),
+    row("hs_ws_scale", hs_ws_scale, "root", PITCH_CLASS),
+    row("graph.path_notes", lambda v: path_notes(PATH, v), "root", PITCH_CLASS),
+    row("leading.arc_distance-a", lambda v: arc_distance(v, 0), "pitch class", PITCH_CLASS),
+    row("leading.arc_distance-b", lambda v: arc_distance(0, v), "pitch class", PITCH_CLASS),
+    row("approximate-root", lambda v: approximate({0, 4, 7}, ChordQuality.DOM7, v), "root",
+        PITCH_CLASS),
+    row("approximate-target", lambda v: approximate([v, 7], ChordQuality.DOM7, 0), "note",
+        PITCH_CLASS),
+    row("emit_dot", lambda v: emit_dot(GRAPH, v), "root", PITCH_CLASS, optional=True),
+    row("parse_word", lambda v: parse_word("", v).strands, "strands", INTEGER, lambda n: n >= 1,
+        stores=True),
+    row("rewrite_step", lambda v: rewrite_step(WORD, "p1_swap", v), "position", INTEGER,
+        lambda n: n == 0),
+    *(row(f"voice_leading-{side}-{padded}", call, "root", PITCH_CLASS, optional=True)
+      for side, padded, call in [
+          ("a_root", "padded", lambda v: voice_leading(Chord([0]), Chord([1, 2]), a_root=v)),
+          ("a_root", "unpadded", lambda v: voice_leading(Chord([0]), Chord([1]), a_root=v)),
+          ("b_root", "padded", lambda v: voice_leading(Chord([1, 2]), Chord([0]), b_root=v)),
+          ("b_root", "unpadded", lambda v: voice_leading(Chord([1]), Chord([0]), b_root=v)),
+      ]),
+]
+
+# Ints small and big, bools, and numbers and values that operator.index refuses.
+DRAWN = st.one_of(
+    st.integers(-30, 30),
+    st.integers(2**64, 2**70),
+    st.integers(-(2**70), -(2**64)),
+    st.booleans(),
+    st.integers(-30, 30).map(float),
+    st.floats().filter(lambda f: not f.is_integer()),
+    st.fractions(),
+    st.integers(-30, 30).map(Fraction),
+    st.decimals(allow_nan=False),
+    st.integers(-30, 30).map(Decimal),
+    st.text(max_size=3),
+    st.none(),
+    st.just([1]),
+)
+
+
+@pytest.mark.parametrize("call, what, kind, takes, optional, stores", NUMBERS)
+@given(value=DRAWN)
+@example(value=14)
+@example(value=2.0)
+def test_every_number_is_read_by_one_rule(call, what, kind, takes, optional, stores, value):
+    assume(not (optional and value is None))
+    n = integer(value)
+    if n is None:
+        with pytest.raises(IndexOutOfRange) as info:
+            call(value)
+        assert str(info.value) == f"{what} {value!r} is not an integer"
+        return
+    read = n % 12 if kind is PITCH_CLASS else n
+    if not takes(n):
+        with pytest.raises(ModalkitError):
+            call(value)
+        return
+    got = call(value)
+    assert got == call(read)  # a pitch class is read as the integer mod 12
+    if stores:
+        assert type(got) is int and got == read
+
+
+def test_a_number_reads_the_same_wherever_it_is_read():
+    # pitch classes equal mod 12 make equal values, and a float is never an integer
+    assert Triad(14, TriadQuality.MAJOR) == Triad(2, TriadQuality.MAJOR)
+    assert ModalScale(12, tuple(d + 12 for d in IONIAN)) == ModalScale(0, IONIAN)
+    a, b = Chord([0]), Chord([1, 2])
+    assert voice_leading(a, b, a_root=14) == voice_leading(a, b, a_root=2)
+    assert VoiceLeading((12,), (1,)) == VoiceLeading((0,), (1,))
+    assert DegreeLabel(1, 12) == DegreeLabel(1, 0)
+    for build in (lambda: BraidWord(3.0, [(1, 1)]), lambda: BraidWord(3, [(1.0, 1)]),
+                  lambda: DegreeLabel(2.0, True), lambda: Progression((("a", 5.0, a),)),
+                  lambda: Chord([5.0]), lambda: harmonize(ScaleType.MAJOR, 2.0)):
+        with pytest.raises(IndexOutOfRange, match=r" is not an integer$"):
+            build()
