@@ -53,12 +53,6 @@ class ScaleApproximation(_Value, kinds=(object, AdmissiblePath, _pc, object, _in
     __slots__ = ("target", "candidate", "root", "notes", "shared", "dropped", "added")
 
 
-# ``approximate`` builds each record without the type call, as ``braid._word`` builds
-# a word: it derives every field itself, so the check would refuse none.
-_new = object.__new__
-_set_target, _set_candidate, _set_root, _set_notes, _set_shared, _set_dropped, _set_added = (
-    vars(ScaleApproximation)[name].__set__ for name in ScaleApproximation._names
-)
 _last = operator.itemgetter(-1)
 
 
@@ -83,19 +77,13 @@ def approximate(
     tm = _mask(_ints(target, "note"))
     target = _PC_SETS[tm]
     ranked = []
-    # one loop, with no comprehension or Python call per candidate: on caches that other
-    # work has filled, each code object a call touches costs more than its instructions
+    # one loop, with no comprehension, and one Python call per candidate: its record is
+    # built by _make, since every field is derived here and the check would refuse none
     for index, (path, notes, m) in enumerate(_CANDIDATES[q, root]):
         shared = (tm & m).bit_count()
         added = m & ~tm
-        a = _new(ScaleApproximation)
-        _set_target(a, target)
-        _set_candidate(a, path)
-        _set_root(a, root)
-        _set_notes(a, notes)
-        _set_shared(a, shared)
-        _set_dropped(a, _PC_SETS[tm & ~m])
-        _set_added(a, _PC_SETS[added])
+        a = ScaleApproximation._make(
+            target, path, root, notes, shared, _PC_SETS[tm & ~m], _PC_SETS[added])
         ranked.append((-shared, added.bit_count(), index, a))
     ranked.sort()  # the index differs in every rank, so no record is compared
     return list(map(_last, ranked))

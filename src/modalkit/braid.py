@@ -11,8 +11,9 @@ a copy or a pickle, and ``parse_word`` of a token its strand count does not
 spell.  The check stores the strand count and each letter as ints, and every
 function here reads them as stored.  A word built from words that were
 checked, by ``concatenate``, ``free_reduce`` or ``rewrite_step``, or from
-tokens ``parse_word`` knows, is built by ``_word`` without the check, and so
-are the progression words, whose letters come from walks checked once each.
+tokens ``parse_word`` knows, is built by ``BraidWord._make``, which runs no
+check (see ``pitch._Value``), and so are the progression words, whose letters
+come from walks checked once each.
 Each function here that takes a word refuses any other value with
 InvalidBraid, and checks a subclass's word again as a BraidWord.
 """
@@ -77,19 +78,6 @@ def _check(letter, strands: int) -> Letter:
     return i, 1 if sign == 1 else -1
 
 
-_set_strands = vars(BraidWord)["strands"].__set__
-_set_letters = vars(BraidWord)["letters"].__set__
-
-
-def _word(strands: int, letters: tuple[Letter, ...]) -> BraidWord:
-    """The word of fields known to pass the check, built without it: an int
-    ``strands`` of at least 1 and a tuple of int letters valid on it."""
-    word = object.__new__(BraidWord)
-    _set_strands(word, strands)
-    _set_letters(word, letters)
-    return word
-
-
 def _checked(w) -> BraidWord:
     """``w`` when it is a BraidWord, so checked when built; a subclass's word, whose
     class may check less, checked again as a BraidWord; InvalidBraid for any other."""
@@ -107,10 +95,6 @@ class BraidInvariants(_Value, kinds=((_int,), _int)):
     __slots__ = ("permutation", "writhe")
 
 
-_set_permutation = vars(BraidInvariants)["permutation"].__set__
-_set_writhe = vars(BraidInvariants)["writhe"].__set__
-
-
 def concatenate(first: BraidWord, *rest: BraidWord) -> BraidWord:
     """The words read one after another; all must have the same strand count."""
     words = [_checked(w) for w in (first, *rest)]
@@ -118,7 +102,7 @@ def concatenate(first: BraidWord, *rest: BraidWord) -> BraidWord:
     for w in words:
         if w.strands != strands:
             raise StrandMismatch(f"{strands} strands vs {w.strands}")
-    return _word(strands, tuple(letter for w in words for letter in w.letters))
+    return BraidWord._make(strands, tuple(letter for w in words for letter in w.letters))
 
 
 _sign = operator.itemgetter(1)
@@ -132,11 +116,8 @@ def invariants(w: BraidWord) -> BraidInvariants:
     position = [0] * w.strands
     for slot, start in enumerate(occupant, start=1):
         position[start - 1] = slot
-    # built without the check, as _word builds a word: both fields are ints derived here
-    result = object.__new__(BraidInvariants)
-    _set_permutation(result, tuple(position))
-    _set_writhe(result, sum(map(_sign, w.letters)))
-    return result
+    # both fields are ints derived here, so _make skips the check
+    return BraidInvariants._make(tuple(position), sum(map(_sign, w.letters)))
 
 
 def free_reduce(w: BraidWord) -> BraidWord:
@@ -148,7 +129,7 @@ def free_reduce(w: BraidWord) -> BraidWord:
             stack.pop()
         else:
             stack.append(letter)
-    return _word(w.strands, tuple(stack))
+    return BraidWord._make(w.strands, tuple(stack))
 
 
 # Each rule's window: how many letters it reads from ``at`` on, and their name.
@@ -185,7 +166,7 @@ def rewrite_step(w: BraidWord, rule: str, at: int) -> BraidWord:
         if not (third == [(i, si)] and sj == si and abs(i - j) == 1):
             raise PatternMismatch(f"letters at {at} are not a braid-relation triple")
         replacement = ((j, sj), (i, si), (j, sj))
-    return _word(w.strands, w.letters[:at] + replacement + w.letters[at + width:])
+    return BraidWord._make(w.strands, w.letters[:at] + replacement + w.letters[at + width:])
 
 
 _TOKEN = re.compile(r"s([0-9]+)(\^-1)?")
@@ -206,7 +187,7 @@ def parse_word(text: str, strands: int) -> BraidWord:
     if type(strands) is int and 0 < strands <= _TABLED_STRANDS:
         known = _LETTERS[strands]
         try:  # from a list: tuple(map(...)) resizes each tuple it grows, raising peak RSS
-            return _word(strands, tuple([known[token] for token in tokens]))
+            return BraidWord._make(strands, tuple([known[token] for token in tokens]))
         except KeyError:  # a token this strand count does not spell
             pass
     return BraidWord(strands, tuple([_letter(text, tokens, k) for k in range(len(tokens))]))

@@ -74,12 +74,6 @@ class DegreeLabel(_Value, kinds=(_int, _pc)):
         return self.name
 
 
-class ModeGraph(_Value, kinds=(ChordQuality, object, object, object)):
-    """A base-chord graph with its root-to-seventh ``paths`` in ``enumerate_admissible`` order."""
-
-    __slots__ = ("quality", "vertices", "edges", "paths")
-
-
 class AdmissiblePath(_Value, kinds=((DegreeLabel,), object, str), name=""):
     """A root-to-seventh path: its labels, whether it is special, and its name."""
 
@@ -90,6 +84,13 @@ class AdmissiblePath(_Value, kinds=((DegreeLabel,), object, str), name=""):
 
     def label_names(self) -> tuple[str, ...]:
         return tuple(label.name for label in self.labels)
+
+
+class ModeGraph(_Value, kinds=(ChordQuality, (DegreeLabel,), (tuple,), (AdmissiblePath,))):
+    """A base-chord graph: its quality, its vertex labels, its edges as pairs of
+    labels and its root-to-seventh ``paths`` in ``enumerate_admissible`` order."""
+
+    __slots__ = ("quality", "vertices", "edges", "paths")
 
 
 def standard_patterns(q: ChordQuality) -> dict[tuple[int, ...], str]:
@@ -146,6 +147,14 @@ def _no_quality(q) -> InvalidArgument:
     return InvalidArgument(f"a base-chord graph needs a ChordQuality, not {type(q).__name__}")
 
 
+def _graph_of(q: ChordQuality) -> ModeGraph:
+    """q's graph from ``_GRAPHS``; a q that is no ChordQuality is an InvalidArgument."""
+    try:
+        return _GRAPHS[q]
+    except TypeError:  # unhashable; _graph refuses the other keys
+        raise _no_quality(q) from None
+
+
 def build_graph(q: ChordQuality) -> ModeGraph:
     """The oriented graph of all degree choices the standard modes allow on q.
 
@@ -153,10 +162,7 @@ def build_graph(q: ChordQuality) -> ModeGraph:
     ``special_modes``; a g that is no ModeGraph is one in the functions that
     read a graph.
     """
-    try:
-        return _GRAPHS[q]
-    except TypeError:  # unhashable; _graph refuses the other keys
-        raise _no_quality(q) from None
+    return _graph_of(q)
 
 
 def _no_graph(g) -> InvalidArgument:
@@ -190,10 +196,7 @@ def maximal_tree(g: ModeGraph) -> tuple[tuple[DegreeLabel, DegreeLabel], ...]:
 
 def tcm(q: ChordQuality) -> int:
     """Topological complexity: rank of the fundamental group, 1 - chi."""
-    try:
-        return 1 - euler_characteristic(_GRAPHS[q])
-    except TypeError:  # unhashable; _graph refuses the other keys
-        raise _no_quality(q) from None
+    return 1 - euler_characteristic(_graph_of(q))
 
 
 def enumerate_admissible(g: ModeGraph) -> list[AdmissiblePath]:
@@ -210,11 +213,7 @@ def enumerate_admissible(g: ModeGraph) -> list[AdmissiblePath]:
 
 def special_modes(q: ChordQuality) -> list[AdmissiblePath]:
     """Admissible paths that are not standard modes."""
-    try:
-        paths = _GRAPHS[q].paths
-    except TypeError:  # unhashable; _graph refuses the other keys
-        raise _no_quality(q) from None
-    return [p for p in paths if p.is_special]
+    return [p for p in _graph_of(q).paths if p.is_special]
 
 
 # Degree lists printed in the source classification for the special modes.

@@ -27,14 +27,15 @@ into it, with their flags, once it has refused a crossing pairing.
 
 One line parser, ``_entries``, yields a text's (label, root, Chord) entries
 one line at a time, and builds each ``name: pc,...`` chord from the pitch
-classes it has just checked, without a second check; ``parse_progression``
-keeps the entries in a ``Progression``, also built without a second check,
-as ``braid._word`` builds a word.
+classes it has just checked, by ``Chord._make`` (see ``pitch._Value``), which
+runs no second check; ``parse_progression`` keeps the entries in a
+``Progression`` built by ``Progression._make``.
 One derivation, ``_transition_moves``, pairs any iterable of entries through
 the core, one list of moves per transition.  A ``Progression`` keeps its
 transitions' letters, joined from the walks, once either progression word
-asks for them, and both words build their words from them with no second
-check, as ``braid_of_leading`` does, since every walk was checked.  The
+asks for them, and both words build their words from them by
+``BraidWord._make``, as ``braid_of_leading`` does, since every walk was
+checked.  The
 ``braid`` verb pairs the parser's entries through the same derivation and
 writes each move's kept tokens and rows, so it builds no letters and no word
 per transition, checks each move once, and keeps neither entries nor moves.
@@ -46,7 +47,7 @@ import itertools
 import re
 from collections.abc import Iterable, Iterator
 
-from .braid import BraidWord, Letter, _word, render_ascii, serialize_word
+from .braid import BraidWord, Letter, render_ascii, serialize_word
 from .errors import (
     CrossingLeading,
     InvalidArgument,
@@ -232,7 +233,7 @@ def braid_of_leading(v: VoiceLeading) -> BraidWord:
         raise CrossingLeading(f"the pairing {v.pairs()} crosses")
     moves = _moves(source, target, source_repeats=len(set(source)) < len(source),
                    target_repeats=len(set(target)) < len(target))
-    return _word(STRANDS, _letters(moves))
+    return BraidWord._make(STRANDS, _letters(moves))
 
 
 class Progression(_Value, kinds=(object,)):
@@ -292,12 +293,12 @@ def _transitions(p: Progression) -> tuple[tuple[Letter, ...], ...]:
 
 def braids_of_progression(p: Progression) -> list[BraidWord]:
     """One braid word per chord transition."""
-    return [_word(STRANDS, letters) for letters in _transitions(p)]
+    return [BraidWord._make(STRANDS, letters) for letters in _transitions(p)]
 
 
 def braid_of_progression(p: Progression) -> BraidWord:
     """Concatenation of the per-transition words; identity for one chord."""
-    return _word(STRANDS, tuple(itertools.chain.from_iterable(_transitions(p))))
+    return BraidWord._make(STRANDS, tuple(itertools.chain.from_iterable(_transitions(p))))
 
 
 _COMMENT = re.compile(r"(?:^|\s)#")
@@ -357,21 +358,14 @@ def _entries(text: str) -> Iterator[tuple[str, PitchClass, Chord]]:
         raise ParseError("the progression has no chords", 0)
 
 
-_set_chords = vars(Progression)["chords"].__set__
-_set_transitions = vars(Progression)["_transitions"].__set__
-
-
 def parse_progression(text: str) -> Progression:
     """The progression of ``text``, one chord per line, as ``_entries`` reads them;
     text that is no str, such as 5 or bytes, is an InvalidArgument.
 
     Every entry ``_entries`` yields is a (str, int pitch class, Chord) triple, so
-    the progression is built from them without its check, as ``braid._word``
-    builds a word.
+    the progression is built from them by ``Progression._make``, with no letters
+    derived yet and no check.
     """
     if not isinstance(text, str):
         raise InvalidArgument(f"progression text is a str, not {type(text).__name__}")
-    p = object.__new__(Progression)
-    _set_chords(p, tuple(_entries(text)))
-    _set_transitions(p, None)
-    return p
+    return Progression._make(tuple(_entries(text)), None)

@@ -51,18 +51,19 @@ def pc(value: int) -> PitchClass:
 
 def _collection(values, what: str) -> list:
     """The items of ``values`` as a list; values that are no collection, such as 5,
-    are an InvalidArgument that names them as ``what`` plural."""
+    are an InvalidArgument that names them as ``what``, a plural."""
     try:
         values = iter(values)
     except TypeError:
         kind = type(values).__name__
-        raise InvalidArgument(f"{what}s of type {kind} are no collection") from None
+        raise InvalidArgument(f"{what} of type {kind} are no collection") from None
     return list(values)
 
 
 def _ints(values, what: str) -> list[int]:
-    """The integer rule over a collection, each value read as ``_int`` reads it."""
-    values = _collection(values, what)
+    """The integer rule over a collection, each value read as ``_int`` reads it
+    and named as ``what``."""
+    values = _collection(values, what + "s")
     try:
         return list(map(operator.index, values))
     except TypeError:
@@ -149,12 +150,13 @@ def _reader(owner: str, field: str, kind):
         return lambda value: kind(value, field)
     if isinstance(kind, tuple):
         (item,) = kind
-        noun = "note" if item is _pc else field.removesuffix("s")
         if item is _pc or item is _int:
+            noun = "note" if item is _pc else field.removesuffix("s")
             each = _pitch_classes if item is _pc else _ints
             return lambda values: tuple(each(values, noun))
+        noun = field[:-4] + "ex" if field.endswith("ices") else field.removesuffix("s")
         read = _reader(owner, noun, item)
-        return lambda values: tuple([read(value) for value in _collection(values, noun)])
+        return lambda values: tuple([read(value) for value in _collection(values, field)])
 
     def instance(value):
         if isinstance(value, kind):
@@ -199,7 +201,8 @@ class _Value:
     - a one-item tuple of either, such as ``(_pc,)``, takes any collection
       of such values and stores them as a tuple.  A refusal calls an item of
       a tuple of pitch classes a note, and any other item by its field's
-      name less a trailing s, as a ``label`` of ``labels``.
+      name in the singular, as a ``label`` of ``labels`` or a ``vertex`` of
+      ``vertices``.
 
     Then the subclass's own ``_finish``, if it has one, checks relations
     between the fields and derives the private slots.
@@ -209,6 +212,13 @@ class _Value:
     takes no part in ``__init__``, equality, hashing, the repr, copies or
     pickles.  ``__init__`` sets each field through its slot's descriptor
     directly, the one that ``object.__setattr__`` would look up by name.
+
+    A record whose every slot is known to pass the check, because it was
+    derived from checked values, is built by ``cls._make(*slots)``: every
+    slot in ``__slots__`` order, private ones included, as in
+    ``Chord._make(notes, repeats)``, each set through its descriptor, with
+    no kind read, no ``_finish`` and no ``__post_init__``.  It is the one
+    way the package builds a record without its check.
     """
 
     __slots__ = ()
@@ -226,10 +236,14 @@ class _Value:
         lines = [f"def __init__(self{params}):", *(f"    _set_{n}(self, {n})" for n in fields)]
         if hasattr(cls, "__post_init__"):
             lines.append("    self.__post_init__()")  # looked up per call, so a patch counts
-        namespace = {f"_set_{n}": vars(cls)[n].__set__ for n in fields}
-        namespace["_defaults"] = defaults
+        slots = cls.__slots__
+        lines += [f"def _make({', '.join(slots)}):", "    self = _new(_cls)",
+                  *(f"    _set_{n}(self, {n})" for n in slots), "    return self"]
+        namespace = {f"_set_{n}": vars(cls)[n].__set__ for n in slots}
+        namespace.update(_defaults=defaults, _new=object.__new__, _cls=cls)
         exec("\n".join(lines), namespace)
         cls.__init__ = namespace["__init__"]
+        cls._make = staticmethod(namespace["_make"])
         cls._fields = operator.attrgetter(*fields)
 
     def __eq__(self, other: object) -> bool:
@@ -267,7 +281,7 @@ class Chord(_Value, kinds=((_pc,),)):
     ``_repeats`` is derived when the chord is built, copied or unpickled, so
     the braid core reads it and builds no set per transition.  The progression
     parser builds its chords from pitch classes it has checked with ``_chord``,
-    which sets both slots without the check.
+    which derives both slots and builds the chord by ``Chord._make``.
     """
 
     __slots__ = ("notes", "_repeats")
@@ -287,18 +301,11 @@ class Chord(_Value, kinds=((_pc,),)):
         return f"Chord({list(self.notes)})"
 
 
-_set_notes = vars(Chord)["notes"].__set__
-_set_repeats = vars(Chord)["_repeats"].__set__
-
-
 def _chord(values: list[PitchClass]) -> Chord:
     """The chord of ``values`` known to pass the check, int pitch classes in 0..11,
-    built without it, as ``braid._word`` builds a word."""
+    built by ``Chord._make``."""
     notes = tuple(sorted(values))
-    chord = object.__new__(Chord)
-    _set_notes(chord, notes)
-    _set_repeats(chord, len(set(notes)) < len(notes))
-    return chord
+    return Chord._make(notes, len(set(notes)) < len(notes))
 
 
 class _Table(dict):

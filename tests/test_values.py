@@ -3,13 +3,16 @@
 defaults, copies and pickles, and ``DegreeLabel`` ordering.  Each takes its
 public ``__slots__`` as parameters, and each field check runs once per build
 from outside fields; a braid word built from checked words is not checked again.
-A private slot, such as the letters a ``Progression`` derives, is no field."""
+A private slot, such as the letters a ``Progression`` derives, is no field.
+Every record, ``Chord`` too, is built without its check by its ``_make`` alone."""
 
 import copy
 import inspect
 import itertools
 import pickle
+import re
 from enum import Enum
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -430,3 +433,42 @@ def test_patched_braid_check_runs_once_per_build(monkeypatch):
         braid_of_leading(leading),
     ]
     assert checked == [] and all(type(w) is BraidWord for w in never)
+
+
+# Fields per record type for _make: each value type's first sample, and a Chord.
+MADE = {**{cls: fields for cls, (fields, _) in SAMPLES.items()}, Chord: dict(notes=(7, 0, 0, 4))}
+
+
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+
+def test_every_record_type_is_made():
+    assert {c for c in subclasses(_Value) if c.__module__.startswith("modalkit.")} == set(MADE)
+
+
+@pytest.mark.parametrize("cls", MADE, ids=lambda cls: cls.__name__)
+def test_make_builds_the_checked_record_without_its_check(cls, monkeypatch):
+    value = cls(**MADE[cls])
+    slots = [getattr(value, name) for name in cls.__slots__]  # private slots too
+    checked = counting_check(cls, monkeypatch)
+    made = cls._make(*slots)
+    assert checked == []
+    assert type(made) is cls and made is not value and made == value and hash(made) == hash(value)
+    assert [getattr(made, name) for name in cls.__slots__] == slots
+
+
+LAYERS = sorted(Path(inspect.getfile(_Value)).parent.glob("*.py"))
+# object.__new__, or a slot descriptor's __set__, builds a record past its check
+PAST_THE_CHECK = re.compile(r"object\.__new__\b|\.__set__\b")
+
+
+def test_only_pitch_builds_a_record_past_its_check():
+    # _Value._make is the one way to build a record without its check
+    assert {layer.name for layer in LAYERS} >= {"pitch.py", "braid.py", "approximate.py"}
+    found = [f"{layer.name}:{n}: {line.strip()}" for layer in LAYERS if layer.name != "pitch.py"
+             for n, line in enumerate(layer.read_text(encoding="utf-8").splitlines(), start=1)
+             if PAST_THE_CHECK.search(line)]
+    assert found == []

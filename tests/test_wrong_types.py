@@ -100,12 +100,14 @@ def _collection_of(cls):
 # Per kind of parameter, the values of the right type.
 TAKES = {
     "chord": lambda v: isinstance(v, Chord),
+    "edges": _collection_of(tuple),
     "graph": lambda v: isinstance(v, ModeGraph),
     "int": lambda v: isinstance(v, int),
     "labels": _collection_of(DegreeLabel),
     "leading": lambda v: isinstance(v, VoiceLeading),
     "notes": _int_collection,
     "path": lambda v: isinstance(v, AdmissiblePath),
+    "paths": _collection_of(AdmissiblePath),
     "progression": lambda v: isinstance(v, Progression),
     "quality": lambda v: isinstance(v, ChordQuality),
     "root": lambda v: v is None or isinstance(v, int),
@@ -202,7 +204,7 @@ BUILDS = [
     (Mode, (decompose(SCALE).base, decompose(SCALE).tension, SCALE), ("chord", "chord", "scale")),
     (DegreeLabel, (2, 3), ("int", "int")),
     (ModeGraph, (GRAPH.quality, GRAPH.vertices, GRAPH.edges, GRAPH.paths),
-     ("quality", None, None, None)),
+     ("quality", "labels", "edges", "paths")),
     (AdmissiblePath, (PATH.labels, PATH.is_special, PATH.name), ("labels", None, "text")),
     (ScaleApproximation, RANKED_FIELDS, (None, "path", "int", None, "int", None, None)),
 ]
@@ -237,6 +239,18 @@ def test_a_field_of_the_wrong_type_is_a_modalkit_error(cls, fields, kinds, data)
          r"^a Triad's quality is a TriadQuality, not ChordQuality$"),
         (lambda: ModeGraph("7", (), (), ()), InvalidArgument,
          r"^a ModeGraph's quality is a ChordQuality, not str$"),
+        (lambda: ModeGraph(ChordQuality.DOM7, 5, 6, 7), InvalidArgument,
+         r"^vertices of type int are no collection$"),
+        (lambda: ModeGraph(ChordQuality.DOM7, (5,), (), ()), InvalidArgument,
+         r"^a ModeGraph's vertex is a DegreeLabel, not int$"),
+        (lambda: ModeGraph(ChordQuality.DOM7, (), 6, ()), InvalidArgument,
+         r"^edges of type int are no collection$"),
+        (lambda: ModeGraph(ChordQuality.DOM7, (), ([1, 2],), ()), InvalidArgument,
+         r"^a ModeGraph's edge is a tuple, not list$"),
+        (lambda: ModeGraph(ChordQuality.DOM7, (), (), 7), InvalidArgument,
+         r"^paths of type int are no collection$"),
+        (lambda: ModeGraph(ChordQuality.DOM7, (), (), GRAPH.vertices), InvalidArgument,
+         r"^a ModeGraph's path is an AdmissiblePath, not DegreeLabel$"),
         (lambda: AdmissiblePath(5, False), InvalidArgument,
          r"^labels of type int are no collection$"),
         (lambda: AdmissiblePath((DegreeLabel(1, 0), (2, 2)), False), InvalidArgument,
@@ -248,7 +262,8 @@ def test_a_field_of_the_wrong_type_is_a_modalkit_error(cls, fields, kinds, data)
     ],
     ids=["scale-degrees", "scale-degree", "scale-root", "mode", "label-text", "label-degree",
          "label-semitones", "label-unnamed", "triad-root-text", "triad-root-float",
-         "triad-quality", "graph-quality", "path-labels", "path-label", "path-name",
+         "triad-quality", "graph-quality", "graph-vertices", "graph-vertex", "graph-edges",
+         "graph-edge", "graph-paths", "graph-path", "path-labels", "path-label", "path-name",
          "approximation-candidate"],
 )
 def test_a_value_type_names_what_it_refuses(build, error, message):
