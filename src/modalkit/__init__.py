@@ -58,6 +58,9 @@ def _register(layer: str):
     return module
 
 
+# Every layer is placed in sys.modules at once, unexecuted, rather than imported
+# when a name of it is first read: modalkit.cli, and bench/workloads.py's
+# library(), read the layers from sys.modules right after `import modalkit`.
 for _layer in _EXPORTS:
     _module = _register(_layer)
     if _layer not in _LAYER_OF:  # the approximate function takes the module's name

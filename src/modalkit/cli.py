@@ -6,13 +6,22 @@ for a fixed input, help text included: argparse formats it at one fixed
 width, whatever the terminal.  Exit codes: 0 success, 2 usage error, 1
 domain error (the error class name goes to stderr).
 
+Each verb's options are declared once, in ``_VERBS``, and argv is read two
+ways.  First ``_read`` takes a well-formed argv straight from that table: a
+verb, then each of its options at most once, by its whole name, every value
+converted and every required option given.  It builds the args itself, so a
+well-formed run imports no ``argparse``, nor the ``gettext`` and ``locale``
+that argparse loads.  Any other argv, as for ``--help``, a typo or a usage
+error, falls back to argparse, on the parser that ``build_parser`` builds from
+the same table, which prints the help or the error and exits as it always
+has.  That parser holds the sub-parser of the verb that the first argument
+names, and all nine only when that argument names none.
+
 A verb pays only for what it uses.  This module runs ``pitch`` and
 ``errors`` on import and holds the other layers as the lazily executed
 modules that ``modalkit/__init__.py`` registers; a layer runs when a verb
 first reads an attribute of it, so ``braid`` never runs ``modes``, ``graph``
-or ``approximate``.  ``run`` builds the sub-parser of the verb that its first
-argument names, and all nine only when that argument names none, as for
-``--help`` or a typo.
+or ``approximate``.
 
 Output is never styled, so setting MODAL_NO_COLOR changes nothing; the
 variable is honored by construction.
@@ -20,12 +29,11 @@ variable is honored by construction.
 
 from __future__ import annotations
 
-import argparse
-import contextlib
 import functools
 import io
 import itertools
 import sys
+import types
 
 from .errors import ModalkitError, ParseError
 from .pitch import ChordQuality, _integer, parse_note, parse_pcs, pc_name
@@ -42,13 +50,16 @@ ROMAN = ("I", "II", "III", "IV", "V", "VI", "VII")
 
 
 def _lookup(convert, problem: str):
-    """An argparse type: ``convert``, with a failure made a usage error
-    that states the problem and names the token."""
+    """The converter that ``_read`` and argparse call: ``convert``, with a failure
+    made an argparse usage error that states the problem and names the token;
+    argparse is imported only then."""
 
     def adapter(token: str):
         try:
             return convert(token)
         except (KeyError, ParseError):
+            import argparse
+
             raise argparse.ArgumentTypeError(f"{problem} {token!r}")
 
     return adapter
@@ -223,89 +234,128 @@ _NOTE = _lookup(parse_note, "unknown note name")
 _PCS = _lookup(parse_pcs, "bad pitch-class list")
 _INTEGER = _lookup(_integer, "bad integer")
 
+# An option is (name, converter, choices, default).  Its value is read by the
+# converter, or kept as text when there is none, and must then be one of the
+# choices, when there are any.  A default of _REQUIRED marks an option that must
+# be given, and a default of False a flag, which takes no value.
+_REQUIRED = "required"
+_FORMAT = ("--format", None, ("plain", "csv", "json"), "plain")
 
-def _add_format(p):
-    p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-
-
-def _modes_arguments(p):
-    p.add_argument("--scale", type=_SCALE, required=True)
-    p.add_argument("--root", type=_NOTE, required=True)
-    _add_format(p)
-
-
-def _harmonize_arguments(p):
-    p.add_argument("--scale", type=_SCALE, required=True)
-    p.add_argument("--degree", type=_INTEGER, choices=range(1, 8))
-    _add_format(p)
-
-
-def _decompose_arguments(p):
-    p.add_argument("--notes", type=_PCS, required=True)
-    p.add_argument("--root", type=_INTEGER, choices=range(0, 12), required=True)
-
-
-def _graph_arguments(p):
-    p.add_argument("--quality", type=_QUALITY, required=True)
-    p.add_argument("--root", type=_NOTE)
-    p.add_argument("--dot", action="store_true")
-
-
-def _tcm_arguments(p):
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--quality", type=_QUALITY)
-    group.add_argument("--all", action="store_true")
-    _add_format(p)
-
-
-def _admissible_arguments(p):
-    p.add_argument("--quality", type=_QUALITY, required=True)
-    _add_format(p)
-
-
-def _special_arguments(p):
-    p.add_argument("--quality", type=_QUALITY, required=True)
-    p.add_argument("--paper-compat", action="store_true")
-    _add_format(p)
-
-
-def _braid_arguments(p):
-    p.add_argument("--file", required=True)
-    p.add_argument("--ascii", action="store_true")
-
-
-def _approx_arguments(p):
-    p.add_argument("--target", type=_PCS, required=True)
-    p.add_argument("--quality", type=_QUALITY, required=True)
-    p.add_argument("--root", type=_NOTE, required=True)
-    _add_format(p)
-
-
-# Per verb, in the order help lists them: its help line, the function that adds
-# its arguments to its sub-parser, and its command.
+# Per verb, in the order help lists them: its help line, its command, its
+# options in the same order, and the pair of options of which it takes exactly one.
 _VERBS = {
-    "modes": ("list the seven modes of a parent scale", _modes_arguments, _cmd_modes),
-    "harmonize": ("seventh-chord quality per scale degree", _harmonize_arguments, _cmd_harmonize),
-    "decompose": ("split a scale into base chord + tension chord", _decompose_arguments,
-                  _cmd_decompose),
-    "graph": ("show or export a base-chord graph", _graph_arguments, _cmd_graph),
-    "tcm": ("topological complexity per quality", _tcm_arguments, _cmd_tcm),
-    "admissible": ("all admissible modes on a quality", _admissible_arguments, _cmd_admissible),
-    "special": ("special (non-standard) admissible modes", _special_arguments, _cmd_special),
-    "braid": ("braid words for a progression file", _braid_arguments, _cmd_braid),
-    "approx": ("approximate a scale by admissible modes", _approx_arguments, _cmd_approx),
+    "modes": ("list the seven modes of a parent scale", _cmd_modes, (
+        ("--scale", _SCALE, None, _REQUIRED),
+        ("--root", _NOTE, None, _REQUIRED),
+        _FORMAT,
+    ), ()),
+    "harmonize": ("seventh-chord quality per scale degree", _cmd_harmonize, (
+        ("--scale", _SCALE, None, _REQUIRED),
+        ("--degree", _INTEGER, range(1, 8), None),
+        _FORMAT,
+    ), ()),
+    "decompose": ("split a scale into base chord + tension chord", _cmd_decompose, (
+        ("--notes", _PCS, None, _REQUIRED),
+        ("--root", _INTEGER, range(0, 12), _REQUIRED),
+    ), ()),
+    "graph": ("show or export a base-chord graph", _cmd_graph, (
+        ("--quality", _QUALITY, None, _REQUIRED),
+        ("--root", _NOTE, None, None),
+        ("--dot", None, None, False),
+    ), ()),
+    "tcm": ("topological complexity per quality", _cmd_tcm, (
+        ("--quality", _QUALITY, None, None),
+        ("--all", None, None, False),
+        _FORMAT,
+    ), ("--quality", "--all")),
+    "admissible": ("all admissible modes on a quality", _cmd_admissible, (
+        ("--quality", _QUALITY, None, _REQUIRED),
+        _FORMAT,
+    ), ()),
+    "special": ("special (non-standard) admissible modes", _cmd_special, (
+        ("--quality", _QUALITY, None, _REQUIRED),
+        ("--paper-compat", None, None, False),
+        _FORMAT,
+    ), ()),
+    "braid": ("braid words for a progression file", _cmd_braid, (
+        ("--file", None, None, _REQUIRED),
+        ("--ascii", None, None, False),
+    ), ()),
+    "approx": ("approximate a scale by admissible modes", _cmd_approx, (
+        ("--target", _PCS, None, _REQUIRED),
+        ("--quality", _QUALITY, None, _REQUIRED),
+        ("--root", _NOTE, None, _REQUIRED),
+        _FORMAT,
+    ), ()),
 }
+
+
+def _root_without_dot(args) -> bool:
+    """Whether graph has a --root without --dot: the root names the notes of DOT output alone."""
+    return args.verb == "graph" and args.root is not None and not args.dot
+
+
+def _read(argv: list[str]):
+    """The args of a well-formed argv, with the fields argparse gives them, or None.
+
+    Well-formed is strict: a verb, then each of its options at most once, by
+    its whole name, as ``--name value``, ``--name=value`` or a bare flag; no
+    value after a space starts with ``-`` (``--quality=-7b5`` is taken); every
+    value converts and is one of its choices; every required option is
+    given, exactly one of the verb's pair, and graph's --root only with --dot.
+    Anything else, help included, is None, and argparse reads it.
+    """
+    if not argv or argv[0] not in _VERBS:
+        return None
+    _, command, options, one_of = _VERBS[argv[0]]
+    table = {option[0]: option for option in options}
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, equals, value = token.partition("=")
+        if name not in table or name in given:
+            return None
+        _, convert, choices, default = table[name]
+        if default is False:
+            if equals:  # a flag takes no value
+                return None
+            given[name] = True
+            continue
+        if not equals:
+            value = next(tokens, "-")  # a missing value is refused as one starting with -
+            if value.startswith("-"):
+                return None
+        if convert is not None:
+            try:
+                value = convert(value)
+            except Exception:  # argparse states the problem
+                return None
+        if choices is not None and value not in choices:
+            return None
+        given[name] = value
+    if any(default is _REQUIRED and name not in given for name, _, _, default in options):
+        return None
+    if one_of and sum(name in given for name in one_of) != 1:
+        return None
+    args = types.SimpleNamespace(verb=argv[0], func=command)
+    for name, _, _, default in options:
+        setattr(args, name[2:].replace("-", "_"), given.get(name, default))
+    return None if _root_without_dot(args) else args
+
 
 # Help and usage text at one width, the one argparse picks when stdout is no
 # terminal; argparse would otherwise read the terminal width (COLUMNS) on each call.
 HELP_WIDTH = 78
 
 
-def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The parser with the sub-parser of ``verb`` alone when it names a verb, else all nine.
+def build_parser(verb: str | None = None):
+    """The argparse parser, with the sub-parser of ``verb`` alone when it names a verb,
+    else all nine.
 
     Either way the usage line is the same: it lists every verb.
     """
+    import argparse
+
     # no option is read from a prefix of its name, such as --form for --format
     parser_class = functools.partial(
         argparse.ArgumentParser, allow_abbrev=False,
@@ -322,26 +372,45 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         metavar=None if len(verbs) > 1 else "{" + ",".join(_VERBS) + "}",
     )
     for name in verbs:
-        help_line, add_arguments, command = _VERBS[name]
+        help_line, command, options, one_of = _VERBS[name]
         p = sub.add_parser(name, help=help_line)
-        add_arguments(p)
+        group = p.add_mutually_exclusive_group(required=True) if one_of else p
+        for option, convert, choices, default in options:
+            holder = group if option in one_of else p
+            if default is False:
+                holder.add_argument(option, action="store_true")
+            elif default is _REQUIRED:
+                holder.add_argument(option, type=convert, choices=choices, required=True)
+            else:
+                holder.add_argument(option, type=convert, choices=choices, default=default)
         p.set_defaults(func=command)
     return parser
+
+
+def _parse(argv: list[str], out, err):
+    """argparse's reading of argv; it writes help or a usage error to out or err and
+    raises SystemExit for them."""
+    import contextlib
+
+    parser = build_parser(argv[0] if argv else None)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(map(repr, extra))}")
+        if _root_without_dot(args):
+            parser.error("--root needs --dot")
+    return args
 
 
 def run(argv: list[str], out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
-    parser = build_parser(argv[0] if argv else None)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args, extra = parser.parse_known_args(argv)
-            if extra:
-                parser.error(f"unrecognized arguments: {' '.join(map(repr, extra))}")
-            if args.verb == "graph" and args.root is not None and not args.dot:
-                parser.error("--root needs --dot")
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _read(argv)
+    if args is None:
+        try:
+            args = _parse(argv, out, err)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         # one write per pipe buffer (64 KB): a reader sharing the CPU wakes per write
         block = io.StringIO()

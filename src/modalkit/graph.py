@@ -88,9 +88,21 @@ class AdmissiblePath(_Value, kinds=((DegreeLabel,), object, str), name=""):
 
 class ModeGraph(_Value, kinds=(ChordQuality, (DegreeLabel,), (tuple,), (AdmissiblePath,))):
     """A base-chord graph: its quality, its vertex labels, its edges as pairs of
-    labels and its root-to-seventh ``paths`` in ``enumerate_admissible`` order."""
+    labels and its root-to-seventh ``paths`` in ``enumerate_admissible`` order.
+
+    A graph has one vertex at least, and each edge is a pair of its vertices;
+    any other is an InvalidArgument.
+    """
 
     __slots__ = ("quality", "vertices", "edges", "paths")
+
+    def _finish(self):
+        if not self.vertices:
+            raise InvalidArgument("a ModeGraph has one vertex at least")
+        for edge in self.edges:
+            # compared, not hashed, so an edge of unhashable items is refused here too
+            if len(edge) != 2 or not all(v in self.vertices for v in edge):
+                raise InvalidArgument(f"a ModeGraph's edge {edge!r} is no pair of its vertices")
 
 
 def standard_patterns(q: ChordQuality) -> dict[tuple[int, ...], str]:

@@ -16,7 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import modalkit
-from modalkit import leading
+from modalkit import cli, leading
 from modalkit.cli import run
 from modalkit.pitch import ChordQuality
 
@@ -171,24 +171,49 @@ def test_option_prefixes_are_usage_errors(argv, last):
 
 
 # Run in a fresh interpreter: the modules named here that this process has
-# already loaded must not be among those that importing modalkit.cli adds.
+# already loaded must not be among those that importing modalkit.cli adds, and
+# then a well-formed run of every verb, each argv given as its tab-joined tokens.
 # .github/workflows/tests.yml runs the same check on the installed package.
 STARTUP_CHECK = (
-    "import sys; before = set(sys.modules); import modalkit.cli; "
+    "import io, sys; before = set(sys.modules); import modalkit.cli\n"
+    "print(*sorted(set(sys.modules) - before))\n"
+    "for argv in sys.argv[1:]:\n"
+    "    assert modalkit.cli.run(argv.split('\\t'), out=io.StringIO()) == 0, argv\n"
     "print(*sorted(set(sys.modules) - before))"
 )
+# One well-formed argv per verb, with every form of option that the reader takes.
+WELL_FORMED = [
+    ["modes", "--scale", "major", "--root", "C"],
+    ["harmonize", "--scale", "major", "--degree", "2", "--format", "csv"],
+    ["decompose", "--notes", "0,2,4,5,7,9,11", "--root", "0"],
+    ["graph", "--quality", "o7", "--dot", "--root=Bb"],
+    ["tcm", "--quality=-7b5", "--format=json"],
+    ["admissible", "--quality", "7"],
+    ["special", "--quality", "7", "--paper-compat"],
+    ["braid", "--file", str(DATA / "peru.prog"), "--ascii"],
+    ["approx", "--target", "0,2,4", "--quality", "7", "--root", "C"],
+]
 
 
 def test_cli_start_up_imports_only_what_every_verb_needs():
     command, env = cli_command([])
-    loaded = subprocess.run([sys.executable, "-c", STARTUP_CHECK], capture_output=True,
-                            text=True, env=env, check=True).stdout.split()
+    imported, ran = subprocess.run(
+        [sys.executable, "-c", STARTUP_CHECK, *map("\t".join, WELL_FORMED)],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.splitlines()
     # numbers, fractions and decimal too: an integer is what operator.index reads
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize", "json", "csv", "numbers",
-                "fractions", "decimal"} & set(loaded)
+                "fractions", "decimal"} & set(imported.split())
     # bench/workloads.py:library() reads every layer from sys.modules after `import modalkit`
     layers = ("pitch", "modes", "graph", "approximate", "leading", "braid", "errors", "cli")
-    assert {f"modalkit.{layer}" for layer in layers} <= set(loaded)
+    assert {f"modalkit.{layer}" for layer in layers} <= set(imported.split())
+    # a well-formed argv is read without argparse, which imports gettext and locale
+    assert [verb for verb, *_ in WELL_FORMED] == list(cli._VERBS)
+    assert not {"argparse", "gettext", "locale"} & set(ran.split())
+    # and argparse still prints the help
+    proc = run_subprocess(["--help"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: modalkit [-h]")
 
 
 def test_admissible_counts():
@@ -456,6 +481,70 @@ def test_every_argv_ends_in_exit_0_1_or_2(argv, content):
         # the usage, then the error on one last line
         assert re.search(r"(\A|\n)modalkit( \w+)?: error: [^\n]+\n\Z", err)
         assert "adapter" not in err  # the usage error names no internal function
+
+
+# The reader against argparse.  An argv that cli._read takes, argparse reads to
+# the same fields, with nothing left over; run gives any other to argparse.
+
+
+def read_as_argparse_does(argv):
+    """Whether cli._read takes argv; argparse must read an argv it takes the same."""
+    args = cli._read(argv)
+    if args is not None:
+        parsed, extra = cli.build_parser(argv[0]).parse_known_args(argv)
+        assert extra == [] and vars(parsed) == vars(args)
+    return args is not None
+
+
+READS = [
+    # a value that starts with a dash is taken after "=" alone
+    (["special", "--quality=-7b5"], True),
+    (["special", "--quality", "-7b5"], False),
+    (["decompose", "--notes", "0,4,7", "--root", "-1"], False),
+    (["graph", "--quality", "7", "--root", "-1", "--dot"], False),
+    (["braid", "--file="], True),
+    (["braid", "--file", ""], True),
+    (["braid", "--file", "a=b", "--ascii"], True),
+    (["braid", "--file"], False),
+    # a flag takes no value
+    (["graph", "--quality", "7", "--dot=1"], False),
+    (["graph", "--quality", "7", "--dot="], False),
+    # an option comes once, by its whole name
+    (["tcm", "--all", "--all"], False),
+    (["modes", "--scale", "major", "--root", "C", "--root=D"], False),
+    (["tcm", "--all", "--form", "json"], False),
+    (["tcm", "--all", "--format=json=x"], False),
+    (["tcm", "--all", "--"], False),
+    (["tcm", "--", "--all"], False),
+    (["modes", "--scale", "major", "-h", "--root", "C"], False),
+    (["tcm", "--all", "extra"], False),
+    # tcm takes exactly one of --quality and --all
+    (["tcm", "--quality", "7", "--all"], False),
+    (["tcm", "--format", "json"], False),
+    (["tcm", "--quality", "7"], True),
+    # graph's --root comes with --dot
+    (["graph", "--quality", "7", "--root", "C"], False),
+    (["graph", "--root", "C", "--quality", "7", "--dot"], True),
+    (["harmonize", "--scale", "major", "--degree", "8"], False),
+    (["harmonize", "--scale", "major", "--degree=7"], True),
+    (["modes", "--scale", "major"], False),
+    (["modes", "--scale", "major", "--root", "H"], False),
+    (["--help"], False),
+    ([], False),
+    (["tmc", "--all"], False),
+]
+
+
+@pytest.mark.parametrize("argv, read", READS, ids=[repr(" ".join(argv)) for argv, _ in READS])
+def test_the_reader_takes_only_what_argparse_reads_the_same(argv, read):
+    assert read_as_argparse_does(argv) is read
+
+
+@given(ARGV)
+@example(["tcm", "--quality=-7b5", "--format=csv"])
+@example(["special", "--format", "json", "--paper-compat", "--quality", "maj7"])
+def test_the_reader_agrees_with_argparse_on_fuzzed_argv(argv):
+    read_as_argparse_does(argv)
 
 
 def test_huge_integers_print_no_traceback(tmp_path):

@@ -121,8 +121,12 @@ def test_run_builds_only_the_sub_parser_its_verb_names(monkeypatch, capsys):
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
     for argv, names in (
-        (["tcm", "--all"], ["tcm"]),
-        (["braid", "--file", str(DATA / "peru.prog")], ["braid"]),
+        # well-formed: read without argparse
+        (["tcm", "--all"], []),
+        (["braid", "--file", str(DATA / "peru.prog")], []),
+        # refused by the reader: argparse reads it with the one sub-parser its verb names
+        (["tcm", "--all", "--all"], ["tcm"]),
+        (["braid", "--file", str(DATA / "peru.prog"), "-h"], ["braid"]),
         (["--help"], list(cli._VERBS)),
         (["tmc", "--all"], list(cli._VERBS)),
         ([], list(cli._VERBS)),

@@ -247,6 +247,15 @@ def test_a_field_of_the_wrong_type_is_a_modalkit_error(cls, fields, kinds, data)
          r"^edges of type int are no collection$"),
         (lambda: ModeGraph(ChordQuality.DOM7, (), ([1, 2],), ()), InvalidArgument,
          r"^a ModeGraph's edge is a tuple, not list$"),
+        (lambda: ModeGraph(ChordQuality.DOM7, (), (), ()), InvalidArgument,
+         r"^a ModeGraph has one vertex at least$"),
+        (lambda: ModeGraph(ChordQuality.DOM7, GRAPH.vertices, ((1, 2),), ()), InvalidArgument,
+         r"^a ModeGraph's edge \(1, 2\) is no pair of its vertices$"),
+        (lambda: ModeGraph(ChordQuality.DOM7, GRAPH.vertices, (GRAPH.vertices[:3],), ()),
+         InvalidArgument, r"^a ModeGraph's edge \(DegreeLabel\(degree=1, .* is no pair of its"
+         r" vertices$"),
+        (lambda: ModeGraph(ChordQuality.DOM7, GRAPH.vertices[:1], GRAPH.edges[:1], ()),
+         InvalidArgument, r"^a ModeGraph's edge .*semitones=1\)\) is no pair of its vertices$"),
         (lambda: ModeGraph(ChordQuality.DOM7, (), (), 7), InvalidArgument,
          r"^paths of type int are no collection$"),
         (lambda: ModeGraph(ChordQuality.DOM7, (), (), GRAPH.vertices), InvalidArgument,
@@ -263,8 +272,9 @@ def test_a_field_of_the_wrong_type_is_a_modalkit_error(cls, fields, kinds, data)
     ids=["scale-degrees", "scale-degree", "scale-root", "mode", "label-text", "label-degree",
          "label-semitones", "label-unnamed", "triad-root-text", "triad-root-float",
          "triad-quality", "graph-quality", "graph-vertices", "graph-vertex", "graph-edges",
-         "graph-edge", "graph-paths", "graph-path", "path-labels", "path-label", "path-name",
-         "approximation-candidate"],
+         "graph-edge", "graph-no-vertex", "graph-edge-of-ints", "graph-edge-of-three",
+         "graph-edge-to-no-vertex", "graph-paths", "graph-path", "path-labels", "path-label",
+         "path-name", "approximation-candidate"],
 )
 def test_a_value_type_names_what_it_refuses(build, error, message):
     with pytest.raises(error, match=message):
