@@ -36,7 +36,7 @@ import sys
 import types
 
 from .errors import ModalkitError, ParseError
-from .pitch import ChordQuality, _integer, parse_note, parse_pcs, pc_name
+from .pitch import ChordQuality, _integer, _Table, parse_note, parse_pcs, pc_name
 
 # The other layers, unexecuted until a verb reads them.  They are looked up in
 # sys.modules: the package attribute ``approximate`` is the function, and
@@ -191,24 +191,36 @@ def _cmd_braid(args):
     with open(args.file, "rb") as f:
         data = f.read()
     try:
-        text = data.decode("utf-8")
+        # a byte-order mark, as Windows editors save one, is no part of the text
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        position = len(data[:exc.start].decode("utf-8"))
+        # the codec reports the offset into the bytes it decoded, after any mark
+        position = len(exc.object[:exc.start].decode("utf-8"))
         raise ParseError(f"{args.file} is not UTF-8 text; bad byte", position) from None
     del data  # only the text is read from here on
     # decoded whole, so a file that is not UTF-8 prints nothing; then read one line
-    # at a time, so a bad line fails after the lines before it were yielded, and
-    # run drops the block it has not written yet
+    # at a time, so a bad line fails after the full blocks before it were yielded,
+    # and the unfinished block is dropped
     entries = leading_mod._entries(text)
     first = next(entries)  # a file with no chords is a ParseError before any output
-    yield f"strands={leading_mod.STRANDS}\n"
-    # each move's tokens and rows were checked once, as one word, when its walk was derived
-    walk = leading_mod._WALKS.__getitem__
+    # each move's tokens and rows, read by one lookup per move; both come from its
+    # walk, checked once, as one word, when the walk was derived
+    walks = leading_mod._WALKS
+    tokens = _Table(lambda move: walks[move][1]).__getitem__
+    rows = _Table(lambda move: walks[move][2]).__getitem__
     base, _ = braid_mod._DRAWINGS[leading_mod.STRANDS]  # the row of plain strands
+    parts = [f"strands={leading_mod.STRANDS}\n"]
+    size = len(parts[0])
     for a, b, moves in leading_mod._transition_moves(itertools.chain((first,), entries)):
-        walks = list(map(walk, moves))  # (letters, tokens, rows) per move
-        line = f"{a} -> {b}: {' '.join([tokens for _, tokens, _ in walks])}\n"
-        yield "".join([line, base, *[rows for _, _, rows in walks]]) if args.ascii else line
+        piece = f"{a} -> {b}: {' '.join(map(tokens, moves))}\n"
+        if args.ascii:
+            piece = "".join([piece, base, *map(rows, moves)])
+        parts.append(piece)
+        size += len(piece)
+        if size >= 1 << 16:  # a block of at least 64 K, which run writes in one write
+            yield "".join(parts)
+            parts, size = [], 0
+    yield "".join(parts)
 
 
 def _cmd_approx(args):

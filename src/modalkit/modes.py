@@ -142,7 +142,8 @@ def _names_by_offsets() -> dict[tuple[int, ...], str]:
 
 def harmonize(s: ScaleType, degree: int) -> ChordQuality:
     """Seventh-chord quality stacked on a scale degree: an integer in 1..7."""
-    degree = _int(degree, "degree")
+    if type(degree) is not int:  # an int is read as it is; any other value by the integer rule
+        degree = _int(degree, "degree")
     if not 1 <= degree <= 7:
         raise IndexOutOfRange(f"degree must be in 1..7, got {degree}")
     try:

@@ -23,6 +23,9 @@ from modalkit.pitch import ChordQuality
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 
+# The UTF-8 byte-order mark.
+BOM = b"\xef\xbb\xbf"
+
 # More digits than int() converts by default (4,300).
 HUGE = "0" * 5000
 
@@ -310,8 +313,14 @@ def test_domain_error_exit_code():
         (b"Cmaj7\n\xff\xfeG7\n", "not UTF-8 text; bad byte (at position 6)"),
         # the position counts characters, so the two-byte e-acute counts once
         (b"Cmaj7\n\xc3\xa9\n\xff\n", "not UTF-8 text; bad byte (at position 8)"),
+        # the position counts into the text after a byte-order mark, where a second mark
+        # is a character
+        (BOM + b"Cmaj7\n\xff\xfeG7\n", "not UTF-8 text; bad byte (at position 6)"),
+        (BOM + BOM + b"C\xff\n", "not UTF-8 text; bad byte (at position 2)"),
+        (BOM, "no chords"),
     ],
-    ids=["empty", "comment-only", "not-utf8", "not-utf8-after-multibyte"],
+    ids=["empty", "comment-only", "not-utf8", "not-utf8-after-multibyte", "not-utf8-after-a-mark",
+         "not-utf8-after-two-marks", "a-mark-alone"],
 )
 def test_braid_bad_file_is_one_line_parse_error(tmp_path, content, detail):
     path = tmp_path / "bad.prog"
@@ -322,6 +331,16 @@ def test_braid_bad_file_is_one_line_parse_error(tmp_path, content, detail):
     assert len(lines) == 1 and lines[0].startswith("ParseError:")
     assert detail in lines[0]
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [[], ["--ascii"]], ids=["plain", "ascii"])
+def test_braid_reads_a_file_with_a_byte_order_mark_as_one_without(flags, tmp_path):
+    # Windows editors save UTF-8 with a byte-order mark, which is no part of the text
+    path = tmp_path / "marked.prog"
+    path.write_bytes(BOM + (DATA / "peru.prog").read_bytes())
+    code, out, err = capture(["braid", "--file", str(path), *flags])
+    assert (code, err) == (0, "")
+    assert out == capture(["braid", "--file", str(DATA / "peru.prog"), *flags])[1]
 
 
 @pytest.mark.parametrize(

@@ -265,20 +265,47 @@ def test_the_braid_verb_checks_each_move_once(ascii_, monkeypatch, tmp_path):
     assert 0 < len(checked) == len(leading._WALKS) <= 12 * 11
 
 
-def test_a_bad_line_after_a_block_of_output_ends_after_whole_lines(tmp_path):
+@pytest.mark.parametrize("ascii_", [False, True], ids=["plain", "ascii"])
+def test_a_bad_line_after_a_block_of_output_ends_after_whole_lines(ascii_, tmp_path):
     # the lines before a bad one are read and printed as they stream; run writes
     # each full 64 KB block, drops the unfinished one and prints the one error line
     good = long_song(3, 5_000)
     path = tmp_path / "song.prog"
     path.write_bytes(f"{good}\nCxx\nG7\n".encode())
     out, err = io.StringIO(), io.StringIO()
-    assert run(["braid", "--file", str(path)], out=out, err=err) == 1
+    argv = ["braid", "--file", str(path), *(["--ascii"] if ascii_ else [])]
+    assert run(argv, out=out, err=err) == 1
     lineno, position = good.count("\n") + 2, len(good) + 2
     assert err.getvalue() == (f"ParseError: unknown chord quality 'xx' on line {lineno}"
                               f" (at position {position})\n")
     printed = out.getvalue()
     assert len(printed) >= 1 << 16 and printed.endswith("\n")
-    assert library_stdout(good, False).startswith(printed)
+    assert library_stdout(good, ascii_).startswith(printed)
+
+
+class Recording(io.StringIO):
+    """An out that keeps the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("ascii_", [False, True], ids=["plain", "ascii"])
+def test_the_braid_verb_writes_blocks_of_64_k(ascii_, tmp_path):
+    # one write per block of at least 64 K characters, and the rest in one last write
+    text = long_song(4, 5_000)
+    path = tmp_path / "song.prog"
+    path.write_bytes(text.encode())
+    out = Recording()
+    assert run(["braid", "--file", str(path), *(["--ascii"] if ascii_ else [])], out=out) == 0
+    assert out.getvalue() == library_stdout(text, ascii_)
+    assert len(out.sizes) > 2
+    assert all(size >= 1 << 16 for size in out.sizes[:-1])
 
 
 DETERMINISM = """
