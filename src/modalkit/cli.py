@@ -12,10 +12,9 @@ verb, then each of its options at most once, by its whole name, every value
 converted and every required option given.  It builds the args itself, so a
 well-formed run imports no ``argparse``, nor the ``gettext`` and ``locale``
 that argparse loads.  Any other argv, as for ``--help``, a typo or a usage
-error, falls back to argparse, on the parser that ``build_parser`` builds from
-the same table, which prints the help or the error and exits as it always
-has.  That parser holds the sub-parser of the verb that the first argument
-names, and all nine only when that argument names none.
+error, falls back to argparse: ``build_parser`` builds the whole parser from
+the same table, only for help and errors, and it prints the help or the
+error and exits as it always has.
 
 A verb pays only for what it uses.  This module runs ``pitch`` and
 ``errors`` on import and holds the other layers as the lazily executed
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import io
-import itertools
 import sys
 import types
 
@@ -198,26 +196,27 @@ def _cmd_braid(args):
         position = len(exc.object[:exc.start].decode("utf-8"))
         raise ParseError(f"{args.file} is not UTF-8 text; bad byte", position) from None
     del data  # only the text is read from here on
-    # decoded whole, so a file that is not UTF-8 prints nothing; then read one line
-    # at a time, so a bad line fails after the full blocks before it were yielded,
-    # and the unfinished block is dropped
-    entries = leading_mod._entries(text)
-    first = next(entries)  # a file with no chords is a ParseError before any output
     # each move's tokens and rows, read by one lookup per move; both come from its
     # walk, checked once, as one word, when the walk was derived
     walks = leading_mod._WALKS
     tokens = _Table(lambda move: walks[move][1]).__getitem__
     rows = _Table(lambda move: walks[move][2]).__getitem__
     base, _ = braid_mod._DRAWINGS[leading_mod.STRANDS]  # the row of plain strands
+    # decoded whole, so a file that is not UTF-8 prints nothing; then read one line
+    # at a time, so a bad line fails after the full blocks before it were yielded,
+    # and the unfinished block is dropped.  The header waits in that block, so a
+    # file with no chords, a ParseError once it is read, prints nothing either
     parts = [f"strands={leading_mod.STRANDS}\n"]
     size = len(parts[0])
-    for a, b, moves in leading_mod._transition_moves(itertools.chain((first,), entries)):
+    for a, b, moves in leading_mod._transition_moves(leading_mod._entries(text)):
         piece = f"{a} -> {b}: {' '.join(map(tokens, moves))}\n"
         if args.ascii:
             piece = "".join([piece, base, *map(rows, moves)])
         parts.append(piece)
         size += len(piece)
-        if size >= 1 << 16:  # a block of at least 64 K, which run writes in one write
+        # a block of at least 64 K, one write per pipe buffer: a reader sharing the
+        # CPU wakes per write
+        if size >= 1 << 16:
             yield "".join(parts)
             parts, size = [], 0
     yield "".join(parts)
@@ -360,12 +359,8 @@ def _read(argv: list[str]):
 HELP_WIDTH = 78
 
 
-def build_parser(verb: str | None = None):
-    """The argparse parser, with the sub-parser of ``verb`` alone when it names a verb,
-    else all nine.
-
-    Either way the usage line is the same: it lists every verb.
-    """
+def build_parser():
+    """The argparse parser, with a sub-parser for each of the nine verbs."""
     import argparse
 
     # no option is read from a prefix of its name, such as --form for --format
@@ -377,14 +372,8 @@ def build_parser(verb: str | None = None):
         prog="modalkit",
         description="Modal scales, base-chord graphs, braid words and voice leadings.",
     )
-    verbs = [verb] if verb in _VERBS else list(_VERBS)
-    sub = parser.add_subparsers(
-        dest="verb", required=True, parser_class=parser_class,
-        # the usage shows every verb, as argparse spells the choices when all are added
-        metavar=None if len(verbs) > 1 else "{" + ",".join(_VERBS) + "}",
-    )
-    for name in verbs:
-        help_line, command, options, one_of = _VERBS[name]
+    sub = parser.add_subparsers(dest="verb", required=True, parser_class=parser_class)
+    for name, (help_line, command, options, one_of) in _VERBS.items():
         p = sub.add_parser(name, help=help_line)
         group = p.add_mutually_exclusive_group(required=True) if one_of else p
         for option, convert, choices, default in options:
@@ -404,7 +393,7 @@ def _parse(argv: list[str], out, err):
     raises SystemExit for them."""
     import contextlib
 
-    parser = build_parser(argv[0] if argv else None)
+    parser = build_parser()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         args, extra = parser.parse_known_args(argv)
         if extra:
@@ -415,6 +404,13 @@ def _parse(argv: list[str], out, err):
 
 
 def run(argv: list[str], out=None, err=None) -> int:
+    """Run the verb that argv names and return its exit code: 0 on success or after
+    help, 2 on a usage error, and 1 on a domain error or a failed read or write,
+    whose ``ErrorClass: message`` line goes to ``err``.
+
+    ``out`` and ``err`` (stdout and stderr when None) need only ``write``.  Each
+    text the verb yields is written to ``out`` as it comes.
+    """
     out = out or sys.stdout
     err = err or sys.stderr
     args = _read(argv)
@@ -424,14 +420,8 @@ def run(argv: list[str], out=None, err=None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
     try:
-        # one write per pipe buffer (64 KB): a reader sharing the CPU wakes per write
-        block = io.StringIO()
         for text in args.func(args):
-            block.write(text)
-            if block.tell() >= 1 << 16:
-                out.write(block.getvalue())
-                block = io.StringIO()
-        out.write(block.getvalue())
+            out.write(text)
     except (ModalkitError, OSError) as exc:
         err.write(f"{type(exc).__name__}: {exc}\n")
         return 1

@@ -183,18 +183,16 @@ def _no_graph(g) -> InvalidArgument:
 
 def euler_characteristic(g: ModeGraph) -> int:
     """Vertices minus edges."""
-    try:
-        return len(g.vertices) - len(g.edges)
-    except AttributeError:
-        raise _no_graph(g) from None
+    if not isinstance(g, ModeGraph):
+        raise _no_graph(g)
+    return len(g.vertices) - len(g.edges)
 
 
 def maximal_tree(g: ModeGraph) -> tuple[tuple[DegreeLabel, DegreeLabel], ...]:
     """A deterministic spanning tree: first-reached edges in vertex order."""
-    try:
-        seen = {g.vertices[0]}
-    except AttributeError:
-        raise _no_graph(g) from None
+    if not isinstance(g, ModeGraph):
+        raise _no_graph(g)
+    seen = {g.vertices[0]}
     tree: list[tuple[DegreeLabel, DegreeLabel]] = []
     # Edges connect consecutive degrees only, so one left-to-right sweep
     # reaches every vertex.
@@ -217,10 +215,9 @@ def enumerate_admissible(g: ModeGraph) -> list[AdmissiblePath]:
     Deterministic order: lexicographic over the per-degree choices with the
     flatter alteration first.
     """
-    try:
-        return list(g.paths)
-    except AttributeError:
-        raise _no_graph(g) from None
+    if not isinstance(g, ModeGraph):
+        raise _no_graph(g)
+    return list(g.paths)
 
 
 def special_modes(q: ChordQuality) -> list[AdmissiblePath]:
@@ -260,13 +257,10 @@ def emit_dot(g: ModeGraph, root: PitchClass | None = None) -> str:
     """Render the graph as a DOT digraph; note names when a root is given."""
     if root is not None:
         root = _pc(root, "root")
-    try:
-        if _GRAPHS.get(g.quality) is g:
-            return _THEORY_DOT[g.quality, root]
-    except AttributeError:
-        raise _no_graph(g) from None
     if not isinstance(g, ModeGraph):
         raise _no_graph(g)
+    if _GRAPHS.get(g.quality) is g:
+        return _THEORY_DOT[g.quality, root]
     return _render_dot(g, root)
 
 

@@ -231,9 +231,7 @@ def braid_of_leading(v: VoiceLeading) -> BraidWord:
     # both sides sorted as given is crossing-free; otherwise test each pair
     if (source != list(v.source) or target != list(v.target)) and not v.is_crossing_free():
         raise CrossingLeading(f"the pairing {v.pairs()} crosses")
-    moves = _moves(source, target, source_repeats=len(set(source)) < len(source),
-                   target_repeats=len(set(target)) < len(target))
-    return BraidWord._make(STRANDS, _letters(moves))
+    return BraidWord._make(STRANDS, _letters(_moves(source, target)))
 
 
 class Progression(_Value, kinds=(object,)):

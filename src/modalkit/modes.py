@@ -159,10 +159,9 @@ def decompose(m: ModalScale) -> Mode:
     scale; a scale that is no mode raises NotAMode on every call, and an m
     that is no ModalScale is an InvalidArgument.
     """
-    try:
-        mode = m._mode
-    except AttributeError:
-        raise InvalidArgument(f"decompose takes a ModalScale, not {type(m).__name__}") from None
+    if not isinstance(m, ModalScale):
+        raise InvalidArgument(f"decompose takes a ModalScale, not {type(m).__name__}")
+    mode = m._mode
     if mode is None:
         mode = Mode(Chord(m.degrees[0::2]), Chord(m.degrees[1::2]), m)
         object.__setattr__(m, "_mode", mode)

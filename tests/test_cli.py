@@ -510,7 +510,7 @@ def read_as_argparse_does(argv):
     """Whether cli._read takes argv; argparse must read an argv it takes the same."""
     args = cli._read(argv)
     if args is not None:
-        parsed, extra = cli.build_parser(argv[0]).parse_known_args(argv)
+        parsed, extra = cli.build_parser().parse_known_args(argv)
         assert extra == [] and vars(parsed) == vars(args)
     return args is not None
 

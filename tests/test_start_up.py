@@ -111,7 +111,7 @@ def test_help_does_not_depend_on_the_terminal_width(argv):
                if not line.strip().startswith("{")) <= cli.HELP_WIDTH
 
 
-def test_run_builds_only_the_sub_parser_its_verb_names(monkeypatch, capsys):
+def test_run_builds_the_parser_only_for_an_argv_the_reader_refuses(monkeypatch, capsys):
     built = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -124,9 +124,9 @@ def test_run_builds_only_the_sub_parser_its_verb_names(monkeypatch, capsys):
         # well-formed: read without argparse
         (["tcm", "--all"], []),
         (["braid", "--file", str(DATA / "peru.prog")], []),
-        # refused by the reader: argparse reads it with the one sub-parser its verb names
-        (["tcm", "--all", "--all"], ["tcm"]),
-        (["braid", "--file", str(DATA / "peru.prog"), "-h"], ["braid"]),
+        # refused by the reader: argparse reads it with all nine sub-parsers
+        (["tcm", "--all", "--all"], list(cli._VERBS)),
+        (["braid", "--file", str(DATA / "peru.prog"), "-h"], list(cli._VERBS)),
         (["--help"], list(cli._VERBS)),
         (["tmc", "--all"], list(cli._VERBS)),
         ([], list(cli._VERBS)),
@@ -137,8 +137,6 @@ def test_run_builds_only_the_sub_parser_its_verb_names(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_the_usage_line_names_every_verb_whichever_sub_parser_is_built():
+def test_the_usage_line_names_every_verb():
     usage = cli.build_parser().format_usage()
     assert "{modes,harmonize,decompose,graph,tcm,admissible,special,braid,approx}" in usage
-    for verb in cli._VERBS:
-        assert cli.build_parser(verb).format_usage() == usage

@@ -157,10 +157,12 @@ CALLS = [
     (voice_leading, (Chord([0]), Chord([1]), 0, 1), (None, None, "root", "root")),
 ]
 
+# a look-alike with each field that a graph or scale reader reads, of the wrong type
+LOOK_ALIKE = types.SimpleNamespace(quality=[], vertices=5, edges=(), paths=5, _mode=None, degrees=5)
 SAMPLES = [
     None, 5, "7", b"s1", [1], {}, (0, 1), object(), Chord([0, 4, 7, 10]), ChordQuality.DOM7,
     ScaleType.MAJOR, TriadQuality.MAJOR, Triad(0, TriadQuality.MAJOR), WORD, SCALE, GRAPH,
-    LEADING, PROGRESSION,
+    LEADING, PROGRESSION, LOOK_ALIKE,
 ]
 VALUES = st.one_of(
     st.sampled_from(SAMPLES),
@@ -182,6 +184,14 @@ def test_an_argument_of_the_wrong_type_is_a_modalkit_error(function, args, kinds
     value = data.draw(VALUES.filter(lambda v: not takes(v)), label=f"argument {position}")
     with pytest.raises(ModalkitError):
         function(*args[:position], value, *args[position + 1:])
+
+
+@pytest.mark.parametrize("function", [
+    decompose, emit_dot, enumerate_admissible, euler_characteristic, maximal_tree,
+])
+def test_a_look_alike_of_a_graph_or_scale_is_a_modalkit_error(function):
+    with pytest.raises(ModalkitError):
+        function(LOOK_ALIKE)
 
 
 def test_every_public_function_is_called():
