@@ -4,7 +4,16 @@ Every verb is a thin adapter over the library: a generator that yields its
 output text, which ``run`` writes to stdout.  Output is byte-deterministic
 for a fixed input, help text included: argparse formats it at one fixed
 width, whatever the terminal.  Exit codes: 0 success, 2 usage error, 1
-domain error (the error class name goes to stderr).
+domain error or a failed write or flush to stdout (the error class name goes
+to stderr).
+
+``main``, which the console script and ``python -m modalkit.cli`` run, ends
+the process once its output is out: the ``atexit`` callbacks run, stdout and
+stderr are flushed, and ``os._exit`` skips the interpreter's teardown of
+modules and objects, which each short run would otherwise pay after its last
+byte.  Under a profiler, tracer or debugger it exits by ``sys.exit`` instead,
+so that the tool's report prints.  In-process callers use ``run``, which
+returns.
 
 Each verb's options are declared once, in ``_VERBS``, and argv is read two
 ways.  First ``_read`` takes a well-formed argv straight from that table: a
@@ -28,8 +37,10 @@ variable is honored by construction.
 
 from __future__ import annotations
 
+import atexit
 import functools
 import io
+import os
 import sys
 import types
 
@@ -428,8 +439,56 @@ def run(argv: list[str], out=None, err=None) -> int:
     return 0
 
 
+def _watched() -> bool:
+    """Whether a profiler, tracer or debugger watches this run, and so reports as the
+    interpreter ends: one set by ``sys.setprofile`` or ``sys.settrace``, or, from
+    Python 3.12, one that ``sys.monitoring`` names, as cProfile registers there."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (
+        sys.getprofile() is not None or sys.gettrace() is not None
+        or monitoring is not None and any(
+            monitoring.get_tool(tool) is not None
+            for tool in (monitoring.DEBUGGER_ID, monitoring.PROFILER_ID)
+        )
+    )
+
+
+def _flushed(code: int) -> int:
+    """Flush stdout and stderr and return ``code``, or 1 when stdout's flush fails, as
+    into a pipe whose reader has gone; its ``ErrorClass: message`` line goes to stderr
+    unless ``run`` has reported an error."""
+    out, err = sys.stdout, sys.stderr  # None for a stream the process started without
+    try:
+        if out is not None:
+            out.flush()
+    except OSError as exc:
+        if not code and err is not None:  # else run has reported its error
+            err.write(f"{type(exc).__name__}: {exc}\n")
+        code = 1
+        # what stays buffered drains into devnull, so the interpreter's own flush at
+        # exit, which a profiler's or tracer's sys.exit still reaches, cannot fail again
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+        except (OSError, ValueError):  # a stdout with no file descriptor
+            pass
+    if err is not None:
+        err.flush()
+    return code
+
+
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Run the verb that the command line names and end the process: the ``atexit``
+    callbacks run, then stdout and stderr are flushed, and the process exits with
+    ``run``'s code, or 1 when the flush fails, without the interpreter's teardown.
+    Under a profiler, tracer or debugger it exits by ``sys.exit``, so that its report
+    prints.  ``main`` never returns; in-process callers use ``run``."""
+    code = run(sys.argv[1:])
+    if _watched():
+        sys.exit(_flushed(code))
+    atexit._run_exitfuncs()  # as the interpreter runs them, before it flushes the streams
+    os._exit(_flushed(code))
 
 
 if __name__ == "__main__":

@@ -372,6 +372,77 @@ def test_closed_stdout_ends_in_one_line(tmp_path):
     assert "Traceback" not in err
 
 
+# A program that ends in main, as the console script does.
+MAIN = "from modalkit.cli import main\nmain()\n"
+BROKEN_PIPE = "BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
+def buffered_env():
+    """The environment of a spawned CLI whose stdout is block-buffered, as in a shell."""
+    _, env = cli_command([])
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def spawn_on_a_closed_pipe(args, env):
+    """Run python with args, its stdout a pipe whose reader has gone; (exit code, stderr)."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, *args], stdout=write, stderr=subprocess.PIPE,
+                              env=env)
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("launch", [["-m", "modalkit.cli"], ["-c", MAIN]], ids=["module", "main"])
+def test_a_closed_pipe_on_stdout_is_exit_1_and_one_line(launch, unbuffered):
+    # buffered, the table is written only when main flushes stdout, after run returned 0
+    env = buffered_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    assert spawn_on_a_closed_pipe([*launch, "tcm", "--all"], env) == (1, BROKEN_PIPE)
+
+
+def test_under_a_profiler_or_tracer_a_closed_pipe_on_stdout_is_one_line():
+    env = buffered_env()
+    # a tracer, as coverage or a debugger sets, lets main's sys.exit end the process
+    traced = "import sys\nsys.settrace(lambda *args: None)\n" + MAIN
+    assert spawn_on_a_closed_pipe(["-c", traced, "tcm", "--all"], env) == (1, BROKEN_PIPE)
+    # cProfile writes its report to the same pipe, and its exit code is its own
+    profiled = ["-m", "cProfile", "-m", "modalkit.cli", "tcm", "--all"]
+    assert spawn_on_a_closed_pipe(profiled, env)[1] == BROKEN_PIPE
+
+
+def test_main_runs_the_atexit_callbacks_and_flushes_what_they_write():
+    program = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: sys.stdout.write('stdout at exit'))\n"
+        "atexit.register(lambda: sys.stderr.write('stderr at exit\\n'))\n"
+    ) + MAIN
+    proc = subprocess.run([sys.executable, "-c", program, "tcm", "--all"], capture_output=True,
+                          text=True, env=buffered_env())
+    assert (proc.returncode, proc.stderr) == (0, "stderr at exit\n")
+    assert proc.stdout == (GOLDEN / "tcm_all.txt").read_text() + "stdout at exit"
+
+
+@pytest.mark.parametrize(
+    "tool, report",
+    [(["-m", "cProfile", "-m"], "function calls"),
+     (["-m", "trace", "--listfuncs", "--module"], "functions called:")],
+    ids=["cProfile", "trace"],
+)
+def test_a_profiler_or_tracer_still_prints_its_report(tool, report):
+    proc = subprocess.run([sys.executable, *tool, "modalkit.cli", "tcm", "--all"],
+                          capture_output=True, text=True, env=buffered_env())
+    golden = (GOLDEN / "tcm_all.txt").read_text()
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(golden)
+    assert report in proc.stdout[len(golden):]
+
+
 class _Discard:
     """A stdout that keeps nothing it is given."""
 

@@ -2,9 +2,11 @@
 type with a ModalkitError, and reads every integer and pitch class by one rule.
 
 Each function of ``modalkit.__all__`` is called with valid arguments but one,
-which is drawn from values of other types: library values, None, text,
-bytes, lists and dicts.  The call must raise a ``ModalkitError``, never a bare
-``AttributeError`` or ``TypeError``.
+which is a value of another type: each of the fixed ``SAMPLES`` (library
+values, None and a look-alike of a graph or scale) in place of each argument,
+on every run, and text, bytes, lists and dicts drawn at random.  The call must
+raise a ``ModalkitError``, never a bare ``AttributeError`` or ``TypeError``.
+Each value type's fields are checked the same way.
 
 Numbers are drawn by the table ``NUMBERS``: every value-type field and every
 argument of a public function that is an integer or a pitch class.  This file
@@ -165,7 +167,6 @@ SAMPLES = [
     LEADING, PROGRESSION, LOOK_ALIKE,
 ]
 VALUES = st.one_of(
-    st.sampled_from(SAMPLES),
     st.text(max_size=4),
     st.binary(max_size=4),
     st.lists(st.text(max_size=2), max_size=2),
@@ -173,9 +174,36 @@ VALUES = st.one_of(
 )
 
 
-@pytest.mark.parametrize(
-    "function, args, kinds", CALLS, ids=[f"{f.__name__}-{i}" for i, (f, _, _) in enumerate(CALLS)]
-)
+def unrefused_samples(call, valid, kinds):
+    """Each (position, sample, outcome) for which ``call``, given ``valid`` with the
+    sample in place of the argument at that position, raises no ModalkitError; a
+    sample is put only where its kind does not take it."""
+    unrefused = []
+    for position, kind in enumerate(kinds):
+        for sample in SAMPLES:
+            if kind is None or TAKES[kind](sample):
+                continue
+            try:
+                call(*valid[:position], sample, *valid[position + 1:])
+            except ModalkitError:
+                continue
+            except Exception as exc:  # every pair is collected, not the first alone
+                unrefused.append((position, sample, type(exc).__name__))
+            else:
+                unrefused.append((position, sample, "returned"))
+    return unrefused
+
+
+CALL_IDS = [f"{f.__name__}-{i}" for i, (f, _, _) in enumerate(CALLS)]
+
+
+@pytest.mark.parametrize("function, args, kinds", CALLS, ids=CALL_IDS)
+def test_each_sample_of_the_wrong_type_is_a_modalkit_error(function, args, kinds):
+    function(*args)  # the valid arguments are taken
+    assert unrefused_samples(function, args, kinds) == []
+
+
+@pytest.mark.parametrize("function, args, kinds", CALLS, ids=CALL_IDS)
 @given(data=st.data())
 def test_an_argument_of_the_wrong_type_is_a_modalkit_error(function, args, kinds, data):
     function(*args)  # the valid arguments are taken
@@ -220,7 +248,16 @@ BUILDS = [
 ]
 
 
-@pytest.mark.parametrize("cls, fields, kinds", BUILDS, ids=[cls.__name__ for cls, _, _ in BUILDS])
+BUILD_IDS = [cls.__name__ for cls, _, _ in BUILDS]
+
+
+@pytest.mark.parametrize("cls, fields, kinds", BUILDS, ids=BUILD_IDS)
+def test_each_sample_field_of_the_wrong_type_is_a_modalkit_error(cls, fields, kinds):
+    cls(*fields)  # the valid fields are taken
+    assert unrefused_samples(cls, fields, kinds) == []
+
+
+@pytest.mark.parametrize("cls, fields, kinds", BUILDS, ids=BUILD_IDS)
 @given(data=st.data())
 def test_a_field_of_the_wrong_type_is_a_modalkit_error(cls, fields, kinds, data):
     cls(*fields)  # the valid fields are taken
