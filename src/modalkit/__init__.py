@@ -12,10 +12,14 @@ name is first read.  The modules are package attributes too, except
 ``approximate``: ``modalkit.approximate`` is the function, and its module is
 ``sys.modules["modalkit.approximate"]``.
 
+An import statement may or may not run a layer.  ``from modalkit import
+braid`` binds the layer unexecuted.  ``import modalkit.braid`` runs it once
+the package is imported, as the import system then reads the layer's
+``__spec__``, but not when that statement is what first imports the package.
 ``LazyLoader`` takes no lock on some Python versions (3.11 among them), so
-a program whose threads may first read one layer at the same time reads a
-name of that layer, as ``modalkit.BraidWord``, before it starts them.  An
-import statement such as ``import modalkit.braid`` does not run the layer.
+a program whose threads may first read one layer at the same time runs that
+layer before it starts them, by reading a name of it, as
+``modalkit.BraidWord``; an import statement is not enough.
 """
 
 import importlib.util

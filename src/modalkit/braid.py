@@ -21,7 +21,6 @@ InvalidBraid, and checks a subclass's word again as a BraidWord.
 from __future__ import annotations
 
 import operator
-import re
 
 from .errors import (
     IndexOutOfRange,
@@ -169,9 +168,6 @@ def rewrite_step(w: BraidWord, rule: str, at: int) -> BraidWord:
     return BraidWord._make(w.strands, w.letters[:at] + replacement + w.letters[at + width:])
 
 
-_TOKEN = re.compile(r"s([0-9]+)(\^-1)?")
-
-
 def parse_word(text: str, strands: int) -> BraidWord:
     """Parse whitespace-separated tokens ``s<k>`` / ``s<k>^-1``, ``k`` in ASCII digits.
 
@@ -194,20 +190,22 @@ def parse_word(text: str, strands: int) -> BraidWord:
 
 
 def _letter(text: str, tokens: list[str], k: int) -> Letter:
-    """The letter of ``tokens[k]``, read by ``_TOKEN``."""
+    """The letter of ``tokens[k]``: ``s``, ASCII digits, then ``^-1`` for an inverse."""
     token = tokens[k]
-    m = _TOKEN.fullmatch(token)
-    try:
-        index = int(m.group(1)) if m else None
-    except ValueError:  # more digits than int() converts, see sys.set_int_max_str_digits
-        index = None
+    digits = token[1:].removesuffix("^-1")
+    index = None
+    if token.startswith("s") and digits.isascii() and digits.isdigit():
+        try:
+            index = int(digits)
+        except ValueError:  # more digits than int() converts, see sys.set_int_max_str_digits
+            pass
     if index is None:
         end = 0
         for earlier in tokens[:k + 1]:  # the offset of the k-th token, found left to right
             start = text.find(earlier, end)
             end = start + len(earlier)
         raise ParseError(f"bad braid token {token!r}", start)
-    return index, -1 if m.group(2) else 1
+    return index, -1 if token.endswith("^-1") else 1
 
 
 def _token(letter: Letter) -> str:

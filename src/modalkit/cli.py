@@ -4,8 +4,8 @@ Every verb is a thin adapter over the library: a generator that yields its
 output text, which ``run`` writes to stdout.  Output is byte-deterministic
 for a fixed input, help text included: argparse formats it at one fixed
 width, whatever the terminal.  Exit codes: 0 success, 2 usage error, 1
-domain error or a failed write or flush to stdout (the error class name goes
-to stderr).
+domain error or a failed write or flush to stdout, a closed stdout included
+(the error class name goes to stderr).
 
 ``main``, which the console script and ``python -m modalkit.cli`` run, ends
 the process once its output is out: the ``atexit`` callbacks run, stdout and
@@ -22,8 +22,10 @@ converted and every required option given.  It builds the args itself, so a
 well-formed run imports no ``argparse``, nor the ``gettext`` and ``locale``
 that argparse loads.  Any other argv, as for ``--help``, a typo or a usage
 error, falls back to argparse: ``build_parser`` builds the whole parser from
-the same table, only for help and errors, and it prints the help or the
-error and exits as it always has.
+the same table, only for help and errors.  argparse prints the help or the
+error into a string, never to a stream, and ``run`` writes that string as it
+writes a verb's output, so help into a closed pipe or a closed stdout fails as
+a verb's output does: exit 1 with one line.
 
 A verb pays only for what it uses.  This module runs ``pitch`` and
 ``errors`` on import and holds the other layers as the lazily executed
@@ -399,18 +401,22 @@ def build_parser():
     return parser
 
 
-def _parse(argv: list[str], out, err):
-    """argparse's reading of argv; it writes help or a usage error to out or err and
-    raises SystemExit for them."""
+def _parse(argv: list[str]):
+    """argparse's reading of argv: the args, or for help or a usage error the pair
+    (exit code, the text argparse printed into a string for ``run`` to write)."""
     import contextlib
 
     parser = build_parser()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        args, extra = parser.parse_known_args(argv)
-        if extra:
-            parser.error(f"unrecognized arguments: {' '.join(map(repr, extra))}")
-        if _root_without_dot(args):
-            parser.error("--root needs --dot")
+    printed = io.StringIO()  # help, which argparse prints to stdout, and usage errors
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+        try:
+            args, extra = parser.parse_known_args(argv)
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(map(repr, extra))}")
+            if _root_without_dot(args):
+                parser.error("--root needs --dot")
+        except SystemExit as exc:
+            return int(exc.code or 0), printed.getvalue()
     return args
 
 
@@ -420,23 +426,36 @@ def run(argv: list[str], out=None, err=None) -> int:
     whose ``ErrorClass: message`` line goes to ``err``.
 
     ``out`` and ``err`` (stdout and stderr when None) need only ``write``.  Each
-    text the verb yields is written to ``out`` as it comes.
+    text the verb yields, and help, is written to ``out`` as it comes; a usage
+    error's text goes to ``err``.  A stream that is None even so, as for a
+    process started with that stream closed, writes nothing: a write to such a
+    stdout fails as ``OSError: [Errno 9] Bad file descriptor``, and a stderr
+    that is None, or whose write fails, drops the error's text and keeps the
+    exit code.
     """
     out = out or sys.stdout
     err = err or sys.stderr
-    args = _read(argv)
-    if args is None:
-        try:
-            args = _parse(argv, out, err)
-        except SystemExit as exc:
-            return int(exc.code or 0)
+    args = _read(argv) or _parse(argv)
+    if isinstance(args, tuple):  # what argparse printed: help, code 0, or a usage error
+        code, text = args
+        texts, problem = ([], text) if code else ([text], "")
+    else:
+        code, texts, problem = 0, args.func(args), ""
     try:
-        for text in args.func(args):
+        for text in texts:
+            if out is None:
+                import errno
+
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             out.write(text)
     except (ModalkitError, OSError) as exc:
-        err.write(f"{type(exc).__name__}: {exc}\n")
-        return 1
-    return 0
+        code, problem = 1, f"{type(exc).__name__}: {exc}\n"
+    if problem and err is not None:
+        try:
+            err.write(problem)
+        except OSError:  # a stderr that fails, as into a closed pipe, drops the text too
+            pass
+    return code
 
 
 def _watched() -> bool:

@@ -44,7 +44,6 @@ per transition, checks each move once, and keeps neither entries nor moves.
 from __future__ import annotations
 
 import itertools
-import re
 from collections.abc import Iterable, Iterator
 
 from .braid import BraidWord, Letter, render_ascii, serialize_word
@@ -299,7 +298,13 @@ def braid_of_progression(p: Progression) -> BraidWord:
     return BraidWord._make(STRANDS, tuple(itertools.chain.from_iterable(_transitions(p))))
 
 
-_COMMENT = re.compile(r"(?:^|\s)#")
+def _uncommented(raw: str) -> str:
+    """``raw`` up to its comment, a ``#`` that starts it or follows whitespace."""
+    at = raw.find("#")
+    while at > 0 and not raw[at - 1].isspace():  # a sharp, as in F#o7
+        at = raw.find("#", at + 1)
+    return raw if at < 0 else raw[:at]
+
 
 # Each valid chord symbol, shared by every line that spells it; a bad symbol
 # raises, so it stays out.  The lambda looks parse_chord_symbol up on each miss,
@@ -332,7 +337,7 @@ def _entries(text: str) -> Iterator[tuple[str, PitchClass, Chord]]:
     """
     entry = None
     for lineno, raw in enumerate(_lines(text), start=1):
-        line = (_COMMENT.split(raw, 1)[0] if "#" in raw else raw).strip()
+        line = (_uncommented(raw) if "#" in raw else raw).strip()
         if not line:
             continue
         name, colon, body = line.partition(":")

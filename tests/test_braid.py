@@ -4,7 +4,7 @@ import re
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modalkit import braid
@@ -349,6 +349,39 @@ def test_parse_word_matches_the_regex_walk(pieces, strands, warm):
         parse_outcome(parse_word, text, strands)
     expected = parse_outcome(reference_parse_word, text, strands)
     assert parse_outcome(parse_word, text, strands) == expected
+
+
+# The pattern a token was read by before str methods read it, kept as the reference.
+TOKEN = re.compile(r"s([0-9]+)(\^-1)?")
+
+
+def reference_letter(token):
+    m = TOKEN.fullmatch(token)
+    try:
+        return int(m.group(1)), -1 if m.group(2) else 1
+    except (AttributeError, ValueError):  # no match, or more digits than int() converts
+        return "ParseError", f"bad braid token {token!r}", 0
+
+
+def letter_outcome(token):
+    try:
+        return braid._letter(token, [token], 0)
+    except ParseError as exc:
+        return "ParseError", exc.message, exc.position
+
+
+# ASCII and other digits, the suffix's characters, and any other character
+token_characters = st.one_of(st.sampled_from("s0123456789^-1\u0663\u00b2\uff11S"), st.characters())
+
+
+@given(st.sampled_from(["s", ""]), st.text(token_characters, max_size=6),
+       st.sampled_from(["", "^-1", "^-1^-1", "^"]))
+@example("s", "0" * 5000, "")
+@example("s", "\u0663", "^-1")
+def test_a_token_reads_as_the_regex_reads_it(prefix, body, suffix):
+    token = prefix + body + suffix
+    assume(token.split() == [token])  # a token as str.split gives it
+    assert letter_outcome(token) == reference_letter(token)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Command-line interface: golden outputs, formats and exit codes."""
 
 import csv
+import errno
 import io
 import json
 import os
@@ -396,14 +397,69 @@ def spawn_on_a_closed_pipe(args, env):
     return proc.returncode, proc.stderr.decode()
 
 
+LAUNCHES = pytest.mark.parametrize(
+    "launch", [["-m", "modalkit.cli"], ["-c", MAIN]], ids=["module", "main"]
+)
+# a verb's output, and help, which argparse prints into the text that run writes
+OUTPUTS = (["tcm", "--all"], ["--help"])
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("launch", [["-m", "modalkit.cli"], ["-c", MAIN]], ids=["module", "main"])
+@LAUNCHES
 def test_a_closed_pipe_on_stdout_is_exit_1_and_one_line(launch, unbuffered):
-    # buffered, the table is written only when main flushes stdout, after run returned 0
+    # buffered, the text is written only when main flushes stdout, after run returned 0
     env = buffered_env()
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    assert spawn_on_a_closed_pipe([*launch, "tcm", "--all"], env) == (1, BROKEN_PIPE)
+    for argv in OUTPUTS:
+        assert spawn_on_a_closed_pipe([*launch, *argv], env) == (1, BROKEN_PIPE), argv
+
+
+class _BrokenPipe:
+    """A stream on a pipe whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+@pytest.mark.parametrize("argv", [["tcm", "--all"], ["--help"], ["braid", "--help"]])
+def test_help_fails_on_a_broken_stdout_as_a_verb_does(argv):
+    err = io.StringIO()
+    assert run(argv, out=_BrokenPipe(), err=err) == 1
+    assert err.getvalue() == BROKEN_PIPE
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["tcm", "--bogus"], 2), (["braid", "--file", str(DATA / "missing.prog")], 1)],
+    ids=["usage-error", "domain-error"],
+)
+def test_a_broken_stderr_drops_the_error_and_keeps_the_code(argv, code):
+    out = io.StringIO()
+    assert run(argv, out=out, err=_BrokenPipe()) == code
+    assert out.getvalue() == ""
+
+
+def spawn_without(fd, args):
+    """Run python with args, started with ``fd`` closed, as a shell's ``>&-`` or ``2>&-``
+    leaves it; (exit code, the other of stdout and stderr)."""
+    _, env = cli_command([])
+    proc = subprocess.run(["sh", "-c", f'exec "$@" {fd}>&-', "sh", sys.executable, *args],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr if fd == 1 else proc.stdout
+
+
+@pytest.mark.parametrize("argv", OUTPUTS, ids=["tcm", "help"])
+@LAUNCHES
+def test_a_closed_stdout_is_exit_1_and_one_line(launch, argv):
+    # Python starts with sys.stdout None, and run's first write fails
+    assert spawn_without(1, [*launch, *argv]) == (1, "OSError: [Errno 9] Bad file descriptor\n")
+
+
+@LAUNCHES
+def test_a_usage_error_with_stderr_closed_is_exit_2(launch):
+    # the usage text is dropped, and nothing goes to stdout in its place
+    assert spawn_without(2, [*launch, "tcm", "--bogus"]) == (2, "")
 
 
 def test_under_a_profiler_or_tracer_a_closed_pipe_on_stdout_is_one_line():

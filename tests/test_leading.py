@@ -602,6 +602,24 @@ def test_parse_progression_without_chords_is_a_parse_error():
             parse_progression(text)
 
 
+# The pattern a comment was cut at before str methods cut it, kept as the reference.
+COMMENT = re.compile(r"(?:^|\s)#")
+
+
+# sharps, ASCII and other whitespace (which \s and str.isspace both take), and any character
+line_characters = st.one_of(
+    st.sampled_from("#aF7 \t\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000\u200b"), st.characters()
+)
+
+
+@given(st.text(line_characters, max_size=16))
+@example("F#o7  # note")
+@example("#C7")
+@example("\u3000#")
+def test_a_comment_is_cut_where_the_regex_cut_it(raw):
+    assert leading._uncommented(raw).strip() == COMMENT.split(raw, 1)[0].strip()
+
+
 def test_sharp_is_not_a_comment():
     p = parse_progression("F#o7\nC#-7  # note\nDbmaj7#5\n#C7\n\t# C7\n")
     assert [name for name, _root, _chord in p.chords] == ["F#o7", "C#-7", "Dbmaj7#5"]

@@ -71,6 +71,36 @@ def test_a_verb_runs_only_the_layers_it_uses(argv, unused):
     assert left == unused.split()
 
 
+def test_no_verb_imports_re_on_a_clean_interpreter():
+    # python -S: no site, which may import re itself; braid and leading read their
+    # tokens and comments with str methods
+    code = (
+        "import io, sys\nfrom modalkit.cli import run\n"
+        "for flags in ([], ['--ascii']):\n"
+        f"    assert run(['braid', '--file', {str(DATA / 'peru.prog')!r}, *flags],"
+        " out=io.StringIO()) == 0\n"
+        "print('re' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+@pytest.mark.parametrize(
+    "statements, ran",
+    [
+        ("import modalkit\nimport modalkit.braid", True),  # reads the layer's __spec__
+        ("import modalkit.braid", False),  # the package's import registers it, unexecuted
+        ("from modalkit import braid", False),
+    ],
+    ids=["import-after-the-package", "import-first", "from-import"],
+)
+def test_which_import_statement_runs_a_layer(statements, ran):
+    out = python(f"import sys, types\n{statements}\n"
+                 "print(type(sys.modules['modalkit.braid']) is types.ModuleType)")
+    assert out == f"{ran}\n"
+
+
 def test_the_public_names_are_the_layers_objects():
     out = python(
         "import pickle, sys, types\n"
