@@ -46,9 +46,11 @@ def _candidates(
 _CANDIDATES = _Table(_candidates)
 
 
-class ScaleApproximation(_Value, kinds=(object, AdmissiblePath, _pc, object, _int, object, object)):
+class ScaleApproximation(_Value, kinds=(
+        frozenset, AdmissiblePath, _pc, frozenset, _int, frozenset, frozenset)):
     """One candidate's ranking against a target: its path on a root pitch class, its
-    notes, the count of notes it shares with the target, and the notes it drops and adds."""
+    notes, the count of notes it shares with the target, and the notes it drops and
+    adds, the target and each set of notes a frozenset of pitch classes."""
 
     __slots__ = ("target", "candidate", "root", "notes", "shared", "dropped", "added")
 

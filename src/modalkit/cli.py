@@ -1,31 +1,27 @@
 """Command-line front end.
 
 Every verb is a thin adapter over the library: a generator that yields its
-output text, which ``run`` writes to stdout.  Output is byte-deterministic
-for a fixed input, help text included: argparse formats it at one fixed
-width, whatever the terminal.  Exit codes: 0 success, 2 usage error, 1
-domain error or a failed write or flush to stdout, a closed stdout included
-(the error class name goes to stderr).
+output text, which ``run`` writes to stdout; ``leading`` writes the braid
+verb's text, in blocks cut by its one 64 K rule.  Output is byte-deterministic
+for a fixed input, help text included: argparse formats it at one fixed width.
+Exit codes: 0 success, 2 usage error, 1 domain error or a failed write or
+flush to stdout, a closed stdout included.  The error class name goes to
+stderr; a stderr that is closed, or whose reader has gone, drops it.
 
 ``main``, which the console script and ``python -m modalkit.cli`` run, ends
-the process once its output is out: the ``atexit`` callbacks run, stdout and
-stderr are flushed, and ``os._exit`` skips the interpreter's teardown of
-modules and objects, which each short run would otherwise pay after its last
-byte.  Under a profiler, tracer or debugger it exits by ``sys.exit`` instead,
-so that the tool's report prints.  In-process callers use ``run``, which
-returns.
+the process by ``os._exit`` once the ``atexit`` callbacks have run and stdout
+and stderr are flushed, so no short run pays for the interpreter's teardown.
+Under a profiler, tracer or debugger it exits by ``sys.exit``, so that the
+tool's report prints.  In-process callers use ``run``, which returns.
 
-Each verb's options are declared once, in ``_VERBS``, and argv is read two
-ways.  First ``_read`` takes a well-formed argv straight from that table: a
-verb, then each of its options at most once, by its whole name, every value
-converted and every required option given.  It builds the args itself, so a
-well-formed run imports no ``argparse``, nor the ``gettext`` and ``locale``
-that argparse loads.  Any other argv, as for ``--help``, a typo or a usage
-error, falls back to argparse: ``build_parser`` builds the whole parser from
-the same table, only for help and errors.  argparse prints the help or the
-error into a string, never to a stream, and ``run`` writes that string as it
-writes a verb's output, so help into a closed pipe or a closed stdout fails as
-a verb's output does: exit 1 with one line.
+Each verb's options are declared once, in ``_VERBS``.  ``_read`` takes a
+well-formed argv straight from that table (a verb, then each of its options
+at most once, by its whole name, every value converted and every required
+option given) with no ``argparse``, nor the ``gettext`` and ``locale`` it
+loads.  Any other argv, as for ``--help``, a typo or a usage error, falls back
+to the parser that ``build_parser`` builds from the same table.  argparse
+prints into a string, which ``run`` writes as a verb's output, so help into a
+closed pipe or a closed stdout fails as a verb does: exit 1 with one line.
 
 A verb pays only for what it uses.  This module runs ``pitch`` and
 ``errors`` on import and holds the other layers as the lazily executed
@@ -47,14 +43,14 @@ import sys
 import types
 
 from .errors import ModalkitError, ParseError
-from .pitch import ChordQuality, _integer, _Table, parse_note, parse_pcs, pc_name
+from .pitch import ChordQuality, _integer, parse_note, parse_pcs, pc_name
 
 # The other layers, unexecuted until a verb reads them.  They are looked up in
 # sys.modules: the package attribute ``approximate`` is the function, and
 # reading it would run its layer.
-approximate_mod, braid_mod, graph_mod, leading_mod, modes_mod = (
+approximate_mod, graph_mod, leading_mod, modes_mod = (
     sys.modules[f"{__package__}.{layer}"]
-    for layer in ("approximate", "braid", "graph", "leading", "modes")
+    for layer in ("approximate", "graph", "leading", "modes")
 )
 
 ROMAN = ("I", "II", "III", "IV", "V", "VI", "VII")
@@ -209,30 +205,8 @@ def _cmd_braid(args):
         position = len(exc.object[:exc.start].decode("utf-8"))
         raise ParseError(f"{args.file} is not UTF-8 text; bad byte", position) from None
     del data  # only the text is read from here on
-    # each move's tokens and rows, read by one lookup per move; both come from its
-    # walk, checked once, as one word, when the walk was derived
-    walks = leading_mod._WALKS
-    tokens = _Table(lambda move: walks[move][1]).__getitem__
-    rows = _Table(lambda move: walks[move][2]).__getitem__
-    base, _ = braid_mod._DRAWINGS[leading_mod.STRANDS]  # the row of plain strands
-    # decoded whole, so a file that is not UTF-8 prints nothing; then read one line
-    # at a time, so a bad line fails after the full blocks before it were yielded,
-    # and the unfinished block is dropped.  The header waits in that block, so a
-    # file with no chords, a ParseError once it is read, prints nothing either
-    parts = [f"strands={leading_mod.STRANDS}\n"]
-    size = len(parts[0])
-    for a, b, moves in leading_mod._transition_moves(leading_mod._entries(text)):
-        piece = f"{a} -> {b}: {' '.join(map(tokens, moves))}\n"
-        if args.ascii:
-            piece = "".join([piece, base, *map(rows, moves)])
-        parts.append(piece)
-        size += len(piece)
-        # a block of at least 64 K, one write per pipe buffer: a reader sharing the
-        # CPU wakes per write
-        if size >= 1 << 16:
-            yield "".join(parts)
-            parts, size = [], 0
-    yield "".join(parts)
+    # decoded whole, so a file that is not UTF-8 prints nothing
+    yield from leading_mod._braid_blocks(text, args.ascii)
 
 
 def _cmd_approx(args):
@@ -393,10 +367,9 @@ def build_parser():
             holder = group if option in one_of else p
             if default is False:
                 holder.add_argument(option, action="store_true")
-            elif default is _REQUIRED:
-                holder.add_argument(option, type=convert, choices=choices, required=True)
-            else:
-                holder.add_argument(option, type=convert, choices=choices, default=default)
+            else:  # a required option's default is never used: an argv without it is an error
+                holder.add_argument(option, type=convert, choices=choices, default=default,
+                                    required=default is _REQUIRED)
         p.set_defaults(func=command)
     return parser
 
@@ -427,11 +400,9 @@ def run(argv: list[str], out=None, err=None) -> int:
 
     ``out`` and ``err`` (stdout and stderr when None) need only ``write``.  Each
     text the verb yields, and help, is written to ``out`` as it comes; a usage
-    error's text goes to ``err``.  A stream that is None even so, as for a
-    process started with that stream closed, writes nothing: a write to such a
-    stdout fails as ``OSError: [Errno 9] Bad file descriptor``, and a stderr
-    that is None, or whose write fails, drops the error's text and keeps the
-    exit code.
+    error's text goes to ``err``.  A write to a stdout that is None even so, as
+    for a process started with it closed, fails as ``OSError: [Errno 9] Bad file
+    descriptor``; ``_say`` drops the error's text on a stderr that cannot take it.
     """
     out = out or sys.stdout
     err = err or sys.stderr
@@ -450,12 +421,17 @@ def run(argv: list[str], out=None, err=None) -> int:
             out.write(text)
     except (ModalkitError, OSError) as exc:
         code, problem = 1, f"{type(exc).__name__}: {exc}\n"
-    if problem and err is not None:
-        try:
-            err.write(problem)
-        except OSError:  # a stderr that fails, as into a closed pipe, drops the text too
-            pass
+    _say(err, problem)
     return code
+
+
+def _say(err, text: str) -> None:
+    """Write ``text``, if any, to ``err``; a stderr that is None or fails drops it."""
+    if text and err is not None:
+        try:
+            err.write(text)
+        except OSError:
+            pass
 
 
 def _watched() -> bool:
@@ -475,34 +451,32 @@ def _watched() -> bool:
 def _flushed(code: int) -> int:
     """Flush stdout and stderr and return ``code``, or 1 when stdout's flush fails, as
     into a pipe whose reader has gone; its ``ErrorClass: message`` line goes to stderr
-    unless ``run`` has reported an error."""
+    unless ``run`` has reported an error.  A failed flush, stderr's too, drains into
+    devnull, so the interpreter's flush at exit, which sys.exit reaches, cannot fail."""
     out, err = sys.stdout, sys.stderr  # None for a stream the process started without
-    try:
-        if out is not None:
-            out.flush()
-    except OSError as exc:
-        if not code and err is not None:  # else run has reported its error
-            err.write(f"{type(exc).__name__}: {exc}\n")
-        code = 1
-        # what stays buffered drains into devnull, so the interpreter's own flush at
-        # exit, which a profiler's or tracer's sys.exit still reaches, cannot fail again
+    for stream in (out, err):
         try:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, out.fileno())
-            os.close(devnull)
-        except (OSError, ValueError):  # a stdout with no file descriptor
-            pass
-    if err is not None:
-        err.flush()
+            if stream is not None:
+                stream.flush()
+        except OSError as exc:
+            if stream is out:
+                if not code:  # else run has reported its error
+                    _say(err, f"{type(exc).__name__}: {exc}\n")
+                code = 1
+            try:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stream.fileno())
+                os.close(devnull)
+            except (OSError, ValueError):  # a stream with no file descriptor
+                pass
     return code
 
 
 def main() -> None:
-    """Run the verb that the command line names and end the process: the ``atexit``
-    callbacks run, then stdout and stderr are flushed, and the process exits with
-    ``run``'s code, or 1 when the flush fails, without the interpreter's teardown.
-    Under a profiler, tracer or debugger it exits by ``sys.exit``, so that its report
-    prints.  ``main`` never returns; in-process callers use ``run``."""
+    """Run the verb that the command line names and end the process with ``_flushed``'s
+    code: by ``os._exit`` once the ``atexit`` callbacks have run, without the
+    interpreter's teardown, or by ``sys.exit`` under a profiler, tracer or debugger,
+    so that its report prints.  ``main`` never returns; in-process callers use ``run``."""
     code = run(sys.argv[1:])
     if _watched():
         sys.exit(_flushed(code))

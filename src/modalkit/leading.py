@@ -25,20 +25,19 @@ root, and reads whether each side repeats a pitch class from a flag, which
 each ``Chord`` derives once; ``braid_of_leading`` sorts its leading's sides
 into it, with their flags, once it has refused a crossing pairing.
 
-One line parser, ``_entries``, yields a text's (label, root, Chord) entries
-one line at a time, and builds each ``name: pc,...`` chord from the pitch
-classes it has just checked, by ``Chord._make`` (see ``pitch._Value``), which
-runs no second check; ``parse_progression`` keeps the entries in a
-``Progression`` built by ``Progression._make``.
-One derivation, ``_transition_moves``, pairs any iterable of entries through
-the core, one list of moves per transition.  A ``Progression`` keeps its
-transitions' letters, joined from the walks, once either progression word
-asks for them, and both words build their words from them by
-``BraidWord._make``, as ``braid_of_leading`` does, since every walk was
-checked.  The
-``braid`` verb pairs the parser's entries through the same derivation and
-writes each move's kept tokens and rows, so it builds no letters and no word
-per transition, checks each move once, and keeps neither entries nor moves.
+One line parser, ``_entries``, yields a text's (label, root, Chord) entries one
+line at a time, and builds each ``name: pc,...`` chord from the pitch classes
+it has just checked, by ``Chord._make`` (see ``pitch._Value``), which runs no
+second check; ``parse_progression`` keeps the entries in a ``Progression``
+built by ``Progression._make``.  One derivation, ``_transition_moves``, pairs
+any iterable of entries through the core, one list of moves per transition.  A
+``Progression`` keeps its transitions' letters, joined from the walks, once
+either progression word asks for them, and both words build their words from
+them by ``BraidWord._make``, as ``braid_of_leading`` does, since every walk was
+checked.  ``_braid_blocks`` writes the ``braid`` verb's text from the parser's
+entries through the same derivation: each move's kept tokens and rows, so it
+builds no letters and no word per transition, checks each move once, keeps
+neither entries nor moves, and cuts its text by ``_BLOCK``, the one block size.
 """
 
 from __future__ import annotations
@@ -311,7 +310,7 @@ def _uncommented(raw: str) -> str:
 # so a wrapper installed on this module, as bench/spans.py does, sees every miss.
 _SYMBOLS = _Table(lambda line: parse_chord_symbol(line))
 
-_BLOCK = 1 << 16  # about as many characters as _lines splits at once
+_BLOCK = 1 << 16  # about as many characters as _lines splits at once; see _braid_blocks
 
 
 def _lines(text: str) -> Iterator[str]:
@@ -359,6 +358,30 @@ def _entries(text: str) -> Iterator[tuple[str, PitchClass, Chord]]:
         yield entry
     if entry is None:
         raise ParseError("the progression has no chords", 0)
+
+
+def _braid_blocks(text: str, ascii: bool) -> Iterator[str]:
+    """The braid verb's text: ``strands=12``, then per transition its ``a -> b: tokens``
+    line and, with ``ascii``, its word as ``render_ascii`` draws it, in blocks of whole
+    lines, each but the last of at least ``_BLOCK`` characters, one write per pipe
+    buffer.  The header waits in the first block; a ParseError drops the unfinished one."""
+    walks, block = _WALKS, _BLOCK
+    # each move's tokens and rows by one lookup, from its walk, checked once
+    tokens = _Table(lambda move: walks[move][1]).__getitem__
+    rows = _Table(lambda move: walks[move][2]).__getitem__
+    base = render_ascii(BraidWord._make(STRANDS, ()))  # the row of plain strands
+    parts = [f"strands={STRANDS}\n"]
+    size = len(parts[0])
+    for a, b, moves in _transition_moves(_entries(text)):
+        piece = f"{a} -> {b}: {' '.join(map(tokens, moves))}\n"
+        if ascii:
+            piece = "".join([piece, base, *map(rows, moves)])
+        parts.append(piece)
+        size += len(piece)
+        if size >= block:
+            yield "".join(parts)
+            parts, size = [], 0
+    yield "".join(parts)
 
 
 def parse_progression(text: str) -> Progression:

@@ -385,16 +385,17 @@ def buffered_env():
     return env
 
 
-def spawn_on_a_closed_pipe(args, env):
-    """Run python with args, its stdout a pipe whose reader has gone; (exit code, stderr)."""
+def spawn_on_a_closed_pipe(args, env, stderr_too=False):
+    """Run python with args, its stdout a pipe whose reader has gone; (exit code, stderr),
+    or with ``stderr_too`` its stderr such a pipe as well and the exit code alone."""
     read, write = os.pipe()
     os.close(read)
     try:
-        proc = subprocess.run([sys.executable, *args], stdout=write, stderr=subprocess.PIPE,
-                              env=env)
+        proc = subprocess.run([sys.executable, *args], stdout=write,
+                              stderr=write if stderr_too else subprocess.PIPE, env=env)
     finally:
         os.close(write)
-    return proc.returncode, proc.stderr.decode()
+    return proc.returncode if stderr_too else (proc.returncode, proc.stderr.decode())
 
 
 LAUNCHES = pytest.mark.parametrize(
@@ -402,6 +403,11 @@ LAUNCHES = pytest.mark.parametrize(
 )
 # a verb's output, and help, which argparse prints into the text that run writes
 OUTPUTS = (["tcm", "--all"], ["--help"])
+
+
+# with stderr dead too, the error line is dropped and the code kept
+BOTH_DEAD = ((["tcm", "--all"], 1), (["--help"], 1), (["braid", "--file", "/nonexistent"], 1),
+             (["tcm", "--bogus"], 2))
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -413,6 +419,8 @@ def test_a_closed_pipe_on_stdout_is_exit_1_and_one_line(launch, unbuffered):
         env["PYTHONUNBUFFERED"] = "1"
     for argv in OUTPUTS:
         assert spawn_on_a_closed_pipe([*launch, *argv], env) == (1, BROKEN_PIPE), argv
+    for argv, code in BOTH_DEAD:
+        assert spawn_on_a_closed_pipe([*launch, *argv], env, stderr_too=True) == code, argv
 
 
 class _BrokenPipe:

@@ -14,6 +14,7 @@ the error contract.
 """
 
 import io
+import itertools
 import json
 import os
 import random
@@ -306,6 +307,24 @@ def test_the_braid_verb_writes_blocks_of_64_k(ascii_, tmp_path):
     assert out.getvalue() == library_stdout(text, ascii_)
     assert len(out.sizes) > 2
     assert all(size >= 1 << 16 for size in out.sizes[:-1])
+
+
+@pytest.mark.parametrize("ascii_", [False, True], ids=["plain", "ascii"])
+def test_the_braid_verb_cuts_its_blocks_by_the_library_block_size(ascii_, monkeypatch, tmp_path):
+    # leading._BLOCK is the verb's one block size: patched smaller, every write but the
+    # last holds whole lines and at least that many characters, and far fewer than 64 K
+    text = long_song(5, 2_000)
+    path = tmp_path / "song.prog"
+    path.write_bytes(text.encode())
+    monkeypatch.setattr(leading, "_BLOCK", 1_024)
+    out = Recording()
+    assert run(["braid", "--file", str(path), *(["--ascii"] if ascii_ else [])], out=out) == 0
+    assert out.getvalue() == library_stdout(text, ascii_)
+    writes = out.getvalue()
+    ends = list(itertools.accumulate(out.sizes))
+    assert len(out.sizes) > 2
+    assert all(1_024 <= size < 1 << 15 for size in out.sizes[:-1])
+    assert all(writes[end - 1] == "\n" for end in ends[:-1])
 
 
 DETERMINISM = """

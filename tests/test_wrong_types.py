@@ -103,6 +103,7 @@ def _collection_of(cls):
 TAKES = {
     "chord": lambda v: isinstance(v, Chord),
     "edges": _collection_of(tuple),
+    "frozenset": lambda v: isinstance(v, frozenset),
     "graph": lambda v: isinstance(v, ModeGraph),
     "int": lambda v: isinstance(v, int),
     "labels": _collection_of(DegreeLabel),
@@ -244,7 +245,8 @@ BUILDS = [
     (ModeGraph, (GRAPH.quality, GRAPH.vertices, GRAPH.edges, GRAPH.paths),
      ("quality", "labels", "edges", "paths")),
     (AdmissiblePath, (PATH.labels, PATH.is_special, PATH.name), ("labels", None, "text")),
-    (ScaleApproximation, RANKED_FIELDS, (None, "path", "int", None, "int", None, None)),
+    (ScaleApproximation, RANKED_FIELDS,
+     ("frozenset", "path", "int", "frozenset", "int", "frozenset", "frozenset")),
 ]
 
 
@@ -314,14 +316,19 @@ def test_a_field_of_the_wrong_type_is_a_modalkit_error(cls, fields, kinds, data)
         (lambda: AdmissiblePath(PATH.labels, False, 5), InvalidArgument,
          r"^an AdmissiblePath's name is a str, not int$"),
         (lambda: ScaleApproximation(1, 2, 3, 4, 5, 6, 7), InvalidArgument,
+         r"^a ScaleApproximation's target is a frozenset, not int$"),
+        (lambda: candidate(candidate=2), InvalidArgument,
          r"^a ScaleApproximation's candidate is an AdmissiblePath, not int$"),
+        (lambda: candidate(dropped={1}), InvalidArgument,
+         r"^a ScaleApproximation's dropped is a frozenset, not set$"),
     ],
     ids=["scale-degrees", "scale-degree", "scale-root", "mode", "label-text", "label-degree",
          "label-semitones", "label-unnamed", "triad-root-text", "triad-root-float",
          "triad-quality", "graph-quality", "graph-vertices", "graph-vertex", "graph-edges",
          "graph-edge", "graph-no-vertex", "graph-edge-of-ints", "graph-edge-of-three",
          "graph-edge-to-no-vertex", "graph-paths", "graph-path", "path-labels", "path-label",
-         "path-name", "approximation-candidate"],
+         "path-name", "approximation-target", "approximation-candidate",
+         "approximation-dropped"],
 )
 def test_a_value_type_names_what_it_refuses(build, error, message):
     with pytest.raises(error, match=message):
