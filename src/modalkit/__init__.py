@@ -5,12 +5,11 @@ Importing the package runs none of its seven layers (``pitch``, ``errors``,
 registered in ``sys.modules`` as a lazily executed module
 (``importlib.util.LazyLoader``), so ``sys.modules["modalkit.braid"]`` exists
 at once, and a layer is compiled and run on the first access to one of its
-attributes; from then on it is a plain module.  A command that reads two
-layers pays for two.  The public names are re-exported through a module
-``__getattr__`` (PEP 562), which runs the layer that defines a name when the
-name is first read.  The modules are package attributes too, except
-``approximate``: ``modalkit.approximate`` is the function, and its module is
-``sys.modules["modalkit.approximate"]``.
+attributes; from then on it is a plain module.  The public names are
+re-exported through a module ``__getattr__`` (PEP 562), which runs the layer
+that defines a name when the name is first read.  The modules are package
+attributes too, except ``approximate``: ``modalkit.approximate`` is the
+function, and its module is ``sys.modules["modalkit.approximate"]``.
 
 An import statement may or may not run a layer.  ``from modalkit import
 braid`` binds the layer unexecuted.  ``import modalkit.braid`` runs it once

@@ -10,7 +10,9 @@ import operator
 
 from .errors import InvalidArgument
 from .graph import AdmissiblePath, build_graph, path_notes
-from .pitch import ChordQuality, PitchClass, _int, _ints, _pc, _Table, _Value, pc
+from .pitch import (
+    ChordQuality, PitchClass, _int, _ints, _pc, _pitch_classes, _Table, _Value, pc,
+)
 
 
 def hs_ws_scale(root: PitchClass) -> frozenset[PitchClass]:
@@ -50,9 +52,27 @@ class ScaleApproximation(_Value, kinds=(
         frozenset, AdmissiblePath, _pc, frozenset, _int, frozenset, frozenset)):
     """One candidate's ranking against a target: its path on a root pitch class, its
     notes, the count of notes it shares with the target, and the notes it drops and
-    adds, the target and each set of notes a frozenset of pitch classes."""
+    adds, the target and each set of notes a frozenset of pitch classes.
+
+    The notes are the path's on the root, and the count and the two differences
+    are the target's against them; any other is an InvalidArgument.
+    """
 
     __slots__ = ("target", "candidate", "root", "notes", "shared", "dropped", "added")
+
+    def _finish(self):
+        for name in ("target", "notes", "dropped", "added"):
+            object.__setattr__(self, name, frozenset(_pitch_classes(getattr(self, name), "note")))
+        target, notes = self.target, self.notes
+        if notes != frozenset(path_notes(self.candidate, self.root)):
+            raise InvalidArgument("a ScaleApproximation's notes are not its candidate's"
+                                  " on its root")
+        if self.shared != len(target & notes):
+            raise InvalidArgument(f"a ScaleApproximation's shared count {self.shared} is not"
+                                  f" {len(target & notes)}")
+        if self.dropped != target - notes or self.added != notes - target:
+            raise InvalidArgument("a ScaleApproximation's dropped and added notes are not"
+                                  " the differences of its target and notes")
 
 
 _last = operator.itemgetter(-1)
@@ -68,10 +88,7 @@ def approximate(
     Shared count descending, then fewer added tensions, then name.  Every
     target note and the root must be integers; any other is an IndexOutOfRange.
     A quality that is no ChordQuality, or a target that is no collection, is
-    an InvalidArgument.  The checked target becomes a 12-bit mask, and each
-    candidate's counts are bit counts of its mask against it; the target and
-    the dropped and added notes are read from one table of the 4,096
-    pitch-class sets.
+    an InvalidArgument.
     """
     if not isinstance(q, ChordQuality):
         raise InvalidArgument(f"approximate takes a ChordQuality, not {type(q).__name__}")

@@ -6,16 +6,10 @@ first letter is the crossing nearest the start of the braid.  The library
 computes necessary conditions for braid equality (permutation and writhe);
 the test suite proves equality exactly with Artin's action on a free group.
 
-A word is checked once, where its letters come from outside: ``BraidWord(...)``,
-a copy or a pickle, and ``parse_word`` of a token its strand count does not
-spell.  The check stores the strand count and each letter as ints, and every
-function here reads them as stored.  A word built from words that were
-checked, by ``concatenate``, ``free_reduce`` or ``rewrite_step``, or from
-tokens ``parse_word`` knows, is built by ``BraidWord._make``, which runs no
-check (see ``pitch._Value``), and so are the progression words, whose letters
-come from walks checked once each.
-Each function here that takes a word refuses any other value with
-InvalidBraid, and checks a subclass's word again as a BraidWord.
+A word is checked once, where its letters come from outside: when it is
+built, copied or unpickled.  A word built here from checked words, or from
+tokens ``parse_word`` knows, is built by ``BraidWord._make``, with no second
+check (see ``pitch._Value``).
 """
 
 from __future__ import annotations
@@ -42,9 +36,6 @@ class BraidWord(_Value, kinds=(_int, object), letters=()):
     (generator index, sign) with an integer index in [1, strands - 1] and a
     sign equal to +1 or -1, stored as that int.  The letters are stored as a
     tuple; letters that are no sequence, such as 5, are refused.
-
-    Building, copying or unpickling a word checks it once; the words this
-    package builds from checked words and walks are not checked again.
     """
 
     __slots__ = ("strands", "letters")
@@ -220,21 +211,14 @@ def _block(n: int, letter: Letter) -> str:
     return f"{left}\\ /{right}\n{left}{middle}{right}\n{left}/ \\{right}\n"
 
 
-def _drawings(n: int) -> tuple[str, _Table]:
-    """The base row of ``n`` plain strands, and a table of each letter's three rows on them."""
-    return " ".join("|" * n) + "\n", _Table(lambda letter: _block(n, letter))
-
-
-# Per letter (generator index, sign) its token, as serialize_word spells it;
-# per strand count each valid letter by that token, 2 * (n - 1) on n strands,
-# for parse_word to look up; and per strand count one table of three-row
-# drawings per letter.  Each is read only for words on at most 64 strands, so
-# it holds at most the letters of those counts; a word on more strands derives
-# its tokens and drawings per call, and nothing is kept.
+# Per letter (generator index, sign) its token, as serialize_word spells it, and
+# per strand count each valid letter by that token, 2 * (n - 1) on n strands, for
+# parse_word to look up.  Each is read only for words on at most 64 strands, so it
+# holds at most the letters of those counts; a word on more strands derives its
+# tokens per call, and nothing is kept.
 _TABLED_STRANDS = 64
 _TOKENS = _Table(_token)
 _LETTERS = _Table(lambda n: {_token((i, sign)): (i, sign) for i in range(1, n) for sign in (1, -1)})
-_DRAWINGS = _Table(_drawings)
 
 
 def serialize_word(w: BraidWord) -> str:
@@ -252,5 +236,5 @@ def render_ascii(w: BraidWord) -> str:
     """
     w = _checked(w)
     n = w.strands
-    base, blocks = _DRAWINGS[n] if n <= _TABLED_STRANDS else _drawings(n)
-    return "".join([base, *map(blocks.__getitem__, w.letters)])
+    blocks = _Table(lambda letter: _block(n, letter))  # per call, so no drawing is kept
+    return "".join([" ".join("|" * n) + "\n", *map(blocks.__getitem__, w.letters)])

@@ -2,35 +2,11 @@
 
 Every verb is a thin adapter over the library: a generator that yields its
 output text, which ``run`` writes to stdout; ``leading`` writes the braid
-verb's text, in blocks cut by its one 64 K rule.  Output is byte-deterministic
-for a fixed input, help text included: argparse formats it at one fixed width.
-Exit codes: 0 success, 2 usage error, 1 domain error or a failed write or
-flush to stdout, a closed stdout included.  The error class name goes to
-stderr; a stderr that is closed, or whose reader has gone, drops it.
-
-``main``, which the console script and ``python -m modalkit.cli`` run, ends
-the process by ``os._exit`` once the ``atexit`` callbacks have run and stdout
-and stderr are flushed, so no short run pays for the interpreter's teardown.
-Under a profiler, tracer or debugger it exits by ``sys.exit``, so that the
-tool's report prints.  In-process callers use ``run``, which returns.
-
-Each verb's options are declared once, in ``_VERBS``.  ``_read`` takes a
-well-formed argv straight from that table (a verb, then each of its options
-at most once, by its whole name, every value converted and every required
-option given) with no ``argparse``, nor the ``gettext`` and ``locale`` it
-loads.  Any other argv, as for ``--help``, a typo or a usage error, falls back
-to the parser that ``build_parser`` builds from the same table.  argparse
-prints into a string, which ``run`` writes as a verb's output, so help into a
-closed pipe or a closed stdout fails as a verb does: exit 1 with one line.
-
-A verb pays only for what it uses.  This module runs ``pitch`` and
-``errors`` on import and holds the other layers as the lazily executed
-modules that ``modalkit/__init__.py`` registers; a layer runs when a verb
-first reads an attribute of it, so ``braid`` never runs ``modes``, ``graph``
-or ``approximate``.
-
-Output is never styled, so setting MODAL_NO_COLOR changes nothing; the
-variable is honored by construction.
+verb's text.  Each verb's options are declared once, in ``_VERBS``.  ``_read``
+takes a well-formed argv straight from that table, so a short run never
+imports ``argparse``, nor the ``gettext`` and ``locale`` it loads; any other
+argv, help and usage errors included, goes to the parser that
+``build_parser`` builds from the same table.
 """
 
 from __future__ import annotations

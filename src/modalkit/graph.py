@@ -74,8 +74,8 @@ class DegreeLabel(_Value, kinds=(_int, _pc)):
         return self.name
 
 
-class AdmissiblePath(_Value, kinds=((DegreeLabel,), object, str), name=""):
-    """A root-to-seventh path: its labels, whether it is special, and its name."""
+class AdmissiblePath(_Value, kinds=((DegreeLabel,), bool, str), name=""):
+    """A root-to-seventh path: its labels, whether it is special, a bool, and its name."""
 
     __slots__ = ("labels", "is_special", "name")
 
@@ -254,7 +254,11 @@ PUBLISHED_SPECIALS: dict[ChordQuality, tuple[tuple[str, tuple[str, ...]], ...]] 
 
 
 def emit_dot(g: ModeGraph, root: PitchClass | None = None) -> str:
-    """Render the graph as a DOT digraph; note names when a root is given."""
+    """Render the graph as a DOT digraph; note names when a root is given.
+
+    The theory's own graph of a quality reads its text from a table; a graph
+    built by hand is rendered from its own fields.
+    """
     if root is not None:
         root = _pc(root, "root")
     if not isinstance(g, ModeGraph):

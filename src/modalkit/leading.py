@@ -10,34 +10,15 @@ not always the smallest total arc distance: a cyclic rotation of the pairing,
 which crosses in this linear order, often moves the voices less (Tymoczko
 2006, "The Geometry of Musical Chords").
 
-Braids live on 12 strands, one per pitch class; a voice moving from pitch
-class p to q occupies strand slot p+1 and walks to slot q+1 through
-adjacent crossings.  Every note and root is read by the one pitch-class
-rule of ``pitch``, the int that ``operator.index`` returns mod 12: a
-``VoiceLeading`` stores its notes, a ``Progression`` its roots and
-``voice_leading`` reads its roots that way, so every move the core and the
-walks read is a pair of ints in 0..11.  ``_WALKS`` keeps one
-entry per move (p, q), at most 12 x 11: the walk's letters, its tokens and
-its ASCII rows on 12 strands, checked once, as one ``BraidWord``, when the
-entry is derived.  One core, ``_moves``, turns two sorted sides into a
-transition's kept moves in walk order, padding the smaller side with its
-root, and reads whether each side repeats a pitch class from a flag, which
-each ``Chord`` derives once; ``braid_of_leading`` sorts its leading's sides
-into it, with their flags, once it has refused a crossing pairing.
-
-One line parser, ``_entries``, yields a text's (label, root, Chord) entries one
-line at a time, and builds each ``name: pc,...`` chord from the pitch classes
-it has just checked, by ``Chord._make`` (see ``pitch._Value``), which runs no
-second check; ``parse_progression`` keeps the entries in a ``Progression``
-built by ``Progression._make``.  One derivation, ``_transition_moves``, pairs
-any iterable of entries through the core, one list of moves per transition.  A
-``Progression`` keeps its transitions' letters, joined from the walks, once
-either progression word asks for them, and both words build their words from
-them by ``BraidWord._make``, as ``braid_of_leading`` does, since every walk was
-checked.  ``_braid_blocks`` writes the ``braid`` verb's text from the parser's
-entries through the same derivation: each move's kept tokens and rows, so it
-builds no letters and no word per transition, checks each move once, keeps
-neither entries nor moves, and cuts its text by ``_BLOCK``, the one block size.
+Braids live on 12 strands, one per pitch class: a voice moving from pitch
+class p to q walks from strand slot p+1 to slot q+1 through adjacent
+crossings.  Every path from chords to a word runs through one core,
+``_moves``, and one table of walks, ``_WALKS``, so every word this module
+returns is built from checked walks by ``BraidWord._make``, with no second
+check.  The progression words and the ``braid`` verb's text,
+``_braid_blocks``, read their transitions through one derivation,
+``_transition_moves``, and a file's chords through one line parser,
+``_entries``.
 """
 
 from __future__ import annotations
@@ -270,7 +251,12 @@ class Progression(_Value, kinds=(object,)):
 def _transition_moves(entries) -> Iterator[tuple[str, str, list[tuple[int, int]]]]:
     """Each transition of the (label, root, Chord) ``entries``: (its source label,
     its target label, its moves in walk order), derived as the caller asks for it
-    and kept nowhere."""
+    and kept nowhere.
+
+    Each chord's sorted notes and repeat flag go straight into the core, with no
+    ``VoiceLeading`` and no second range check: a ``Chord`` holds only pitch
+    classes in 0..11 and a ``Progression`` only such roots or None.
+    """
     for (la, ra, a), (lb, rb, b) in itertools.pairwise(entries):
         yield la, lb, _moves(a.notes, b.notes, ra, rb, a._repeats, b._repeats)
 

@@ -279,9 +279,7 @@ class Chord(_Value, kinds=((_pc,),)):
 
     A chord knows once whether its notes repeat a pitch class: the private
     ``_repeats`` is derived when the chord is built, copied or unpickled, so
-    the braid core reads it and builds no set per transition.  The progression
-    parser builds its chords from pitch classes it has checked with ``_chord``,
-    which derives both slots and builds the chord by ``Chord._make``.
+    the braid core reads it and builds no set per transition.
     """
 
     __slots__ = ("notes", "_repeats")

@@ -419,7 +419,7 @@ def test_token_table_holds_only_canonical_valid_tokens(monkeypatch):
 
 
 def test_token_table_is_bounded_by_the_tabled_strand_counts(monkeypatch):
-    for table in ("_LETTERS", "_TOKENS", "_DRAWINGS"):
+    for table in ("_LETTERS", "_TOKENS"):
         monkeypatch.setattr(braid, table, braid._Table(getattr(braid, table)._derive))
     for n in range(1, 3 * braid._TABLED_STRANDS):
         word = parse_word(f"s{n - 1} s{n - 1}^-1 s1" if n > 1 else "", n)
@@ -430,7 +430,6 @@ def test_token_table_is_bounded_by_the_tabled_strand_counts(monkeypatch):
     # one token per letter that a word on at most 64 strands uses, none for a longer word
     assert set(braid._TOKENS) == {(i, sign) for i in range(1, braid._TABLED_STRANDS)
                                   for sign in (1, -1)}
-    assert sorted(braid._DRAWINGS) == list(range(1, braid._TABLED_STRANDS + 1))
 
 
 def built_words(w, other, at):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import modalkit
+from modalkit.approximate import approximate
 from modalkit.graph import (
     SPECIAL_NAMES,
     AdmissiblePath,
@@ -27,7 +28,10 @@ from modalkit.graph import (
     tcm,
 )
 from modalkit.graph import _render_dot
-from modalkit.modes import _QUALITIES, _STANDARD_MODES, ScaleType, all_standard_modes
+from modalkit.leading import braids_of_progression, parse_progression
+from modalkit.modes import (
+    _QUALITIES, _STANDARD_MODES, ScaleType, all_standard_modes, standard_modes,
+)
 from modalkit.pitch import ChordQuality
 
 # Frozen topology: quality -> (vertices, edges, chi, tau).
@@ -117,6 +121,15 @@ def test_returned_lists_do_not_share_the_catalog():
     assert len(enumerate_admissible(g)) == 8
     special_modes(ChordQuality.DOM7).pop()
     assert len(special_modes(ChordQuality.DOM7)) == 4
+    # every public function that returns a list returns a new one on each call
+    progression = parse_progression("Cmaj7\nF-7\nG7\n")
+    for call in (lambda: standard_modes(ScaleType.MAJOR, 0), lambda: all_standard_modes(0),
+                 lambda: enumerate_admissible(g), lambda: special_modes(ChordQuality.DOM7),
+                 lambda: approximate({0, 4, 7}, ChordQuality.DOM7, 0),
+                 lambda: braids_of_progression(progression)):
+        first = call()
+        first.clear()
+        assert call() and call() is not call()
 
 
 # Every table of the finite theory by qualified name: the keyed tables, each a
@@ -136,7 +149,6 @@ BOUNDS = {
     "modalkit.leading._SYMBOLS": 21 * 10,  # note spelling + quality token
     "modalkit.braid._TOKENS": 2 * 63,  # letter on at most 64 strands
     "modalkit.braid._LETTERS": 64,  # strand count up to 64, each 2 * (strands - 1) tokens
-    "modalkit.braid._DRAWINGS": 64,  # strand count up to 64, each 2 * (strands - 1) letters
 }
 WHOLE_MAPS = {"modalkit.modes._names_by_offsets", "modalkit.graph._paths_by_name"}
 
@@ -224,7 +236,6 @@ for n in range(1, 2 * 64 + 1):  # above 64 strands, one letter each keeps the dr
     render_ascii(word), parse_word(serialize_word(word), n)
 every = {n: 2 * (n - 1) for n in range(1, 65)}
 assert {n: len(tokens) for n, tokens in braid._LETTERS.items()} == every
-assert {n: len(blocks) for n, (_base, blocks) in braid._DRAWINGS.items()} == every
 """
 
 

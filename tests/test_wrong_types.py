@@ -101,6 +101,7 @@ def _collection_of(cls):
 
 # Per kind of parameter, the values of the right type.
 TAKES = {
+    "bool": lambda v: isinstance(v, bool),
     "chord": lambda v: isinstance(v, Chord),
     "edges": _collection_of(tuple),
     "frozenset": lambda v: isinstance(v, frozenset),
@@ -244,7 +245,7 @@ BUILDS = [
     (DegreeLabel, (2, 3), ("int", "int")),
     (ModeGraph, (GRAPH.quality, GRAPH.vertices, GRAPH.edges, GRAPH.paths),
      ("quality", "labels", "edges", "paths")),
-    (AdmissiblePath, (PATH.labels, PATH.is_special, PATH.name), ("labels", None, "text")),
+    (AdmissiblePath, (PATH.labels, PATH.is_special, PATH.name), ("labels", "bool", "text")),
     (ScaleApproximation, RANKED_FIELDS,
      ("frozenset", "path", "int", "frozenset", "int", "frozenset", "frozenset")),
 ]
@@ -315,20 +316,35 @@ def test_a_field_of_the_wrong_type_is_a_modalkit_error(cls, fields, kinds, data)
          r"^an AdmissiblePath's label is a DegreeLabel, not tuple$"),
         (lambda: AdmissiblePath(PATH.labels, False, 5), InvalidArgument,
          r"^an AdmissiblePath's name is a str, not int$"),
+        (lambda: AdmissiblePath(PATH.labels, "no", PATH.name), InvalidArgument,
+         r"^an AdmissiblePath's is_special is a bool, not str$"),
         (lambda: ScaleApproximation(1, 2, 3, 4, 5, 6, 7), InvalidArgument,
          r"^a ScaleApproximation's target is a frozenset, not int$"),
         (lambda: candidate(candidate=2), InvalidArgument,
          r"^a ScaleApproximation's candidate is an AdmissiblePath, not int$"),
         (lambda: candidate(dropped={1}), InvalidArgument,
          r"^a ScaleApproximation's dropped is a frozenset, not set$"),
+        (lambda: ScaleApproximation(frozenset({"x"}), PATH, 0, frozenset({0.5}), 99,
+                                    frozenset(), frozenset()),
+         IndexOutOfRange, r"^note 'x' is not an integer$"),
+        (lambda: candidate(notes=frozenset({0.5})), IndexOutOfRange,
+         r"^note 0\.5 is not an integer$"),
+        (lambda: candidate(root=5), InvalidArgument,
+         r"^a ScaleApproximation's notes are not its candidate's on its root$"),
+        (lambda: candidate(shared=99), InvalidArgument,
+         r"^a ScaleApproximation's shared count 99 is not 4$"),
+        (lambda: candidate(added=frozenset()), InvalidArgument,
+         r"^a ScaleApproximation's dropped and added notes are not the differences of its"
+         r" target and notes$"),
     ],
     ids=["scale-degrees", "scale-degree", "scale-root", "mode", "label-text", "label-degree",
          "label-semitones", "label-unnamed", "triad-root-text", "triad-root-float",
          "triad-quality", "graph-quality", "graph-vertices", "graph-vertex", "graph-edges",
          "graph-edge", "graph-no-vertex", "graph-edge-of-ints", "graph-edge-of-three",
          "graph-edge-to-no-vertex", "graph-paths", "graph-path", "path-labels", "path-label",
-         "path-name", "approximation-target", "approximation-candidate",
-         "approximation-dropped"],
+         "path-name", "path-special", "approximation-target", "approximation-candidate",
+         "approximation-dropped", "approximation-target-item", "approximation-note",
+         "approximation-root", "approximation-shared", "approximation-added"],
 )
 def test_a_value_type_names_what_it_refuses(build, error, message):
     with pytest.raises(error, match=message):
@@ -383,9 +399,9 @@ NUMBERS = [
     row("DegreeLabel.semitones", lambda v: DegreeLabel(2, v).semitones, "semitones", PITCH_CLASS,
         lambda n: n % 12 in (1, 2, 3), stores=True),
     row("ScaleApproximation.root", lambda v: candidate(root=v).root, "root", PITCH_CLASS,
-        stores=True),
+        lambda n: n % 12 == RANKED.root, stores=True),
     row("ScaleApproximation.shared", lambda v: candidate(shared=v).shared, "shared", INTEGER,
-        stores=True),
+        lambda n: n == RANKED.shared, stores=True),
     row("Chord.notes", lambda v: Chord([v]).notes[0], "note", PITCH_CLASS, stores=True),
     row("VoiceLeading.source", lambda v: VoiceLeading((v,), (0,)).source[0], "note", PITCH_CLASS,
         stores=True),
