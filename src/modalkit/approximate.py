@@ -48,8 +48,7 @@ def _candidates(
 _CANDIDATES = _Table(_candidates)
 
 
-class ScaleApproximation(_Value, kinds=(
-        frozenset, AdmissiblePath, _pc, frozenset, _int, frozenset, frozenset)):
+class ScaleApproximation(_Value):
     """One candidate's ranking against a target: its path on a root pitch class, its
     notes, the count of notes it shares with the target, and the notes it drops and
     adds, the target and each set of notes a frozenset of pitch classes.
@@ -58,7 +57,8 @@ class ScaleApproximation(_Value, kinds=(
     are the target's against them; any other is an InvalidArgument.
     """
 
-    __slots__ = ("target", "candidate", "root", "notes", "shared", "dropped", "added")
+    __slots__ = {"target": frozenset, "candidate": AdmissiblePath, "root": _pc, "notes": frozenset,
+                 "shared": _int, "dropped": frozenset, "added": frozenset}
 
     def _finish(self):
         for name in ("target", "notes", "dropped", "added"):

@@ -29,7 +29,7 @@ from .pitch import _int, _Table, _Value
 Letter = tuple[int, int]  # (generator index, sign)
 
 
-class BraidWord(_Value, kinds=(_int, object), letters=()):
+class BraidWord(_Value, letters=()):
     """A word of signed generators on ``strands`` strands.
 
     The strand count is an integer of at least 1, and each letter is a pair
@@ -38,7 +38,7 @@ class BraidWord(_Value, kinds=(_int, object), letters=()):
     tuple; letters that are no sequence, such as 5, are refused.
     """
 
-    __slots__ = ("strands", "letters")
+    __slots__ = {"strands": _int, "letters": object}
 
     def _finish(self):
         """Each letter valid on the strand count, stored as its int letter."""
@@ -78,11 +78,11 @@ def _checked(w) -> BraidWord:
     raise InvalidBraid(f"{type(w).__name__} is not a BraidWord")
 
 
-class BraidInvariants(_Value, kinds=((_int,), _int)):
+class BraidInvariants(_Value):
     """Necessary conditions for braid equality: the permutation, 1-based
     (start position p ends at ``permutation[p-1]``), and the writhe."""
 
-    __slots__ = ("permutation", "writhe")
+    __slots__ = {"permutation": (_int,), "writhe": _int}
 
 
 def concatenate(first: BraidWord, *rest: BraidWord) -> BraidWord:

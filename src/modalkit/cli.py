@@ -53,19 +53,14 @@ def _table(rows: list[dict[str, str]], fmt: str) -> str:
     if not rows:
         return ""
     keys = list(rows[0])
-    # json and csv are imported only here, so the other verbs start faster
+    # json is imported only here, so the other verbs start faster
     if fmt == "json":
         import json
 
         return json.dumps(rows, indent=2) + "\n"
-    if fmt == "csv":
-        import csv
-
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=keys, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        return buffer.getvalue()
+    if fmt == "csv":  # no field holds a comma, quote or line break, or is empty: none is quoted
+        lines = [",".join(keys), *(",".join(row[k] for k in keys) for row in rows)]
+        return "\n".join(lines) + "\n"
     widths = {k: max(len(k), *(len(r[k]) for r in rows)) for k in keys}
     return "".join("  ".join(row[k].ljust(widths[k]) for k in keys).rstrip() + "\n" for row in rows)
 

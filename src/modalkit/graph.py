@@ -30,7 +30,7 @@ _LABEL_NAMES: dict[tuple[int, int], str] = {
 
 
 @functools.total_ordering
-class DegreeLabel(_Value, kinds=(_int, _pc)):
+class DegreeLabel(_Value):
     """A graph vertex: a scale degree and its semitones above the root, ordered by both.
 
     The degree is an integer and the semitones a pitch class, and the pair is
@@ -38,7 +38,7 @@ class DegreeLabel(_Value, kinds=(_int, _pc)):
     such as (1, 5), is an InvalidArgument.
     """
 
-    __slots__ = ("degree", "semitones")
+    __slots__ = {"degree": _int, "semitones": _pc}
 
     def _finish(self):
         if (self.degree, self.semitones) not in _LABEL_NAMES:
@@ -63,21 +63,17 @@ class DegreeLabel(_Value, kinds=(_int, _pc)):
         root_letter = pc_name(root)[0]
         letter = letters[(letters.index(root_letter) + self.degree - 1) % 7]
         natural = pc(NOTE_TO_PC[letter] - root)
-        acc = self.semitones - natural
-        if acc > 6:
-            acc -= 12
-        if acc < -6:
-            acc += 12
+        acc = (self.semitones - natural + 6) % 12 - 6
         return letter + ("#" * acc if acc >= 0 else "b" * (-acc))
 
     def __str__(self) -> str:
         return self.name
 
 
-class AdmissiblePath(_Value, kinds=((DegreeLabel,), bool, str), name=""):
+class AdmissiblePath(_Value, name=""):
     """A root-to-seventh path: its labels, whether it is special, a bool, and its name."""
 
-    __slots__ = ("labels", "is_special", "name")
+    __slots__ = {"labels": (DegreeLabel,), "is_special": bool, "name": str}
 
     def offsets(self) -> tuple[int, ...]:
         return tuple(label.semitones for label in self.labels)
@@ -86,7 +82,7 @@ class AdmissiblePath(_Value, kinds=((DegreeLabel,), bool, str), name=""):
         return tuple(label.name for label in self.labels)
 
 
-class ModeGraph(_Value, kinds=(ChordQuality, (DegreeLabel,), (tuple,), (AdmissiblePath,))):
+class ModeGraph(_Value):
     """A base-chord graph: its quality, its vertex labels, its edges as pairs of
     labels and its root-to-seventh ``paths`` in ``enumerate_admissible`` order.
 
@@ -94,7 +90,8 @@ class ModeGraph(_Value, kinds=(ChordQuality, (DegreeLabel,), (tuple,), (Admissib
     any other is an InvalidArgument.
     """
 
-    __slots__ = ("quality", "vertices", "edges", "paths")
+    __slots__ = {"quality": ChordQuality, "vertices": (DegreeLabel,), "edges": (tuple,),
+                 "paths": (AdmissiblePath,)}
 
     def _finish(self):
         if not self.vertices:

@@ -47,7 +47,7 @@ def arc_distance(a: int, b: int) -> int:
     return min(pc(a - b), pc(b - a))
 
 
-class VoiceLeading(_Value, kinds=((_pc,), (_pc,))):
+class VoiceLeading(_Value):
     """A voice assignment between two note lists of pitch classes, paired in order.
 
     Both lists hold the same number of voices, or it is a SizeMismatch, so
@@ -57,7 +57,7 @@ class VoiceLeading(_Value, kinds=((_pc,), (_pc,))):
     which ``braid_of_leading`` refuses (see ``is_crossing_free``).
     """
 
-    __slots__ = ("source", "target")
+    __slots__ = {"source": (_pc,), "target": (_pc,)}
 
     def _finish(self):
         if len(self.source) != len(self.target):
@@ -213,11 +213,12 @@ def braid_of_leading(v: VoiceLeading) -> BraidWord:
     return BraidWord._make(STRANDS, _letters(_moves(source, target)))
 
 
-class Progression(_Value, kinds=(object,)):
+class Progression(_Value):
     """A sequence of one or more labelled chords: (label, root, Chord) each.
 
     Each entry is a tuple of a str label, a root and a Chord; anything else
-    is an InvalidProgression.  A root is None, which pads with the lowest
+    is an InvalidProgression, and chords that are no collection, such as 5,
+    are an InvalidArgument.  A root is None, which pads with the lowest
     note, or a pitch class.  The chords are stored as a tuple, so a list
     given here shows as a tuple in the repr.
 
@@ -226,20 +227,19 @@ class Progression(_Value, kinds=(object,)):
     its life, so the other word reads them instead of deriving them again.
     """
 
-    __slots__ = ("chords", "_transitions")
+    __slots__ = {"chords": (object,), "_transitions": None}
 
     def _finish(self):
-        chords = tuple(self.chords)
         object.__setattr__(self, "_transitions", None)
-        if not chords:
+        if not self.chords:
             raise ParseError("the progression has no chords", 0)
-        for entry in chords:
+        for entry in self.chords:
             if not (isinstance(entry, tuple) and len(entry) == 3
                     and isinstance(entry[0], str) and isinstance(entry[2], Chord)):
                 raise InvalidProgression(f"entry {entry!r} is not a (label, root, Chord) triple")
         object.__setattr__(self, "chords", tuple([
             (label, root if root is None else _pc(root, "root"), chord)
-            for label, root, chord in chords
+            for label, root, chord in self.chords
         ]))
 
     def leadings(self) -> Iterator[VoiceLeading]:

@@ -56,14 +56,14 @@ class ScaleType(Enum):
         return _MEMBERS_BY[cls, "label"][label]
 
 
-class ModalScale(_Value, kinds=(_pc, (_pc,), str), name=""):
+class ModalScale(_Value, name=""):
     """An ordered seven-degree scale: root first, then ascending degrees.
 
     The root and the degrees are pitch classes.  A scale keeps its ``Mode``
     once ``decompose`` has built it.
     """
 
-    __slots__ = ("root", "degrees", "name", "_mode")
+    __slots__ = {"root": _pc, "degrees": (_pc,), "name": str, "_mode": None}
 
     def _finish(self):
         object.__setattr__(self, "_mode", None)
@@ -77,11 +77,11 @@ class ModalScale(_Value, kinds=(_pc, (_pc,), str), name=""):
         return tuple(pc(d - self.root) for d in self.degrees)
 
 
-class Mode(_Value, kinds=(Chord, Chord, ModalScale)):
+class Mode(_Value):
     """A scale split into a base chord (degrees 1-3-5-7) stacking to a
     seventh chord and a tension chord (degrees 2-4-6), not always a triad."""
 
-    __slots__ = ("base", "tension", "scale")
+    __slots__ = {"base": Chord, "tension": Chord, "scale": ModalScale}
 
     def _finish(self):
         degrees = self.scale.degrees

@@ -169,9 +169,9 @@ def _reader(owner: str, field: str, kind):
 
 def _checker(cls, kinds):
     """``cls.__post_init__``: each field read by its kind, then ``cls._finish``."""
-    readers = [(name, _reader(cls.__name__, name, kind))
-               for name, kind in zip(cls._names, kinds) if kind is not object]
-    finish = vars(cls).get("_finish")
+    readers = [(name, _reader(cls.__name__, name, kinds[name]))
+               for name in cls._names if kinds[name] is not object]
+    finish = getattr(cls, "_finish", None)
 
     def __post_init__(self):
         for name, read in readers:
@@ -185,16 +185,17 @@ def _checker(cls, kinds):
 class _Value:
     """An immutable record: its fields are its public ``__slots__``.
 
-    A subclass names each field once, in ``__slots__``, and gets an
-    ``__init__`` generated as dataclasses does it: the fields in that order,
-    by position or keyword, with defaults given as class keywords, as in
-    ``class BraidWord(_Value, letters=())``.  Like a frozen dataclass, a
-    record equals an instance of its own type with equal fields, hashes by
-    them and shows as ``Name(field=value, ...)``.
+    A subclass declares each slot once: ``__slots__`` is a dict that maps the
+    slot's name to its kind, as in ``{"root": _pc, "quality": TriadQuality}``.
+    It gets an ``__init__`` generated as dataclasses does it: the fields in
+    that order, by position or keyword, with defaults given as class
+    keywords, as in ``class BraidWord(_Value, letters=())``.  Like a frozen
+    dataclass, a record equals an instance of its own type with equal
+    fields, hashes by them and shows as ``Name(field=value, ...)``.
 
-    A subclass declares the kind of each field, in field order, as in
-    ``class Triad(_Value, kinds=(_pc, TriadQuality))``, and gets a
-    ``__post_init__`` that ``__init__`` calls once the fields are set:
+    Unless the subclass defines its own, it gets a ``__post_init__`` that
+    ``__init__`` calls once the fields are set, which reads each field by
+    its kind:
 
     - ``_pc`` or ``_int``, a number, is read by that rule and stored;
     - a class is checked with ``isinstance``, and ``object`` takes anything;
@@ -204,14 +205,15 @@ class _Value:
       name in the singular, as a ``label`` of ``labels`` or a ``vertex`` of
       ``vertices``.
 
-    Then the subclass's own ``_finish``, if it has one, checks relations
+    Then the subclass's ``_finish``, if it has one, checks relations
     between the fields and derives the private slots.
 
-    A slot named with a leading underscore is no field: it holds a value the
-    record derives from its fields, set with ``object.__setattr__``, and
-    takes no part in ``__init__``, equality, hashing, the repr, copies or
-    pickles.  ``__init__`` sets each field through its slot's descriptor
-    directly, the one that ``object.__setattr__`` would look up by name.
+    A slot named with a leading underscore, whose kind is None, is no field:
+    it holds a value the record derives from its fields, set with
+    ``object.__setattr__``, and takes no part in ``__init__``, equality,
+    hashing, the repr, copies or pickles.  ``__init__`` sets each field
+    through its slot's descriptor directly, the one that
+    ``object.__setattr__`` would look up by name.
 
     A record whose every slot is known to pass the check, because it was
     derived from checked values, is built by ``cls._make(*slots)``: every
@@ -219,27 +221,30 @@ class _Value:
     ``Chord._make(notes, repeats)``, each set through its descriptor, with
     no kind read, no ``_finish`` and no ``__post_init__``.  It is the one
     way the package builds a record without its check.
+
+    A record's slots are its bases' slots, then its own, so a subclass that
+    declares none takes its parent's fields, kinds, defaults and check.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls, kinds=None, **defaults):
+    def __init_subclass__(cls, **defaults):
         super().__init_subclass__()
-        fields = cls._names = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        kinds = {}
+        for base in reversed(cls.__mro__):
+            kinds.update(vars(base).get("__slots__", ()))
+        fields = cls._names = tuple(n for n in kinds if not n.startswith("_"))
+        defaults = cls._defaults = {**getattr(cls, "_defaults", {}), **defaults}
         if not defaults.keys() <= set(fields):
             raise TypeError(f"{cls.__name__} defaults {sorted(defaults)} name no field of {fields}")
-        if kinds is not None:
-            if len(kinds) != len(fields):
-                raise TypeError(f"{cls.__name__} kinds {kinds} are not one per field of {fields}")
+        if "__post_init__" not in vars(cls):
             cls.__post_init__ = _checker(cls, kinds)
         params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in fields)
-        lines = [f"def __init__(self{params}):", *(f"    _set_{n}(self, {n})" for n in fields)]
-        if hasattr(cls, "__post_init__"):
-            lines.append("    self.__post_init__()")  # looked up per call, so a patch counts
-        slots = cls.__slots__
-        lines += [f"def _make({', '.join(slots)}):", "    self = _new(_cls)",
-                  *(f"    _set_{n}(self, {n})" for n in slots), "    return self"]
-        namespace = {f"_set_{n}": vars(cls)[n].__set__ for n in slots}
+        lines = [f"def __init__(self{params}):", *(f"    _set_{n}(self, {n})" for n in fields),
+                 "    self.__post_init__()",  # looked up per call, so a patch counts
+                 f"def _make({', '.join(kinds)}):", "    self = _new(_cls)",
+                 *(f"    _set_{n}(self, {n})" for n in kinds), "    return self"]
+        namespace = {f"_set_{n}": getattr(cls, n).__set__ for n in kinds}
         namespace.update(_defaults=defaults, _new=object.__new__, _cls=cls)
         exec("\n".join(lines), namespace)
         cls.__init__ = namespace["__init__"]
@@ -269,7 +274,7 @@ class _Value:
         return type(self), tuple(getattr(self, name) for name in self._names)
 
 
-class Chord(_Value, kinds=((_pc,),)):
+class Chord(_Value):
     """An unordered multiset of pitch classes.
 
     Stored sorted and reduced mod 12, as the pitch-class rule reads each
@@ -282,7 +287,7 @@ class Chord(_Value, kinds=((_pc,),)):
     the braid core reads it and builds no set per transition.
     """
 
-    __slots__ = ("notes", "_repeats")
+    __slots__ = {"notes": (_pc,), "_repeats": None}
 
     def _finish(self):
         notes = tuple(sorted(self.notes))
@@ -374,10 +379,10 @@ class TriadQuality(_Quality, Enum):
     AUGMENTED = ("#5", (0, 4, 8))
 
 
-class Triad(_Value, kinds=(_pc, TriadQuality)):
+class Triad(_Value):
     """A root pitch class and a TriadQuality."""
 
-    __slots__ = ("root", "quality")
+    __slots__ = {"root": _pc, "quality": TriadQuality}
 
     def chord(self) -> Chord:
         return Chord(self.root + i for i in self.quality.intervals)

@@ -109,6 +109,42 @@ def test_table_formats_agree(argv):
     assert len(printed["plain"].splitlines()) == len(rows)
 
 
+ROOTS = ("C", "Db", "D", "Eb", "E", "F", "F#", "G", "Ab", "A", "Bb", "B")
+SCALES = ("major", "melodic-minor", "harmonic-minor")
+# Every table verb on every scale, degree, quality and root, and approx on three targets.
+TABLE_SWEEP = [
+    *(["modes", "--scale", s, "--root", root] for s in SCALES for root in ROOTS),
+    *(["harmonize", "--scale", s, *degree] for s in SCALES
+      for degree in [[], *(["--degree", str(d)] for d in range(1, 8))]),
+    ["tcm", "--all"],
+    *([verb, f"--quality={q.symbol}"] for verb in ("tcm", "admissible", "special")
+      for q in ChordQuality),
+    *(["approx", "--target", target, f"--quality={q.symbol}", "--root", root]
+      for target in ("0", "11,0,2,3,5,6,8,9", ",".join(map(str, range(12))))
+      for q in ChordQuality for root in ROOTS),
+]
+
+
+def test_csv_fields_need_no_quoting():
+    # so the CSV writer joins each row's fields with commas: no field holds a comma, a
+    # quote or a line break, and none is empty, so csv.DictWriter writes the same bytes
+    fields = 0
+    for argv in TABLE_SWEEP:
+        code, out, err = capture([*argv, "--format", "json"])
+        assert (code, err) == (0, ""), argv
+        rows = json.loads(out) if out else []
+        for value in (value for row in rows for value in row.values()):
+            assert value and not {",", '"', "\r", "\n"} & set(value), (argv, value)
+            fields += 1
+        written = io.StringIO()
+        if rows:
+            writer = csv.DictWriter(written, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        assert capture([*argv, "--format", "csv"]) == (0, written.getvalue(), ""), argv
+    assert (len(TABLE_SWEEP), fields) == (334, 8_411)
+
+
 def test_harmonize_single_degree():
     code, out, _ = capture(["harmonize", "--scale", "harmonic-minor", "--degree", "7"])
     assert code == 0
@@ -211,9 +247,10 @@ def test_cli_start_up_imports_only_what_every_verb_needs():
     # bench/workloads.py:library() reads every layer from sys.modules after `import modalkit`
     layers = ("pitch", "modes", "graph", "approximate", "leading", "braid", "errors", "cli")
     assert {f"modalkit.{layer}" for layer in layers} <= set(imported.split())
-    # a well-formed argv is read without argparse, which imports gettext and locale
+    # a well-formed argv is read without argparse, which imports gettext and locale,
+    # and the CSV format is written without csv
     assert [verb for verb, *_ in WELL_FORMED] == list(cli._VERBS)
-    assert not {"argparse", "gettext", "locale"} & set(ran.split())
+    assert not {"argparse", "gettext", "locale", "csv"} & set(ran.split())
     # and argparse still prints the help
     proc = run_subprocess(["--help"])
     assert (proc.returncode, proc.stderr) == (0, "")

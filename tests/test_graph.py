@@ -27,7 +27,7 @@ from modalkit.graph import (
     standard_patterns,
     tcm,
 )
-from modalkit.graph import _render_dot
+from modalkit.graph import _LABEL_NAMES, _render_dot
 from modalkit.leading import braids_of_progression, parse_progression
 from modalkit.modes import (
     _QUALITIES, _STANDARD_MODES, ScaleType, all_standard_modes, standard_modes,
@@ -387,6 +387,27 @@ def test_standard_patterns_match_a_scan_of_the_catalog():
 )
 def test_degree_label_note_names(degree, semitones, root, spelled):
     assert DegreeLabel(degree, semitones).note_name(root) == spelled
+
+
+ROOT_NAMES = ("C", "Db", "D", "Eb", "E", "F", "F#", "G", "Ab", "A", "Bb", "B")  # as pc_name shows
+
+
+def reference_note_name(degree, semitones, root):
+    """The note ``semitones`` above ``root``, spelled on the letter ``degree - 1`` steps
+    above the root's letter, with the fewest sharps or flats that reach it."""
+    naturals = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
+    letters = list(naturals)
+    letter = letters[(letters.index(ROOT_NAMES[root][0]) + degree - 1) % 7]
+    for shift in sorted(range(-5, 6), key=abs):
+        if (naturals[letter] + shift - root - semitones) % 12 == 0:
+            return letter + ("#" * shift if shift > 0 else "b" * -shift)
+    raise AssertionError("no spelling within five accidentals")
+
+
+def test_every_label_is_spelled_over_every_root():
+    for (degree, semitones), root in itertools.product(_LABEL_NAMES, range(12)):
+        spelled = DegreeLabel(degree, semitones).note_name(root)
+        assert spelled == reference_note_name(degree, semitones, root), (degree, semitones, root)
 
 
 def test_graph_edges_connect_consecutive_degrees():

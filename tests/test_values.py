@@ -303,7 +303,7 @@ def test_signature_is_the_slots_in_order(cls):
 
 def test_a_default_names_a_field():
     with pytest.raises(TypeError, match=r"defaults \['nmae'\] name no field of \('name',\)"):
-        type("Named", (_Value,), {"__slots__": ("name",)}, nmae="")
+        type("Named", (_Value,), {"__slots__": {"name": str}}, nmae="")
 
 
 @pytest.mark.parametrize("cls", TYPES, ids=lambda cls: cls.__name__)
@@ -458,6 +458,28 @@ def test_make_builds_the_checked_record_without_its_check(cls, monkeypatch):
     assert checked == []
     assert type(made) is cls and made is not value and made == value and hash(made) == hash(value)
     assert [getattr(made, name) for name in cls.__slots__] == slots
+
+
+@pytest.mark.parametrize("slots", [{}, {"__slots__": ()}], ids=["no-slots", "empty-slots"])
+def test_a_subclass_with_no_slots_of_its_own_is_its_parents_record(slots, monkeypatch):
+    cls = type("Word", (BraidWord,), slots)  # with no __slots__, a Word has a __dict__ too
+    # the parent's fields, kinds, defaults and check, on records of the subclass
+    assert inspect.signature(cls) == inspect.signature(BraidWord)
+    word = cls(3, [(True, 1), (2, -1.0)])
+    assert type(word.letters) is tuple and word.letters == ((1, 1), (2, -1))
+    assert repr(word) == "Word(strands=3, letters=((1, 1), (2, -1)))"
+    assert cls(3) == cls(3, ()) == cls(strands=3, letters=[]) != BraidWord(3)
+    assert hash(word) == hash(cls(3, ((1, 1), (2, -1))))
+    with pytest.raises(IndexOutOfRange, match=r"^strands '3' is not an integer$"):
+        cls("3")
+    with pytest.raises(IndexOutOfRange, match=r"^generator s3 needs 4 strands, have 3$"):
+        cls(3, ((3, 1),))
+    checked = counting_check(cls, monkeypatch)
+    made = cls._make(3, ((1, 1), (2, -1)))
+    assert checked == [] and type(made) is cls and made == word
+    twins = [copy.copy(word), copy.deepcopy(word)]  # each checked again
+    assert list(map(id, checked)) == list(map(id, twins))
+    assert all(type(twin) is cls and twin == word for twin in twins)
 
 
 LAYERS = sorted(Path(inspect.getfile(_Value)).parent.glob("*.py"))
