@@ -4,12 +4,14 @@ Importing the package runs none of its seven layers (``pitch``, ``errors``,
 ``modes``, ``graph``, ``approximate``, ``leading`` and ``braid``).  Each is
 registered in ``sys.modules`` as a lazily executed module
 (``importlib.util.LazyLoader``), so ``sys.modules["modalkit.braid"]`` exists
-at once, and a layer is compiled and run on the first access to one of its
-attributes; from then on it is a plain module.  The public names are
-re-exported through a module ``__getattr__`` (PEP 562), which runs the layer
-that defines a name when the name is first read.  The modules are package
-attributes too, except ``approximate``: ``modalkit.approximate`` is the
-function, and its module is ``sys.modules["modalkit.approximate"]``.
+at once, as the registry's one reader outside the package, ``library()`` in
+``bench/workloads.py``, needs.  A layer is compiled and run on the first
+access to one of its attributes; from then on it is a plain module.  The
+public names are re-exported through a module ``__getattr__`` (PEP 562),
+which runs the layer that defines a name when the name is first read.  The
+modules are package attributes too, except ``approximate``:
+``modalkit.approximate`` is the function, and its module is
+``sys.modules["modalkit.approximate"]``.
 
 An import statement may or may not run a layer.  ``from modalkit import
 braid`` binds the layer unexecuted.  ``import modalkit.braid`` runs it once
@@ -62,8 +64,8 @@ def _register(layer: str):
 
 
 # Every layer is placed in sys.modules at once, unexecuted, rather than imported
-# when a name of it is first read: modalkit.cli, and bench/workloads.py's
-# library(), read the layers from sys.modules right after `import modalkit`.
+# when a name of it is first read: bench/workloads.py's library(), the one reader
+# outside the package, reads the layers from sys.modules right after `import modalkit`.
 for _layer in _EXPORTS:
     _module = _register(_layer)
     if _layer not in _LAYER_OF:  # the approximate function takes the module's name

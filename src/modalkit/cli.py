@@ -18,16 +18,9 @@ import os
 import sys
 import types
 
+from . import graph, leading, modes  # unexecuted until a verb reads them
 from .errors import ModalkitError, ParseError
 from .pitch import ChordQuality, _integer, parse_note, parse_pcs, pc_name
-
-# The other layers, unexecuted until a verb reads them.  They are looked up in
-# sys.modules: the package attribute ``approximate`` is the function, and
-# reading it would run its layer.
-approximate_mod, graph_mod, leading_mod, modes_mod = (
-    sys.modules[f"{__package__}.{layer}"]
-    for layer in ("approximate", "graph", "leading", "modes")
-)
 
 ROMAN = ("I", "II", "III", "IV", "V", "VI", "VII")
 
@@ -73,7 +66,7 @@ def _cmd_modes(args):
             "pitch_classes": " ".join(str(d) for d in mode.degrees),
             "notes": " ".join(pc_name(d) for d in mode.degrees),
         }
-        for i, mode in enumerate(modes_mod.standard_modes(args.scale, args.root))
+        for i, mode in enumerate(modes.standard_modes(args.scale, args.root))
     ]
     yield _table(rows, args.format)
 
@@ -83,7 +76,7 @@ def _cmd_harmonize(args):
     rows = [
         {
             "degree": ROMAN[d - 1],
-            "quality": modes_mod.harmonize(args.scale, d).symbol,
+            "quality": modes.harmonize(args.scale, d).symbol,
         }
         for d in degrees
     ]
@@ -92,8 +85,8 @@ def _cmd_harmonize(args):
 
 def _cmd_decompose(args):
     degrees = sorted(set(args.notes), key=lambda n: (n - args.root) % 12)
-    scale = modes_mod.ModalScale(args.root, tuple(degrees))
-    mode = modes_mod.decompose(scale)
+    scale = modes.ModalScale(args.root, tuple(degrees))
+    mode = modes.decompose(scale)
     triad = mode.tension_triad()
     yield f"scale:   {' '.join(str(d) for d in scale.degrees)}\n"
     yield (
@@ -107,9 +100,9 @@ def _cmd_decompose(args):
 
 
 def _cmd_graph(args):
-    g = graph_mod.build_graph(args.quality)
+    g = graph.build_graph(args.quality)
     if args.dot:
-        yield graph_mod.emit_dot(g, args.root)
+        yield graph.emit_dot(g, args.root)
     else:
         # the vertices come ordered by degree, then by semitone
         for degree in range(1, 8):
@@ -117,7 +110,7 @@ def _cmd_graph(args):
             yield f"{ROMAN[degree - 1]}: {names}\n"
         yield (
             f"vertices={len(g.vertices)} edges={len(g.edges)} "
-            f"chi={graph_mod.euler_characteristic(g)} tau={graph_mod.tcm(args.quality)}\n"
+            f"chi={graph.euler_characteristic(g)} tau={graph.tcm(args.quality)}\n"
         )
 
 
@@ -125,13 +118,13 @@ def _cmd_tcm(args):
     qualities = list(ChordQuality) if args.all else [args.quality]
     rows = []
     for q in qualities:
-        g = graph_mod.build_graph(q)
+        g = graph.build_graph(q)
         rows.append(
             {
                 "quality": q.symbol,
-                "chi": str(graph_mod.euler_characteristic(g)),
-                "tau": str(graph_mod.tcm(q)),
-                "admissible": str(len(graph_mod.enumerate_admissible(g))),
+                "chi": str(graph.euler_characteristic(g)),
+                "tau": str(graph.tcm(q)),
+                "admissible": str(len(graph.enumerate_admissible(g))),
             }
         )
     yield _table(rows, args.format)
@@ -149,15 +142,15 @@ def _path_rows(paths) -> list[dict[str, str]]:
 
 
 def _cmd_admissible(args):
-    paths = graph_mod.enumerate_admissible(graph_mod.build_graph(args.quality))
+    paths = graph.enumerate_admissible(graph.build_graph(args.quality))
     yield _table(_path_rows(paths), args.format)
 
 
 def _cmd_special(args):
-    paths = graph_mod.special_modes(args.quality)
+    paths = graph.special_modes(args.quality)
     yield _table(_path_rows(paths), args.format)
     if args.paper_compat:
-        published = graph_mod.PUBLISHED_SPECIALS.get(args.quality, ())
+        published = graph.PUBLISHED_SPECIALS.get(args.quality, ())
         computed = {p.label_names() for p in paths}
         yield "\npublished degree lists:\n"
         for name, labels in published:
@@ -177,11 +170,13 @@ def _cmd_braid(args):
         raise ParseError(f"{args.file} is not UTF-8 text; bad byte", position) from None
     del data  # only the text is read from here on
     # decoded whole, so a file that is not UTF-8 prints nothing
-    yield from leading_mod._braid_blocks(text, args.ascii)
+    yield from leading._braid_blocks(text, args.ascii)
 
 
 def _cmd_approx(args):
-    ranked = approximate_mod.approximate(set(args.target), args.quality, args.root)
+    from .approximate import approximate
+
+    ranked = approximate(set(args.target), args.quality, args.root)
     rows = [
         {
             "rank": str(i + 1),
@@ -198,7 +193,7 @@ def _cmd_approx(args):
 
 _QUALITY = _lookup(ChordQuality.from_symbol, "unknown chord quality")
 # the label is looked up when an argument is read, so building a parser runs no modes
-_SCALE = _lookup(lambda label: modes_mod.ScaleType.from_label(label), "unknown scale")
+_SCALE = _lookup(lambda label: modes.ScaleType.from_label(label), "unknown scale")
 _NOTE = _lookup(parse_note, "unknown note name")
 _PCS = _lookup(parse_pcs, "bad pitch-class list")
 _INTEGER = _lookup(_integer, "bad integer")

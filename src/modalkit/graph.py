@@ -66,9 +66,6 @@ class DegreeLabel(_Value):
         acc = (self.semitones - natural + 6) % 12 - 6
         return letter + ("#" * acc if acc >= 0 else "b" * (-acc))
 
-    def __str__(self) -> str:
-        return self.name
-
 
 class AdmissiblePath(_Value, name=""):
     """A root-to-seventh path: its labels, whether it is special, a bool, and its name."""

@@ -36,11 +36,7 @@ def _int(value, what: str) -> int:
 
 def _pc(value, what: str) -> PitchClass:
     """The pitch-class rule: the integer rule's int mod 12."""
-    try:
-        return operator.index(value) % 12
-    except TypeError:
-        _int(value, what)  # refuses it, as the integer rule words it
-        raise
+    return _int(value, what) % 12
 
 
 def pc(value: int) -> PitchClass:
@@ -63,13 +59,7 @@ def _collection(values, what: str) -> list:
 def _ints(values, what: str) -> list[int]:
     """The integer rule over a collection, each value read as ``_int`` reads it
     and named as ``what``."""
-    values = _collection(values, what + "s")
-    try:
-        return list(map(operator.index, values))
-    except TypeError:
-        for value in values:
-            _int(value, what)  # names the first value that is no integer
-        raise
+    return [_int(value, what) for value in _collection(values, what + "s")]
 
 
 def _pitch_classes(values, what: str) -> list[PitchClass]:
@@ -189,7 +179,8 @@ class _Value:
     slot's name to its kind, as in ``{"root": _pc, "quality": TriadQuality}``.
     It gets an ``__init__`` generated as dataclasses does it: the fields in
     that order, by position or keyword, with defaults given as class
-    keywords, as in ``class BraidWord(_Value, letters=())``.  Like a frozen
+    keywords, as in ``class BraidWord(_Value, letters=())``; a field with no
+    default after one with a default is a TypeError.  Like a frozen
     dataclass, a record equals an instance of its own type with equal
     fields, hashes by them and shows as ``Name(field=value, ...)``.
 
@@ -237,6 +228,10 @@ class _Value:
         defaults = cls._defaults = {**getattr(cls, "_defaults", {}), **defaults}
         if not defaults.keys() <= set(fields):
             raise TypeError(f"{cls.__name__} defaults {sorted(defaults)} name no field of {fields}")
+        for before, name in zip(fields, fields[1:]):  # before exec, which would fail bare
+            if before in defaults and name not in defaults:
+                raise TypeError(f"{cls.__name__} field {name!r} has no default but follows"
+                                f" {before!r}, which has one")
         if "__post_init__" not in vars(cls):
             cls.__post_init__ = _checker(cls, kinds)
         params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in fields)

@@ -10,7 +10,8 @@ any length, so seeded songs from ``bench/inputs.py`` and hand-made files run
 here, and ``check_braid_stdout`` checks each word it prints.  Long files that
 cross the parser's and the output's 64 K blocks check the streamed verb against
 the library's progression words, and a bad line deep in such a file against
-the error contract.
+the error contract.  The verb makes as many calls per chord on a song as on
+that song ten times over, so its work grows linearly with the file.
 """
 
 import io
@@ -325,6 +326,41 @@ def test_the_braid_verb_cuts_its_blocks_by_the_library_block_size(ascii_, monkey
     assert len(out.sizes) > 2
     assert all(1_024 <= size < 1 << 15 for size in out.sizes[:-1])
     assert all(writes[end - 1] == "\n" for end in ends[:-1])
+
+
+def calls_per_chord(path, chords, ascii_):
+    """The Python and C calls of one braid verb run on ``path``, per chord."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    argv = ["braid", "--file", str(path), *(["--ascii"] if ascii_ else [])]
+    sys.setprofile(count)
+    try:
+        code = run(argv, out=io.StringIO())
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    return calls / chords
+
+
+@pytest.mark.parametrize("ascii_", [False, True], ids=["plain", "ascii"])
+def test_the_braid_verb_makes_the_same_calls_per_chord_at_any_length(ascii_, tmp_path):
+    # counted, not timed, so the check holds on any machine: work per transition whose
+    # calls grow with the file shows as more calls per chord.  The long file is the
+    # short one ten times, so both hold the same mix of chords and moves
+    text = inputs.song(random.Random(1), 2_000, False).text
+    per_chord = []
+    for copies in (1, 10):
+        path = tmp_path / f"{copies}.prog"
+        path.write_text(text * copies, encoding="utf-8")
+        assert run(["braid", "--file", str(path), "--ascii"], out=io.StringIO()) == 0  # warm
+        per_chord.append(calls_per_chord(path, 2_000 * copies, ascii_))
+    short, long = per_chord
+    assert abs(long / short - 1) < 0.02, per_chord
 
 
 DETERMINISM = """

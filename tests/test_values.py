@@ -306,6 +306,22 @@ def test_a_default_names_a_field():
         type("Named", (_Value,), {"__slots__": {"name": str}}, nmae="")
 
 
+@pytest.mark.parametrize(
+    "bases, slots, defaults, message",
+    [
+        ((BraidWord,), {"extra": str}, {}, "Extra field 'extra' has no default but follows"
+                                           " 'letters', which has one"),
+        ((_Value,), {"a": int, "b": int, "c": int}, dict(b=0), "Extra field 'c' has no default"
+                                                               " but follows 'b', which has one"),
+    ],
+    ids=["after-the-parents-default", "after-its-own-default"],
+)
+def test_a_field_with_no_default_follows_none_with_one(bases, slots, defaults, message):
+    # refused before the generated __init__ is compiled, where it would be a bare SyntaxError
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        type("Extra", bases, {"__slots__": slots}, **defaults)
+
+
 @pytest.mark.parametrize("cls", TYPES, ids=lambda cls: cls.__name__)
 def test_missing_or_unknown_fields_are_type_errors(cls):
     fields = SAMPLES[cls][0]
