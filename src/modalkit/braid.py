@@ -99,6 +99,12 @@ _sign = operator.itemgetter(1)
 
 
 def invariants(w: BraidWord) -> BraidInvariants:
+    """The word's permutation and writhe, equal for equal braids.
+
+    The permutation is 1-based: the strand that starts at position p ends at
+    ``permutation[p-1]``.  The writhe is the sum of the letters' signs, the
+    positive crossings minus the negative ones.
+    """
     w = _checked(w)
     occupant = list(range(1, w.strands + 1))  # occupant[s-1]: the start of the strand at slot s
     for index, _ in w.letters:
@@ -173,7 +179,9 @@ def parse_word(text: str, strands: int) -> BraidWord:
         raise InvalidArgument(f"braid text is a str, not {type(text).__name__}") from None
     if type(strands) is int and 0 < strands <= _TABLED_STRANDS:
         known = _LETTERS[strands]
-        try:  # from a list: tuple(map(...)) resizes each tuple it grows, raising peak RSS
+        try:
+            if len(tokens) > 1:  # one key would give itemgetter's bare letter, not a 1-tuple
+                return BraidWord._make(strands, operator.itemgetter(*tokens)(known))
             return BraidWord._make(strands, tuple([known[token] for token in tokens]))
         except KeyError:  # a token this strand count does not spell
             pass
@@ -222,9 +230,18 @@ _LETTERS = _Table(lambda n: {_token((i, sign)): (i, sign) for i in range(1, n) f
 
 
 def serialize_word(w: BraidWord) -> str:
+    """The word as text: its letters' tokens, ``s<k>`` or ``s<k>^-1``, joined by one space.
+
+    The empty word is the empty string.  ``parse_word`` of the text on the
+    word's strand count gives the word back.
+    """
     w = _checked(w)
-    token = _TOKENS.__getitem__ if w.strands <= _TABLED_STRANDS else _token
-    return " ".join(map(token, w.letters))
+    letters = w.letters
+    if w.strands > _TABLED_STRANDS:
+        return " ".join(map(_token, letters))
+    if len(letters) > 1:  # one key would give itemgetter's bare token, joined per character
+        return " ".join(operator.itemgetter(*letters)(_TOKENS))
+    return " ".join(map(_TOKENS.__getitem__, letters))
 
 
 def render_ascii(w: BraidWord) -> str:

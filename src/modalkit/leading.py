@@ -237,15 +237,22 @@ class Progression(_Value):
             if not (isinstance(entry, tuple) and len(entry) == 3
                     and isinstance(entry[0], str) and isinstance(entry[2], Chord)):
                 raise InvalidProgression(f"entry {entry!r} is not a (label, root, Chord) triple")
-        object.__setattr__(self, "chords", tuple([
-            (label, root if root is None else _pc(root, "root"), chord)
-            for label, root, chord in self.chords
-        ]))
+        object.__setattr__(self, "chords", tuple([_stored(entry) for entry in self.chords]))
 
     def leadings(self) -> Iterator[VoiceLeading]:
         """Each chord transition's leading, built only as the caller asks for it."""
         for (_, ra, a), (_, rb, b) in itertools.pairwise(self.chords):
             yield voice_leading(a, b, a_root=ra, b_root=rb)
+
+
+def _stored(entry: tuple) -> tuple[str, PitchClass | None, Chord]:
+    """A (label, root, Chord) ``entry`` as a progression stores it: a tuple whose
+    root is None or an int pitch class.  An entry stored so already is kept, so
+    an entry that ``_entries`` gives for several lines stays one entry."""
+    label, root, chord = entry
+    if type(entry) is tuple and (root is None or type(root) is int and 0 <= root <= 11):
+        return entry
+    return label, root if root is None else _pc(root, "root"), chord
 
 
 def _transition_moves(entries) -> Iterator[tuple[str, str, list[tuple[int, int]]]]:
@@ -291,10 +298,11 @@ def _uncommented(raw: str) -> str:
     return raw if at < 0 else raw[:at]
 
 
-# Each valid chord symbol, shared by every line that spells it; a bad symbol
-# raises, so it stays out.  The lambda looks parse_chord_symbol up on each miss,
-# so a wrapper installed on this module, as bench/spans.py does, sees every miss.
-_SYMBOLS = _Table(lambda line: parse_chord_symbol(line))
+# Each valid chord symbol's whole entry, (label, root, Chord) with the symbol as
+# its label, keyed by that symbol and shared by every line that spells it; a bad
+# symbol raises, so it stays out.  The lambda looks parse_chord_symbol up on each
+# miss, so a wrapper installed on this module, as bench/spans.py does, sees every miss.
+_SYMBOLS = _Table(lambda line: (line, *parse_chord_symbol(line)))
 
 _BLOCK = 1 << 16  # about as many characters as _lines splits at once; see _braid_blocks
 
@@ -321,26 +329,28 @@ def _entries(text: str) -> Iterator[tuple[str, PitchClass, Chord]]:
     into ``text``; text with no chord line is a ParseError once it is read.
     """
     entry = None
+    symbol = _SYMBOLS.get
     for lineno, raw in enumerate(_lines(text), start=1):
         line = (_uncommented(raw) if "#" in raw else raw).strip()
         if not line:
             continue
-        name, colon, body = line.partition(":")
-        try:
-            if colon:
-                values = parse_pcs(body)  # int pitch classes in 0..11, so checked
-                entry = name.strip(), values[0], _chord(values)
-            else:
-                root, chord = _SYMBOLS[line]
-                entry = line, root, chord
-        except ParseError as exc:
-            line_start = 0
-            for _ in range(lineno - 1):  # found only on error, so no good line pays for it
-                line_start = text.index("\n", line_start) + 1
-            column = len(raw) - len(raw.lstrip()) + (len(name) + 1 if colon else 0)
-            raise ParseError(
-                f"{exc.message} on line {lineno}", line_start + column + exc.position
-            ) from None
+        entry = symbol(line)  # a symbol line seen before: its entry by one lookup
+        if entry is None:
+            name, colon, body = line.partition(":")
+            try:
+                if colon:
+                    values = parse_pcs(body)  # int pitch classes in 0..11, so checked
+                    entry = name.strip(), values[0], _chord(values)
+                else:
+                    entry = _SYMBOLS[line]
+            except ParseError as exc:
+                line_start = 0
+                for _ in range(lineno - 1):  # found only on error, so no good line pays for it
+                    line_start = text.index("\n", line_start) + 1
+                column = len(raw) - len(raw.lstrip()) + (len(name) + 1 if colon else 0)
+                raise ParseError(
+                    f"{exc.message} on line {lineno}", line_start + column + exc.position
+                ) from None
         yield entry
     if entry is None:
         raise ParseError("the progression has no chords", 0)

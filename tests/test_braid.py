@@ -1,6 +1,10 @@
 """Braid words: parsing, invariants, rewriting, rendering."""
 
+import random
 import re
+import struct
+import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -339,10 +343,17 @@ tokens = st.sampled_from(
 separators = st.sampled_from([" ", "  ", "\t", "\n", " \r\n "])
 
 
-@given(st.lists(st.tuples(separators, tokens), max_size=12), st.integers(1, 13), st.booleans())
+# strand counts around the tokens drawn, and either side of the largest tabled count
+strand_counts = st.one_of(st.integers(1, 13), st.sampled_from([braid._TABLED_STRANDS,
+                                                                braid._TABLED_STRANDS + 1]))
+
+
+@given(st.lists(st.tuples(separators, tokens), max_size=12), strand_counts, st.booleans())
 @example([(" ", "s1"), (" ", "s1x"), (" ", "s1"), (" ", "s1x")], 12, True)  # a bad token repeats
 @example([(" ", "s12"), (" ", "2")], 13, True)  # a bad token inside an earlier one
 @example([(" ", "s11"), (" ", "s1^-1"), (" ", "1")], 12, False)
+@example([(" ", "s11^-1")], 12, True)  # one token, looked up: a word of one letter
+@example([("\t", "s2"), (" ", "s11^-1")], 12, True)  # two tokens, the fewest looked up at once
 def test_parse_word_matches_the_regex_walk(pieces, strands, warm):
     text = "".join(sep + token for sep, token in pieces)
     if warm:  # the same tokens met once before, so each valid one is looked up
@@ -535,5 +546,32 @@ def reference_serialize_word(w):
 
 @given(word_strategy(max_strands=30, max_len=40))
 @example(BraidWord(1))
+@example(BraidWord(3, ((2, -1),)))  # one letter: its token, not its token's characters
+@example(BraidWord(3, ((1, 1), (2, -1))))  # two letters, the fewest looked up at once
+@example(BraidWord(65, ((64, -1), (1, 1))))  # more strands than are tabled
 def test_serialize_word_matches_one_string_per_letter(w):
     assert serialize_word(w) == reference_serialize_word(w)
+
+
+def test_a_long_word_is_written_and_read_with_a_few_pointers_per_letter():
+    # tracemalloc counts allocations, not time, so the figures are deterministic.
+    # Writing holds the text and one sequence of tokens, a pointer per letter;
+    # reading holds what str.split holds and two sequences of letters.  Each may
+    # take one more pointer per letter, and no more.
+    letters = 100_000
+    rng = random.Random(1)
+    w = BraidWord(12, tuple((rng.randrange(1, 12), rng.choice((1, -1))) for _ in range(letters)))
+    text = serialize_word(w)
+    assert parse_word(text, 12) == w  # first-call tables are not a per-letter cost
+
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    pointer = struct.calcsize("P")
+    assert peak(serialize_word, w) - sys.getsizeof(text) <= 2 * pointer * letters
+    assert peak(parse_word, text, 12) - peak(str.split, text) <= 3 * pointer * letters

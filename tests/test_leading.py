@@ -3,6 +3,7 @@
 import io
 import random
 import re
+from collections import namedtuple
 from itertools import permutations, product
 from pathlib import Path
 from unittest import mock
@@ -647,6 +648,52 @@ def test_only_valid_chord_symbols_are_kept():
     # a symbol's second line shares the first one's chord
     half = len(symbols)
     assert all(p.chords[i][2] is p.chords[i + half][2] for i in range(half))
+
+
+def symbol_entry(label):
+    return (label, *parse_chord_symbol(label))
+
+
+@pytest.mark.parametrize(
+    "text, expected, held",
+    [
+        ("Cmaj7\nCmaj7\n", [symbol_entry("Cmaj7")] * 2, [True, True]),
+        ("G7  # five\r\n\tG7\r\n", [symbol_entry("G7")] * 2, [True, True]),
+        ("C7\nx: 0,4,7,10\nC7: 7,10,0,4\n",
+         [symbol_entry("C7"), ("x", 0, Chord([0, 4, 7, 10])), ("C7", 7, Chord([0, 4, 7, 10]))],
+         [True, False, False]),
+    ],
+    ids=["twice", "comment-and-cr", "pc-lists-of-the-same-notes"],
+)
+def test_a_symbol_line_seen_before_reads_as_it_first_did(text, expected, held):
+    parse_progression(text)  # each symbol of the text is held now
+    entries = list(leading._entries(text))
+    assert entries == expected
+    assert [type(root) for _, root, _ in entries] == [int] * len(expected)
+    # a symbol's lines share its held entry; a pitch-class list is an entry of its own
+    assert [entry is leading._SYMBOLS.get(entry[0]) for entry in entries] == held
+
+
+def test_an_unknown_symbol_after_held_ones_is_the_same_parse_error():
+    parse_progression("Cmaj7\nG7\n")
+    with pytest.raises(ParseError) as info:
+        parse_progression("Cmaj7\nG7\nCxx\n")
+    assert (info.value.message, info.value.position) == ("unknown chord quality 'xx' on line 3", 10)
+    assert "Cxx" not in leading._SYMBOLS
+
+
+def test_a_progression_keeps_an_entry_stored_as_it_stores_it():
+    chord = Chord([0, 4, 7])
+    entry = ("C", 0, chord)
+    p = Progression((entry, entry, ("C", None, chord)))
+    assert p.chords[0] is entry and p.chords[1] is entry
+    # any other entry is stored anew: its root read as a pitch class, a tuple subclass
+    # as a plain tuple
+    Entry = namedtuple("Entry", "label root chord")
+    for built, stored in [(("C", True, chord), ("C", 1, chord)), (("C", 12, chord), ("C", 0, chord)),
+                          (Entry("C", 0, chord), ("C", 0, chord))]:
+        kept = Progression((built,)).chords[0]
+        assert kept == stored and type(kept) is tuple and type(kept[1]) is int
 
 
 def test_walks_are_kept_per_move():
