@@ -181,8 +181,8 @@ def parse_word(text: str, strands: int) -> BraidWord:
         known = _LETTERS[strands]
         try:
             if len(tokens) > 1:  # one key would give itemgetter's bare letter, not a 1-tuple
-                return BraidWord._make(strands, operator.itemgetter(*tokens)(known))
-            return BraidWord._make(strands, tuple([known[token] for token in tokens]))
+                return _make_word(strands, _itemgetter(*tokens)(known))
+            return _make_word(strands, tuple([known[token] for token in tokens]))
         except KeyError:  # a token this strand count does not spell
             pass
     return BraidWord(strands, tuple([_letter(text, tokens, k) for k in range(len(tokens))]))
@@ -225,6 +225,7 @@ def _block(n: int, letter: Letter) -> str:
 # holds at most the letters of those counts; a word on more strands derives its
 # tokens per call, and nothing is kept.
 _TABLED_STRANDS = 64
+_itemgetter, _make_word = operator.itemgetter, BraidWord._make  # bound once for parse_word
 _TOKENS = _Table(_token)
 _LETTERS = _Table(lambda n: {_token((i, sign)): (i, sign) for i in range(1, n) for sign in (1, -1)})
 
@@ -235,7 +236,8 @@ def serialize_word(w: BraidWord) -> str:
     The empty word is the empty string.  ``parse_word`` of the text on the
     word's strand count gives the word back.
     """
-    w = _checked(w)
+    if type(w) is not BraidWord:  # a BraidWord is checked when built
+        w = _checked(w)
     letters = w.letters
     if w.strands > _TABLED_STRANDS:
         return " ".join(map(_token, letters))

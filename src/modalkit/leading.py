@@ -13,9 +13,11 @@ which crosses in this linear order, often moves the voices less (Tymoczko
 Braids live on 12 strands, one per pitch class: a voice moving from pitch
 class p to q walks from strand slot p+1 to slot q+1 through adjacent
 crossings.  Every path from chords to a word runs through one core,
-``_moves``, and one table of walks, ``_WALKS``, so every word this module
-returns is built from checked walks by ``BraidWord._make``, with no second
-check.  The progression words and the ``braid`` verb's text,
+``_moves``, and one table of walk letters, ``_WALKS``, so every word this
+module returns is built from checked walks by ``BraidWord._make``, with no
+second check.  The ``braid`` verb reads each walk's tokens and drawing rows
+from two more tables, ``_WALK_TOKENS`` and ``_WALK_ROWS``, derived from its
+letters.  The progression words and the ``braid`` verb's text,
 ``_braid_blocks``, read their transitions through one derivation,
 ``_transition_moves``, and a file's chords through one line parser,
 ``_entries``.
@@ -165,27 +167,32 @@ def _best_of_runs(moves: Iterable[tuple[int, int]], side: int) -> list[tuple[int
     return kept
 
 
-def _walk(move: tuple[int, int]) -> tuple[tuple[Letter, ...], str, str]:
-    """A voice's walk from pitch class s to t, from slot s + 1 to slot t + 1: its
-    letters, its tokens and its three rows per letter on 12 strands, checked once."""
+def _walk(move: tuple[int, int]) -> tuple[Letter, ...]:
+    """The letters of a voice's walk from pitch class s to t, from slot s + 1 to
+    slot t + 1, checked once as one word on 12 strands."""
     s, t = move
     if t < s:
         letters = tuple((i, -1) for i in range(s, t, -1))
     else:
         letters = tuple((i, 1) for i in range(s + 1, t + 1))
-    word = BraidWord(STRANDS, letters)
-    return letters, serialize_word(word), render_ascii(word).partition("\n")[2]
+    return BraidWord(STRANDS, letters).letters
 
 
-# Each voice's walk per (source, target) pitch class: (letters, tokens, rows).
+# Per (source, target) pitch class, each voice's walk: its checked letters, and
+# from them, each the first time it is read, its tokens and its three rows per
+# letter below the base row.  A walk refused when derived stays out of all three.
 _WALKS = _Table(_walk)
+_WALK_TOKENS = _Table(lambda move: serialize_word(BraidWord._make(STRANDS, _WALKS[move])))
+_WALK_ROWS = _Table(
+    lambda move: render_ascii(BraidWord._make(STRANDS, _WALKS[move])).partition("\n")[2]
+)
 
 
 def _letters(moves) -> tuple[Letter, ...]:
     """The letters of ``moves``' walks, one walk after another."""
     letters = []
     for move in moves:
-        letters += _WALKS[move][0]
+        letters += _WALKS[move]
     return tuple(letters)
 
 
@@ -360,11 +367,12 @@ def _braid_blocks(text: str, ascii: bool) -> Iterator[str]:
     """The braid verb's text: ``strands=12``, then per transition its ``a -> b: tokens``
     line and, with ``ascii``, its word as ``render_ascii`` draws it, in blocks of whole
     lines, each but the last of at least ``_BLOCK`` characters, one write per pipe
-    buffer.  The header waits in the first block; a ParseError drops the unfinished one."""
-    walks, block = _WALKS, _BLOCK
-    # each move's tokens and rows by one lookup, from its walk, checked once
-    tokens = _Table(lambda move: walks[move][1]).__getitem__
-    rows = _Table(lambda move: walks[move][2]).__getitem__
+    buffer.  The header waits in the first block; a ParseError drops the unfinished one.
+
+    Each move's tokens and rows are read by one lookup in ``_WALK_TOKENS`` and
+    ``_WALK_ROWS``, derived from its walk, checked once; rows are derived only with
+    ``ascii``."""
+    tokens, rows, block = _WALK_TOKENS.__getitem__, _WALK_ROWS.__getitem__, _BLOCK
     base = render_ascii(BraidWord._make(STRANDS, ()))  # the row of plain strands
     parts = [f"strands={STRANDS}\n"]
     size = len(parts[0])

@@ -515,6 +515,52 @@ def test_a_subclass_word_is_rebuilt_as_a_checked_word():
             read(LaxWord(3, [(1.0, 1)]))
 
 
+def refusal(call):
+    """The class and message of the ModalkitError that ``call()`` raises, or None."""
+    try:
+        call()
+    except ModalkitError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("strands, letters", [
+    (3, [(99, 1)]), (3, [(1, 1), (2, 0)]), (3, [(1, 1), "s1"]), (3, [(1.0, 1)]), (3, 5),
+    (0, []), (65, [(1, 1), (65, -1)]),
+])
+def test_serialize_word_refuses_a_lax_word_as_a_braid_word_would(strands, letters):
+    # a BraidWord is written as built; a subclass's word is checked again first
+    expected = refusal(lambda: BraidWord(strands, letters))
+    assert expected is not None
+    assert refusal(lambda: serialize_word(LaxWord(strands, letters))) == expected
+
+
+def token_by_token(text, strands):
+    """parse_word's path for text it does not look up: each token read, then the check."""
+    tokens = text.split()
+    return BraidWord(strands, tuple([braid._letter(text, tokens, k) for k in range(len(tokens))]))
+
+
+def word_outcome(parse, text, strands):
+    try:
+        w = parse(text, strands)
+    except ModalkitError as exc:
+        return type(exc), str(exc)
+    return type(w), w.strands, type(w.strands), w.letters
+
+
+@pytest.mark.parametrize("strands", [True, False, 0, -1, 1, 12, 64, 65, 2**70])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_parse_word_reads_any_strand_count_as_token_by_token(strands, warm, monkeypatch):
+    monkeypatch.setattr(braid, "_LETTERS", braid._Table(braid._LETTERS._derive))  # cold
+    if warm:  # every tabled strand count, so a bool or a count beyond 64 meets full tables
+        for n in range(1, braid._TABLED_STRANDS + 1):
+            braid._LETTERS[n]
+    for text in ["", "s1", "s1^-1", "s1 s2^-1", "s1 s64^-1", "s1 s1x"]:  # 0, 1 and 2 tokens
+        expected = word_outcome(token_by_token, text, strands)
+        assert word_outcome(parse_word, text, strands) == expected, text
+
+
 @given(word_strategy())
 def test_serialize_parse_round_trip(w):
     assert parse_word(serialize_word(w), strands=w.strands) == w

@@ -33,7 +33,6 @@ from modalkit import leading
 from modalkit.braid import BraidWord, render_ascii, serialize_word
 from modalkit.cli import run
 from modalkit.leading import STRANDS, braids_of_progression, parse_progression
-from modalkit.pitch import _Table
 
 from bench_modules import inputs, oracle
 
@@ -250,21 +249,32 @@ def test_braid_verb_streams_the_library_words(seed, ascii_, tmp_path):
 
 
 @pytest.mark.parametrize("ascii_", [False, True], ids=["plain", "ascii"])
-def test_the_braid_verb_checks_each_move_once(ascii_, monkeypatch, tmp_path):
-    # a walk is checked as one word when it is derived; the verb then writes its
-    # kept tokens and rows, so the checks are bounded by the 12 * 11 moves, not
-    # by the file's length
+def test_the_braid_verb_checks_each_move_once(ascii_, monkeypatch, tmp_path, cold_walks):
+    # a walk is checked as one word when it is derived; the verb then writes the
+    # tokens and rows derived from it and kept, so the checks are bounded by the
+    # 12 * 11 moves, not by the file's length
     text = long_song(1, 5_000)
     expected = library_stdout(text, ascii_)
     path = tmp_path / "song.prog"
     path.write_bytes(text.encode())
+    cold_walks._WALKS.clear()  # the library's words above derived some walks
     checked, check = [], BraidWord.__post_init__
     monkeypatch.setattr(BraidWord, "__post_init__", lambda w: checked.append(w) or check(w))
-    monkeypatch.setattr(leading, "_WALKS", _Table(leading._walk))  # cold
     out = io.StringIO()
     assert run(["braid", "--file", str(path), *(["--ascii"] if ascii_ else [])], out=out) == 0
     assert out.getvalue() == expected
-    assert 0 < len(checked) == len(leading._WALKS) <= 12 * 11
+    assert 0 < len(checked) == len(cold_walks._WALKS) == len(cold_walks._WALK_TOKENS) <= 12 * 11
+
+
+def test_only_a_drawing_derives_the_walks_rows(tmp_path, cold_walks):
+    # a plain run writes tokens only, so it derives no rows; --ascii derives the rows
+    # of the moves it meets, at most one per move
+    path = tmp_path / "song.prog"
+    path.write_bytes(long_song(2, 2_000).encode())
+    assert run(["braid", "--file", str(path)], out=io.StringIO()) == 0
+    assert len(cold_walks._WALK_ROWS) == 0 < len(cold_walks._WALK_TOKENS)
+    assert run(["braid", "--file", str(path), "--ascii"], out=io.StringIO()) == 0
+    assert 0 < len(cold_walks._WALK_ROWS) == len(cold_walks._WALK_TOKENS) <= 12 * 11
 
 
 @pytest.mark.parametrize("ascii_", [False, True], ids=["plain", "ascii"])

@@ -146,6 +146,8 @@ BOUNDS = {
     "modalkit.approximate._CANDIDATES": 7 * 12,  # (quality, root pitch class)
     "modalkit.approximate._PC_SETS": 1 << 12,  # pitch-class set mask
     "modalkit.leading._WALKS": 12 * 11,  # (pitch class, another pitch class)
+    "modalkit.leading._WALK_TOKENS": 12 * 11,  # the same moves
+    "modalkit.leading._WALK_ROWS": 12 * 11,  # the same moves, read only by braid --ascii
     "modalkit.leading._SYMBOLS": 21 * 10,  # note spelling + quality token
     "modalkit.braid._TOKENS": 2 * 63,  # letter on at most 64 strands
     "modalkit.braid._LETTERS": 64,  # strand count up to 64, each 2 * (strands - 1) tokens
@@ -230,6 +232,9 @@ find_mode_by_name("ionian")
 parse_progression("\\n".join(root + token for root in _SPELLINGS for token in _SYMBOL_INTERVALS))
 for s, t in product(range(12), repeat=2):
     braid_of_leading(VoiceLeading((s,), (t,)))
+# one-note chords that make every move, drawn as the braid verb draws them
+moves = "\\n".join(f"x: {s}\\ny: {t}" for s, t in product(range(12), repeat=2))
+"".join(leading._braid_blocks(moves, True))
 for n in range(1, 2 * 64 + 1):  # above 64 strands, one letter each keeps the drawings small
     letters = tuple((i, sign) for i in range(1, n) for sign in (1, -1))
     word = BraidWord(n, letters if n <= 64 else letters[:2])

@@ -34,7 +34,7 @@ from modalkit.leading import (
     voice_leading,
 )
 from modalkit.leading import _letters, _moves
-from modalkit.pitch import _SPELLINGS, _SYMBOL_INTERVALS, Chord, _Table, parse_chord_symbol
+from modalkit.pitch import _SPELLINGS, _SYMBOL_INTERVALS, Chord, parse_chord_symbol
 
 DATA, GOLDEN = (Path(__file__).parent / name for name in ("data", "golden"))
 
@@ -413,17 +413,18 @@ def test_braid_of_progression_is_the_concatenation(lines):
         assert joined == BraidWord(STRANDS)
 
 
-def test_braid_of_progression_checks_each_letter_once(monkeypatch):
+def test_braid_of_progression_checks_each_letter_once(monkeypatch, cold_walks):
     # each walk is checked once, as one word, when it is derived; both progression
-    # words are built from the checked walks, so they check nothing again
+    # words are built from the checked walks, so they check nothing again, and
+    # derive no walk's tokens or rows
     text = "Cmaj7\nx: 0,0,4\nG7\nF#o7\nCmaj7\n"
     checked, check = [], BraidWord.__post_init__
     monkeypatch.setattr(BraidWord, "__post_init__", lambda w: checked.append(w) or check(w))
-    monkeypatch.setattr(leading, "_WALKS", _Table(leading._walk))  # cold
     p = parse_progression(text)
     joined, words = braid_of_progression(p), braids_of_progression(p)
-    walks = [letters for letters, _tokens, _rows in leading._WALKS.values()]
+    walks = list(cold_walks._WALKS.values())
     assert [w.letters for w in checked] == walks and len(walks) > 0
+    assert len(cold_walks._WALK_TOKENS) == len(cold_walks._WALK_ROWS) == 0
     checked.clear()
     q = parse_progression(text)
     assert (braids_of_progression(q), braid_of_progression(q)) == (words, joined)
@@ -703,18 +704,23 @@ def test_walks_are_kept_per_move():
     assert set(leading._WALKS) == {(s, t) for s, t in product(range(12), repeat=2) if s != t}
 
 
-def test_each_move_keeps_its_walks_tokens_and_rows():
+def test_each_move_keeps_its_walks_tokens_and_rows(cold_walks):
+    # tokens and rows are read first, so each derives the walk it is made from
     base = render_ascii(BraidWord(STRANDS))
     for s, t in permutations(range(12), 2):
-        letters, text, rows = leading._WALKS[s, t]
+        text, rows = cold_walks._WALK_TOKENS[s, t], cold_walks._WALK_ROWS[s, t]
+        letters = cold_walks._WALKS[s, t]
         assert letters == tuple(reference_letters([(s, t)]))
         word = BraidWord(STRANDS, letters)
         assert text == serialize_word(word)
         assert base + rows == render_ascii(word)
+    assert len(cold_walks._WALKS) == len(cold_walks._WALK_TOKENS) == len(cold_walks._WALK_ROWS)
 
 
-def test_a_walk_off_the_strands_is_refused_when_derived():
-    walks = _Table(leading._walk)
-    with pytest.raises(IndexOutOfRange, match=r"^generator s12 needs 13 strands, have 12$"):
-        walks[0, 12]
-    assert (0, 12) not in walks and walks[0, 11][1] == " ".join(f"s{i}" for i in range(1, 12))
+def test_a_walk_off_the_strands_is_refused_when_derived(cold_walks):
+    tables = (cold_walks._WALKS, cold_walks._WALK_TOKENS, cold_walks._WALK_ROWS)
+    for table in (*tables[1:], tables[0]):  # tokens and rows first, each deriving the walk
+        with pytest.raises(IndexOutOfRange, match=r"^generator s12 needs 13 strands, have 12$"):
+            table[0, 12]
+    assert all((0, 12) not in table for table in tables)
+    assert cold_walks._WALK_TOKENS[0, 11] == " ".join(f"s{i}" for i in range(1, 12))
